@@ -3,7 +3,8 @@
 Library layout:
 
 - :mod:`photonmix.fock_oracle`: brute-force truncated Fock-space simulation
-  of the mixing experiment, the ground truth for every closed form.
+  of the mixing experiment, carried as products of two-mode states with
+  photon-number-sector unitaries; the ground truth for every closed form.
 - :mod:`photonmix.analytic_model`: closed-form photon correlations,
   visibility, overlap inversion and peak identities.
 - :mod:`photonmix.mode_overlap`: per-degree-of-freedom mode overlaps from
@@ -33,7 +34,7 @@ from .analytic_model import (
 )
 from .fock_oracle import (
     BeamSplitterSpec,
-    MultimodeState,
+    OutputState,
     TruncationReport,
     apply_loss,
     auto_correlation,
@@ -41,9 +42,11 @@ from .fock_oracle import (
     coherent_tail_mass,
     cross_correlations,
     displacement_matrix,
+    joint_number_distribution,
     mix_on_beam_splitter,
     oracle_visibility,
     required_cutoff,
+    visibility_from_states,
 )
 from .mode_overlap import (
     OverlapBreakdown,

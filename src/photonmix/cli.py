@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
@@ -47,8 +47,8 @@ from .fock_oracle import (
     BeamSplitterSpec,
     auto_correlation,
     mix_on_beam_splitter,
-    oracle_visibility,
     required_cutoff,
+    visibility_from_states,
 )
 from .mode_overlap import (
     amplitude_from_intensity,
@@ -59,6 +59,7 @@ from .mode_overlap import (
     total_overlap,
 )
 from .tagstream import (
+    DEFAULT_CHANNELS,
     build_histogram,
     g2_zero,
     parse_tags,
@@ -95,7 +96,7 @@ _SCHEMAS = {
         "properties": {
             "pair": {
                 "type": "array",
-                "items": {"type": "integer", "minimum": 0},
+                "items": {"enum": sorted(DEFAULT_CHANNELS)},
                 "minItems": 2,
                 "maxItems": 2,
             },
@@ -241,8 +242,9 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         bs = BeamSplitterSpec(0.5)
         state = mix_on_beam_splitter(source, lo, bs, cutoff)
+        orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), bs, cutoff)
         g2_oracle = auto_correlation(state)
-        v_oracle = oracle_visibility(source, lo, bs, cutoff)
+        v_oracle = visibility_from_states(state, orthogonal)
         v_formula = float(vhom_model(ratio, m, g2_psi))
         g2_formula = float(auto_model(ratio, m, g2_psi))
         checks.append(
@@ -250,6 +252,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
                 "ratio": ratio,
                 "mu_alpha": mu_alpha,
                 "cutoff": cutoff,
+                "tail_mass": state.report.tail_mass,
                 "v_hom_analytic": v_formula,
                 "v_hom_oracle": v_oracle,
                 "g2_auto_analytic": g2_formula,

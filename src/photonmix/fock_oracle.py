@@ -1,14 +1,24 @@
 """Brute-force simulation of the mixing experiment in a truncated Fock space.
 
-States are carried as weighted ensembles of pure kets over labeled bosonic
-modes, which keeps memory linear in the Hilbert-space dimension while still
-exposing the full density matrix for small systems.  Beam splitters and loss
-channels are realized as matrix exponentials of truncated two-mode
-generators; because those generators conserve total photon number, their
-action is exact on every ket whose per-pair photon number fits inside the
-cutoff.  The only approximation in the whole pipeline is the truncation of
-the incoming coherent state, whose discarded tail mass is computed
-analytically and enforced against a hard bound.
+The output state is carried in factorized form.  The source light occupies
+the parallel polarization of input a and its perpendicular polarization is
+vacuum, while the beam splitter acts on each polarization separately.  So
+every pure branch of the output is a product of a parallel two-mode state
+(source branch mixed with the parallel coherent component) and a
+perpendicular two-mode state (vacuum mixed with the perpendicular coherent
+component), and the polarization-summed photon-number distribution
+P[n2, n3] is the 2-D convolution of the two pair distributions.
+
+Beam splitters and loss channels are matrix exponentials of the two-mode
+mixing generator.  The generator conserves total photon number, so it is
+exponentiated block by block: one (N+1) x (N+1) block per total photon
+number N (Campos, Saleh & Teich, Phys. Rev. A 40, 1371 (1989)).  Each block
+is exact, so the maps are exact on every state they meet here.  A state
+holds one (cutoff+3)^2 amplitude array per branch plus one per
+perpendicular run, instead of a (cutoff+3)^4 four-mode ket.  The only
+approximation in the whole pipeline is the truncation of the incoming
+coherent state, whose discarded tail mass is computed analytically and
+enforced against a hard bound.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .analytic_model import LocalOscillator, SourceParams, _check_probs
 from .errors import (
@@ -29,16 +39,11 @@ from .errors import (
     UndefinedCorrelationError,
 )
 
-#: Output mode labels produced by :func:`mix_on_beam_splitter`.
-OUTPUT_MODES = ("out_2_par", "out_2_perp", "out_3_par", "out_3_perp")
-
-#: Largest Hilbert dimension for which a dense density matrix is materialized.
-MAX_DENSE_DIM = 4096
+#: Output labels, in the axis order of :func:`joint_number_distribution`.
+OUTPUTS = ("out_2", "out_3")
 
 #: Coherent tail mass above which the mixing operation refuses to run.
 TAIL_REFUSAL = 1e-6
-
-_EIGENVALUE_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -72,13 +77,31 @@ class CrossMoments(NamedTuple):
     mean_3: float
 
 
+@dataclass(frozen=True)
+class OutputState:
+    """Beam-splitter output as a weighted mixture of two-pair product states.
+
+    Branch k is the pure state |parallel[k]> (x) |perpendicular[run[k]]>
+    with weight ``weights[k]``.  Amplitude arrays are indexed [n2, n3] and
+    sized (cutoff+3) x (cutoff+3).  There is one perpendicular array per
+    lossy-source run: one for the configured polarization, and a second one
+    for the orthogonal run that models partial source indistinguishability.
+    """
+
+    weights: np.ndarray
+    parallel: np.ndarray
+    perpendicular: np.ndarray
+    run: np.ndarray
+    report: TruncationReport
+
+
 def coherent_tail_mass(mu: float, cutoff: int) -> float:
     """Probability that a coherent state of mean photon number mu exceeds the cutoff."""
     if mu < 0.0:
         raise InvalidParameterError(f"mean photon number must be >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
-    return float(poisson.sf(cutoff, mu))
+    return float(pdtrc(cutoff, mu))
 
 
 def required_cutoff(mu: float, tail_target: float = 1e-10, max_cutoff: int = 500) -> int:
@@ -114,178 +137,70 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.abs(d).max())
 
 
-@lru_cache(maxsize=64)
-def _pair_unitary(transmission: float, cutoff: int) -> np.ndarray:
-    """Two-mode mixing unitary on (x, y) with x_out = sqrt(T) x + sqrt(R) y.
+@lru_cache(maxsize=1024)
+def _sector_unitary(transmission: float, total: int) -> np.ndarray:
+    """Two-mode mixing unitary on (x, y) restricted to ``total`` photons.
 
-    Built as expm(theta (x+ y - x y+)) with cos(theta) = sqrt(T).  The
-    generator conserves total photon number, so the action is exact for kets
-    with per-pair total <= cutoff.
+    The unitary is expm(theta (x+ y - x y+)) with cos(theta) = sqrt(T), so
+    x_out = sqrt(T) x + sqrt(R) y.  Row and column j stand for the basis
+    state |j>_x |total - j>_y.
     """
-    d = cutoff + 1
-    a = lowering_operator(cutoff)
-    eye = np.eye(d)
-    big_a = np.kron(a, eye)
-    big_b = np.kron(eye, a)
+    j = np.arange(total)
+    hop = np.diag(np.sqrt((j + 1.0) * (total - j)), -1)  # matrix of x+ y
     theta = math.acos(min(1.0, math.sqrt(transmission)))
-    gen = theta * (big_a.conj().T @ big_b - big_a @ big_b.conj().T)
-    return expm(gen)
+    unitary = expm(theta * (hop - hop.T))
+    unitary.setflags(write=False)  # shared by every caller through the cache
+    return unitary
 
 
-@lru_cache(maxsize=32)
-def _occupations(cutoff: int, n_modes: int) -> np.ndarray:
-    """Per-mode photon numbers of every product basis state, shape (n_modes, dim)."""
-    d = cutoff + 1
-    dim = d**n_modes
-    idx = np.arange(dim)
-    occ = np.empty((n_modes, dim), dtype=np.int64)
-    for m in range(n_modes - 1, -1, -1):
-        occ[m] = idx % d
-        idx = idx // d
-    return occ
-
-
-@dataclass(frozen=True)
-class MultimodeState:
-    """Weighted ensemble of pure kets over labeled modes, all truncated at ``cutoff``.
-
-    The ensemble represents the density matrix sum_k w_k |psi_k><psi_k|
-    without materializing it; :meth:`density_matrix` builds the dense matrix
-    when the dimension allows.  Kets are unit-normalized and weights sum to 1.
-    """
-
-    modes: tuple[str, ...]
-    cutoff: int
-    weights: np.ndarray
-    kets: np.ndarray
-
-    def __post_init__(self):
-        if self.kets.ndim != 2 or self.kets.shape[0] != len(self.weights):
-            raise InvalidParameterError("kets must have shape (n_branches, dim)")
-        if self.kets.shape[1] != self.dim:
-            raise InvalidParameterError(
-                f"ket dimension {self.kets.shape[1]} does not match "
-                f"({self.cutoff + 1})^{len(self.modes)}"
-            )
-        if np.any(self.weights < -1e-12):
-            raise InvalidParameterError("ensemble weights must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** len(self.modes)
-
-    def mode_index(self, label: str) -> int:
-        try:
-            return self.modes.index(label)
-        except ValueError:
-            raise InvalidParameterError(
-                f"unknown mode label {label!r}; state has {self.modes}"
-            ) from None
-
-    def trace(self) -> float:
-        norms = np.einsum("ki,ki->k", self.kets.conj(), self.kets).real
-        return float(np.dot(self.weights, norms))
-
-    def probabilities(self) -> np.ndarray:
-        """Diagonal of the density matrix in the product Fock basis."""
-        return np.asarray(self.weights, dtype=float) @ (np.abs(self.kets) ** 2)
-
-    def occupations(self) -> np.ndarray:
-        return _occupations(self.cutoff, len(self.modes))
-
-    def density_matrix(self, max_dim: int = MAX_DENSE_DIM) -> np.ndarray:
-        if self.dim > max_dim:
-            raise InvalidParameterError(
-                f"refusing to materialize a {self.dim}x{self.dim} density matrix "
-                f"(limit {max_dim}); use ensemble-based observables instead"
-            )
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, ket in zip(self.weights, self.kets):
-            rho += w * np.outer(ket, ket.conj())
-        return rho
-
-    @classmethod
-    def from_density_matrix(
-        cls,
-        modes: tuple[str, ...],
-        cutoff: int,
-        matrix: np.ndarray,
-        psd_tol: float = 1e-10,
-    ) -> "MultimodeState":
-        """Eigendecompose a density matrix into a pure-state ensemble."""
-        rho = 0.5 * (matrix + matrix.conj().T)
-        vals, vecs = np.linalg.eigh(rho)
-        if vals.min() < -psd_tol:
-            raise InvalidParameterError(
-                f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})"
-            )
-        keep = vals > _EIGENVALUE_FLOOR
-        weights = vals[keep]
-        kets = vecs[:, keep].T
-        return cls(modes=modes, cutoff=cutoff, weights=weights, kets=np.ascontiguousarray(kets))
-
-
-def build_qd_state(p1: float, p2: float, cutoff: int) -> MultimodeState:
-    """Single-mode source state: mixture of 0, 1 and 2 photons in mode ``in_a``."""
+def build_qd_state(p1: float, p2: float, cutoff: int) -> np.ndarray:
+    """Single-mode source density matrix: a mixture of 0, 1 and 2 photons."""
     _check_probs(p1, p2)
     if cutoff < 2:
         raise InvalidParameterError("cutoff must be >= 2 to hold the two-photon term")
-    d = cutoff + 1
-    weights = []
-    kets = []
-    for n, p in enumerate((1.0 - p1 - p2, p1, p2)):
-        if p > 0.0:
-            ket = np.zeros(d, dtype=complex)
-            ket[n] = 1.0
-            weights.append(p)
-            kets.append(ket)
-    return MultimodeState(("in_a",), cutoff, np.array(weights), np.array(kets))
+    rho = np.zeros((cutoff + 1, cutoff + 1))
+    rho[0, 0], rho[1, 1], rho[2, 2] = 1.0 - p1 - p2, p1, p2
+    return rho
 
 
-def _apply_pair_unitary(psi: np.ndarray, u: np.ndarray, axis_x: int, axis_y: int) -> np.ndarray:
-    """Apply a (d^2, d^2) unitary to two axes of a product-space ket."""
-    nd = psi.ndim
-    d = psi.shape[axis_x]
-    rest = [ax for ax in range(nd) if ax not in (axis_x, axis_y)]
-    perm = [axis_x, axis_y] + rest
-    mat = np.transpose(psi, perm).reshape(d * d, -1)
-    mat = u @ mat
-    out = mat.reshape([d, d] + [psi.shape[ax] for ax in rest])
-    return np.transpose(out, np.argsort(perm))
-
-
-def apply_loss(state: MultimodeState, mode: str, eta: float) -> MultimodeState:
-    """Transmit one mode through a lossy channel of transmission eta.
+def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
+    """Send a single-mode density matrix through a channel of transmission eta.
 
     Realized as a virtual beam splitter of transmission eta coupling the mode
     to a vacuum environment, followed by a partial trace over the
-    environment.  The surviving-mode photon distribution is the binomial
-    transform of the input distribution.
+    environment.  Input |n>|0> lies in sector n, so the environment keeping
+    k photons leaves the Kraus operator K_k[j, j + k] = U_{j+k}[j, j + k].
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidParameterError(f"eta must be in [0, 1], got {eta}")
-    axis = state.mode_index(mode)
-    if eta == 1.0:
-        return state
-    d = state.cutoff + 1
-    if state.dim > MAX_DENSE_DIM:
-        raise InvalidParameterError(
-            "apply_loss materializes the reduced density matrix; the state "
-            f"dimension {state.dim} exceeds the dense limit {MAX_DENSE_DIM}"
-        )
-    u = _pair_unitary(eta, state.cutoff)
-    n_modes = len(state.modes)
-    shape = (d,) * n_modes
-    rho = np.zeros((state.dim, state.dim), dtype=complex)
-    env_ket = np.zeros(d, dtype=complex)
-    env_ket[0] = 1.0
-    for w, ket in zip(state.weights, state.kets):
-        psi = np.multiply.outer(ket.reshape(shape), env_ket)
-        psi = _apply_pair_unitary(psi, u, axis, n_modes)
-        # trace out the environment: stack the env axis as columns
-        mat = np.moveaxis(psi, n_modes, -1).reshape(state.dim, d)
-        rho += w * (mat @ mat.conj().T)
-    return MultimodeState.from_density_matrix(state.modes, state.cutoff, rho)
+    d = rho.shape[0]
+    out = np.zeros_like(rho)
+    for k in range(d):
+        kraus = np.zeros((d, d))
+        for j in range(d - k):
+            kraus[j, j + k] = _sector_unitary(eta, j + k)[j, j + k]
+        out += kraus @ rho @ kraus.T
+    return out
+
+
+def _coherent_input_ket(alpha: float, cutoff: int) -> np.ndarray:
+    """Coherent ket truncated at ``cutoff`` and renormalized."""
+    ket = displacement_matrix(alpha, cutoff)[:, 0]
+    return ket / np.linalg.norm(ket)
+
+
+def _mix_pair(n_x: int, ket_y: np.ndarray, transmission: float, size: int) -> np.ndarray:
+    """Output amplitudes [n2, n3] of |n_x>_x (x) ket_y on the beam splitter.
+
+    The x slot exits as the transmitted-source output out_3 and the y slot
+    as out_2.  Input |n_x, k> lies in sector n_x + k, where it is column n_x.
+    """
+    amp = np.zeros((size, size), dtype=ket_y.dtype)
+    for k, c in enumerate(ket_y):
+        total = n_x + k
+        j = np.arange(total + 1)
+        amp[total - j, j] = c * _sector_unitary(transmission, total)[:, n_x]
+    return amp
 
 
 def mix_on_beam_splitter(
@@ -293,19 +208,20 @@ def mix_on_beam_splitter(
     lo: LocalOscillator,
     bs: BeamSplitterSpec,
     cutoff: int,
-) -> MultimodeState:
+) -> OutputState:
     """Mix the lossy source state with the polarized coherent state.
 
     The source light occupies the parallel polarization of input a; the
     coherent state enters input b split as alpha cos(theta) parallel and
-    alpha sin(theta) perpendicular.  Output mode out_2 carries the
-    transmitted coherent field (sqrt(T) b + sqrt(R) a); out_3 the transmitted
-    source field.  The returned state is truncated at ``cutoff + 2`` so the
-    number-conserving beam splitter acts exactly on every retained ket; the
-    coherent inputs are truncated at ``cutoff`` and renormalized.
+    alpha sin(theta) perpendicular.  Output out_2 carries the transmitted
+    coherent field (sqrt(T) b + sqrt(R) a); out_3 the transmitted source
+    field.  The lossy source is a mixture of number states, each one branch;
+    the coherent inputs are truncated at ``cutoff`` and renormalized, and
+    the output arrays hold up to ``cutoff + 2`` photons per mode, so the
+    number-conserving beam splitter acts exactly.
 
     Partial source indistinguishability (``source.m_psi < 1``) is realized by
-    mixing this run with an orthogonal-polarization run at weight
+    adding the branches of an orthogonal-polarization run at weight
     ``1 - m_psi``, which reproduces the effective overlap ``m * m_psi`` in
     all photon-number moments.
 
@@ -319,89 +235,80 @@ def mix_on_beam_splitter(
             f"coherent state (tail {report.tail_mass:.3e} >= {TAIL_REFUSAL:.0e})",
             report=report,
         )
-    weights, kets = _mix_pure_branches(source, lo, bs, cutoff)
-    if source.m_psi < 1.0:
-        lo_perp = replace(lo, theta=math.pi / 2.0)
-        w_perp, k_perp = _mix_pure_branches(source, lo_perp, bs, cutoff)
-        weights = np.concatenate([source.m_psi * weights, (1.0 - source.m_psi) * w_perp])
-        kets = np.concatenate([kets, k_perp])
-    return MultimodeState(OUTPUT_MODES, cutoff + 2, weights, kets)
-
-
-def _coherent_input_ket(alpha: float, cutoff: int, n_work: int) -> np.ndarray:
-    """Coherent ket truncated at ``cutoff``, renormalized, zero-padded to ``n_work``."""
-    ket = np.zeros(n_work + 1, dtype=complex)
-    ket[: cutoff + 1] = displacement_matrix(alpha, cutoff)[:, 0]
-    return ket / np.linalg.norm(ket)
-
-
-def _mix_pure_branches(
-    source: SourceParams,
-    lo: LocalOscillator,
-    bs: BeamSplitterSpec,
-    cutoff: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    n_work = cutoff + 2
-    d = n_work + 1
-    lossy = apply_loss(build_qd_state(source.p1, source.p2, n_work), "in_a", source.eta)
-    ket_b_par = _coherent_input_ket(lo.alpha * math.cos(lo.theta), cutoff, n_work)
-    ket_b_perp = _coherent_input_ket(lo.alpha * math.sin(lo.theta), cutoff, n_work)
-    vac = np.zeros(d, dtype=complex)
-    vac[0] = 1.0
-    u = _pair_unitary(bs.transmission, n_work)
-    out_kets = np.empty((len(lossy.weights), d**4), dtype=complex)
-    for i, ket_a in enumerate(lossy.kets):
-        # input axes: (a_par, a_perp, b_par, b_perp)
-        psi = np.einsum("i,j,k,l->ijkl", ket_a, vac, ket_b_par, ket_b_perp)
-        psi = _apply_pair_unitary(psi, u, 0, 2)
-        psi = _apply_pair_unitary(psi, u, 1, 3)
-        # the pair unitary leaves the a slot carrying sqrt(T) a + sqrt(R) b,
-        # i.e. the transmitted-source output (out_3); reorder to OUTPUT_MODES
-        psi = np.transpose(psi, (2, 3, 0, 1))
-        flat = psi.reshape(-1)
-        out_kets[i] = flat / np.linalg.norm(flat)
-    return np.asarray(lossy.weights, dtype=float), out_kets
-
-
-def _summed_occupation(state: MultimodeState, prefix: str) -> np.ndarray:
-    occ = state.occupations()
-    idx = [i for i, label in enumerate(state.modes) if label.startswith(prefix)]
-    if not idx:
-        raise InvalidParameterError(f"state has no modes with prefix {prefix!r}")
-    return occ[idx].sum(axis=0)
-
-
-def cross_correlations(state: MultimodeState) -> CrossMoments:
-    """Polarization-summed moments (<n2 n3>, <n2>, <n3>) of the output state."""
-    probs = state.probabilities()
-    n2 = _summed_occupation(state, "out_2")
-    n3 = _summed_occupation(state, "out_3")
-    return CrossMoments(
-        coincidence=float(probs @ (n2 * n3)),
-        mean_2=float(probs @ n2),
-        mean_3=float(probs @ n3),
+    populations = np.diag(apply_loss(build_qd_state(source.p1, source.p2, 2), source.eta))
+    photons = np.flatnonzero(populations > 0.0)
+    runs = [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]
+    runs = [(w, theta) for w, theta in runs if w > 0.0]
+    t, size = bs.transmission, cutoff + 3
+    weights, parallel, perpendicular, run = [], [], [], []
+    for index, (run_weight, theta) in enumerate(runs):
+        ket_par = _coherent_input_ket(lo.alpha * math.cos(theta), cutoff)
+        ket_perp = _coherent_input_ket(lo.alpha * math.sin(theta), cutoff)
+        perpendicular.append(_mix_pair(0, ket_perp, t, size))
+        for n in photons:
+            weights.append(run_weight * populations[n])
+            parallel.append(_mix_pair(int(n), ket_par, t, size))
+            run.append(index)
+    return OutputState(
+        np.array(weights), np.array(parallel), np.array(perpendicular), np.array(run), report
     )
 
 
-def auto_correlation(state: MultimodeState, output: str = "out_2") -> float:
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-D convolution of two arrays, one Toeplitz product per row of b."""
+    (rows_a, cols_a), (rows_b, cols_b) = a.shape, b.shape
+    shift = np.arange(cols_a + cols_b - 1) - np.arange(cols_a)[:, None]
+    inside = (shift >= 0) & (shift < cols_b)
+    out = np.zeros((rows_a + rows_b - 1, cols_a + cols_b - 1))
+    for i, row in enumerate(b):
+        out[i : i + rows_a] += a @ np.where(inside, row[np.clip(shift, 0, cols_b - 1)], 0.0)
+    return out
+
+
+def joint_number_distribution(state: OutputState) -> np.ndarray:
+    """Polarization-summed joint photon-number distribution P[n2, n3]."""
+    parallel = np.abs(state.parallel) ** 2
+    perpendicular = np.abs(state.perpendicular) ** 2
+    return sum(
+        _convolve(
+            np.tensordot(state.weights[state.run == r], parallel[state.run == r], axes=1),
+            perp,
+        )
+        for r, perp in enumerate(perpendicular)
+    )
+
+
+def cross_correlations(state: OutputState) -> CrossMoments:
+    """Polarization-summed moments (<n2 n3>, <n2>, <n3>) of the output state."""
+    dist = joint_number_distribution(state)
+    n2 = np.arange(dist.shape[0])
+    n3 = np.arange(dist.shape[1])
+    return CrossMoments(
+        coincidence=float(n2 @ dist @ n3),
+        mean_2=float(n2 @ dist.sum(axis=1)),
+        mean_3=float(dist.sum(axis=0) @ n3),
+    )
+
+
+def auto_correlation(state: OutputState, output: str = "out_2") -> float:
     """Polarization-summed g2(0) = <n(n-1)> / <n>^2 at one output."""
-    probs = state.probabilities()
-    n = _summed_occupation(state, output)
-    mean = float(probs @ n)
+    if output not in OUTPUTS:
+        raise InvalidParameterError(f"unknown output {output!r}; expected one of {OUTPUTS}")
+    marginal = joint_number_distribution(state).sum(axis=1 - OUTPUTS.index(output))
+    n = np.arange(marginal.size)
+    mean = float(marginal @ n)
     if mean <= 0.0:
         raise UndefinedCorrelationError(f"no photons at output {output!r}")
-    second = float(probs @ (n * (n - 1)))
-    return second / mean**2
+    return float(marginal @ (n * (n - 1))) / mean**2
 
 
-def joint_number_distribution(state: MultimodeState) -> np.ndarray:
-    """Joint photon-number distribution P[n2, n3] over the two outputs."""
-    probs = state.probabilities()
-    n2 = _summed_occupation(state, "out_2")
-    n3 = _summed_occupation(state, "out_3")
-    dist = np.zeros((n2.max() + 1, n3.max() + 1))
-    np.add.at(dist, (n2, n3), probs)
-    return dist
+def visibility_from_states(configured: OutputState, orthogonal: OutputState) -> float:
+    """Cross-output visibility (G0 - Gm) / G0 of a configured and an orthogonal run."""
+    g_m = cross_correlations(configured).coincidence
+    g_0 = cross_correlations(orthogonal).coincidence
+    if g_0 <= 0.0:
+        raise UndefinedCorrelationError("no coincidences in the orthogonal reference run")
+    return (g_0 - g_m) / g_0
 
 
 def oracle_visibility(
@@ -411,9 +318,8 @@ def oracle_visibility(
     cutoff: int,
 ) -> float:
     """Cross-output visibility from two runs: as configured vs orthogonal polarization."""
-    g_m = cross_correlations(mix_on_beam_splitter(source, lo, bs, cutoff)).coincidence
     lo_perp = replace(lo, theta=math.pi / 2.0)
-    g_0 = cross_correlations(mix_on_beam_splitter(source, lo_perp, bs, cutoff)).coincidence
-    if g_0 <= 0.0:
-        raise UndefinedCorrelationError("no coincidences in the orthogonal reference run")
-    return (g_0 - g_m) / g_0
+    return visibility_from_states(
+        mix_on_beam_splitter(source, lo, bs, cutoff),
+        mix_on_beam_splitter(source, lo_perp, bs, cutoff),
+    )

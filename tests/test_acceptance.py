@@ -105,6 +105,35 @@ def test_oracle_formula_equivalence():
     assert elapsed < 60.0, f"grid took {elapsed:.1f} s"
 
 
+@criterion("oracle-formula equivalence up to the CLI sweep end mu_alpha = 30 (<= 1e-6, < 60 s)")
+def test_oracle_formula_equivalence_bright_field():
+    start = time.perf_counter()
+    worst = 0.0
+    for mu_alpha in (5.0, 15.0, 30.0):
+        cutoff = required_cutoff(mu_alpha, 1e-10)
+        for mu_psi in (0.3, 1.0):
+            for g2_psi in (0.0, 0.04):
+                source = SourceParams.from_moments(mu_psi, g2_psi)
+                perp = mix_on_beam_splitter(
+                    source, LocalOscillator(mu_alpha, theta=math.pi / 2), BALANCED, cutoff
+                )
+                g_perp = cross_correlations(perp).coincidence
+                for m in (0.0, 0.5, 1.0):
+                    lo = LocalOscillator(mu_alpha, theta=math.acos(math.sqrt(m)))
+                    state = (
+                        mix_on_beam_splitter(source, lo, BALANCED, cutoff) if m > 0 else perp
+                    )
+                    v_oracle = (g_perp - cross_correlations(state).coincidence) / g_perp
+                    worst = max(
+                        worst,
+                        abs(auto_correlation(state) - auto_g2_zero(mu_alpha, mu_psi, g2_psi, m)),
+                        abs(v_oracle - hom_visibility(mu_alpha, mu_psi, g2_psi, m)),
+                    )
+    elapsed = time.perf_counter() - start
+    assert worst <= 1e-6, f"oracle mismatch {worst}"
+    assert elapsed < 60.0, f"grid took {elapsed:.1f} s"
+
+
 @criterion("visibility peak identities at the reference source purity")
 def test_visibility_peak_identities():
     report = peak_analysis(G2_REF, M_REF)

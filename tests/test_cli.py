@@ -68,6 +68,23 @@ class TestSimulate:
         assert len(report["oracle_checks"]) == 2
         for check in report["oracle_checks"]:
             assert check["max_abs_diff"] < 1e-6
+            assert check["tail_mass"] < 1e-10  # the default tail_target
+
+    def test_oracle_reaches_sweep_end(self, tmp_path):
+        out = tmp_path / "run"
+        code = run(
+            [
+                "simulate", "--out", str(out),
+                "--set", "m=0.76", "--set", "g2_psi=0.0412",
+                "--set", "oracle_check_ratios=[0.01,30]",
+            ]
+        )
+        assert code == 0
+        checks = read_json(out / "report.json")["oracle_checks"]
+        assert [c["ratio"] for c in checks] == [0.01, 30]
+        for check in checks:
+            assert check["max_abs_diff"] <= 1e-6
+            assert check["tail_mass"] < 1e-10
 
     def test_missing_required_key_is_config_error(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path), "--set", "m=0.5"]) == 2
@@ -141,6 +158,14 @@ class TestAnalyze:
 
     def test_missing_tagfile_is_data_error(self, tmp_path):
         assert run(self.analyze_args(tmp_path / "nope.csv", tmp_path / "run")) == 3
+
+    @pytest.mark.parametrize("pair, channel", [("[0,0]", "0"), ("[5,2]", "5")])
+    def test_unknown_channel_is_config_error(self, tmp_path, coherent_tagfile, capsys, pair, channel):
+        args = self.analyze_args(coherent_tagfile, tmp_path / "run", ("--set", f"pair={pair}"))
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{channel} is not one of" in err
 
     def test_malformed_tagfile_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

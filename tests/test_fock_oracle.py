@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.special import factorial
+from scipy.stats import poisson
 
 from photonmix.analytic_model import (
     LocalOscillator,
@@ -19,7 +23,10 @@ from photonmix.errors import (
 )
 from photonmix.fock_oracle import (
     BeamSplitterSpec,
-    MultimodeState,
+    OutputState,
+    TruncationReport,
+    _convolve,
+    _sector_unitary,
     apply_loss,
     auto_correlation,
     build_qd_state,
@@ -27,6 +34,7 @@ from photonmix.fock_oracle import (
     cross_correlations,
     displacement_matrix,
     joint_number_distribution,
+    lowering_operator,
     mix_on_beam_splitter,
     oracle_visibility,
     required_cutoff,
@@ -42,19 +50,19 @@ def theta_for_overlap(m: float) -> float:
 
 class TestBuildQdState:
     def test_pure_single_photon(self):
-        rho = build_qd_state(1.0, 0.0, 4).density_matrix()
+        rho = build_qd_state(1.0, 0.0, 4)
         expected = np.zeros((5, 5))
         expected[1, 1] = 1.0
         assert np.allclose(rho, expected, atol=1e-15)
 
     def test_vacuum(self):
-        rho = build_qd_state(0.0, 0.0, 4).density_matrix()
+        rho = build_qd_state(0.0, 0.0, 4)
         expected = np.zeros((5, 5))
         expected[0, 0] = 1.0
         assert np.allclose(rho, expected, atol=1e-15)
 
     def test_mixture_diagonal(self):
-        rho = build_qd_state(0.96, 0.02, 4).density_matrix()
+        rho = build_qd_state(0.96, 0.02, 4)
         assert np.allclose(np.diag(rho).real, [0.02, 0.96, 0.02, 0.0, 0.0], atol=1e-15)
         assert np.allclose(rho, np.diag(np.diag(rho)), atol=1e-15)
 
@@ -67,8 +75,7 @@ class TestBuildQdState:
             build_qd_state(1.0, 0.0, 1)
 
     def test_state_invariants(self):
-        state = build_qd_state(0.9, 0.05, 4)
-        rho = state.density_matrix()
+        rho = build_qd_state(0.9, 0.05, 4)
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
@@ -76,42 +83,49 @@ class TestBuildQdState:
 
 class TestApplyLoss:
     def test_lossless_identity(self):
-        state = build_qd_state(1.0, 0.0, 4)
-        out = apply_loss(state, "in_a", 1.0)
-        assert np.allclose(out.density_matrix(), state.density_matrix(), atol=1e-12)
+        rho = build_qd_state(1.0, 0.0, 4)
+        assert np.allclose(apply_loss(rho, 1.0), rho, atol=1e-12)
 
     def test_full_loss_gives_vacuum(self):
-        out = apply_loss(build_qd_state(1.0, 0.0, 4), "in_a", 0.0)
-        rho = out.density_matrix()
+        rho = apply_loss(build_qd_state(1.0, 0.0, 4), 0.0)
         assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_binomial_transform_of_single_photon(self):
-        out = apply_loss(build_qd_state(1.0, 0.0, 4), "in_a", 0.3)
-        diag = np.diag(out.density_matrix()).real
+        diag = np.diag(apply_loss(build_qd_state(1.0, 0.0, 4), 0.3)).real
         assert np.allclose(diag[:2], [0.7, 0.3], atol=1e-12)
         assert np.allclose(diag[2:], 0.0, atol=1e-12)
 
-    def test_unknown_mode_label(self):
+    def test_rejects_transmission_outside_unit_interval(self):
         with pytest.raises(InvalidParameterError):
-            apply_loss(build_qd_state(1.0, 0.0, 4), "nope", 0.5)
+            apply_loss(build_qd_state(1.0, 0.0, 4), 1.5)
 
     def test_composition_of_losses(self):
-        state = build_qd_state(0.9, 0.05, 4)
-        twice = apply_loss(apply_loss(state, "in_a", 0.8), "in_a", 0.6)
-        once = apply_loss(state, "in_a", 0.48)
-        assert np.abs(twice.density_matrix() - once.density_matrix()).max() < 1e-10
+        rho = build_qd_state(0.9, 0.05, 4)
+        twice = apply_loss(apply_loss(rho, 0.8), 0.6)
+        once = apply_loss(rho, 0.48)
+        assert np.abs(twice - once).max() < 1e-10
 
     def test_populations_match_loss_degraded_probs(self):
         p1, p2, eta = 0.9, 0.05, 0.37
-        out = apply_loss(build_qd_state(p1, p2, 4), "in_a", eta)
-        diag = np.diag(out.density_matrix()).real
+        diag = np.diag(apply_loss(build_qd_state(p1, p2, 4), eta)).real
         q0, q1, q2 = loss_degraded_probs(p1, p2, eta)
         vacuum = 1.0 - p1 - p2 + q0
         assert np.allclose(diag[:3], [vacuum, q1, q2], atol=1e-10)
 
     def test_trace_preserved(self):
-        out = apply_loss(build_qd_state(0.9, 0.05, 4), "in_a", 0.41)
-        assert out.trace() == pytest.approx(1.0, abs=1e-12)
+        out = apply_loss(build_qd_state(0.9, 0.05, 4), 0.41)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_coherent_superposition_stays_physical(self):
+        psi = np.array([1.0, 1.0, 1.0, 0.0]) / math.sqrt(3.0)
+        out = apply_loss(np.outer(psi, psi), 0.6)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(out - out.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(out).min() >= -1e-10
+        # the surviving coherence between 0 and 1 photons is sqrt(eta) / 3 plus
+        # the part carried by the two-photon term after losing one photon
+        expected = (math.sqrt(0.6) + math.sqrt(0.4) * math.sqrt(2.0 * 0.6 * 0.4)) / 3.0
+        assert out[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
 class TestDisplacement:
@@ -140,6 +154,12 @@ class TestDisplacement:
         n_req = required_cutoff(mu, 1e-10)
         assert coherent_tail_mass(mu, n_req) < 1e-10
         assert coherent_tail_mass(mu, n_req - 1) >= 1e-10
+
+    def test_tail_mass_is_the_poisson_survival_function(self):
+        mus = np.geomspace(1e-3, 60.0, 40)
+        for k in range(2, 200):
+            tails = [coherent_tail_mass(float(mu), k) for mu in mus]
+            assert np.allclose(tails, poisson.sf(k, mus), rtol=1e-13, atol=0.0)
 
 
 class TestMixOnBeamSplitter:
@@ -226,8 +246,11 @@ class TestMixOnBeamSplitter:
         source = SourceParams.from_moments(0.3, 0.0412)
         lo = LocalOscillator(mu_alpha=0.2, theta=0.5)
         state = mix_on_beam_splitter(source, lo, BALANCED, 8)
-        assert state.trace() == pytest.approx(1.0, abs=1e-12)
-        probs = state.probabilities()
+        norms = (np.abs(state.parallel) ** 2).sum(axis=(1, 2))
+        perp_norms = (np.abs(state.perpendicular) ** 2).sum(axis=(1, 2))
+        trace = float(np.dot(state.weights, norms * perp_norms[state.run]))
+        assert trace == pytest.approx(1.0, abs=1e-12)
+        probs = joint_number_distribution(state)
         assert probs.min() >= -1e-15
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -244,13 +267,13 @@ class TestMixOnBeamSplitter:
 
 class TestCrossCorrelationsDirect:
     def make_output_state(self, n2_par: int, n3_par: int, cutoff: int = 2):
-        from photonmix.fock_oracle import OUTPUT_MODES
-
-        d = cutoff + 1
-        ket = np.zeros((d, d, d, d), dtype=complex)
-        ket[n2_par, 0, n3_par, 0] = 1.0
-        return MultimodeState(
-            OUTPUT_MODES, cutoff, np.array([1.0]), ket.reshape(1, -1)
+        d = cutoff + 3
+        parallel = np.zeros((1, d, d))
+        parallel[0, n2_par, n3_par] = 1.0
+        perpendicular = np.zeros((1, d, d))
+        perpendicular[0, 0, 0] = 1.0
+        return OutputState(
+            np.array([1.0]), parallel, perpendicular, np.array([0]), TruncationReport(cutoff, 0.0)
         )
 
     def test_vacuum_state(self):
@@ -262,30 +285,102 @@ class TestCrossCorrelationsDirect:
         assert moments == (1.0, 1.0, 1.0)
 
     def test_missing_output_modes_rejected(self):
-        state = build_qd_state(1.0, 0.0, 4)
         with pytest.raises(InvalidParameterError):
-            cross_correlations(state)
+            auto_correlation(self.make_output_state(1, 1), "out_4")
 
 
-class TestDensityMatrixGuards:
-    def test_refuses_oversized_density_matrix(self):
+class TestSectorMaps:
+    def test_sector_unitary_matches_dense_two_mode_unitary(self):
+        # reference: the mixing generator built on the full two-mode product space
+        cutoff, transmission = 5, 0.3
+        a = lowering_operator(cutoff)
+        x, y = np.kron(a, np.eye(cutoff + 1)), np.kron(np.eye(cutoff + 1), a)
+        theta = math.acos(math.sqrt(transmission))
+        dense = expm(theta * (x.T @ y - x @ y.T))
+        for total in range(cutoff + 1):
+            j = np.arange(total + 1)
+            flat = j * (cutoff + 1) + (total - j)  # |j>_x |total - j>_y
+            block = dense[np.ix_(flat, flat)]
+            assert np.abs(block - _sector_unitary(transmission, total)).max() < 1e-13
+
+    def test_convolution_matches_direct_sum(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.random((4, 6)), rng.random((5, 3))
+        direct = np.zeros((8, 8))
+        for (i, j), value in np.ndenumerate(b):
+            direct[i : i + 4, j : j + 6] += value * a
+        assert np.allclose(_convolve(a, b), direct, rtol=1e-14, atol=0.0)
+
+
+class TestStateSize:
+    def test_arrays_stay_two_mode(self):
         cutoff = required_cutoff(2.0, 1e-10)
         state = mix_on_beam_splitter(
             SourceParams(p1=1.0), LocalOscillator(mu_alpha=2.0), BALANCED, cutoff
         )
-        with pytest.raises(InvalidParameterError):
-            state.density_matrix()
+        branches = len(state.weights)
+        for array in (state.weights, state.parallel, state.perpendicular, state.run):
+            assert array.size <= branches * (cutoff + 3) ** 2
+        assert state.parallel.shape[1:] == (cutoff + 3, cutoff + 3)
+        assert state.perpendicular.shape[1:] == (cutoff + 3, cutoff + 3)
 
-    def test_from_density_matrix_round_trip(self):
-        state = build_qd_state(0.9, 0.05, 3)
-        rho = state.density_matrix()
-        rebuilt = MultimodeState.from_density_matrix(("in_a",), 3, rho)
-        assert np.abs(rebuilt.density_matrix() - rho).max() < 1e-12
+    def test_branches_reproduce_lossy_source_populations(self):
+        source = SourceParams(p1=0.9, p2=0.05, eta=0.7)
+        state = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.5), BALANCED, 12)
+        populations = np.diag(apply_loss(build_qd_state(0.9, 0.05, 2), 0.7))
+        assert np.allclose(state.weights, populations, atol=1e-15)
+        assert state.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_from_density_matrix_rejects_negative(self):
-        rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(InvalidParameterError):
-            MultimodeState.from_density_matrix(("in_a",), 3, rho)
+    def test_orthogonal_run_adds_branches(self):
+        source = SourceParams.from_moments(0.3, 0.04, m_psi=0.9)
+        state = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.5), BALANCED, 12)
+        assert len(state.perpendicular) == 2
+        assert np.array_equal(state.run, [0, 0, 0, 1, 1, 1])
+        assert state.weights[state.run == 1].sum() == pytest.approx(0.1, abs=1e-12)
+
+
+class TestOracleInvariants:
+    params = dict(
+        mu_alpha=st.floats(0.0, 3.0),
+        mu_psi=st.floats(0.01, 1.0),
+        g2=st.floats(0.0, 0.2),
+        theta=st.floats(0.0, math.pi),
+        transmission=st.floats(0.0, 1.0),
+        m_psi=st.floats(0.0, 1.0),
+    )
+
+    @staticmethod
+    def distribution(mu_alpha, mu_psi, g2, theta, transmission, m_psi):
+        source = SourceParams.from_moments(mu_psi, g2, m_psi=m_psi)
+        lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
+        cutoff = required_cutoff(mu_alpha, 1e-10)
+        state = mix_on_beam_splitter(source, lo, BeamSplitterSpec(transmission), cutoff)
+        return joint_number_distribution(state)
+
+    @given(**params)
+    @settings(max_examples=40, deadline=None)
+    def test_photon_number_conserved(self, mu_alpha, mu_psi, g2, theta, transmission, m_psi):
+        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission, m_psi)
+        n2 = np.arange(dist.shape[0])
+        n3 = np.arange(dist.shape[1])
+        total = n2 @ dist.sum(axis=1) + dist.sum(axis=0) @ n3
+        assert total == pytest.approx(mu_alpha + mu_psi, abs=1e-8)
+
+    @given(**params)
+    @settings(max_examples=40, deadline=None)
+    def test_output_swap_under_transmission_swap(
+        self, mu_alpha, mu_psi, g2, theta, transmission, m_psi
+    ):
+        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission, m_psi)
+        swapped = self.distribution(mu_alpha, mu_psi, g2, theta, 1.0 - transmission, m_psi)
+        assert np.abs(dist - swapped.T).max() <= 1e-12
+
+    @given(**params)
+    @settings(max_examples=40, deadline=None)
+    def test_distribution_is_normalized(self, mu_alpha, mu_psi, g2, theta, transmission, m_psi):
+        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission, m_psi)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.min() >= -1e-15
 
 
 class TestOracleAgainstClosedForms:
