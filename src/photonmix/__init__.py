@@ -14,6 +14,7 @@ Library layout:
 - :mod:`photonmix.estimator`: power calibration, sweep fits and brightness
   estimation.
 - :mod:`photonmix.synthetic`: seeded Monte Carlo tag generators.
+- :mod:`photonmix.tables`: the CSV table format every reader and writer shares.
 - :mod:`photonmix.cli`: the ``photonmix`` command-line front end.
 """
 

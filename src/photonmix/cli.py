@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 input data error,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -66,6 +67,7 @@ from .tagstream import (
     visibility_from_histograms,
     write_histogram_csv,
 )
+from .tables import read_table, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,15 +80,15 @@ _SCHEMAS = {
         "properties": {
             "m": {"type": "number", "minimum": 0, "maximum": 1},
             "g2_psi": {"type": "number", "minimum": 0},
-            "mu_psi": {"type": "number", "exclusiveMinimum": 0},
-            "r_min": {"type": "number", "exclusiveMinimum": 0},
-            "r_max": {"type": "number", "exclusiveMinimum": 0},
-            "n_points": {"type": "integer", "minimum": 2},
-            "oracle_check_ratios": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-            "tail_target": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-6},
+            "mu_psi": {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 1.0},
+            "r_min": {"type": "number", "exclusiveMinimum": 0, "default": 0.01},
+            "r_max": {"type": "number", "exclusiveMinimum": 0, "default": 30.0},
+            "n_points": {"type": "integer", "minimum": 2, "default": 60},
+            "oracle_check_ratios": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "default": []},
+            "tail_target": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-6, "default": 1e-10},
             "noise_sigma_rel": {"type": "number", "exclusiveMinimum": 0},
             "noise_model": {"enum": ["vhom", "auto"]},
-            "seed": {"type": "integer", "minimum": 0},
+            "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         "required": ["m", "g2_psi"],
         "additionalProperties": False,
@@ -104,10 +106,10 @@ _SCHEMAS = {
             "tau_max": {"type": "integer", "minimum": 1},
             "rep_period": {"type": "integer", "minimum": 1},
             "window": {"type": "integer", "minimum": 1},
-            "n_side_peaks": {"type": "integer", "minimum": 2},
-            "reorder_window": {"type": "integer", "minimum": 0},
+            "n_side_peaks": {"type": "integer", "minimum": 2, "default": 10},
+            "reorder_window": {"type": "integer", "minimum": 0, "default": 0},
             "perp_tagfile": {"type": "string"},
-            "seed": {"type": "integer", "minimum": 0},
+            "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         "required": ["pair", "bin_width", "tau_max", "rep_period"],
         "additionalProperties": False,
@@ -117,7 +119,7 @@ _SCHEMAS = {
         "properties": {
             "time_profiles": {"type": "array", "items": {"type": "string"}, "minItems": 2, "maxItems": 2},
             "frequency_profiles": {"type": "array", "items": {"type": "string"}, "minItems": 2, "maxItems": 2},
-            "profile_kind": {"enum": ["intensity", "amplitude"]},
+            "profile_kind": {"enum": ["intensity", "amplitude"], "default": "intensity"},
             "spectral_filter": {
                 "type": "object",
                 "properties": {
@@ -128,13 +130,13 @@ _SCHEMAS = {
                 "additionalProperties": False,
             },
             "fringe_file": {"type": "string"},
-            "k_tail": {"type": "integer", "minimum": 1},
+            "k_tail": {"type": "integer", "minimum": 1, "default": 500},
             "m_t": {"type": "number", "minimum": 0, "maximum": 1},
             "m_f": {"type": "number", "minimum": 0, "maximum": 1},
             "m_p": {"type": "number", "minimum": 0, "maximum": 1},
-            "m_s": {"type": "number", "minimum": 0, "maximum": 1},
+            "m_s": {"type": "number", "minimum": 0, "maximum": 1, "default": 1.0},
             "m_psi": {"type": "number", "minimum": 0, "maximum": 1},
-            "seed": {"type": "integer", "minimum": 0},
+            "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         "additionalProperties": False,
     },
@@ -143,32 +145,17 @@ _SCHEMAS = {
         "properties": {
             "model": {"enum": ["vhom", "auto"]},
             "g2_psi": {"type": "number", "minimum": 0},
-            "fit_scale": {"type": "boolean"},
-            "seed": {"type": "integer", "minimum": 0},
+            "fit_scale": {"type": "boolean", "default": False},
+            "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         "required": ["model", "g2_psi"],
         "additionalProperties": False,
     },
 }
 
-_DEFAULTS = {
-    "simulate": {
-        "mu_psi": 1.0,
-        "r_min": 0.01,
-        "r_max": 30.0,
-        "n_points": 60,
-        "oracle_check_ratios": [],
-        "tail_target": 1e-10,
-        "seed": 0,
-    },
-    "analyze": {"n_side_peaks": 10, "reorder_window": 0, "seed": 0},
-    "overlap": {"profile_kind": "intensity", "k_tail": 500, "m_s": 1.0, "seed": 0},
-    "fit": {"fit_scale": False, "seed": 0},
-}
-
-
 def _load_config(command: str, config_path: str | None, overrides: list[str], seed: int | None) -> dict:
-    cfg = dict(_DEFAULTS[command])
+    properties = _SCHEMAS[command]["properties"]
+    cfg = {key: copy.deepcopy(p["default"]) for key, p in properties.items() if "default" in p}
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
@@ -226,10 +213,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
     grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
     v = vhom_model(grid, m, g2_psi)
     g2a = auto_model(grid, m, g2_psi)
-    with open(outdir / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("ratio,v_hom,g2_auto\n")
-        for r, vv, gg in zip(grid, v, g2a):
-            fh.write(f"{float(r)!r},{float(vv)!r},{float(gg)!r}\n")
+    write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, v, g2a])
 
     peaks = peak_analysis(g2_psi, m)
     checks = []
@@ -294,12 +278,12 @@ def _analyze_one(tagfile: str, cfg: dict):
 def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> None:
     hist, result = _analyze_one(tagfile, cfg)
     write_histogram_csv(hist, outdir / "histogram.csv")
-    _write_json(outdir / "g2.json", result.to_dict())
+    _write_json(outdir / "g2.json", asdict(result))
     inputs = [tagfile]
     if "perp_tagfile" in cfg:
         hist_perp, result_perp = _analyze_one(cfg["perp_tagfile"], cfg)
         write_histogram_csv(hist_perp, outdir / "histogram_perp.csv")
-        _write_json(outdir / "g2_perp.json", result_perp.to_dict())
+        _write_json(outdir / "g2_perp.json", asdict(result_perp))
         v, err = visibility_from_histograms(result, result_perp)
         _write_json(
             outdir / "visibility.json",
@@ -343,12 +327,7 @@ def cmd_overlap(cfg: dict, outdir: Path) -> None:
         inputs += cfg["frequency_profiles"]
     fringe = None
     if "fringe_file" in cfg:
-        try:
-            samples = np.loadtxt(cfg["fringe_file"], delimiter=",", skiprows=1, ndmin=1)
-        except OSError as exc:
-            raise DataFormatError(f"cannot read fringe file: {exc}") from exc
-        except ValueError as exc:
-            raise DataFormatError(f"malformed fringe file: {exc}") from exc
+        samples = read_table(cfg["fringe_file"], [("value",)])[1][:, 0]
         fringe = fringe_visibility_overlap(samples, k_tail=cfg["k_tail"])
         factors["m_p"] = fringe.m_p
         sources["m_p"] = "fringe"
@@ -377,14 +356,13 @@ def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> None:
     _write_json(outdir / "fit.json", result.to_dict())
     model = vhom_model if cfg["model"] == "vhom" else auto_model
     scale = result.scale_hat if result.scale_hat is not None else 1.0
-    with open(outdir / "residuals.csv", "w", encoding="utf-8") as fh:
-        fh.write("ratio,y,y_err,model,residual_sigma\n")
-        for p in points:
-            y_model = float(model(scale * p.ratio, result.m_hat, cfg["g2_psi"]))
-            fh.write(
-                f"{float(p.ratio)!r},{float(p.y)!r},{float(p.y_err)!r},{y_model!r},"
-                f"{float((p.y - y_model) / p.y_err)!r}\n"
-            )
+    r, y, y_err = np.array([(p.ratio, p.y, p.y_err) for p in points], dtype=float).T
+    y_model = model(scale * r, result.m_hat, cfg["g2_psi"])
+    write_table(
+        outdir / "residuals.csv",
+        ("ratio", "y", "y_err", "model", "residual_sigma"),
+        [r, y, y_err, y_model, (y - y_model) / y_err],
+    )
     _write_meta(outdir, "fit.meta.json", "fit", cfg, [sweepfile])
 
 

@@ -16,12 +16,11 @@ from scipy import constants
 from scipy.optimize import least_squares, minimize_scalar
 
 from .analytic_model import overlap_from_visibility
-from .errors import (
-    DataFormatError,
-    IllConditionedFitError,
-    InvalidParameterError,
-)
+from .errors import IllConditionedFitError, InvalidParameterError
 from .fock_oracle import BeamSplitterSpec
+from .tables import read_table, write_table
+
+_SWEEP_HEADER = ("ratio", "y", "y_err")
 
 
 @dataclass(frozen=True)
@@ -260,27 +259,9 @@ def brightness_from_auto_peak(
 
 def read_sweep(path) -> list[SweepPoint]:
     """Read a ``ratio,y,y_err`` sweep CSV with a header row."""
-    points = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if [c.strip() for c in header.split(",")] != ["ratio", "y", "y_err"]:
-            raise DataFormatError(f"expected header 'ratio,y,y_err', got {header!r}", line=1)
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            cols = line.split(",")
-            if len(cols) != 3:
-                raise DataFormatError(f"expected 3 columns, got {len(cols)}", line=lineno)
-            try:
-                points.append(SweepPoint(float(cols[0]), float(cols[1]), float(cols[2])))
-            except ValueError:
-                raise DataFormatError(f"non-numeric row {line!r}", line=lineno) from None
-    return points
+    return [SweepPoint(*row) for row in read_table(path, [_SWEEP_HEADER])[1].tolist()]
 
 
 def write_sweep(points, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ratio,y,y_err\n")
-        for p in points:
-            fh.write(f"{float(p.ratio)!r},{float(p.y)!r},{float(p.y_err)!r}\n")
+    table = np.array([(p.ratio, p.y, p.y_err) for p in points], dtype=float).reshape(-1, 3)
+    write_table(path, _SWEEP_HEADER, table.T)

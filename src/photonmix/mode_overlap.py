@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataFormatError, InvalidParameterError, UndefinedCorrelationError
+from .tables import read_table, write_table
 
 _DOMAINS = ("time", "frequency")
 _KINDS = ("intensity", "amplitude")
-_DOMAIN_HEADERS = {"t_ps": "time", "f_GHz": "frequency"}
+_DOMAIN_HEADERS = {("t_ps", "value"): "time", ("f_GHz", "value"): "frequency"}
 _HEADER_BY_DOMAIN = {v: k for k, v in _DOMAIN_HEADERS.items()}
 
 
@@ -191,35 +192,14 @@ def read_profile(path, kind: str) -> SampledProfile:
     Format: header ``t_ps,value`` or ``f_GHz,value``, then one ``x,value``
     row per sample, UTF-8, decimal point.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = [p.strip() for p in header.split(",")]
-        if len(parts) != 2 or parts[0] not in _DOMAIN_HEADERS or parts[1] != "value":
-            raise DataFormatError(
-                f"expected header 't_ps,value' or 'f_GHz,value', got {header!r}", line=1
-            )
-        domain = _DOMAIN_HEADERS[parts[0]]
-        xs, values = [], []
-        for i, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            cols = raw.split(",")
-            if len(cols) != 2:
-                raise DataFormatError(f"expected 2 columns, got {len(cols)}", line=i)
-            try:
-                xs.append(float(cols[0]))
-                values.append(float(cols[1]))
-            except ValueError:
-                raise DataFormatError(f"non-numeric row {raw!r}", line=i) from None
+    header, rows = read_table(path, list(_DOMAIN_HEADERS))
     try:
-        return SampledProfile(domain=domain, xs=np.array(xs), values=np.array(values), kind=kind)
+        return SampledProfile(
+            domain=_DOMAIN_HEADERS[header], xs=rows[:, 0], values=rows[:, 1], kind=kind
+        )
     except InvalidParameterError as exc:
         raise DataFormatError(str(exc)) from exc
 
 
 def write_profile(profile: SampledProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER_BY_DOMAIN[profile.domain]},value\n")
-        for x, v in zip(profile.xs, profile.values):
-            fh.write(f"{float(x)!r},{float(v)!r}\n")
+    write_table(path, _HEADER_BY_DOMAIN[profile.domain], [profile.xs, profile.values])

@@ -17,7 +17,14 @@ import numpy as np
 
 from .analytic_model import LocalOscillator, SourceParams
 from .errors import InvalidParameterError
-from .fock_oracle import BeamSplitterSpec, joint_number_distribution, mix_on_beam_splitter
+from .fock_oracle import (
+    BeamSplitterSpec,
+    auto_correlation,
+    cross_correlations,
+    joint_number_distribution,
+    mix_on_beam_splitter,
+)
+from .tables import write_table
 from .tagstream import TagStream
 
 _PULSE_CHUNK = 2_000_000
@@ -94,7 +101,7 @@ def displaced_fock_tags(
     distribution of :func:`photonmix.fock_oracle.mix_on_beam_splitter`; each
     photon is delayed by an exponential emission time when a lifetime is
     given (default: the source lifetime).  Returns the stream together with
-    the exact moments of the sampled distribution, usable as ground truth:
+    the oracle's exact moments of that distribution, usable as ground truth:
     means, polarization-summed g2_auto of both outputs, and the normalized
     cross-output coincidence ratio <n2 n3> / (<n2><n3>).
     """
@@ -103,22 +110,18 @@ def displaced_fock_tags(
     if lifetime_ps is None:
         lifetime_ps = source.tau_lt_ps
     state = mix_on_beam_splitter(source, lo, bs, cutoff)
+    moments = cross_correlations(state)
+    truth = {
+        "mean_2": moments.mean_2,
+        "mean_3": moments.mean_3,
+        "g2_auto_2": auto_correlation(state, "out_2"),
+        "g2_auto_3": auto_correlation(state, "out_3"),
+        "g2_cross": moments.coincidence / (moments.mean_2 * moments.mean_3),
+    }
     joint = joint_number_distribution(state)
     flat = joint.ravel()
     flat = flat / flat.sum()
     n3_levels = joint.shape[1]
-    grid2, grid3 = np.meshgrid(
-        np.arange(joint.shape[0]), np.arange(joint.shape[1]), indexing="ij"
-    )
-    mean2 = float((flat * grid2.ravel()).sum())
-    mean3 = float((flat * grid3.ravel()).sum())
-    truth = {
-        "mean_2": mean2,
-        "mean_3": mean3,
-        "g2_auto_2": float((flat * (grid2 * (grid2 - 1)).ravel()).sum()) / mean2**2,
-        "g2_auto_3": float((flat * (grid3 * (grid3 - 1)).ravel()).sum()) / mean3**2,
-        "g2_cross": float((flat * (grid2 * grid3).ravel()).sum()) / (mean2 * mean3),
-    }
 
     rng = np.random.default_rng(seed)
     channels = []
@@ -140,6 +143,4 @@ def displaced_fock_tags(
 
 def write_tags_csv(stream: TagStream, path) -> None:
     """Write a stream in the ``channel,t_ps`` format accepted by parse_tags."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ch, t in zip(stream.channels, stream.times):
-            fh.write(f"{int(ch)},{int(t)}\n")
+    write_table(path, None, [stream.channels, stream.times])

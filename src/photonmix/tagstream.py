@@ -23,6 +23,7 @@ from .errors import (
     InvalidParameterError,
     UndefinedCorrelationError,
 )
+from .tables import write_table
 
 DEFAULT_CHANNELS = frozenset({1, 2, 3})
 
@@ -99,16 +100,6 @@ class G2Result:
     window_ps: int
     n_side_peaks: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stat_err": self.stat_err,
-            "peak_area_0": self.peak_area_0,
-            "side_mean": self.side_mean,
-            "window_ps": self.window_ps,
-            "n_side_peaks": self.n_side_peaks,
-        }
-
 
 def _as_text_lines(source):
     if isinstance(source, (str, Path)):
@@ -125,20 +116,14 @@ def _as_text_lines(source):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
-def parse_tags(
-    source,
-    fmt: str = "csv",
-    reorder_window: int = 0,
-    channel_set=DEFAULT_CHANNELS,
-) -> TagStream:
+def parse_tags(source, reorder_window: int = 0) -> TagStream:
     """Parse ``channel,t_ps`` lines into a sorted TagStream.
 
-    Records may arrive out of order by at most ``reorder_window`` ps (a
-    larger backward jump is a format error); sorting is stable so equal
-    timestamps keep file order.
+    ``source`` is a path, a bytes buffer or a file-like object.  Channels
+    must be in ``DEFAULT_CHANNELS``.  Records may arrive out of order by at
+    most ``reorder_window`` ps (a larger backward jump is a format error);
+    sorting is stable so equal timestamps keep file order.
     """
-    if fmt != "csv":
-        raise InvalidParameterError(f"unsupported tag format {fmt!r}")
     channels: list[int] = []
     times: list[int] = []
     running_max = None
@@ -154,7 +139,7 @@ def parse_tags(
             t = int(cols[1])
         except ValueError:
             raise DataFormatError(f"non-integer field in {line!r}", line=lineno) from None
-        if ch not in channel_set:
+        if ch not in DEFAULT_CHANNELS:
             raise DataFormatError(f"unknown channel {ch}", line=lineno)
         if running_max is not None and t < running_max - reorder_window:
             raise DataFormatError(
@@ -222,9 +207,13 @@ def build_histogram(
     lo = np.searchsorted(t_b, t_a - pad, side="left")
     hi = np.searchsorted(t_b, t_a + pad, side="right")
     per_a = hi - lo
-    boundaries = _chunk_boundaries(per_a, _PAIR_CHUNK)
+    # cut after the first A record whose running pair count reaches each multiple
+    # of _PAIR_CHUNK: a chunk holds fewer pairs than that plus its last record's
+    cum = np.cumsum(per_a)
+    cuts = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1], _PAIR_CHUNK)) + 1
+    bounds = np.concatenate(([0], cuts, [per_a.size])).tolist()
     same_channel = ch_a == ch_b
-    for c0, c1 in boundaries:
+    for c0, c1 in zip(bounds[:-1], bounds[1:]):
         n_pairs = int(per_a[c0:c1].sum())
         if n_pairs == 0:
             continue
@@ -240,21 +229,6 @@ def build_histogram(
             valid &= idx_b[b_idx] != a_global[local]
         counts += np.bincount((k[valid] + k_max).astype(np.int64), minlength=n_bins)
     return CorrelationHistogram(bin_width, tau_max, counts, (ch_a, ch_b), rep_period)
-
-
-def _chunk_boundaries(per_a: np.ndarray, budget: int) -> list[tuple[int, int]]:
-    boundaries = []
-    start = 0
-    acc = 0
-    for i, n in enumerate(per_a):
-        acc += int(n)
-        if acc >= budget:
-            boundaries.append((start, i + 1))
-            start = i + 1
-            acc = 0
-    if start < per_a.size:
-        boundaries.append((start, per_a.size))
-    return boundaries
 
 
 def merge_histograms(parts) -> CorrelationHistogram:
@@ -354,7 +328,4 @@ def visibility_from_histograms(par: G2Result, perp: G2Result) -> tuple[float, fl
 
 
 def write_histogram_csv(hist: CorrelationHistogram, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tau_ps,counts\n")
-        for c, n in zip(hist.centers, hist.counts):
-            fh.write(f"{int(c)},{int(n)}\n")
+    write_table(path, ("tau_ps", "counts"), [hist.centers, hist.counts])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from photonmix.analytic_model import LocalOscillator, SourceParams
-from photonmix.cli import main
+from photonmix.cli import _load_config, main
 from photonmix.estimator import SweepPoint, vhom_model, write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.mode_overlap import SampledProfile, write_profile
@@ -92,6 +92,14 @@ class TestSimulate:
     def test_out_of_range_value_is_config_error(self, tmp_path):
         code = run(
             ["simulate", "--out", str(tmp_path), "--set", "m=1.5", "--set", "g2_psi=0"]
+        )
+        assert code == 2
+
+    def test_mu_psi_above_one_is_config_error(self, tmp_path):
+        # the oracle source is a 0/1/2-photon mixture, which cannot reach mu_psi > 1
+        code = run(
+            ["simulate", "--out", str(tmp_path), "--set", "m=0.5", "--set", "g2_psi=0.04",
+             "--set", "mu_psi=2"]
         )
         assert code == 2
 
@@ -256,6 +264,13 @@ class TestOverlapCommand:
             payload["breakdown"]["m_total"] * 0.905, abs=1e-12
         )
 
+    def test_fringe_header_must_be_value(self, tmp_path):
+        fringe = tmp_path / "fringe.csv"
+        fringe.write_text("reading\n" + "\n".join(str(v) for v in range(400)) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fringe_file": str(fringe), "k_tail": 100}))
+        assert run(["overlap", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+
     def test_domain_mismatch_is_data_error(self, tmp_path):
         paths = self.make_time_profiles(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -307,3 +322,41 @@ class TestFitCommand:
              "--set", "g2_psi=0.03"]
         )
         assert code == 2
+
+
+class TestConfigDefaults:
+    @pytest.mark.parametrize(
+        "command, overrides, expected",
+        [
+            (
+                "simulate",
+                ["m=0.5", "g2_psi=0"],
+                {"m": 0.5, "g2_psi": 0, "mu_psi": 1.0, "r_min": 0.01, "r_max": 30.0,
+                 "n_points": 60, "oracle_check_ratios": [], "tail_target": 1e-10, "seed": 0},
+            ),
+            (
+                "analyze",
+                ["pair=[2,3]", "bin_width=25", "tau_max=1000", "rep_period=500"],
+                {"pair": [2, 3], "bin_width": 25, "tau_max": 1000, "rep_period": 500,
+                 "n_side_peaks": 10, "reorder_window": 0, "seed": 0},
+            ),
+            (
+                "overlap",
+                [],
+                {"profile_kind": "intensity", "k_tail": 500, "m_s": 1.0, "seed": 0},
+            ),
+            (
+                "fit",
+                ["model=auto", "g2_psi=0.03"],
+                {"model": "auto", "g2_psi": 0.03, "fit_scale": False, "seed": 0},
+            ),
+        ],
+    )
+    def test_resolved_defaults(self, command, overrides, expected):
+        assert _load_config(command, None, overrides, None) == expected
+
+    def test_defaults_are_not_shared_between_runs(self):
+        first = _load_config("simulate", None, ["m=0.5", "g2_psi=0"], None)
+        first["oracle_check_ratios"].append(1.0)
+        second = _load_config("simulate", None, ["m=0.5", "g2_psi=0"], None)
+        assert second["oracle_check_ratios"] == []

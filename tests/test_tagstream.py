@@ -19,6 +19,7 @@ from photonmix.synthetic import (
     pulsed_coherent_tags,
     write_tags_csv,
 )
+from photonmix import tagstream
 from photonmix.tagstream import (
     CorrelationHistogram,
     G2Result,
@@ -141,6 +142,17 @@ class TestBuildHistogram:
         ]
         merged = merge_histograms(parts)
         assert np.array_equal(merged.counts, full.counts)
+
+    @pytest.mark.parametrize("budget", [1, 7, 50])
+    @pytest.mark.parametrize("pair", [(2, 2), (1, 2)])
+    def test_pair_chunking_matches_unchunked(self, monkeypatch, pair, budget):
+        stream = pulsed_coherent_tags({1: 0.4, 2: 0.4}, 400, REP, seed=5)
+        tau_max = 5 * REP - (5 * REP) % 25
+        full = build_histogram(stream, pair, 25, tau_max, REP)
+        assert full.total() > 10 * budget
+        monkeypatch.setattr(tagstream, "_PAIR_CHUNK", budget)
+        chunked = build_histogram(stream, pair, 25, tau_max, REP)
+        assert np.array_equal(chunked.counts, full.counts)
 
 
 class TestG2Zero:
