@@ -24,7 +24,7 @@ class UndefinedCorrelationError(PhotonmixError, ZeroDivisionError):
 
 
 class DataFormatError(PhotonmixError, ValueError):
-    """An input file or byte stream violates the declared format."""
+    """An input file violates the declared format."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -7,14 +7,13 @@ every ordered pair of records (i on channel A, j on channel B) the delay
 ``t_j - t_i`` is assigned to the bin whose center is the nearest multiple of
 the bin width, and pairs beyond ``tau_max`` are ignored.  Zero-delay peak
 areas normalized by the mean uncorrelated peak area at multiples of the
-pulse period give g2(0).
+pulse period give g2(0).  Tag files are read by path only, as headerless
+``channel,t_ps`` integer tables through :mod:`photonmix.tables`.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     UndefinedCorrelationError,
 )
-from .tables import write_table
+from .tables import read_table, row_line, write_table
 
 DEFAULT_CHANNELS = frozenset({1, 2, 3})
 
@@ -101,56 +100,33 @@ class G2Result:
     n_side_peaks: int
 
 
-def _as_text_lines(source):
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            data = fh.read()
-    elif isinstance(source, bytes):
-        data = source
-    elif hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-    else:
-        raise InvalidParameterError(f"unsupported tag source {type(source)!r}")
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+def parse_tags(path, reorder_window: int = 0) -> TagStream:
+    """Read the headerless ``channel,t_ps`` integer table at ``path`` into a sorted TagStream.
 
-
-def parse_tags(source, reorder_window: int = 0) -> TagStream:
-    """Parse ``channel,t_ps`` lines into a sorted TagStream.
-
-    ``source`` is a path, a bytes buffer or a file-like object.  Channels
-    must be in ``DEFAULT_CHANNELS``.  Records may arrive out of order by at
-    most ``reorder_window`` ps (a larger backward jump is a format error);
-    sorting is stable so equal timestamps keep file order.
+    Channels must be in ``DEFAULT_CHANNELS``.  Records may arrive out of
+    order by at most ``reorder_window`` >= 0 ps (a larger backward jump is a
+    format error); sorting is stable so equal timestamps keep file order.
     """
-    channels: list[int] = []
-    times: list[int] = []
-    running_max = None
-    for lineno, raw in enumerate(_as_text_lines(source), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cols = line.split(",")
-        if len(cols) != 2:
-            raise DataFormatError(f"expected 'channel,t_ps', got {line!r}", line=lineno)
-        try:
-            ch = int(cols[0])
-            t = int(cols[1])
-        except ValueError:
-            raise DataFormatError(f"non-integer field in {line!r}", line=lineno) from None
-        if ch not in DEFAULT_CHANNELS:
-            raise DataFormatError(f"unknown channel {ch}", line=lineno)
-        if running_max is not None and t < running_max - reorder_window:
-            raise DataFormatError(
-                f"timestamp {t} precedes the running maximum {running_max} by more "
-                f"than the reorder window ({reorder_window} ps)",
-                line=lineno,
-            )
-        running_max = t if running_max is None else max(running_max, t)
-        channels.append(ch)
-        times.append(t)
-    return TagStream.from_unsorted(np.array(channels, dtype=np.int64), np.array(times, dtype=np.int64))
+    _, rows = read_table(path, None, int)
+    if rows.size and rows.shape[1] != 2:
+        raise DataFormatError(
+            f"expected 'channel,t_ps', got {rows.shape[1]} columns", line=row_line(path, None, 0)
+        )
+    channels, times = rows.reshape(-1, 2).T
+    unknown = ~np.isin(channels, sorted(DEFAULT_CHANNELS))
+    # including a record in its own running maximum changes nothing for a window >= 0
+    running_max = np.maximum.accumulate(times)
+    bad = np.flatnonzero(unknown | (times < running_max - reorder_window))
+    if bad.size:
+        k = bad[0]
+        if unknown[k]:
+            raise DataFormatError(f"unknown channel {channels[k]}", line=row_line(path, None, k))
+        raise DataFormatError(
+            f"timestamp {times[k]} precedes the running maximum {running_max[k]} by more "
+            f"than the reorder window ({reorder_window} ps)",
+            line=row_line(path, None, k),
+        )
+    return TagStream.from_unsorted(channels, times)
 
 
 def _bin_index(tau: np.ndarray, bin_width: int) -> np.ndarray:
@@ -274,7 +250,8 @@ def g2_zero(
     The central area sums bins whose centers satisfy |tau| <= window/2; side
     areas use identical windows around ``k * rep_period`` for k = 1..n/2 on
     each side.  The statistical uncertainty propagates Poisson fluctuations
-    of the central area and of the total side-peak area.
+    of the central area and of the total side-peak area; an empty central
+    window counts as one count there, so g2(0) = 0 still carries an error.
     """
     if hist.rep_period is None or hist.rep_period <= 0:
         raise InvalidParameterError("histogram carries no repetition period")
@@ -307,7 +284,8 @@ def g2_zero(
         raise UndefinedCorrelationError("all side peaks are empty: cannot normalize")
     side_mean = side_total / n_side_peaks
     value = peak0 / side_mean
-    stat_err = value * np.sqrt((1.0 / peak0 if peak0 > 0 else 0.0) + 1.0 / side_total)
+    n0 = max(peak0, 1)
+    stat_err = n0 / side_mean * np.sqrt(1.0 / n0 + 1.0 / side_total)
     return G2Result(
         value=value,
         stat_err=float(stat_err),

@@ -180,6 +180,12 @@ class TestAnalyze:
         bad.write_text("1,100\n9,200\n")
         assert run(self.analyze_args(bad, tmp_path / "run")) == 3
 
+    def test_non_utf8_tagfile_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,10\n2,\xff20\n")
+        assert run(self.analyze_args(bad, tmp_path / "run")) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_visibility_pair_matches_fixture_truth(self, tmp_path):
         m, g2 = 0.76, 0.0412
         source = SourceParams.from_moments(0.3, g2, tau_lt_ps=170.0)
@@ -313,6 +319,16 @@ class TestFitCommand:
              "--set", "g2_psi=0.03"]
         )
         assert code == 3
+
+    def test_nan_field_is_data_error(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("ratio,y,y_err\n0.1,0.3,0.01\n0.5,nan,0.01\n2.0,0.2,0.01\n")
+        code = run(
+            ["fit", str(sweep), "--out", str(tmp_path / "r"), "--set", "model=vhom",
+             "--set", "g2_psi=0.03"]
+        )
+        assert code == 3
+        assert "line 3: non-finite value" in capsys.readouterr().err
 
     def test_unknown_model_is_config_error(self, tmp_path):
         sweep = tmp_path / "sweep.csv"

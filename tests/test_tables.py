@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import photonmix
 from photonmix.errors import DataFormatError
 from photonmix.tables import read_table, write_table
 
@@ -85,3 +89,70 @@ class TestReadTable:
         path.write_bytes(b"value\n\xff\xfe\n")
         with pytest.raises(DataFormatError, match="not UTF-8"):
             read_table(path, [("value",)])
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_reports_its_line(self, tmp_path, field):
+        path = tmp_path / "t.csv"
+        path.write_text(f"x,y\n1,2\n\n3,{field}\n")
+        with pytest.raises(DataFormatError, match="non-finite value") as err:
+            read_table(path, [("x", "y")])
+        assert err.value.line == 4
+
+    def test_one_column_table_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("value\n\n0.5\n  \n0.25\n\n")
+        _, rows = read_table(path, [("value",)])
+        assert rows.tolist() == [[0.5], [0.25]]
+
+
+class TestHeaderlessIntTable:
+    def test_integers_stay_exact(self, tmp_path):
+        path = tmp_path / "t.csv"
+        big = 2**62 + 1  # not representable as a float
+        path.write_text(f"1,{big}\n\n2,-{big}\n")
+        header, rows = read_table(path, None, int)
+        assert header is None
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[1, big], [2, -big]]
+
+    def test_first_row_sets_the_width(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n1,2,3\n4,5\n")
+        with pytest.raises(DataFormatError, match="expected 3 columns, got 2") as err:
+            read_table(path, None, int)
+        assert err.value.line == 3
+
+    def test_float_field_is_not_an_integer(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("1,10\n\n2,1.5\n")
+        with pytest.raises(DataFormatError, match="expected int fields") as err:
+            read_table(path, None, int)
+        assert err.value.line == 3
+
+    def test_empty_file_gives_no_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n\n")
+        _, rows = read_table(path, None, int)
+        assert rows.size == 0
+
+
+FILE_FUNCTIONS = {"open", "loadtxt", "savetxt", "genfromtxt", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_tables_and_cli_open_files():
+    """The file format is decided in one module: no other package module opens files.
+
+    ``cli`` is the exception for its JSON config and JSON outputs.
+    """
+    package = Path(photonmix.__file__).parent
+    offenders = []
+    for module in sorted(package.glob("*.py")):
+        if module.stem in ("tables", "cli"):
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FILE_FUNCTIONS:
+                    offenders.append(f"{module.name}:{node.lineno} {name}")
+    assert offenders == []

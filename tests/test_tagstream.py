@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -36,42 +35,77 @@ REP = 12195  # ps, 82 MHz pulse train
 
 
 class TestParseTags:
-    def test_two_records(self):
-        stream = parse_tags(b"1,1000\n2,1500\n")
+    @pytest.fixture
+    def tags(self, tmp_path):
+        def write(data: bytes):
+            path = tmp_path / "tags.csv"
+            path.write_bytes(data)
+            return path
+
+        return write
+
+    def test_two_records(self, tags):
+        stream = parse_tags(tags(b"1,1000\n2,1500\n"))
         assert len(stream) == 2
         assert stream.channels.tolist() == [1, 2]
         assert stream.times.tolist() == [1000, 1500]
 
-    def test_empty_file(self):
-        assert len(parse_tags(b"")) == 0
+    def test_empty_file(self, tags):
+        assert len(parse_tags(tags(b""))) == 0
 
-    def test_reorder_within_window_is_sorted(self):
-        stream = parse_tags(b"2,100\n1,50\n", reorder_window=50)
+    def test_reorder_within_window_is_sorted(self, tags):
+        stream = parse_tags(tags(b"2,100\n1,50\n"), reorder_window=50)
         assert len(stream) == 2
         assert stream.times.tolist() == [50, 100]
         assert stream.channels.tolist() == [1, 2]
 
-    def test_reorder_beyond_window_rejected(self):
+    def test_reorder_beyond_window_rejected(self, tags):
         with pytest.raises(DataFormatError) as err:
-            parse_tags(b"2,100\n1,30\n", reorder_window=50)
+            parse_tags(tags(b"2,100\n1,30\n"), reorder_window=50)
         assert err.value.line == 2
 
-    def test_unknown_channel_rejected(self):
+    def test_unknown_channel_rejected(self, tags):
         with pytest.raises(DataFormatError) as err:
-            parse_tags(b"1,10\n7,20\n")
+            parse_tags(tags(b"1,10\n7,20\n"))
         assert err.value.line == 2
 
-    def test_malformed_line_rejected(self):
+    def test_malformed_line_rejected(self, tags):
         with pytest.raises(DataFormatError):
-            parse_tags(b"1,10\n1;20\n")
+            parse_tags(tags(b"1,10\n1;20\n"))
 
-    def test_stable_order_for_equal_timestamps(self):
-        stream = parse_tags(b"3,10\n1,10\n2,10\n")
+    def test_stable_order_for_equal_timestamps(self, tags):
+        stream = parse_tags(tags(b"3,10\n1,10\n2,10\n"))
         assert stream.channels.tolist() == [3, 1, 2]
 
-    def test_accepts_file_object(self):
-        stream = parse_tags(io.BytesIO(b"1,5\n2,6\n"))
-        assert len(stream) == 2
+    def test_blank_lines_skipped_and_errors_keep_file_lines(self, tags):
+        blanks = b"\n1,10\n\n  \n2,20\n"
+        stream = parse_tags(tags(blanks + b"3,30\n\n\n"))
+        assert stream.channels.tolist() == [1, 2, 3]
+        assert stream.times.tolist() == [10, 20, 30]
+        with pytest.raises(DataFormatError, match="unknown channel 7") as err:
+            parse_tags(tags(blanks + b"\n7,30\n"))
+        assert err.value.line == 7
+        with pytest.raises(DataFormatError, match="timestamp 5 precedes") as err:
+            parse_tags(tags(blanks + b"\t\n3,30\n\n1,5\n"), reorder_window=10)
+        assert err.value.line == 9
+
+    def test_first_violation_in_the_file_is_reported(self, tags):
+        with pytest.raises(DataFormatError, match="timestamp 10 precedes") as err:
+            parse_tags(tags(b"1,100\n2,10\n7,200\n"))
+        assert err.value.line == 2
+        with pytest.raises(DataFormatError, match="unknown channel 7") as err:
+            parse_tags(tags(b"1,100\n7,200\n2,10\n"))
+        assert err.value.line == 2
+
+    def test_wrong_column_count_reports_first_row(self, tags):
+        with pytest.raises(DataFormatError, match="expected 'channel,t_ps'") as err:
+            parse_tags(tags(b"\n1,10,5\n2,20,6\n"))
+        assert err.value.line == 2
+
+    def test_timestamps_stay_exact_beyond_float_precision(self, tags):
+        t = 2**53 + 1
+        stream = parse_tags(tags(f"1,{t}\n2,{t + 2}\n".encode()))
+        assert stream.times.tolist() == [t, t + 2]
 
 
 def stream_from(channels, times) -> TagStream:
@@ -191,6 +225,10 @@ class TestG2Zero:
         result = g2_zero(hist)
         assert result.peak_area_0 == 0
         assert result.value == 0.0
+        # the empty central window counts as one count in the error: 1/side_mean * sqrt(1 + 1/side_total)
+        assert result.side_mean == 4997.0
+        assert result.stat_err > 0
+        assert result.stat_err == pytest.approx(math.sqrt(1 + 1 / 49970) / 4997, rel=1e-12)
 
     def test_side_peaks_must_fit_histogram(self):
         hist = self.make_hist(10, 10)
