@@ -5,6 +5,11 @@ the polarization-dependent detection-efficiency correction, weighted
 single-parameter fits of visibility and bunching sweeps that recover the
 mean wavepacket overlap, per-point overlap inversion, and the brightness
 estimate from the location of the bunching maximum.
+
+Both sweep models are affine in the overlap m, so the default fit is the
+closed-form weighted least-squares estimate with its exact curvature error.
+Only the optional fit that also floats the ratio scale is iterative; it
+imports scipy's ``least_squares`` when called, so no other path loads scipy.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
-from scipy.optimize import least_squares, minimize_scalar
 
 from .analytic_model import overlap_from_visibility
 from .errors import IllConditionedFitError, InvalidParameterError
@@ -21,6 +24,10 @@ from .fock_oracle import BeamSplitterSpec
 from .tables import read_table, write_table
 
 _SWEEP_HEADER = ("ratio", "y", "y_err")
+
+#: Planck constant (J s) and speed of light (m/s), exact in the SI since 2019.
+_H = 6.62607015e-34
+_C = 299792458.0
 
 
 @dataclass(frozen=True)
@@ -54,11 +61,20 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted overlap with its curvature error.
+
+    ``at_bound`` is true when a parameter was held at the edge of its range:
+    the unclipped overlap lies outside [0, 1], or the two-parameter fit ended
+    on a bound.  ``m_err`` is then the curvature of an unconstrained
+    quadratic, not a confidence interval.
+    """
+
     m_hat: float
     m_err: float
     chi2_red: float
     n_points: int
     model: str
+    at_bound: bool
     scale_hat: float | None = None
     scale_err: float | None = None
 
@@ -69,6 +85,7 @@ class FitResult:
             "chi2_red": self.chi2_red,
             "n_points": self.n_points,
             "model": self.model,
+            "at_bound": self.at_bound,
         }
         if self.scale_hat is not None:
             out["scale_hat"] = self.scale_hat
@@ -88,7 +105,7 @@ class PointOverlap:
 
 def calibrate_mu_alpha(cal: PowerCalibration) -> float:
     """Mean photon number per pulse from attenuated power: P 10^(-C/10) lambda tau / (h c)."""
-    return cal.p_alpha_watts * cal.wavelength_m * cal.tau_rep_s / (constants.h * constants.c)
+    return cal.p_alpha_watts * cal.wavelength_m * cal.tau_rep_s / (_H * _C)
 
 
 def polarization_efficiency_correction(rate_parallel: float, rate_rotated: float) -> float:
@@ -130,40 +147,39 @@ def _point_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise InvalidParameterError("sweep ratios must be positive")
     if np.any(s <= 0):
         raise InvalidParameterError("sweep uncertainties must be positive")
+    if not np.isfinite(np.concatenate([r, y, s])).all():
+        raise InvalidParameterError("sweep values must be finite")
     if np.ptp(r) == 0.0:
         raise IllConditionedFitError("all sweep points share one abscissa")
     return r, y, s
 
 
 def _fit_single_parameter(points, g2_psi: float, model_name: str) -> FitResult:
+    """Closed-form weighted least squares: both models are y = a(r) + m b(r)."""
     model = _MODELS[model_name]
     r, y, s = _point_arrays(points)
-
-    def chi2(m: float) -> float:
-        res = (y - model(r, m, g2_psi)) / s
-        return float(res @ res)
-
-    opt = minimize_scalar(chi2, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})
-    # chi2 is quadratic in m, so one Newton step from finite differences is
-    # exact; it removes the sqrt(eps) relative floor of the bounded search
-    h = 1e-5
-    m0 = min(max(float(opt.x), h), 1.0 - h)
-    slope = (chi2(m0 + h) - chi2(m0 - h)) / (2.0 * h)
-    curv = (chi2(m0 + h) - 2.0 * chi2(m0) + chi2(m0 - h)) / h**2
-    if not np.isfinite(curv) or curv <= 0:
+    a = model(r, 0.0, g2_psi)
+    b = model(r, 1.0, g2_psi) - a
+    w = 1.0 / s**2
+    info = float(w @ b**2)  # Fisher information of m: half the curvature of chi2
+    if not np.isfinite(info) or info <= 0:
         raise IllConditionedFitError("objective curvature vanished at the optimum")
-    m_hat = min(max(m0 - slope / curv, 0.0), 1.0)
-    m_err = float(np.sqrt(2.0 / curv))
+    m_free = float(w @ (b * (y - a))) / info
+    m_hat = min(max(m_free, 0.0), 1.0)
+    res = (y - model(r, m_hat, g2_psi)) / s
     return FitResult(
         m_hat=m_hat,
-        m_err=m_err,
-        chi2_red=chi2(m_hat) / (len(points) - 1),
+        m_err=info**-0.5,
+        chi2_red=float(res @ res) / (len(points) - 1),
         n_points=len(points),
         model=model_name,
+        at_bound=not 0.0 <= m_free <= 1.0,
     )
 
 
 def _fit_with_scale(points, g2_psi: float, model_name: str) -> FitResult:
+    from scipy.optimize import least_squares  # only this non-default path needs scipy
+
     model = _MODELS[model_name]
     r, y, s = _point_arrays(points)
 
@@ -187,6 +203,7 @@ def _fit_with_scale(points, g2_psi: float, model_name: str) -> FitResult:
         chi2_red=float(2.0 * ls.cost / dof),
         n_points=len(points),
         model=model_name,
+        at_bound=bool(np.any(ls.active_mask != 0)),
         scale_hat=float(ls.x[1]),
         scale_err=float(errs[1]),
     )
@@ -195,9 +212,9 @@ def _fit_with_scale(points, g2_psi: float, model_name: str) -> FitResult:
 def fit_vhom_curve(points, g2_psi: float, fit_scale: bool = False) -> FitResult:
     """Weighted least-squares fit of the visibility sweep for the overlap m.
 
-    Single bounded parameter m in [0, 1]; g2_psi is fixed from an independent
-    measurement.  ``fit_scale`` additionally floats a multiplicative ratio
-    calibration (off by default).
+    Single parameter m, the closed-form estimate clipped to [0, 1]; g2_psi is
+    fixed from an independent measurement.  ``fit_scale`` additionally floats
+    a multiplicative ratio calibration (off by default).
     """
     if g2_psi < 0:
         raise InvalidParameterError("g2_psi must be >= 0")

@@ -38,8 +38,8 @@ def read_table(path, headers, kind=float) -> tuple[tuple[str, ...] | None, np.nd
 
     ``headers=None`` reads a table with no header line; its first row sets
     the column count.  Fields convert with ``kind`` (``int`` stays exact
-    beyond 2**53) and must be finite.  Returns the header and the rows as an
-    array of shape (rows, columns).
+    beyond 2**53 and must fit in 64 bits) and must be finite.  Returns the
+    header and the rows as an array of shape (rows, columns).
     """
     header = width = None
     try:
@@ -67,7 +67,13 @@ def read_table(path, headers, kind=float) -> tuple[tuple[str, ...] | None, np.nd
                         raise DataFormatError(f"{problem} in row {line.strip()!r}", line=at) from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from None
-    rows = np.array(vals, dtype=kind).reshape(-1, width or 1)
+    try:
+        rows = np.array(vals, dtype=kind).reshape(-1, width or 1)
+    except OverflowError:  # an int field beyond the 64-bit range
+        limits = np.iinfo(np.int64)
+        big = next(i for i, v in enumerate(vals) if not limits.min <= v <= limits.max)
+        at = row_line(path, headers, big // width)
+        raise DataFormatError("integer outside the 64-bit range", line=at) from None
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise DataFormatError("non-finite value", line=row_line(path, headers, bad[0]))

@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from photonmix.analytic_model import LocalOscillator, SourceParams
 from photonmix.cli import _load_config, main
-from photonmix.estimator import SweepPoint, vhom_model, write_sweep
+from photonmix.estimator import SweepPoint, auto_model, vhom_model, write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.mode_overlap import SampledProfile, write_profile
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags, write_tags_csv
@@ -186,6 +190,12 @@ class TestAnalyze:
         assert run(self.analyze_args(bad, tmp_path / "run")) == 3
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_tag_field_beyond_int64_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,10\n2,9223372036854775808\n")
+        assert run(self.analyze_args(bad, tmp_path / "run")) == 3
+        assert "line 2: integer outside the 64-bit range" in capsys.readouterr().err
+
     def test_visibility_pair_matches_fixture_truth(self, tmp_path):
         m, g2 = 0.76, 0.0412
         source = SourceParams.from_moments(0.3, g2, tau_lt_ps=170.0)
@@ -297,10 +307,28 @@ class TestFitCommand:
         )
         assert code == 0
         result = read_json(out / "fit.json")
-        assert set(result) == {"M_hat", "M_err", "chi2_red", "n_points", "model"}
+        assert set(result) == {"M_hat", "M_err", "chi2_red", "n_points", "model", "at_bound"}
+        assert result["at_bound"] is False
         assert result["M_hat"] == pytest.approx(0.5, abs=1e-9)
         assert result["model"] == "vhom"
         assert (out / "residuals.csv").exists()
+
+    @pytest.mark.parametrize("model", ["vhom", "auto"])
+    def test_clipped_fit_is_flagged_at_bound(self, tmp_path, model):
+        # a sweep taken at m = 1 whose signal reads 10 % high asks for m > 1
+        r = np.geomspace(0.02, 20.0, 15)
+        fn = vhom_model if model == "vhom" else auto_model
+        y = 1.1 * fn(r, 1.0, 0.03)
+        sweep = tmp_path / "sweep.csv"
+        write_sweep([SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, y)], sweep)
+        out = tmp_path / "run"
+        code = run(
+            ["fit", str(sweep), "--out", str(out), "--set", f"model={model}", "--set", "g2_psi=0.03"]
+        )
+        assert code == 0
+        result = read_json(out / "fit.json")
+        assert result["M_hat"] == 1.0
+        assert result["at_bound"] is True
 
     def test_degenerate_sweep_is_numerical_error(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
@@ -376,3 +404,72 @@ class TestConfigDefaults:
         first["oracle_check_ratios"].append(1.0)
         second = _load_config("simulate", None, ["m=0.5", "g2_psi=0"], None)
         assert second["oracle_check_ratios"] == []
+
+
+# Runs photonmix.cli.main in a fresh interpreter, then reports the exit code
+# and every scipy module the run loaded.
+_IMPORT_PROBE = """
+import json, sys
+from photonmix.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "scipy": sorted(n for n in sys.modules if n.split(".")[0] == "scipy")}))
+"""
+
+
+class TestScipyOffCommandPath:
+    """scipy loads only for the oracle's tail mass and for fit_scale=true."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("imports")
+        write_tags_csv(pulsed_coherent_tags({2: 0.3}, 5_000, REP, seed=2), base / "tags.csv")
+        r = np.geomspace(0.02, 20.0, 15)
+        points = [SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, vhom_model(r, 0.5, 0.03))]
+        write_sweep(points, base / "sweep.csv")
+        return base
+
+    def probe(self, args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *args], env=env, capture_output=True, text=True, check=True
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def fit_args(self, inputs, model, fit_scale):
+        return [
+            "fit", str(inputs / "sweep.csv"), "--out", str(inputs / f"fit_{model}_{fit_scale}"),
+            "--set", f"model={model}", "--set", "g2_psi=0.03", "--set", f"fit_scale={fit_scale}",
+        ]
+
+    @pytest.mark.parametrize("command", ["version", "analyze", "fit_vhom", "fit_auto", "simulate"])
+    def test_command_loads_no_scipy(self, inputs, command):
+        args = {
+            "version": ["--version"],
+            "analyze": [
+                "analyze", str(inputs / "tags.csv"), "--out", str(inputs / "analyze"),
+                "--set", "pair=[2,2]", "--set", "bin_width=25",
+                "--set", f"tau_max={TAU_MAX}", "--set", f"rep_period={REP}",
+            ],
+            "fit_vhom": self.fit_args(inputs, "vhom", "false"),
+            "fit_auto": self.fit_args(inputs, "auto", "false"),
+            "simulate": [
+                "simulate", "--out", str(inputs / "simulate"), "--set", "m=0.76",
+                "--set", "g2_psi=0.0412", "--set", "noise_sigma_rel=0.02",
+            ],
+        }[command]
+        assert self.probe(args) == {"code": 0, "scipy": []}
+
+    def test_oracle_checks_and_fit_scale_load_it(self, inputs):
+        # the probe sees scipy where it is really used
+        oracle = self.probe(
+            ["simulate", "--out", str(inputs / "oracle"), "--set", "m=0.76", "--set", "g2_psi=0.0412",
+             "--set", "oracle_check_ratios=[1]"]
+        )
+        scaled = self.probe(self.fit_args(inputs, "vhom", "true"))
+        assert oracle["code"] == scaled["code"] == 0
+        assert "scipy.special" in oracle["scipy"] and "scipy.optimize" not in oracle["scipy"]
+        assert "scipy.optimize" in scaled["scipy"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from photonmix.analytic_model import peak_analysis
 from photonmix.errors import (
@@ -156,6 +157,50 @@ class TestAutoFit:
         res_a = fit_auto_curve(pts_a, G2_REF)
         combined = np.hypot(res_v.m_err, res_a.m_err)
         assert abs(res_v.m_hat - res_a.m_hat) <= 2.0 * combined
+
+
+class TestClosedFormFit:
+    """The closed form against a brute-force minimum of the same chi2."""
+
+    @pytest.mark.parametrize("model, fit", [(vhom_model, fit_vhom_curve), (auto_model, fit_auto_curve)])
+    @pytest.mark.parametrize("m_true, at_bound", [(0.6, False), (-0.2, True), (1.3, True)])
+    def test_matches_brute_force_minimum(self, model, fit, m_true, at_bound):
+        rng = np.random.default_rng(11)
+        r = np.geomspace(0.02, 30.0, 18)
+        s = 0.01 * (1.0 + rng.random(r.size))
+        y = model(r, m_true, G2_REF) + rng.normal(size=r.size) * s
+        result = fit([SweepPoint(float(a), float(b), float(c)) for a, b, c in zip(r, y, s)], G2_REF)
+
+        def chi2(m):
+            res = (y - model(r, m, G2_REF)) / s
+            return float(res @ res)
+
+        found = minimize_scalar(chi2, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+        # the bounded search stops within sqrt(eps) relative of its minimum
+        assert result.m_hat == pytest.approx(found.x, abs=1e-7)
+        assert chi2(result.m_hat) <= chi2(found.x) * (1.0 + 1e-12)
+        assert result.at_bound is at_bound
+        # chi2 is quadratic in m: a second difference of any step is its curvature
+        curvature = (chi2(0.75) - 2.0 * chi2(0.5) + chi2(0.25)) / 0.25**2
+        assert result.m_err == pytest.approx(np.sqrt(2.0 / curvature), rel=1e-9)
+        assert result.chi2_red == pytest.approx(chi2(result.m_hat) / (r.size - 1), rel=1e-12)
+
+    def test_non_finite_point_rejected(self):
+        points = make_points(vhom_model, M_REF, G2_REF)
+        points[3] = SweepPoint(points[3].ratio, float("nan"), points[3].y_err)
+        with pytest.raises(InvalidParameterError):
+            fit_vhom_curve(points, G2_REF)
+
+    def test_two_parameter_fit_flags_a_bound(self):
+        r = np.geomspace(0.05, 10.0, 25)
+        inside = [SweepPoint(float(a), float(b), 0.005) for a, b in zip(r, vhom_model(1.1 * r, 0.6, G2_REF))]
+        # the visibility peak height does not depend on the ratio scale, so
+        # a peak 10 % above the m = 1 curve can only be met by m > 1
+        above = [SweepPoint(float(a), float(b), 0.005) for a, b in zip(r, 1.1 * vhom_model(r, 1.0, G2_REF))]
+        assert fit_vhom_curve(inside, G2_REF, fit_scale=True).at_bound is False
+        clipped = fit_vhom_curve(above, G2_REF, fit_scale=True)
+        assert clipped.m_hat == pytest.approx(1.0, abs=1e-9)
+        assert clipped.at_bound is True
 
 
 class TestPointwiseOverlap:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ class TestDisplacement:
         # deviation there tracks the 1e-8 unitarity defect at this cutoff
         assert np.allclose(column, expected, atol=1e-8)
         assert np.allclose(column[:6], expected[:6], atol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.3 + 0.2j, 2.0 - 1.5j, math.sqrt(30.0) * np.exp(0.7j)])
+    def test_matches_scipy_expm(self, alpha):
+        for cutoff in range(1, 41):
+            a = lowering_operator(cutoff)
+            reference = expm(alpha * a.T - np.conjugate(alpha) * a)
+            assert np.abs(displacement_matrix(alpha, cutoff) - reference).max() <= 1e-13
+
+    def test_real_alpha_gives_real_matrix(self):
+        assert displacement_matrix(0.5, 10).dtype == np.float64
+        assert displacement_matrix(0.5 + 0.5j, 10).dtype == np.complex128
 
     def test_unitarity_at_adequate_cutoff(self):
         assert unitarity_defect(displacement_matrix(0.5, 10)) <= 1e-8
@@ -289,6 +301,34 @@ class TestCrossCorrelationsDirect:
             auto_correlation(self.make_output_state(1, 1), "out_4")
 
 
+def exact_sector_unitary(transmission: float, total: int) -> np.ndarray:
+    """Sector unitary from U x+ U+ = c x+ - s y+ and U y+ U+ = s x+ + c y+.
+
+    Column a is (c x+ - s y+)^a (s x+ + c y+)^b |0, 0> / sqrt(a! b!) with
+    b = total - a, expanded binomially in decimal arithmetic.
+    """
+    out = np.zeros((total + 1, total + 1))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c, s = Decimal(transmission).sqrt(), Decimal(1.0 - transmission).sqrt()
+        c_pow, s_pow = [Decimal(1)], [Decimal(1)]  # powers by products: Decimal 0 ** 0 is invalid
+        for _ in range(total):
+            c_pow.append(c_pow[-1] * c)
+            s_pow.append(s_pow[-1] * s)
+        for a in range(total + 1):
+            b = total - a
+            amp = [Decimal(0)] * (total + 1)
+            for p in range(a + 1):
+                for q in range(b + 1):
+                    term = math.comb(a, p) * math.comb(b, q) * (-1) ** (a - p)
+                    amp[p + q] += term * c_pow[p + b - q] * s_pow[a - p + q]
+            for k in range(total + 1):
+                norm = Decimal(math.factorial(k) * math.factorial(total - k))
+                norm /= Decimal(math.factorial(a) * math.factorial(b))
+                out[k, a] = float(amp[k] * norm.sqrt())
+    return out
+
+
 class TestSectorMaps:
     def test_sector_unitary_matches_dense_two_mode_unitary(self):
         # reference: the mixing generator built on the full two-mode product space
@@ -302,6 +342,14 @@ class TestSectorMaps:
             flat = j * (cutoff + 1) + (total - j)  # |j>_x |total - j>_y
             block = dense[np.ix_(flat, flat)]
             assert np.abs(block - _sector_unitary(transmission, total)).max() < 1e-13
+
+    @pytest.mark.parametrize("transmission", [0.0, 0.3, 0.5, 1.0])
+    def test_sector_unitary_matches_exact_expansion(self, transmission):
+        # scipy's expm is itself up to 1.8e-13 off the exact map at 40 photons,
+        # so the reference is the binomial expansion in 40-digit decimals
+        for total in range(41):
+            exact = exact_sector_unitary(transmission, total)
+            assert np.abs(_sector_unitary(transmission, total) - exact).max() <= 1e-13
 
     def test_convolution_matches_direct_sum(self):
         rng = np.random.default_rng(5)
