@@ -210,6 +210,12 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
     g2_psi = cfg["g2_psi"]
     if cfg["r_min"] >= cfg["r_max"]:
         raise ConfigError("r_min must be smaller than r_max")
+    model_name = cfg.get("noise_model", "vhom")
+    if "noise_sigma_rel" in cfg and model_name == "vhom" and m == 0:
+        raise ConfigError(
+            "noise_sigma_rel scales the visibility curve, which is zero for m = 0: "
+            "every y_err would be 0"
+        )
     grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
     v = vhom_model(grid, m, g2_psi)
     g2a = auto_model(grid, m, g2_psi)
@@ -247,7 +253,6 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
     _write_json(outdir / "report.json", {"peaks": asdict(peaks), "oracle_checks": checks})
 
     if "noise_sigma_rel" in cfg:
-        model_name = cfg.get("noise_model", "vhom")
         model_y = v if model_name == "vhom" else g2a
         rng = np.random.default_rng(cfg["seed"])
         sigma = cfg["noise_sigma_rel"] * model_y

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_model import overlap_from_visibility
-from .errors import IllConditionedFitError, InvalidParameterError
+from .errors import DataFormatError, IllConditionedFitError, InvalidParameterError
 from .fock_oracle import BeamSplitterSpec
-from .tables import read_table, write_table
+from .tables import read_table, row_line, write_table
 
 _SWEEP_HEADER = ("ratio", "y", "y_err")
 
@@ -275,8 +275,16 @@ def brightness_from_auto_peak(
 
 
 def read_sweep(path) -> list[SweepPoint]:
-    """Read a ``ratio,y,y_err`` sweep CSV with a header row."""
-    return [SweepPoint(*row) for row in read_table(path, [_SWEEP_HEADER])[1].tolist()]
+    """Read a ``ratio,y,y_err`` sweep CSV with a header row; ratios and y_err must be positive."""
+    rows = read_table(path, [_SWEEP_HEADER])[1]
+    bad = np.flatnonzero((rows[:, 0] <= 0) | (rows[:, 2] <= 0))
+    if bad.size:
+        ratio, _, y_err = rows[bad[0]].tolist()
+        raise DataFormatError(
+            f"ratio and y_err must be positive, got ratio {ratio!r}, y_err {y_err!r}",
+            line=row_line(path, [_SWEEP_HEADER], bad[0]),
+        )
+    return [SweepPoint(*row) for row in rows.tolist()]
 
 
 def write_sweep(points, path) -> None:

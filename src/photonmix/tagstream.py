@@ -1,14 +1,16 @@
 """Detector time-tag ingestion and photon-correlation histograms.
 
 Timestamps are integer picoseconds throughout, so histogram construction and
-chunk merging are bit-exact and reproducible.  Coincidences are counted by a
-bounded two-pointer sweep over the sorted streams (no FFT correlators): for
-every ordered pair of records (i on channel A, j on channel B) the delay
-``t_j - t_i`` is assigned to the bin whose center is the nearest multiple of
-the bin width, and pairs beyond ``tau_max`` are ignored.  Zero-delay peak
-areas normalized by the mean uncorrelated peak area at multiples of the
-pulse period give g2(0).  Tag files are read by path only, as headerless
-``channel,t_ps`` integer tables through :mod:`photonmix.tables`.
+the merging of partial histograms are bit-exact and reproducible.
+Coincidences are counted by an offset sweep over the time-ordered records (no
+FFT correlators): each record meets the one k places later, for k = 1, 2, ...
+until no delay is within reach, and for every ordered pair of records (i on
+channel A, j on channel B) the delay ``t_j - t_i`` is assigned to the bin
+whose center is the nearest multiple of the bin width; pairs beyond
+``tau_max`` are ignored.  Zero-delay peak areas normalized by the mean
+uncorrelated peak area at multiples of the pulse period give g2(0).  Tag
+files are read by path only, as headerless ``channel,t_ps`` integer tables
+through :mod:`photonmix.tables`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .errors import (
 from .tables import read_table, row_line, write_table
 
 DEFAULT_CHANNELS = frozenset({1, 2, 3})
-
-#: Upper bound on simultaneously materialized candidate pairs per chunk.
-_PAIR_CHUNK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -144,11 +143,13 @@ def build_histogram(
 ) -> CorrelationHistogram:
     """Count delays t_B - t_A between channel pair records into centered bins.
 
-    For an auto-correlation pass ``pair = (ch, ch)``; a record is never paired
-    with itself, while distinct records with equal timestamps contribute to
-    the zero-delay bin in both orders.  ``a_index_range`` restricts the A-side
-    to a half-open slice of its records, so a partition of the A side yields
-    partial histograms whose sum is bit-exactly the full histogram.
+    The offset sweep of the module docstring builds no list of pairs (Laurence,
+    Fore & Huser, Opt. Lett. 31, 829 (2006)).  For an auto-correlation pass
+    ``pair = (ch, ch)``; a record is never paired with itself, while distinct
+    records with equal timestamps contribute to the zero-delay bin in both
+    orders.  ``a_index_range`` restricts the A-side to a half-open slice of
+    its records, so a partition of the A side yields partial histograms whose
+    sum is bit-exactly the full histogram.
     """
     if bin_width < 1 or tau_max < 1:
         raise InvalidParameterError("bin_width and tau_max must be positive integers")
@@ -158,53 +159,32 @@ def build_histogram(
         )
     ch_a, ch_b = pair
     k_max = tau_max // bin_width
-    n_bins = 2 * k_max + 1
-    counts = np.zeros(n_bins, dtype=np.int64)
-
-    idx_a = np.flatnonzero(stream.channels == ch_a)
-    idx_b = idx_a if ch_a == ch_b else np.flatnonzero(stream.channels == ch_b)
-    t_a_all = stream.times[idx_a]
-    t_b = stream.times[idx_b]
-    if a_index_range is not None:
-        start, stop = a_index_range
-        if not 0 <= start <= stop <= t_a_all.size:
-            raise InvalidParameterError(
-                f"a_index_range {a_index_range} outside [0, {t_a_all.size}]"
-            )
-        a_slice = slice(start, stop)
-    else:
-        a_slice = slice(0, t_a_all.size)
-    t_a = t_a_all[a_slice]
-    a_global = idx_a[a_slice]
-    if t_a.size == 0 or t_b.size == 0:
-        return CorrelationHistogram(bin_width, tau_max, counts, (ch_a, ch_b), rep_period)
-
-    pad = tau_max + bin_width
-    lo = np.searchsorted(t_b, t_a - pad, side="left")
-    hi = np.searchsorted(t_b, t_a + pad, side="right")
-    per_a = hi - lo
-    # cut after the first A record whose running pair count reaches each multiple
-    # of _PAIR_CHUNK: a chunk holds fewer pairs than that plus its last record's
-    cum = np.cumsum(per_a)
-    cuts = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1], _PAIR_CHUNK)) + 1
-    bounds = np.concatenate(([0], cuts, [per_a.size])).tolist()
-    same_channel = ch_a == ch_b
-    for c0, c1 in zip(bounds[:-1], bounds[1:]):
-        n_pairs = int(per_a[c0:c1].sum())
-        if n_pairs == 0:
-            continue
-        local = np.repeat(np.arange(c0, c1), per_a[c0:c1])
-        offsets = np.arange(n_pairs) - np.repeat(
-            np.cumsum(per_a[c0:c1]) - per_a[c0:c1], per_a[c0:c1]
-        )
-        b_idx = lo[local] + offsets
-        tau = t_b[b_idx] - t_a[local]
-        k = _bin_index(tau, bin_width)
-        valid = np.abs(k) <= k_max
-        if same_channel:
-            valid &= idx_b[b_idx] != a_global[local]
-        counts += np.bincount((k[valid] + k_max).astype(np.int64), minlength=n_bins)
-    return CorrelationHistogram(bin_width, tau_max, counts, (ch_a, ch_b), rep_period)
+    keep = (stream.channels == ch_a) | (stream.channels == ch_b)
+    t = stream.times[keep]
+    is_a = stream.channels[keep] == ch_a
+    is_b = stream.channels[keep] == ch_b
+    n_a = int(is_a.sum())
+    start, stop = (0, n_a) if a_index_range is None else a_index_range
+    if not 0 <= start <= stop <= n_a:
+        raise InvalidParameterError(f"a_index_range {a_index_range} outside [0, {n_a}]")
+    rank = np.cumsum(is_a)  # 1-based rank among the A records
+    in_a = is_a & (rank > start) & (rank <= stop)
+    # delays within reach bin to -k_max - 1 .. k_max + 1; the two overflow bins are dropped
+    reach = tau_max + bin_width
+    counts = np.zeros(2 * k_max + 3, dtype=np.int64)
+    for k in range(1, t.size):  # k >= 1: no record meets itself
+        d = t[k:] - t[:-k]
+        near = d <= reach
+        if not near.any():  # d only grows with k
+            break
+        # earlier record as A: tau = +d; later record as A: tau = -d.  The floor
+        # rule is asymmetric at half-bin edges, so each side is binned on its own
+        for tau, a, b in ((d, in_a[:-k], is_b[k:]), (-d, in_a[k:], is_b[:-k])):
+            pairs = near & a
+            pairs &= b
+            bins = _bin_index(tau[pairs], bin_width) + k_max + 1
+            counts += np.bincount(bins, minlength=counts.size)
+    return CorrelationHistogram(bin_width, tau_max, counts[1:-1], (ch_a, ch_b), rep_period)
 
 
 def merge_histograms(parts) -> CorrelationHistogram:

@@ -107,6 +107,17 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_relative_noise_on_zero_visibility_is_config_error(self, tmp_path, capsys):
+        # V_HOM is zero at m = 0, so relative noise would write y_err = 0, which fit rejects
+        args = ["simulate", "--set", "m=0", "--set", "g2_psi=0.02", "--set", "noise_sigma_rel=0.1"]
+        assert run([*args, "--out", str(tmp_path / "vhom")]) == 2
+        assert "zero for m = 0" in capsys.readouterr().err
+        # the auto-correlation curve is positive for every r > 0
+        out = tmp_path / "auto"
+        assert run([*args, "--set", "noise_model=auto", "--out", str(out)]) == 0
+        rows = (out / "points_auto.csv").read_text().splitlines()[1:]
+        assert rows and all(float(row.split(",")[2]) > 0 for row in rows)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 0.76, "g2_psi": 0.0412, "noise_sigma_rel": 0.02}))
@@ -357,6 +368,18 @@ class TestFitCommand:
         )
         assert code == 3
         assert "line 3: non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0.5,0.3,0.0", "0.5,0.3,-0.01", "0.0,0.3,0.01", "-0.5,0.3,0.01"])
+    def test_nonpositive_ratio_or_error_is_data_error(self, tmp_path, capsys, row):
+        # the blank line counts, so the bad row sits at file line 4
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(f"ratio,y,y_err\n0.1,0.3,0.01\n\n{row}\n2.0,0.2,0.01\n")
+        code = run(
+            ["fit", str(sweep), "--out", str(tmp_path / "r"), "--set", "model=vhom",
+             "--set", "g2_psi=0.03"]
+        )
+        assert code == 3
+        assert "line 4: ratio and y_err must be positive" in capsys.readouterr().err
 
     def test_unknown_model_is_config_error(self, tmp_path):
         sweep = tmp_path / "sweep.csv"

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from photonmix.synthetic import (
     pulsed_coherent_tags,
     write_tags_csv,
 )
-from photonmix import tagstream
 from photonmix.tagstream import (
     CorrelationHistogram,
     G2Result,
@@ -177,16 +178,65 @@ class TestBuildHistogram:
         merged = merge_histograms(parts)
         assert np.array_equal(merged.counts, full.counts)
 
-    @pytest.mark.parametrize("budget", [1, 7, 50])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_pair_loop(self, data):
+        # small widths and a time span of a few tau_max make equal timestamps,
+        # delays of exactly +-tau_max and half-bin edges common
+        width = data.draw(st.integers(1, 6), label="bin_width")
+        tau_max = width * data.draw(st.integers(1, 4), label="k_max")
+        records = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from([1, 2, 3]), st.integers(0, 3 * tau_max + width)),
+                max_size=40,
+            ),
+            label="records",
+        )
+        pair = data.draw(st.sampled_from([(1, 1), (2, 2), (1, 2), (2, 1)]), label="pair")
+        stream = stream_from([c for c, _ in records], [t for _, t in records])
+        n_a = int(np.sum(stream.channels == pair[0]))
+        a_index_range = None
+        if data.draw(st.booleans(), label="restrict A"):
+            start = data.draw(st.integers(0, n_a), label="start")
+            a_index_range = (start, data.draw(st.integers(start, n_a), label="stop"))
+        hist = build_histogram(stream, pair, width, tau_max, REP, a_index_range)
+        expected = naive_histogram(stream, pair, width, tau_max, a_index_range)
+        assert hist.counts.tolist() == expected
+
     @pytest.mark.parametrize("pair", [(2, 2), (1, 2)])
-    def test_pair_chunking_matches_unchunked(self, monkeypatch, pair, budget):
-        stream = pulsed_coherent_tags({1: 0.4, 2: 0.4}, 400, REP, seed=5)
-        tau_max = 5 * REP - (5 * REP) % 25
-        full = build_histogram(stream, pair, 25, tau_max, REP)
-        assert full.total() > 10 * budget
-        monkeypatch.setattr(tagstream, "_PAIR_CHUNK", budget)
-        chunked = build_histogram(stream, pair, 25, tau_max, REP)
-        assert np.array_equal(chunked.counts, full.counts)
+    def test_memory_stays_near_stream_size(self, pair):
+        # about 16 k records and 40 kept pairs per record: materializing
+        # the pairs would take over 100x the stream's own bytes
+        stream = pulsed_coherent_tags({1: 0.4, 2: 0.4}, 20000, REP, seed=3)
+        tau_max = 100 * REP - (100 * REP) % 25
+        tracemalloc.start()
+        try:
+            hist = build_histogram(stream, pair, 25, tau_max, REP)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hist.total() > 30 * len(stream)
+        assert peak <= 20 * (stream.channels.nbytes + stream.times.nbytes)
+
+
+def naive_histogram(stream, pair, width, tau_max, a_index_range=None) -> list[int]:
+    """O(n m) reference: every ordered (A, B) pair of distinct records, binned by
+    floor(tau / width + 1/2) in exact rational arithmetic."""
+    channels = stream.channels.tolist()
+    times = stream.times.tolist()
+    a_records = [i for i, c in enumerate(channels) if c == pair[0]]
+    if a_index_range is not None:
+        a_records = a_records[a_index_range[0] : a_index_range[1]]
+    k_max = tau_max // width
+    counts = [0] * (2 * k_max + 1)
+    for i in a_records:
+        for j, c in enumerate(channels):
+            if c != pair[1] or j == i:
+                continue
+            k = math.floor(Fraction(times[j] - times[i], width) + Fraction(1, 2))
+            if -k_max <= k <= k_max:
+                counts[k + k_max] += 1
+    return counts
 
 
 class TestG2Zero:
