@@ -91,6 +91,8 @@ _SCHEMAS = {
             "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         "required": ["m", "g2_psi"],
+        # noise_model picks the curve that noise_sigma_rel perturbs; alone it would do nothing
+        "dependentRequired": {"noise_model": ["noise_sigma_rel"]},
         "additionalProperties": False,
     },
     "analyze": {

@@ -6,10 +6,19 @@ without a header.  A written table holds one numeric type and prints each
 value as Python's ``repr``, so floats read back exactly and integers print
 without a decimal point.  Readers check the header, skip blank lines and
 report a malformed row with its 1-based line number.
+
+``read_table`` parses rows with ``np.loadtxt``, which fills the array in C
+without a Python object per field.  A file that ``loadtxt`` turns down
+(blank lines holding whitespace, ``#`` lines, a field outside int64, a
+bad row, non-UTF-8 bytes, digits only Python reads) goes to a line-by-line
+loop instead.  The loop reads every file ``loadtxt`` reads, to the same
+values, and it alone raises diagnostics: every error message and line
+number comes from it, whichever path met the file first.
 """
 
 from __future__ import annotations
 
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -40,17 +49,45 @@ def read_table(path, headers, kind=float) -> tuple[tuple[str, ...] | None, np.nd
     the column count.  Fields convert with ``kind`` (``int`` stays exact
     beyond 2**53 and must fit in 64 bits) and must be finite.  Returns the
     header and the rows as an array of shape (rows, columns).
+
+    ``np.loadtxt`` parses the file.  When it raises, or returns no rows or
+    a width other than the header's, ``_read_table_loop`` reads the file
+    again and gives the result or the ``DataFormatError``; the
+    non-finite check is the same on both paths.
     """
-    header = width = None
+    dtype = np.int64 if kind is int else float
     try:
         with open(path, encoding="utf-8") as fh:
-            if headers is not None:
-                first = fh.readline().strip()
-                header = tuple(c.strip() for c in first.split(","))
-                if header not in headers:
-                    expected = " or ".join(repr(",".join(h)) for h in headers)
-                    raise DataFormatError(f"expected header {expected}, got {first!r}", line=1)
-                width = len(header)
+            header = _read_header(fh, headers)
+            with warnings.catch_warnings():  # an empty table is left to the loop
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+    except (ValueError, OverflowError):  # DataFormatError and UnicodeDecodeError are ValueErrors
+        return _read_table_loop(path, headers, kind)
+    if not len(rows) or (header is not None and rows.shape[1] != len(header)):
+        return _read_table_loop(path, headers, kind)
+    _check_finite(path, headers, rows)
+    return header, rows
+
+
+def _read_header(fh, headers) -> tuple[str, ...] | None:
+    """Read and check the header line of ``fh``; ``None`` when ``headers`` is ``None``."""
+    if headers is None:
+        return None
+    first = fh.readline().strip()
+    header = tuple(c.strip() for c in first.split(","))
+    if header not in headers:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        raise DataFormatError(f"expected header {expected}, got {first!r}", line=1)
+    return header
+
+
+def _read_table_loop(path, headers, kind):
+    """``read_table`` one line at a time: the reader of every file ``np.loadtxt`` turns down."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = _read_header(fh, headers)
+            width = None if header is None else len(header)
             vals: list = []  # one flat list, reshaped once: much faster than a list per row
             for line in fh:
                 cols = line.split(",")
@@ -74,10 +111,15 @@ def read_table(path, headers, kind=float) -> tuple[tuple[str, ...] | None, np.nd
         big = next(i for i, v in enumerate(vals) if not limits.min <= v <= limits.max)
         at = row_line(path, headers, big // width)
         raise DataFormatError("integer outside the 64-bit range", line=at) from None
+    _check_finite(path, headers, rows)
+    return header, rows
+
+
+def _check_finite(path, headers, rows) -> None:
+    """Raise at the line of the first row holding a ``nan`` or an infinity."""
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise DataFormatError("non-finite value", line=row_line(path, headers, bad[0]))
-    return header, rows
 
 
 def row_line(path, headers, row: int) -> int:

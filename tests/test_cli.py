@@ -118,6 +118,14 @@ class TestSimulate:
         rows = (out / "points_auto.csv").read_text().splitlines()[1:]
         assert rows and all(float(row.split(",")[2]) > 0 for row in rows)
 
+    def test_noise_model_without_noise_is_config_error(self, tmp_path, capsys):
+        # noise_model only picks the curve noise_sigma_rel perturbs: alone it would do nothing
+        args = ["simulate", "--out", str(tmp_path), "--set", "m=0.5", "--set", "g2_psi=0.02",
+                "--set", "noise_model=auto"]
+        assert run(args) == 2
+        assert "'noise_sigma_rel' is a dependency of 'noise_model'" in capsys.readouterr().err
+        assert not (tmp_path / "points_auto.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 0.76, "g2_psi": 0.0412, "noise_sigma_rel": 0.02}))

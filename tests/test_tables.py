@@ -1,10 +1,16 @@
 import ast
+import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import photonmix
+from photonmix import tables
 from photonmix.errors import DataFormatError
 from photonmix.tables import read_table, write_table
 
@@ -134,6 +140,129 @@ class TestHeaderlessIntTable:
         path.write_text("\n\n")
         _, rows = read_table(path, None, int)
         assert rows.size == 0
+
+
+# Table bodies (the lines after the header, if any) at the edges of what
+# np.loadtxt and the line loop accept; both readers must agree on each one.
+CORPUS = {
+    "signs and spaces": " +1 ,\t-2\n-3, 4 \n",
+    "int64 max": "1,9223372036854775807\n",
+    "int64 max + 1": "1,9223372036854775808\n",
+    "int64 min - 1": "1,-9223372036854775809\n",
+    "empty lines": "\n1,2\n\n3,4\n\n",
+    "whitespace-only line": "1,2\n \t\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "no final newline": "1,2\n3,4",
+    "trailing comma": "1,2,\n",
+    "hash line": "# tags\n1,2\n",
+    "decimal point": "1,2.5\n",
+    "exponent": "1,1e3\n",
+    "nan": "1,2\n3,nan\n",
+    "inf": "1,2\n3,inf\n",
+    "float overflow": "1,1e400\n",
+    "underscore": "1,5_000\n",
+    "arabic-indic digits": "1,\u0661\u0662\n",
+    "byte order mark": "\ufeff1,2\n",
+    "negative zero": "-0,0\n",
+    "short row": "1,2\n3\n",
+    "long row": "1,2\n3,4,5\n",
+    "one column": "1\n2\n",
+    "not utf-8": b"1,2\n3,\xff4\n",
+    "empty": "",
+    "blank lines only": "\n\n",
+}
+
+
+def outcome(reader, path, headers, kind):
+    """What a reader makes of a file: its rows, bit for bit, or its error and line."""
+    try:
+        header, rows = reader(path, headers, kind)
+    except DataFormatError as exc:
+        return "error", str(exc), exc.line
+    return "rows", header, rows.dtype, rows.shape, rows.tobytes()
+
+
+def write_body(path, headers, body):
+    data = body if isinstance(body, bytes) else body.encode("utf-8")
+    path.write_bytes(b"x,y\n" + data if headers else data)
+
+
+def fast_path_only():
+    """Fail the enclosed ``read_table`` calls if they fall back to the line loop."""
+    return mock.patch.object(tables, "_read_table_loop", side_effect=AssertionError("fell back to the loop"))
+
+
+def assert_paths_agree(path, headers, kind):
+    assert outcome(read_table, path, headers, kind) == outcome(tables._read_table_loop, path, headers, kind)
+
+
+@pytest.mark.parametrize("kind", [int, float])
+@pytest.mark.parametrize("headers", [None, [("x", "y")]], ids=["headerless", "headed"])
+@pytest.mark.parametrize("body", CORPUS.values(), ids=CORPUS.keys())
+def test_fast_path_agrees_with_the_loop(tmp_path, body, headers, kind):
+    path = tmp_path / "t.csv"
+    write_body(path, headers, body)
+    assert_paths_agree(path, headers, kind)
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(pairs=st.lists(st.tuples(INT64, INT64), min_size=1))
+@settings(max_examples=100, deadline=None)
+def test_fast_path_reads_int64_exactly(tmp_path_factory, pairs):
+    path = tmp_path_factory.getbasetemp() / "ints.csv"
+    path.write_text("".join(f"{a},{b}\n" for a, b in pairs))
+    with fast_path_only():
+        _, rows = read_table(path, None, int)
+    assert rows.tolist() == [list(pair) for pair in pairs]
+
+
+# reprs round-trip; long decimal strings exercise rounding to the nearest double
+FINITE_FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"[+-]?[0-9]{1,25}(\.[0-9]{0,25})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+).filter(lambda text: math.isfinite(float(text)))
+
+
+@given(fields=st.lists(FINITE_FLOAT_TEXT, min_size=1))
+@settings(max_examples=100, deadline=None)
+def test_fast_path_rounds_like_float(tmp_path_factory, fields):
+    path = tmp_path_factory.getbasetemp() / "floats.csv"
+    path.write_text("value\n" + "".join(f"{f}\n" for f in fields))
+    with fast_path_only():
+        _, rows = read_table(path, [("value",)])
+    assert rows.tobytes() == np.array([[float(f)] for f in fields]).tobytes()
+
+
+# characters of numbers, separators and the words nan and inf, plus a non-ASCII digit
+TABLE_TEXT = st.text(alphabet="0123456789+-.eE_ ,\t\r\n#naif\u0661", max_size=40)
+
+
+@given(text=TABLE_TEXT, kind=st.sampled_from([int, float]))
+@settings(max_examples=300, deadline=None)
+def test_fast_path_agrees_on_any_text(tmp_path_factory, text, kind):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    for headers in (None, [("x", "y")]):
+        write_body(path, headers, text)
+        assert_paths_agree(path, headers, kind)
+
+
+def test_tag_table_parses_in_bounded_memory(tmp_path):
+    # the line loop holds a Python int per field, about 4x the array it
+    # returns; np.loadtxt fills the array in place
+    path = tmp_path / "tags.csv"
+    n = 200_000
+    rng = np.random.default_rng(5)
+    write_table(path, None, [rng.integers(1, 5, n), np.cumsum(rng.integers(0, 10**6, n))])
+    tracemalloc.start()
+    try:
+        _, rows = read_table(path, None, int)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (n, 2)
+    assert peak <= 2 * rows.nbytes
 
 
 FILE_FUNCTIONS = {"open", "loadtxt", "savetxt", "genfromtxt", "read_text", "write_text", "read_bytes", "write_bytes"}
