@@ -7,7 +7,12 @@ FFT correlators): each record meets the one k places later, for k = 1, 2, ...
 until no delay is within reach, and for every ordered pair of records (i on
 channel A, j on channel B) the delay ``t_j - t_i`` is assigned to the bin
 whose center is the nearest multiple of the bin width; pairs beyond
-``tau_max`` are ignored.  Zero-delay peak areas normalized by the mean
+``tau_max`` are ignored.  The sweep runs over blocks of earlier records, so
+its temporaries stay in cache whatever the stream's length, and each block
+stops at its own first offset with no delay within reach.  Each side's
+delays are selected with ``np.compress``, binned in place in int64 with the
+histogram offset folded into the numerator, and counted with ``np.add.at``
+into the one histogram.  Zero-delay peak areas normalized by the mean
 uncorrelated peak area at multiples of the pulse period give g2(0).  Tag
 files are read by path only, as headerless ``channel,t_ps`` integer tables
 through :mod:`photonmix.tables`.
@@ -28,6 +33,10 @@ from .tables import read_table, row_line, write_table
 
 DEFAULT_CHANNELS = frozenset({1, 2, 3})
 
+#: Earlier records per block of the offset sweep in ``build_histogram``; at
+#: 2**15 a block's delays, masks and selections stay in cache.
+_SWEEP_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class TagStream:
@@ -41,8 +50,11 @@ class TagStream:
         t = np.asarray(self.times, dtype=np.int64)
         if ch.shape != t.shape or ch.ndim != 1:
             raise InvalidParameterError("channels and times must be equal-length 1-D arrays")
-        if t.size > 1 and np.any(np.diff(t) < 0):
+        if np.any(t[1:] < t[:-1]):
             raise InvalidParameterError("timestamps must be non-decreasing")
+        # with the order above, this keeps every delay t_j - t_i (j > i) inside int64
+        if t.size and int(t[-1]) - int(t[0]) > np.iinfo(np.int64).max:
+            raise InvalidParameterError("timestamps span more than 2**63 - 1 ps")
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "times", t)
 
@@ -104,14 +116,17 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
 
     Channels must be in ``DEFAULT_CHANNELS``.  Records may arrive out of
     order by at most ``reorder_window`` >= 0 ps (a larger backward jump is a
-    format error); sorting is stable so equal timestamps keep file order.
+    format error); sorting is stable so equal timestamps keep file order,
+    and a file already in time order is not sorted at all.
     """
     _, rows = read_table(path, None, int)
     if rows.size and rows.shape[1] != 2:
         raise DataFormatError(
             f"expected 'channel,t_ps', got {rows.shape[1]} columns", line=row_line(path, None, 0)
         )
-    channels, times = rows.reshape(-1, 2).T
+    # two contiguous columns, so that the parsed rows are freed before any check or sort
+    channels, times = rows.reshape(-1, 2).T.copy()
+    del rows
     unknown = ~np.isin(channels, sorted(DEFAULT_CHANNELS))
     # including a record in its own running maximum changes nothing for a window >= 0
     running_max = np.maximum.accumulate(times)
@@ -125,12 +140,10 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
             f"than the reorder window ({reorder_window} ps)",
             line=row_line(path, None, k),
         )
+    if np.array_equal(running_max, times):  # in time order: the stable sort is the identity
+        return TagStream(channels, times)
+    del running_max
     return TagStream.from_unsorted(channels, times)
-
-
-def _bin_index(tau: np.ndarray, bin_width: int) -> np.ndarray:
-    # floor((tau + w/2) / w) in exact integer arithmetic, valid for odd widths
-    return (2 * tau + bin_width) // (2 * bin_width)
 
 
 def build_histogram(
@@ -150,6 +163,18 @@ def build_histogram(
     orders.  ``a_index_range`` restricts the A-side to a half-open slice of
     its records, so a partition of the A side yields partial histograms whose
     sum is bit-exactly the full histogram.
+
+    The earlier records are swept in blocks of ``_SWEEP_BLOCK``: block
+    ``[s, s + B)`` meets the records ``k`` places later for ``k = 1, 2, ...``
+    and stops at the first ``k`` where none of its delays is within reach.
+    That stop is exact, because each record's delay only grows with ``k``
+    and the block's slice only shrinks at its end.  ``np.compress`` selects
+    each side's delays (a boolean index branches on the near-random channel
+    mask and is several times slower), the delays are binned in place, and
+    ``np.add.at`` counts them into the one histogram (a ``bincount`` per
+    block would allocate every bin of it again).  Raises
+    ``InvalidParameterError`` when the binning arithmetic would leave int64
+    or the histogram does not fit in memory.
     """
     if bin_width < 1 or tau_max < 1:
         raise InvalidParameterError("bin_width and tau_max must be positive integers")
@@ -157,33 +182,55 @@ def build_histogram(
         raise InvalidParameterError(
             f"bin_width {bin_width} must divide tau_max {tau_max}"
         )
-    ch_a, ch_b = pair
     k_max = tau_max // bin_width
-    keep = (stream.channels == ch_a) | (stream.channels == ch_b)
+    # delays within reach bin to -k_max - 1 .. k_max + 1; the two overflow bins are dropped
+    reach = tau_max + bin_width
+    # floor((2 tau + w) / 2w) + k_max + 1 with the offset folded into the numerator,
+    # so that every binned value is non-negative
+    offset = bin_width * (2 * k_max + 3)
+    if 2 * reach + offset > np.iinfo(np.int64).max:
+        raise InvalidParameterError(
+            f"tau_max {tau_max} with bin_width {bin_width} overflows the int64 delay arithmetic"
+        )
+    try:
+        counts = np.zeros(2 * k_max + 3, dtype=np.int64)
+    except MemoryError:
+        raise InvalidParameterError(
+            f"a histogram of {2 * k_max + 1} bins (tau_max / bin_width = {k_max}) "
+            "does not fit in memory"
+        ) from None
+    ch_a, ch_b = pair
+    on_a = stream.channels == ch_a
+    on_b = stream.channels == ch_b
+    keep = on_a | on_b
     t = stream.times[keep]
-    is_a = stream.channels[keep] == ch_a
-    is_b = stream.channels[keep] == ch_b
+    is_a = on_a[keep]
+    is_b = on_b[keep]
     n_a = int(is_a.sum())
     start, stop = (0, n_a) if a_index_range is None else a_index_range
     if not 0 <= start <= stop <= n_a:
         raise InvalidParameterError(f"a_index_range {a_index_range} outside [0, {n_a}]")
-    rank = np.cumsum(is_a)  # 1-based rank among the A records
-    in_a = is_a & (rank > start) & (rank <= stop)
-    # delays within reach bin to -k_max - 1 .. k_max + 1; the two overflow bins are dropped
-    reach = tau_max + bin_width
-    counts = np.zeros(2 * k_max + 3, dtype=np.int64)
-    for k in range(1, t.size):  # k >= 1: no record meets itself
-        d = t[k:] - t[:-k]
-        near = d <= reach
-        if not near.any():  # d only grows with k
-            break
-        # earlier record as A: tau = +d; later record as A: tau = -d.  The floor
-        # rule is asymmetric at half-bin edges, so each side is binned on its own
-        for tau, a, b in ((d, in_a[:-k], is_b[k:]), (-d, in_a[k:], is_b[:-k])):
-            pairs = near & a
-            pairs &= b
-            bins = _bin_index(tau[pairs], bin_width) + k_max + 1
-            counts += np.bincount(bins, minlength=counts.size)
+    in_a = is_a
+    if (start, stop) != (0, n_a):
+        rank = np.cumsum(is_a)  # 1-based rank among the A records
+        in_a = is_a & (rank > start) & (rank <= stop)
+    n = t.size
+    for s in range(0, n, _SWEEP_BLOCK):
+        for k in range(1, n - s):  # k >= 1: no record meets itself
+            e = min(s + _SWEEP_BLOCK, n - k)
+            d = t[s + k : e + k] - t[s:e]
+            near = d <= reach
+            if not near.any():
+                break
+            # earlier record as A: tau = +d; later record as A: tau = -d.  The floor
+            # rule is asymmetric at half-bin edges, so each side is binned on its own
+            sides = ((2, in_a[s:e], is_b[s + k : e + k]), (-2, in_a[s + k : e + k], is_b[s:e]))
+            for scale, a, b in sides:
+                v = np.compress(near & a & b, d)
+                v *= scale
+                v += offset
+                v //= 2 * bin_width
+                np.add.at(counts, v, 1)
     return CorrelationHistogram(bin_width, tau_max, counts[1:-1], (ch_a, ch_b), rep_period)
 
 

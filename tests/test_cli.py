@@ -215,6 +215,22 @@ class TestAnalyze:
         assert run(self.analyze_args(bad, tmp_path / "run")) == 3
         assert "line 2: integer outside the 64-bit range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "tau_max, bin_width, message",
+        [
+            (10**13, 1, "a histogram of 20000000000001 bins"),
+            (2**62, 2**62, "overflows the int64 delay arithmetic"),
+        ],
+    )
+    def test_histogram_size_is_config_error(self, tmp_path, capsys, tau_max, bin_width, message):
+        tags = tmp_path / "tags.csv"
+        tags.write_text("2,10\n2,20\n2,30\n2,40\n")
+        extra = ("--set", f"tau_max={tau_max}", "--set", f"bin_width={bin_width}")
+        assert run(self.analyze_args(tags, tmp_path / "run", extra)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
+
     def test_visibility_pair_matches_fixture_truth(self, tmp_path):
         m, g2 = 0.76, 0.0412
         source = SourceParams.from_moments(0.3, g2, tau_lt_ps=170.0)

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonmix import tagstream
 from photonmix.analytic_model import LocalOscillator, SourceParams, auto_g2_zero
 from photonmix.errors import (
     DataFormatError,
@@ -31,8 +33,13 @@ from photonmix.tagstream import (
     parse_tags,
     visibility_from_histograms,
 )
+from photonmix.tables import write_table
 
 REP = 12195  # ps, 82 MHz pulse train
+INT64_MAX = 2**63 - 1
+# sweep block sizes for the block-seam tests: tiny blocks put seams between
+# records that still reach each other; the default puts all in one block
+SWEEP_BLOCKS = st.sampled_from([1, 2, 3, 7, tagstream._SWEEP_BLOCK])
 
 
 class TestParseTags:
@@ -108,6 +115,38 @@ class TestParseTags:
         stream = parse_tags(tags(f"1,{t}\n2,{t + 2}\n".encode()))
         assert stream.times.tolist() == [t, t + 2]
 
+    def test_parses_in_bounded_memory(self, tmp_path):
+        # the parsed rows go before the checks, and a file already in time
+        # order skips the stable sort and its two gathers
+        path = tmp_path / "tags.csv"
+        n = 200_000
+        rng = np.random.default_rng(11)
+        write_table(path, None, [rng.integers(1, 4, n), np.cumsum(rng.integers(0, 10**6, n))])
+        tracemalloc.start()
+        try:
+            stream = parse_tags(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == n
+        assert peak <= 2.5 * (stream.channels.nbytes + stream.times.nbytes)
+
+
+class TestTagStream:
+    def test_decreasing_timestamps_rejected(self):
+        with pytest.raises(InvalidParameterError, match="non-decreasing"):
+            TagStream(np.array([1, 1]), np.array([5, 3]))
+        # a difference that wraps around int64 must not pass for an increase
+        with pytest.raises(InvalidParameterError, match="non-decreasing"):
+            TagStream(np.array([1, 1]), np.array([INT64_MAX, -INT64_MAX - 1]))
+
+    def test_span_beyond_int64_rejected(self):
+        # each step fits in int64, but the first-to-last delay wraps to -2 ps
+        with pytest.raises(InvalidParameterError, match="span"):
+            TagStream(np.array([1, 1, 1]), np.array([-INT64_MAX - 1, -1, INT64_MAX - 1]))
+        stream = TagStream(np.array([1, 1]), np.array([-(2**62), 2**62 - 1]))
+        assert stream.times.tolist() == [-(2**62), 2**62 - 1]
+
 
 def stream_from(channels, times) -> TagStream:
     return TagStream.from_unsorted(np.array(channels), np.array(times))
@@ -161,20 +200,21 @@ class TestBuildHistogram:
         h1 = build_histogram(shifted, (1, 2), 1_000_000, 50_000_000)
         assert np.array_equal(h0.counts, h1.counts)
 
-    @given(n_chunks=st.integers(1, 9), seed=st.integers(0, 100))
+    @given(n_chunks=st.integers(1, 9), seed=st.integers(0, 100), block=SWEEP_BLOCKS)
     @settings(max_examples=20, deadline=None)
-    def test_chunked_merge_is_bit_exact(self, n_chunks, seed):
+    def test_chunked_merge_is_bit_exact(self, n_chunks, seed, block):
         stream = pulsed_coherent_tags({2: 0.4}, 400, REP, seed=seed)
         full = build_histogram(stream, (2, 2), 25, 5 * REP - (5 * REP) % 25)
         n_a = int(np.sum(stream.channels == 2))
         edges = np.linspace(0, n_a, n_chunks + 1).astype(int)
-        parts = [
-            build_histogram(
-                stream, (2, 2), 25, 5 * REP - (5 * REP) % 25,
-                a_index_range=(int(a), int(b)),
-            )
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
+        with mock.patch.object(tagstream, "_SWEEP_BLOCK", block):
+            parts = [
+                build_histogram(
+                    stream, (2, 2), 25, 5 * REP - (5 * REP) % 25,
+                    a_index_range=(int(a), int(b)),
+                )
+                for a, b in zip(edges[:-1], edges[1:])
+            ]
         merged = merge_histograms(parts)
         assert np.array_equal(merged.counts, full.counts)
 
@@ -199,7 +239,9 @@ class TestBuildHistogram:
         if data.draw(st.booleans(), label="restrict A"):
             start = data.draw(st.integers(0, n_a), label="start")
             a_index_range = (start, data.draw(st.integers(start, n_a), label="stop"))
-        hist = build_histogram(stream, pair, width, tau_max, REP, a_index_range)
+        block = data.draw(SWEEP_BLOCKS, label="sweep block")
+        with mock.patch.object(tagstream, "_SWEEP_BLOCK", block):
+            hist = build_histogram(stream, pair, width, tau_max, REP, a_index_range)
         expected = naive_histogram(stream, pair, width, tau_max, a_index_range)
         assert hist.counts.tolist() == expected
 
@@ -216,7 +258,22 @@ class TestBuildHistogram:
         finally:
             tracemalloc.stop()
         assert hist.total() > 30 * len(stream)
-        assert peak <= 20 * (stream.channels.nbytes + stream.times.nbytes)
+        assert peak <= 6 * (stream.channels.nbytes + stream.times.nbytes)
+
+    def test_bin_arithmetic_beyond_int64_rejected(self):
+        # the largest binned value is 2 (tau_max + w) + w (2 tau_max / w + 3) = 9 w here
+        w = INT64_MAX // 9
+        stream = stream_from([1, 2, 2], [0, w, 2 * w])  # delays w and tau_max + w
+        hist = build_histogram(stream, (1, 2), w, w)
+        assert hist.counts.tolist() == [0, 0, 1]
+        with pytest.raises(InvalidParameterError, match="int64"):
+            build_histogram(stream, (1, 2), w + 1, w + 1)
+        with pytest.raises(InvalidParameterError, match="int64"):
+            build_histogram(stream, (1, 2), 2**62, 2**62)
+
+    def test_histogram_too_large_for_memory_rejected(self):
+        with pytest.raises(InvalidParameterError, match="20000000000001 bins"):
+            build_histogram(stream_from([1, 2], [0, 5]), (1, 2), 1, 10**13)
 
 
 def naive_histogram(stream, pair, width, tau_max, a_index_range=None) -> list[int]:
