@@ -8,16 +8,24 @@ without a decimal point.  Readers check the header, skip blank lines and
 report a malformed row with its 1-based line number.
 
 ``read_table`` parses rows with ``np.loadtxt``, which fills the array in C
-without a Python object per field.  A file that ``loadtxt`` turns down
-(blank lines holding whitespace, ``#`` lines, a field outside int64, a
-bad row, non-UTF-8 bytes, digits only Python reads) goes to a line-by-line
-loop instead.  The loop reads every file ``loadtxt`` reads, to the same
-values, and it alone raises diagnostics: every error message and line
-number comes from it, whichever path met the file first.
+without a Python object per field.  It hands ``loadtxt`` the file's path:
+given a path, ``loadtxt`` reads the text in large chunks in C, where a file
+object makes it take one Python string per line, at nearly twice the time.
+A file that ``loadtxt`` turns down (blank lines holding whitespace, ``#``
+lines, a field outside int64, a bad row, non-UTF-8 bytes, digits only
+Python reads) goes to a line-by-line loop instead.  So do two kinds of
+input ``loadtxt`` would misread from a path: a name ending in a suffix
+numpy decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), since a table is
+plain UTF-8 text and such a file must fail as one, and anything but a
+regular file, such as a pipe, which cannot be opened twice.  The loop reads
+every file ``loadtxt`` reads, to the same values, and it alone raises
+diagnostics: every error message and line number comes from it, whichever
+path met the file first.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from itertools import islice
 
@@ -27,6 +35,9 @@ from .errors import DataFormatError
 
 #: Rows converted to text at a time, so long tag tables write in bounded memory.
 _WRITE_BLOCK = 65_536
+
+#: Suffixes that ``np.loadtxt`` decompresses when it opens a path; such files go to the loop.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def write_table(path, header, columns) -> None:
@@ -50,18 +61,33 @@ def read_table(path, headers, kind=float) -> tuple[tuple[str, ...] | None, np.nd
     beyond 2**53 and must fit in 64 bits) and must be finite.  Returns the
     header and the rows as an array of shape (rows, columns).
 
-    ``np.loadtxt`` parses the file.  When it raises, or returns no rows or
-    a width other than the header's, ``_read_table_loop`` reads the file
-    again and gives the result or the ``DataFormatError``; the
-    non-finite check is the same on both paths.
+    ``np.loadtxt`` parses the file from its path, after the header line has
+    been checked on a file of its own.  The path is joined to the working
+    directory, so that numpy never takes it for a URL (a relative
+    ``http://host/t.csv`` names local directories), and not normalized, so
+    that ``link/..`` means what it means to ``open``.  When ``loadtxt``
+    raises, or returns no rows or a width other than the header's,
+    ``_read_table_loop`` reads the file again and gives the result or the
+    ``DataFormatError``; the non-finite check is the same on both paths.
     """
     dtype = np.int64 if kind is int else float
+    name = os.fspath(path)
+    if name.endswith(_COMPRESSED_SUFFIXES) or not os.path.isfile(name):
+        return _read_table_loop(path, headers, kind)
     try:
         with open(path, encoding="utf-8") as fh:
             header = _read_header(fh, headers)
-            with warnings.catch_warnings():  # an empty table is left to the loop
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, ndmin=2)
+        with warnings.catch_warnings():  # an empty table is left to the loop
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(
+                os.path.join(os.getcwd(), name),
+                delimiter=",",
+                dtype=dtype,
+                comments=None,
+                skiprows=int(header is not None),
+                ndmin=2,
+                encoding="utf-8",
+            )
     except (ValueError, OverflowError):  # DataFormatError and UnicodeDecodeError are ValueErrors
         return _read_table_loop(path, headers, kind)
     if not len(rows) or (header is not None and rows.shape[1] != len(header)):
@@ -122,8 +148,11 @@ def _check_finite(path, headers, rows) -> None:
         raise DataFormatError("non-finite value", line=row_line(path, headers, bad[0]))
 
 
-def row_line(path, headers, row: int) -> int:
-    """1-based file line of data row ``row`` (0-based) of a table; rescans the file, for error paths."""
+def row_line(path, headers, row: int) -> int | None:
+    """1-based file line of data row ``row`` (0-based) of a table; rescans the file, for error paths.
+
+    ``None`` when the rescan does not reach the row: a pipe reads empty the second time.
+    """
     with open(path, encoding="utf-8") as fh:
         data = (n for n, line in enumerate(fh, start=1) if line.strip() and (headers is None or n > 1))
-        return next(islice(data, row, None))
+        return next(islice(data, row, None), None)

@@ -12,7 +12,8 @@ its temporaries stay in cache whatever the stream's length, and each block
 stops at its own first offset with no delay within reach.  Each side's
 delays are selected with ``np.compress``, binned in place in int64 with the
 histogram offset folded into the numerator, and counted with ``np.add.at``
-into the one histogram.  Zero-delay peak areas normalized by the mean
+into the one histogram; an auto-correlation over all records sweeps one
+side and mirrors it.  Zero-delay peak areas normalized by the mean
 uncorrelated peak area at multiples of the pulse period give g2(0).  Tag
 files are read by path only, as headerless ``channel,t_ps`` integer tables
 through :mod:`photonmix.tables`.
@@ -172,7 +173,11 @@ def build_histogram(
     each side's delays (a boolean index branches on the near-random channel
     mask and is several times slower), the delays are binned in place, and
     ``np.add.at`` counts them into the one histogram (a ``bincount`` per
-    block would allocate every bin of it again).  Raises
+    block would allocate every bin of it again).  An auto pair over the whole
+    A side selects the same delays on both sides, so only ``+d`` is swept and
+    binned; ``-d`` lands in the mirror bin ``2 k_max + 2 - p`` of plus bin
+    ``p``, except that a delay on a half-bin edge (even widths only) lands one
+    bin higher, so those delays are counted apart.  Raises
     ``InvalidParameterError`` when the binning arithmetic would leave int64
     or the histogram does not fit in memory.
     """
@@ -192,13 +197,6 @@ def build_histogram(
         raise InvalidParameterError(
             f"tau_max {tau_max} with bin_width {bin_width} overflows the int64 delay arithmetic"
         )
-    try:
-        counts = np.zeros(2 * k_max + 3, dtype=np.int64)
-    except MemoryError:
-        raise InvalidParameterError(
-            f"a histogram of {2 * k_max + 1} bins (tau_max / bin_width = {k_max}) "
-            "does not fit in memory"
-        ) from None
     ch_a, ch_b = pair
     on_a = stream.channels == ch_a
     on_b = stream.channels == ch_b
@@ -214,6 +212,19 @@ def build_histogram(
     if (start, stop) != (0, n_a):
         rank = np.cumsum(is_a)  # 1-based rank among the A records
         in_a = is_a & (rank > start) & (rank <= stop)
+    # an auto pair over the whole A side puts every record on both sides, so the
+    # minus side selects the plus side's delays: only those are binned, then mirrored
+    mirror = ch_a == ch_b and (start, stop) == (0, n_a)
+    try:
+        counts = np.zeros(2 * k_max + 3, dtype=np.int64)
+        # an even width puts some delays on half-bin edges, where the floor rule bins
+        # +d and -d asymmetrically: the mirror counts them apart, by plus-side bin
+        edges = np.zeros_like(counts) if mirror and bin_width % 2 == 0 else None
+    except MemoryError:
+        raise InvalidParameterError(
+            f"a histogram of {2 * k_max + 1} bins (tau_max / bin_width = {k_max}) "
+            "does not fit in memory"
+        ) from None
     n = t.size
     for s in range(0, n, _SWEEP_BLOCK):
         for k in range(1, n - s):  # k >= 1: no record meets itself
@@ -224,13 +235,30 @@ def build_histogram(
                 break
             # earlier record as A: tau = +d; later record as A: tau = -d.  The floor
             # rule is asymmetric at half-bin edges, so each side is binned on its own
-            sides = ((2, in_a[s:e], is_b[s + k : e + k]), (-2, in_a[s + k : e + k], is_b[s:e]))
-            for scale, a, b in sides:
-                v = np.compress(near & a & b, d)
+            if mirror:
+                sides = ((2, near),)
+            else:
+                sides = (
+                    (2, near & in_a[s:e] & is_b[s + k : e + k]),
+                    (-2, near & in_a[s + k : e + k] & is_b[s:e]),
+                )
+            for scale, selected in sides:
+                v = np.compress(selected, d)
                 v *= scale
                 v += offset
-                v //= 2 * bin_width
+                if edges is None:
+                    v //= 2 * bin_width
+                else:  # a delay is on a half-bin edge when 2 bin_width divides v
+                    x, v = v, v // (2 * bin_width)
+                    np.add.at(edges, np.compress(v * (2 * bin_width) == x, v), 1)
                 np.add.at(counts, v, 1)
+    if mirror:
+        # -d lands in the plus side's bin reversed, or one bin higher from a half-bin edge
+        counts[k_max::-1] = counts[k_max + 2 :]
+        counts[k_max + 1] *= 2
+        if edges is not None:
+            counts[k_max::-1] -= edges[k_max + 2 :]
+            counts[k_max + 1 : 0 : -1] += edges[k_max + 2 :]
     return CorrelationHistogram(bin_width, tau_max, counts[1:-1], (ch_a, ch_b), rep_period)
 
 

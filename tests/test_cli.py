@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 import os
@@ -206,6 +207,12 @@ class TestAnalyze:
     def test_non_utf8_tagfile_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"1,10\n2,\xff20\n")
+        assert run(self.analyze_args(bad, tmp_path / "run")) == 3
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_compressed_tagfile_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "tags.csv.gz"
+        bad.write_bytes(gzip.compress(b"2,10\n2,20\n"))
         assert run(self.analyze_args(bad, tmp_path / "run")) == 3
         assert "not UTF-8" in capsys.readouterr().err
 

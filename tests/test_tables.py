@@ -1,5 +1,9 @@
 import ast
+import bz2
+import gzip
+import lzma
 import math
+import os
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -152,6 +156,15 @@ CORPUS = {
     "empty lines": "\n1,2\n\n3,4\n\n",
     "whitespace-only line": "1,2\n \t\n3,4\n",
     "crlf": "1,2\r\n3,4\r\n",
+    "cr only": "1,2\r3,4\r",
+    "mixed crlf and lf": "1,2\r\n3,4\n5,6\r\n",
+    "vertical tab in a row": "1,2\x0b3,4\n",
+    "form feed in a row": "1,2\x0c3,4\n",
+    "file separator in a row": "1,2\x1c3,4\n",
+    "next line in a row": "1,2\x853,4\n",
+    "line separator in a row": "1,2\u20283,4\n",
+    "form feed line": "1,2\n\x0c\n3,4\n",
+    "blank line after the header": "\n1,2",
     "no final newline": "1,2\n3,4",
     "trailing comma": "1,2,\n",
     "hash line": "# tags\n1,2\n",
@@ -203,6 +216,84 @@ def test_fast_path_agrees_with_the_loop(tmp_path, body, headers, kind):
     path = tmp_path / "t.csv"
     write_body(path, headers, body)
     assert_paths_agree(path, headers, kind)
+
+
+# np.loadtxt would decompress these suffixes; a table is plain UTF-8 text
+COMPRESSORS = {
+    ".gz": gzip.compress,
+    ".bz2": bz2.compress,
+    ".xz": lzma.compress,
+    ".lzma": lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE),
+}
+
+
+@pytest.mark.parametrize("suffix", COMPRESSORS)
+def test_compressed_table_is_not_text(tmp_path, suffix):
+    path = tmp_path / f"tags.csv{suffix}"
+    path.write_bytes(COMPRESSORS[suffix](b"1,10\n2,20\n"))
+    with pytest.raises(DataFormatError, match="is not UTF-8 text"):
+        read_table(path, None, int)
+    assert_paths_agree(path, None, int)
+
+
+def test_url_shaped_path_reads_the_local_file(tmp_path, monkeypatch):
+    # numpy opens a string that parses as a URL with urlopen
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "t.csv").write_text("1,10\n2,20\n")
+    monkeypatch.chdir(tmp_path)
+    with fast_path_only(), mock.patch("urllib.request.urlopen", side_effect=AssertionError("opened a URL")):
+        _, rows = read_table("http://host/t.csv", None, int)
+    assert rows.tolist() == [[1, 10], [2, 20]]
+    assert [p.name for p in tmp_path.iterdir()] == ["http:"]
+
+
+def test_dotdot_after_a_symlink_reads_the_file_open_reads(tmp_path, monkeypatch):
+    # os.path.abspath would drop "link/.." before the symlink is followed
+    (tmp_path / "real" / "sub").mkdir(parents=True)
+    (tmp_path / "real" / "t.csv").write_text("1,10\n")
+    (tmp_path / "t.csv").write_text("2,20\n")
+    (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+    monkeypatch.chdir(tmp_path)
+    with fast_path_only():
+        _, rows = read_table("link/../t.csv", None, int)
+    assert rows.tolist() == [[1, 10]]
+
+
+def read_pipe(text, headers):
+    """``read_table`` on a pipe holding ``text``, named through /dev/fd."""
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode())
+        os.close(w)
+        return read_table(f"/dev/fd/{r}", headers, int)
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_pipe_is_read_from_its_start():
+    # the header check and loadtxt each open the file; a second open of a pipe
+    # would start where the first one's buffered read stopped
+    _, rows = read_pipe("x,y\n" + "".join(f"{i},{i}\n" for i in range(3000)), [("x", "y")])
+    assert rows.tolist() == [[i, i] for i in range(3000)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_bad_row_in_a_pipe_is_reported_without_its_line():
+    # the line number comes from a rescan, and a pipe cannot be read twice
+    with pytest.raises(DataFormatError, match="^expected int fields in row '2,x'$") as err:
+        read_pipe("2,10\n2,x\n", None)
+    assert err.value.line is None
+
+
+def test_tag_table_reaches_loadtxt_as_a_path(tmp_path):
+    # given a file object, loadtxt takes one Python string per line at about twice the time
+    path = tmp_path / "tags.csv"
+    path.write_text("1,10\n2,20\n")
+    with fast_path_only(), mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        read_table(path, None, int)
+    source = spy.call_args.args[0]
+    assert isinstance(source, str) and os.path.samefile(source, path)
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
