@@ -17,11 +17,11 @@ import argparse
 import copy
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -155,8 +155,73 @@ _SCHEMAS = {
     },
 }
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, float) and v.is_integer() or isinstance(v, int) and not isinstance(v, bool),
+}
+
+# bound keyword -> (is the bound broken, how the message says so)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+}
+
+
+def _violations(schema: dict, value, path: tuple = ()):
+    """Yield (key path, message) for every way ``value`` breaks ``schema``.
+
+    Covers the JSON Schema (2020-12) keywords ``_SCHEMAS`` uses, with
+    jsonschema's semantics and wording: a bool is never a number, an
+    integral float is an integer, and an enum member matches by value
+    except that a bool matches only a bool.
+    """
+    for keyword, arg in schema.items():
+        if keyword == "type" and not _TYPES[arg](value):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum" and not any(
+            value == e and isinstance(value, bool) == isinstance(e, bool) for e in arg
+        ):
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword in _BOUNDS and _TYPES["number"](value) and _BOUNDS[keyword][0](value, arg):
+            yield path, f"{value!r} is {_BOUNDS[keyword][1]} of {arg!r}"
+        elif isinstance(value, list):
+            if keyword == "items":
+                for i, item in enumerate(value):
+                    yield from _violations(arg, item, (*path, i))
+            elif keyword == "minItems" and len(value) < arg:
+                yield path, f"{value!r} is too short"
+            elif keyword == "maxItems" and len(value) > arg:
+                yield path, f"{value!r} is too long"
+        elif isinstance(value, dict):
+            if keyword == "properties":
+                for key, sub in arg.items():
+                    if key in value:
+                        yield from _violations(sub, value[key], (*path, key))
+            elif keyword == "required":
+                for key in arg:
+                    if key not in value:
+                        yield path, f"{key!r} is a required property"
+            elif keyword == "additionalProperties" and arg is False:
+                extras = sorted(key for key in value if key not in schema.get("properties", {}))
+                if extras:
+                    listed = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+            elif keyword == "dependentRequired":
+                for key, needed in arg.items():
+                    for each in needed:
+                        if key in value and each not in value:
+                            yield path, f"{each!r} is a dependency of {key!r}"
+
+
 def _load_config(command: str, config_path: str | None, overrides: list[str], seed: int | None) -> dict:
-    properties = _SCHEMAS[command]["properties"]
+    schema = _SCHEMAS[command]
+    properties = schema["properties"]
     cfg = {key: copy.deepcopy(p["default"]) for key, p in properties.items() if "default" in p}
     if config_path is not None:
         try:
@@ -180,11 +245,16 @@ def _load_config(command: str, config_path: str | None, overrides: list[str], se
         cfg[key.strip()] = value
     if seed is not None:
         cfg["seed"] = seed
-    try:
-        jsonschema.validate(cfg, _SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config key {path}: {exc.message}") from exc
+    # of several faults, report the one jsonschema's best_match picks: the
+    # nearest the root, then the greatest key path, then the first found
+    violation = max(_violations(schema, cfg), key=lambda v: (-len(v[0]), v[0]), default=None)
+    if violation is not None:
+        path, message = violation
+        raise ConfigError(f"config key {'/'.join(map(str, path)) or '<root>'}: {message}")
+    # JSON Schema's integer admits 5.0, which numpy would refuse as a count
+    for key, p in properties.items():
+        if p.get("type") == "integer" and isinstance(cfg.get(key), float):
+            cfg[key] = int(cfg[key])
     return cfg
 
 

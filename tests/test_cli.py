@@ -4,13 +4,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from photonmix.analytic_model import LocalOscillator, SourceParams
-from photonmix.cli import _load_config, main
+from photonmix.cli import _SCHEMAS, _load_config, _violations, main
+from photonmix.errors import ConfigError
 from photonmix.estimator import SweepPoint, auto_model, vhom_model, write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.mode_overlap import SampledProfile, write_profile
@@ -27,6 +34,10 @@ def run(args) -> int:
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def output_files(outdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
 
 class TestSimulate:
@@ -126,6 +137,15 @@ class TestSimulate:
         assert run(args) == 2
         assert "'noise_sigma_rel' is a dependency of 'noise_model'" in capsys.readouterr().err
         assert not (tmp_path / "points_auto.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("n_points", 5), ("seed", 3)])
+    def test_integral_float_of_integer_key_runs_as_int(self, tmp_path, key, value):
+        # JSON Schema's integer admits 5.0; the run must not differ from the one with 5
+        args = ["simulate", "--set", "m=0.76", "--set", "g2_psi=0.0412", "--set", "noise_sigma_rel=0.02",
+                "--set", "oracle_check_ratios=[1]"]
+        assert run([*args, "--set", f"{key}={value}", "--out", str(tmp_path / "int")]) == 0
+        assert run([*args, "--set", f"{key}={value}.0", "--out", str(tmp_path / "float")]) == 0
+        assert output_files(tmp_path / "float") == output_files(tmp_path / "int")
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -268,6 +288,16 @@ class TestAnalyze:
         vis = read_json(out / "visibility.json")
         expected = 1.0 - truth_par["g2_cross"] / truth_perp["g2_cross"]
         assert abs(vis["v_hom"] - expected) <= 3.0 * vis["err"]
+
+    def test_integral_floats_of_integer_keys_run_as_ints(self, tmp_path, coherent_tagfile):
+        # JSON Schema's integer admits 25.0; the run must not differ from the one with 25
+        assert run(self.analyze_args(coherent_tagfile, tmp_path / "int", ("--set", "window=400"))) == 0
+        floats = [
+            "--set", "bin_width=25.0", "--set", f"tau_max={TAU_MAX}.0", "--set", f"rep_period={REP}.0",
+            "--set", "window=400.0", "--set", "n_side_peaks=10.0", "--set", "reorder_window=0.0",
+        ]
+        assert run(self.analyze_args(coherent_tagfile, tmp_path / "float", floats)) == 0
+        assert output_files(tmp_path / "float") == output_files(tmp_path / "int")
 
     def test_deterministic_outputs(self, tmp_path, coherent_tagfile):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -460,8 +490,154 @@ class TestConfigDefaults:
         assert second["oracle_check_ratios"] == []
 
 
-# Runs photonmix.cli.main in a fresh interpreter, then reports the exit code
-# and every scipy module the run loaded.
+_VALID = {
+    "simulate": ["m=0.5", "g2_psi=0.02"],
+    "analyze": ["pair=[1,2]", "bin_width=25", "tau_max=1000", "rep_period=100"],
+    "overlap": [],
+    "fit": ["model=vhom", "g2_psi=0.02"],
+}
+
+# one fault each: the command, overrides added to a valid config, and the message
+_FAULTS = [
+    ("simulate", ["mu_psi=0"], "mu_psi: 0 is less than or equal to the minimum of 0"),
+    ("simulate", ["m=1.5"], "m: 1.5 is greater than the maximum of 1"),
+    ("simulate", ["n_points=1"], "n_points: 1 is less than the minimum of 2"),
+    ("simulate", ["n_points=5.5"], "n_points: 5.5 is not of type 'integer'"),
+    ("simulate", ["m=true"], "m: True is not of type 'number'"),
+    ("simulate", ["oracle_check_ratios=[1,0]"], "oracle_check_ratios/1: 0 is less than or equal to the minimum of 0"),
+    ("simulate", ['noise_model="auto"'], "<root>: 'noise_sigma_rel' is a dependency of 'noise_model'"),
+    ("simulate", ["z=1"], "<root>: Additional properties are not allowed ('z' was unexpected)"),
+    ("simulate", ["b=1", "a=2"], "<root>: Additional properties are not allowed ('a', 'b' were unexpected)"),
+    ("analyze", ["pair=[1]"], "pair: [1] is too short"),
+    ("analyze", ["pair=[1,2,3]"], "pair: [1, 2, 3] is too long"),
+    ("analyze", ["pair=[2,true]"], "pair/1: True is not one of [1, 2, 3]"),
+    ("analyze", ["perp_tagfile=7"], "perp_tagfile: 7 is not of type 'string'"),
+    ("overlap", ['spectral_filter={"center":1}'], "spectral_filter: 'half_width' is a required property"),
+    ("overlap", ['spectral_filter={"center":1,"half_width":0}'],
+     "spectral_filter/half_width: 0 is less than or equal to the minimum of 0"),
+    ("fit", ["fit_scale=1"], "fit_scale: 1 is not of type 'boolean'"),
+    ("fit", ['model="quad"'], "model: 'quad' is not one of ['vhom', 'auto']"),
+]
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=3)
+    | st.sampled_from([0, 1, 2, 0.0, 1.0, 5.0, 1e-6, 1e-10, 30.0]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+# every property name of every schema, so that random edits often hit a known key
+_KNOWN_KEYS = sorted(
+    {key for schema in _SCHEMAS.values() for key in schema["properties"]} | {"center", "half_width"}
+)
+
+
+def valid_values(schema: dict):
+    """Values that satisfy ``schema``, integral floats of integers included."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind in ("number", "integer"):
+        lo = schema.get("minimum", schema.get("exclusiveMinimum", -10))
+        hi = schema.get("maximum", lo + 100)
+        if kind == "integer":
+            return st.integers(lo, hi).flatmap(lambda n: st.sampled_from([n, float(n)]))
+        return st.floats(lo, hi, exclude_min="exclusiveMinimum" in schema)
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "string":
+        return st.text(max_size=5)
+    if kind == "array":
+        return st.lists(
+            valid_values(schema["items"]), min_size=schema.get("minItems", 0), max_size=schema.get("maxItems", 3)
+        )
+    return valid_objects(schema)
+
+
+@st.composite
+def valid_objects(draw, schema: dict):
+    props = schema["properties"]
+    keys = draw(st.sets(st.sampled_from(sorted(props)))) | set(schema.get("required", []))
+    for key, needed in schema.get("dependentRequired", {}).items():
+        if key in keys:
+            keys |= set(needed)
+    return {key: draw(valid_values(props[key])) for key in sorted(keys)}
+
+
+def edit_values(schema: dict):
+    """Any JSON value, or a number at or next to one of ``schema``'s bounds."""
+    bounds = [schema[kw] for kw in ("minimum", "maximum", "exclusiveMinimum") if kw in schema]
+    edges = sorted({v for b in bounds for v in (b, float(b), b - 1, b + 1, b / 2, -b)})
+    return _JSON | st.sampled_from(edges) if edges else _JSON
+
+
+@st.composite
+def edited_configs(draw, schema: dict):
+    """A valid config after one to three random edits, at its top level or one level down."""
+    cfg = draw(valid_objects(schema))
+    for _ in range(draw(st.integers(1, 3))):
+        target, sub = cfg, schema
+        nested = [key for key, value in cfg.items() if isinstance(value, (list, dict)) and key in schema["properties"]]
+        if nested and draw(st.booleans()):
+            key = draw(st.sampled_from(nested))
+            target, sub = cfg[key], schema["properties"][key]
+        if isinstance(target, list):
+            if target and draw(st.booleans()):
+                target[draw(st.integers(0, len(target) - 1))] = draw(edit_values(sub.get("items", {})))
+            elif target and draw(st.booleans()):
+                target.pop()
+            else:
+                target.append(draw(edit_values(sub.get("items", {}))))
+        else:
+            props = sub.get("properties", {})
+            key = draw(st.sampled_from(sorted(props) or _KNOWN_KEYS) | st.sampled_from(_KNOWN_KEYS) | st.text(max_size=3))
+            if key in target and draw(st.booleans()):
+                del target[key]
+            else:
+                target[key] = draw(edit_values(props.get(key, {})))
+    return cfg
+
+
+class TestConfigValidator:
+    @pytest.mark.parametrize("command, overrides, message", _FAULTS)
+    def test_message(self, command, overrides, message):
+        with pytest.raises(ConfigError) as err:
+            _load_config(command, None, [*_VALID[command], *overrides], None)
+        assert str(err.value) == f"config key {message}"
+        # the same words as jsonschema's
+        cfg = _load_config(command, None, _VALID[command], None)
+        cfg.update((key, json.loads(raw)) for key, raw in (item.split("=", 1) for item in overrides))
+        error = best_match(Draft202012Validator(_SCHEMAS[command]).iter_errors(cfg))
+        assert f"{'/'.join(map(str, error.absolute_path)) or '<root>'}: {error.message}" == message
+
+    def test_nan_passes_every_bound(self):
+        # as in JSON Schema: every comparison with nan is false
+        assert list(_violations(_SCHEMAS["simulate"], {"m": math.nan, "g2_psi": math.nan})) == []
+
+    @pytest.mark.parametrize("command", sorted(_SCHEMAS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_jsonschema(self, command, data):
+        schema = _SCHEMAS[command]
+        cfg = data.draw(edited_configs(schema))
+        errors = list(Draft202012Validator(schema).iter_errors(cfg))
+        # the same faults, each at the same key path and in the same words
+        assert Counter(_violations(schema, cfg)) == Counter((tuple(e.absolute_path), e.message) for e in errors)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            if not errors:
+                _load_config(command, str(path), [], None)
+                return
+            with pytest.raises(ConfigError) as err:
+                _load_config(command, str(path), [], None)
+        # of several faults, the one jsonschema would report
+        best = best_match(errors)
+        assert str(err.value) == f"config key {'/'.join(map(str, best.absolute_path)) or '<root>'}: {best.message}"
+
+
+# Runs photonmix.cli.main in a fresh interpreter, then reports the exit code,
+# whether numpy loaded, and every scipy and jsonschema module the run loaded.
 _IMPORT_PROBE = """
 import json, sys
 from photonmix.cli import main
@@ -469,12 +645,13 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "scipy": sorted(n for n in sys.modules if n.split(".")[0] == "scipy")}))
+loaded = {top: sorted(n for n in sys.modules if n.split(".")[0] == top) for top in ("scipy", "jsonschema")}
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, **loaded}))
 """
 
 
 class TestScipyOffCommandPath:
-    """scipy loads only for the oracle's tail mass and for fit_scale=true."""
+    """No command loads scipy or jsonschema; only fit_scale=true loads scipy.optimize."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -499,8 +676,14 @@ class TestScipyOffCommandPath:
             "--set", f"model={model}", "--set", "g2_psi=0.03", "--set", f"fit_scale={fit_scale}",
         ]
 
-    @pytest.mark.parametrize("command", ["version", "analyze", "fit_vhom", "fit_auto", "simulate"])
+    @pytest.mark.parametrize(
+        "command", ["version", "analyze", "fit_vhom", "fit_auto", "simulate", "simulate_oracle"]
+    )
     def test_command_loads_no_scipy(self, inputs, command):
+        simulate = [
+            "simulate", "--out", str(inputs / command), "--set", "m=0.76",
+            "--set", "g2_psi=0.0412", "--set", "noise_sigma_rel=0.02",
+        ]
         args = {
             "version": ["--version"],
             "analyze": [
@@ -510,20 +693,13 @@ class TestScipyOffCommandPath:
             ],
             "fit_vhom": self.fit_args(inputs, "vhom", "false"),
             "fit_auto": self.fit_args(inputs, "auto", "false"),
-            "simulate": [
-                "simulate", "--out", str(inputs / "simulate"), "--set", "m=0.76",
-                "--set", "g2_psi=0.0412", "--set", "noise_sigma_rel=0.02",
-            ],
+            "simulate": simulate,
+            "simulate_oracle": [*simulate, "--set", "oracle_check_ratios=[0.2,10]"],
         }[command]
-        assert self.probe(args) == {"code": 0, "scipy": []}
+        # numpy is the control: the probe sees a module the run really imports
+        assert self.probe(args) == {"code": 0, "numpy": True, "scipy": [], "jsonschema": []}
 
-    def test_oracle_checks_and_fit_scale_load_it(self, inputs):
-        # the probe sees scipy where it is really used
-        oracle = self.probe(
-            ["simulate", "--out", str(inputs / "oracle"), "--set", "m=0.76", "--set", "g2_psi=0.0412",
-             "--set", "oracle_check_ratios=[1]"]
-        )
+    def test_fit_scale_loads_scipy_optimize(self, inputs):
         scaled = self.probe(self.fit_args(inputs, "vhom", "true"))
-        assert oracle["code"] == scaled["code"] == 0
-        assert "scipy.special" in oracle["scipy"] and "scipy.optimize" not in oracle["scipy"]
+        assert scaled["code"] == 0 and scaled["jsonschema"] == []
         assert "scipy.optimize" in scaled["scipy"]

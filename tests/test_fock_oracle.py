@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import factorial
-from scipy.stats import poisson
 
 from photonmix.analytic_model import (
     LocalOscillator,
@@ -47,6 +46,24 @@ BALANCED = BeamSplitterSpec(0.5)
 
 def theta_for_overlap(m: float) -> float:
     return math.acos(math.sqrt(m))
+
+
+def complement_tails(mu: float, kmax: int, digits: int) -> list[Decimal]:
+    """P(N > k) for k = 0..kmax of a Poisson mean mu, as 1 - (p_0 + ... + p_k).
+
+    The complement cancels down to the tail, so ``digits`` must exceed the
+    number of leading digits the smallest tail of interest loses to it.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        m = Decimal(mu)
+        term = head = (-m).exp()
+        tails = [1 - head]
+        for k in range(1, kmax + 1):
+            term = term * m / k
+            head += term
+            tails.append(1 - head)
+        return tails
 
 
 class TestBuildQdState:
@@ -168,10 +185,39 @@ class TestDisplacement:
         assert coherent_tail_mass(mu, n_req - 1) >= 1e-10
 
     def test_tail_mass_is_the_poisson_survival_function(self):
-        mus = np.geomspace(1e-3, 60.0, 40)
-        for k in range(2, 200):
-            tails = [coherent_tail_mass(float(mu), k) for mu in mus]
-            assert np.allclose(tails, poisson.sf(k, mus), rtol=1e-13, atol=0.0)
+        # The reference is the complement at 400 digits: every tail on the grid
+        # is known to about 1e-400, far below the smallest float, so the two
+        # may differ only by rounding.  scipy's pdtrc is up to 2.4e-13 off it
+        # and would fail this pin.
+        for mu in np.geomspace(1e-3, 60.0, 40):
+            exact = complement_tails(float(mu), 199, digits=400)
+            tails = [coherent_tail_mass(float(mu), k) for k in range(2, 200)]
+            assert np.allclose(tails, [float(t) for t in exact[2:]], rtol=1e-15, atol=0.0)
+
+    def test_required_cutoff_matches_exact_tails(self):
+        # the smallest cutoff whose 60-digit tail is below the target
+        for mu in [1e-4, *np.linspace(1e-3, 30.0, 1201), 0.2, 2.0, 6.0, 10.0]:
+            exact = complement_tails(float(mu), 100, digits=60)
+            expected = next(n for n in range(2, 101) if exact[n] < 1e-10)
+            assert required_cutoff(float(mu), 1e-10) == expected, mu
+        # the floor, and the benchmark's mu_alpha grid
+        assert required_cutoff(1e-4, 1e-10) == 2
+        assert [required_cutoff(mu, 1e-10) for mu in (0.2, 2.0, 6.0, 10.0)] == [7, 16, 27, 36]
+
+    def test_tail_mass_of_a_faint_state(self):
+        # the tail above cutoff 0 is 1 - exp(-mu); the series keeps all its digits
+        for mu in (math.pi * 1e-20, math.pi * 1e-3, 0.9):
+            assert coherent_tail_mass(mu, 0) == pytest.approx(-math.expm1(-mu), rel=1e-15, abs=0.0)
+
+    def test_tail_mass_far_beyond_the_cutoff(self):
+        # the head sum keeps the work bounded by the cutoff however large mu is
+        assert coherent_tail_mass(1e7, 10) == coherent_tail_mass(math.inf, 10) == 1.0
+        assert coherent_tail_mass(40.0, 20) == pytest.approx(float(complement_tails(40.0, 20, 40)[20]), rel=1e-15)
+        with pytest.raises(InvalidParameterError, match="no cutoff <= 500"):
+            required_cutoff(1e7, 1e-10)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(InvalidParameterError):
+                coherent_tail_mass(bad, 10)
 
 
 class TestMixOnBeamSplitter:
