@@ -19,6 +19,7 @@ import json
 import math
 import operator
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -251,11 +252,29 @@ def _load_config(command: str, config_path: str | None, overrides: list[str], se
     if violation is not None:
         path, message = violation
         raise ConfigError(f"config key {'/'.join(map(str, path)) or '<root>'}: {message}")
-    # JSON Schema's integer admits 5.0, which numpy would refuse as a count
-    for key, p in properties.items():
-        if p.get("type") == "integer" and isinstance(cfg.get(key), float):
-            cfg[key] = int(cfg[key])
-    return cfg
+    return _resolved(schema, cfg)
+
+
+def _resolved(schema: dict, value, path: tuple = ()):
+    """``value``, valid under ``schema``, in the form the commands take.
+
+    JSON Schema admits 5.0 as an integer and 2.0 as a member of an enum of
+    ints; both become ints, which numpy needs for counts and the metadata
+    sidecar records as the int run does.  It also admits nan, which passes
+    every bound, and infinities, which pass every bound on their side; a
+    non-finite number is a config error here.
+    """
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        return {key: _resolved(properties.get(key, {}), v, (*path, key)) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_resolved(schema.get("items", {}), v, (*path, i)) for i, v in enumerate(value)]
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {'/'.join(map(str, path))}: {value!r} is not a finite number")
+        if value.is_integer() and (schema.get("type") == "integer" or value in schema.get("enum", ())):
+            return int(value)
+    return value
 
 
 def _write_json(path: Path, obj) -> None:
@@ -352,22 +371,80 @@ def _analyze_one(tagfile: str, cfg: dict):
     return hist, result
 
 
+def _analyze_worker(conn, tagfile: str, cfg: dict) -> None:
+    """Body of the child process ``_analyzing`` starts: send the result, or the exception raised."""
+    try:
+        outcome = (True, _analyze_one(tagfile, cfg))
+    except Exception as exc:
+        outcome = (False, exc)
+    conn.send(outcome)
+
+
+@contextmanager
+def _analyzing(tagfile: str, cfg: dict):
+    """Run ``_analyze_one(tagfile, cfg)`` in a child process while the block runs.
+
+    Yields a function that waits for the child's ``(histogram, g2)`` and
+    returns it, or raises the child's exception again, with its class,
+    message and attributes.  A child that dies without a result (killed,
+    out of memory) is a ``PhotonmixError`` naming the file and the exit
+    status.  The child is forked where the platform can fork, so it starts
+    with this process's imports instead of a new interpreter; elsewhere the
+    platform's default start method runs the same code.  On every way out
+    of the block the child is killed and joined, so none outlives it.
+    """
+    import multiprocessing  # here, so that no other command pays for the import
+
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_analyze_worker, args=(sender, tagfile, cfg))
+    with receiver:
+        with sender:  # the child then holds the only sending end, so EOF means it died
+            worker.start()
+
+        def result():
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise PhotonmixError(
+                    f"the process analyzing {tagfile} exited with status {worker.exitcode} without a result"
+                ) from None
+            if not ok:
+                raise value
+            return value
+
+        try:
+            yield result
+        finally:
+            worker.kill()
+            worker.join()
+            worker.close()
+
+
+def _write_analysis(outdir: Path, suffix: str, hist, result) -> None:
+    write_histogram_csv(hist, outdir / f"histogram{suffix}.csv")
+    _write_json(outdir / f"g2{suffix}.json", asdict(result))
+
+
 def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> None:
-    hist, result = _analyze_one(tagfile, cfg)
-    write_histogram_csv(hist, outdir / "histogram.csv")
-    _write_json(outdir / "g2.json", asdict(result))
-    inputs = [tagfile]
-    if "perp_tagfile" in cfg:
-        hist_perp, result_perp = _analyze_one(cfg["perp_tagfile"], cfg)
-        write_histogram_csv(hist_perp, outdir / "histogram_perp.csv")
-        _write_json(outdir / "g2_perp.json", asdict(result_perp))
-        v, err = visibility_from_histograms(result, result_perp)
-        _write_json(
-            outdir / "visibility.json",
-            {"v_hom": v, "err": err, "g2_par": result.value, "g2_perp": result_perp.value},
-        )
-        inputs.append(cfg["perp_tagfile"])
-    _write_meta(outdir, "analyze.meta.json", "analyze", cfg, inputs)
+    if "perp_tagfile" not in cfg:
+        _write_analysis(outdir, "", *_analyze_one(tagfile, cfg))
+        _write_meta(outdir, "analyze.meta.json", "analyze", cfg, [tagfile])
+        return
+    # the two runs are independent: the orthogonal one is analyzed meanwhile in a child process
+    with _analyzing(cfg["perp_tagfile"], cfg) as perp_result:
+        hist, result = _analyze_one(tagfile, cfg)
+        _write_analysis(outdir, "", hist, result)
+        hist_perp, result_perp = perp_result()
+    _write_analysis(outdir, "_perp", hist_perp, result_perp)
+    v, err = visibility_from_histograms(result, result_perp)
+    _write_json(
+        outdir / "visibility.json",
+        {"v_hom": v, "err": err, "g2_par": result.value, "g2_perp": result_perp.value},
+    )
+    _write_meta(outdir, "analyze.meta.json", "analyze", cfg, [tagfile, cfg["perp_tagfile"]])
 
 
 def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:

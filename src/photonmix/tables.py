@@ -142,7 +142,12 @@ def _read_table_loop(path, headers, kind):
 
 
 def _check_finite(path, headers, rows) -> None:
-    """Raise at the line of the first row holding a ``nan`` or an infinity."""
+    """Raise at the line of the first row holding a ``nan`` or an infinity.
+
+    An int64 table cannot hold either, so only a float table is scanned.
+    """
+    if rows.dtype.kind != "f":
+        return
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise DataFormatError("non-finite value", line=row_line(path, headers, bad[0]))

@@ -1,11 +1,15 @@
 import gzip
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +20,9 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from photonmix.analytic_model import LocalOscillator, SourceParams
-from photonmix.cli import _SCHEMAS, _load_config, _violations, main
-from photonmix.errors import ConfigError
+from photonmix import cli
+from photonmix.cli import _SCHEMAS, _load_config, _violations, cmd_analyze, main
+from photonmix.errors import ConfigError, DataFormatError
 from photonmix.estimator import SweepPoint, auto_model, vhom_model, write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.mode_overlap import SampledProfile, write_profile
@@ -295,6 +300,7 @@ class TestAnalyze:
         floats = [
             "--set", "bin_width=25.0", "--set", f"tau_max={TAU_MAX}.0", "--set", f"rep_period={REP}.0",
             "--set", "window=400.0", "--set", "n_side_peaks=10.0", "--set", "reorder_window=0.0",
+            "--set", "pair=[2.0,2]",  # an enum of ints admits 2.0 too
         ]
         assert run(self.analyze_args(coherent_tagfile, tmp_path / "float", floats)) == 0
         assert output_files(tmp_path / "float") == output_files(tmp_path / "int")
@@ -305,6 +311,157 @@ class TestAnalyze:
             assert run(self.analyze_args(coherent_tagfile, out)) == 0
         for name in ("histogram.csv", "g2.json", "analyze.meta.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def perp_tagfile(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tags") / "perp.csv"
+    write_tags_csv(pulsed_coherent_tags({2: 0.3}, 60_000, REP, seed=14), path)
+    return path
+
+
+# a tag file whose second record has an unknown channel
+_MALFORMED_TAGS = "1,100\n9,200\n"
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block with TimeoutError if it runs longer than ``seconds``, instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestAnalyzePair:
+    """analyze with perp_tagfile: the orthogonal run is analyzed beside the parallel one."""
+
+    def args(self, tagfile, perp, out):
+        return [
+            "analyze", str(tagfile), "--out", str(out),
+            "--set", "pair=[2,2]", "--set", "bin_width=25",
+            "--set", f"tau_max={TAU_MAX}", "--set", f"rep_period={REP}",
+            *(["--set", f"perp_tagfile={json.dumps(str(perp))}"] if perp else []),
+        ]
+
+    def bad_file(self, tmp_path, body, name="bad.csv"):
+        path = tmp_path / name
+        if body is not None:  # None: the file is missing
+            path.write_text(body)
+        return path
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [(None, "No such file or directory"), (_MALFORMED_TAGS, "line 2: unknown channel 9"), ("", "contains no records")],
+    )
+    def test_bad_orthogonal_file_is_reported_as_alone(self, tmp_path, capsys, coherent_tagfile, body, message):
+        bad = self.bad_file(tmp_path, body)
+        assert run(self.args(bad, None, tmp_path / "alone")) == 3
+        alone = capsys.readouterr().err
+        assert message in alone
+        assert run(self.args(coherent_tagfile, bad, tmp_path / "pair")) == 3
+        assert capsys.readouterr().err == alone
+
+    def test_bad_orthogonal_file_keeps_its_line(self, tmp_path, coherent_tagfile):
+        bad = self.bad_file(tmp_path, _MALFORMED_TAGS)
+        cfg = _load_config("analyze", None, self.args(coherent_tagfile, bad, tmp_path)[5::2], None)
+        with pytest.raises(DataFormatError) as err:
+            cmd_analyze(str(coherent_tagfile), cfg, tmp_path)
+        assert err.value.line == 2
+        assert str(err.value) == "line 2: unknown channel 9"
+
+    def test_parallel_file_error_wins(self, tmp_path, capsys):
+        par = self.bad_file(tmp_path, _MALFORMED_TAGS, "par.csv")
+        perp = self.bad_file(tmp_path, "", "perp.csv")
+        assert run(self.args(par, perp, tmp_path / "run")) == 3
+        assert capsys.readouterr().err == "data error: line 2: unknown channel 9\n"
+
+    def test_orthogonal_failure_leaves_the_parallel_outputs(self, tmp_path, coherent_tagfile):
+        assert run(self.args(coherent_tagfile, None, tmp_path / "alone")) == 0
+        out = tmp_path / "pair"
+        assert run(self.args(coherent_tagfile, self.bad_file(tmp_path, ""), out)) == 3
+        alone = output_files(tmp_path / "alone")
+        assert output_files(out) == {name: alone[name] for name in ("g2.json", "histogram.csv")}
+
+    def test_reruns_match_and_match_one_file_runs(self, tmp_path, coherent_tagfile, perp_tagfile):
+        for name in ("a", "b"):
+            assert run(self.args(coherent_tagfile, perp_tagfile, tmp_path / name)) == 0
+        pair = output_files(tmp_path / "a")
+        assert output_files(tmp_path / "b") == pair
+        assert set(pair) == {
+            "analyze.meta.json", "g2.json", "g2_perp.json", "histogram.csv", "histogram_perp.csv", "visibility.json",
+        }
+        for tagfile, suffix in ((coherent_tagfile, ""), (perp_tagfile, "_perp")):
+            assert run(self.args(tagfile, None, tmp_path / f"alone{suffix}")) == 0
+            alone = output_files(tmp_path / f"alone{suffix}")
+            assert pair[f"histogram{suffix}.csv"] == alone["histogram.csv"]
+            assert pair[f"g2{suffix}.json"] == alone["g2.json"]
+
+    def test_worker_dying_without_result_is_an_error(self, tmp_path, capsys, monkeypatch, coherent_tagfile):
+        parent, analyze_one = os.getpid(), cli._analyze_one
+
+        def dying(tagfile, cfg):
+            if tagfile == str(coherent_tagfile):
+                return analyze_one(tagfile, cfg)
+            assert os.getpid() != parent, "the orthogonal file was analyzed in the calling process"
+            os._exit(9)
+
+        monkeypatch.setattr(cli, "_analyze_one", dying)
+        with deadline(60):
+            assert run(self.args(coherent_tagfile, coherent_tagfile.with_name("perp.csv"), tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "perp.csv" in err and "status 9" in err
+        assert multiprocessing.active_children() == []
+
+    def test_parallel_failure_kills_the_worker(self, tmp_path, monkeypatch):
+        analyze_one = cli._analyze_one
+
+        def stuck(tagfile, cfg):
+            if tagfile.endswith("perp.csv"):
+                time.sleep(120)
+            return analyze_one(tagfile, cfg)
+
+        monkeypatch.setattr(cli, "_analyze_one", stuck)
+        par = self.bad_file(tmp_path, _MALFORMED_TAGS)
+        with deadline(30):
+            assert run(self.args(par, tmp_path / "perp.csv", tmp_path / "run")) == 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", ["none", "parallel", "interrupt"])
+    def test_no_worker_outlives_the_command(self, tmp_path, monkeypatch, coherent_tagfile, perp_tagfile, bad):
+        par = self.bad_file(tmp_path, _MALFORMED_TAGS) if bad == "parallel" else coherent_tagfile
+        args = self.args(par, perp_tagfile, tmp_path / "run")
+        if bad == "interrupt":
+            def interrupt(*_):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cli, "write_histogram_csv", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run(args)
+        else:
+            assert run(args) == (3 if bad == "parallel" else 0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("platform_methods, used", [(["fork", "spawn"], "fork"), (["spawn"], "spawn")])
+    def test_start_methods_give_identical_outputs(
+        self, tmp_path, monkeypatch, coherent_tagfile, perp_tagfile, platform_methods, used
+    ):
+        assert run(self.args(coherent_tagfile, perp_tagfile, tmp_path / "reference")) == 0
+        contexts, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: platform_methods)
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method=None: contexts.append(method) or get_context(method)
+        )
+        assert run(self.args(coherent_tagfile, perp_tagfile, tmp_path / "run")) == 0
+        assert contexts == [used]
+        assert output_files(tmp_path / "run") == output_files(tmp_path / "reference")
 
 
 class TestOverlapCommand:
@@ -532,6 +689,14 @@ _KNOWN_KEYS = sorted(
 )
 
 
+def holds_non_finite(value) -> bool:
+    if isinstance(value, dict):
+        return any(map(holds_non_finite, value.values()))
+    if isinstance(value, list):
+        return any(map(holds_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def valid_values(schema: dict):
     """Values that satisfy ``schema``, integral floats of integers included."""
     if "enum" in schema:
@@ -610,6 +775,28 @@ class TestConfigValidator:
         error = best_match(Draft202012Validator(_SCHEMAS[command]).iter_errors(cfg))
         assert f"{'/'.join(map(str, error.absolute_path)) or '<root>'}: {error.message}" == message
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "--set", "m=0.5", "--set", "g2_psi=NaN", "--set", "oracle_check_ratios=[1]"], "g2_psi: nan"),
+            (["simulate", "--set", "m=NaN", "--set", "g2_psi=0.04"], "m: nan"),
+            (["fit", "{sweep}", "--set", "model=vhom", "--set", "g2_psi=NaN"], "g2_psi: nan"),
+            (["simulate", "--set", "m=0.5", "--set", "g2_psi=0.04", "--set", "r_max=Infinity"], "r_max: inf"),
+            (
+                ["simulate", "--set", "m=0.5", "--set", "g2_psi=0.04", "--set", "oracle_check_ratios=[1,Infinity]"],
+                "oracle_check_ratios/1: inf",
+            ),
+        ],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, args, message):
+        sweep = tmp_path / "sweep.csv"
+        r = np.geomspace(0.02, 20.0, 15)
+        write_sweep([SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, vhom_model(r, 0.5, 0.03))], sweep)
+        out = tmp_path / "run"
+        assert run([*(a.format(sweep=sweep) for a in args), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: config key {message} is not a finite number\n"
+        assert not out.exists()  # refused before any output is written
+
     def test_nan_passes_every_bound(self):
         # as in JSON Schema: every comparison with nan is false
         assert list(_violations(_SCHEMAS["simulate"], {"m": math.nan, "g2_psi": math.nan})) == []
@@ -626,8 +813,12 @@ class TestConfigValidator:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cfg.json"
             path.write_text(json.dumps(cfg))
-            if not errors:
+            if not errors and not holds_non_finite(cfg):
                 _load_config(command, str(path), [], None)
+                return
+            if not errors:  # nan and infinities pass the schema, and are refused after it
+                with pytest.raises(ConfigError, match="is not a finite number"):
+                    _load_config(command, str(path), [], None)
                 return
             with pytest.raises(ConfigError) as err:
                 _load_config(command, str(path), [], None)
@@ -637,7 +828,8 @@ class TestConfigValidator:
 
 
 # Runs photonmix.cli.main in a fresh interpreter, then reports the exit code,
-# whether numpy loaded, and every scipy and jsonschema module the run loaded.
+# whether numpy and multiprocessing loaded, and every scipy and jsonschema
+# module the run loaded.
 _IMPORT_PROBE = """
 import json, sys
 from photonmix.cli import main
@@ -646,17 +838,21 @@ try:
 except SystemExit as exc:
     code = exc.code
 loaded = {top: sorted(n for n in sys.modules if n.split(".")[0] == top) for top in ("scipy", "jsonschema")}
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, **loaded}))
+print(json.dumps({"code": code, **{m: m in sys.modules for m in ("numpy", "multiprocessing")}, **loaded}))
 """
 
 
 class TestScipyOffCommandPath:
-    """No command loads scipy or jsonschema; only fit_scale=true loads scipy.optimize."""
+    """No command loads scipy or jsonschema; only fit_scale=true loads scipy.optimize.
+
+    Only a two-file analyze, which starts a worker process, loads multiprocessing.
+    """
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
         base = tmp_path_factory.mktemp("imports")
         write_tags_csv(pulsed_coherent_tags({2: 0.3}, 5_000, REP, seed=2), base / "tags.csv")
+        write_tags_csv(pulsed_coherent_tags({2: 0.3}, 5_000, REP, seed=3), base / "perp.csv")
         r = np.geomspace(0.02, 20.0, 15)
         points = [SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, vhom_model(r, 0.5, 0.03))]
         write_sweep(points, base / "sweep.csv")
@@ -677,27 +873,31 @@ class TestScipyOffCommandPath:
         ]
 
     @pytest.mark.parametrize(
-        "command", ["version", "analyze", "fit_vhom", "fit_auto", "simulate", "simulate_oracle"]
+        "command", ["version", "analyze", "analyze_pair", "fit_vhom", "fit_auto", "simulate", "simulate_oracle"]
     )
     def test_command_loads_no_scipy(self, inputs, command):
         simulate = [
             "simulate", "--out", str(inputs / command), "--set", "m=0.76",
             "--set", "g2_psi=0.0412", "--set", "noise_sigma_rel=0.02",
         ]
+        analyze = [
+            "analyze", str(inputs / "tags.csv"), "--out", str(inputs / command),
+            "--set", "pair=[2,2]", "--set", "bin_width=25",
+            "--set", f"tau_max={TAU_MAX}", "--set", f"rep_period={REP}",
+        ]
         args = {
             "version": ["--version"],
-            "analyze": [
-                "analyze", str(inputs / "tags.csv"), "--out", str(inputs / "analyze"),
-                "--set", "pair=[2,2]", "--set", "bin_width=25",
-                "--set", f"tau_max={TAU_MAX}", "--set", f"rep_period={REP}",
-            ],
+            "analyze": analyze,
+            "analyze_pair": [*analyze, "--set", f"perp_tagfile={json.dumps(str(inputs / 'perp.csv'))}"],
             "fit_vhom": self.fit_args(inputs, "vhom", "false"),
             "fit_auto": self.fit_args(inputs, "auto", "false"),
             "simulate": simulate,
             "simulate_oracle": [*simulate, "--set", "oracle_check_ratios=[0.2,10]"],
         }[command]
-        # numpy is the control: the probe sees a module the run really imports
-        assert self.probe(args) == {"code": 0, "numpy": True, "scipy": [], "jsonschema": []}
+        # numpy, and multiprocessing for two files, are the controls: the probe sees a module the run really imports
+        assert self.probe(args) == {
+            "code": 0, "numpy": True, "multiprocessing": command == "analyze_pair", "scipy": [], "jsonschema": []
+        }
 
     def test_fit_scale_loads_scipy_optimize(self, inputs):
         scaled = self.probe(self.fit_args(inputs, "vhom", "true"))

@@ -139,6 +139,14 @@ class TestHeaderlessIntTable:
             read_table(path, None, int)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_is_not_an_integer(self, tmp_path, field):
+        path = tmp_path / "t.csv"
+        path.write_text(f"1,10\n\n2,{field}\n")
+        with pytest.raises(DataFormatError) as err:
+            read_table(path, None, int)
+        assert str(err.value) == f"line 3: expected int fields in row '2,{field}'"
+
     def test_empty_file_gives_no_rows(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("\n\n")
