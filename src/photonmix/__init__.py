@@ -15,6 +15,7 @@ Library layout:
   estimation.
 - :mod:`photonmix.synthetic`: seeded Monte Carlo tag generators.
 - :mod:`photonmix.tables`: the CSV table format every reader and writer shares.
+- :mod:`photonmix.workers`: child processes that run one call each.
 - :mod:`photonmix.cli`: the ``photonmix`` command-line front end.
 """
 

@@ -18,8 +18,8 @@ import copy
 import json
 import math
 import operator
+import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -63,12 +63,15 @@ from .mode_overlap import (
 from .tagstream import (
     DEFAULT_CHANNELS,
     build_histogram,
+    check_binning,
+    check_g2_params,
     g2_zero,
     parse_tags,
     visibility_from_histograms,
     write_histogram_csv,
 )
 from .tables import read_table, write_table
+from .workers import in_child
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -356,6 +359,13 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
     _write_meta(outdir, "sweep.meta.json", "simulate", cfg, [])
 
 
+def _processes_per_file(cfg: dict) -> int:
+    """The CPUs this process may use, shared out among the run's tag files."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, cpus // (2 if "perp_tagfile" in cfg else 1))
+
+
 def _analyze_one(tagfile: str, cfg: dict):
     stream = parse_tags(tagfile, reorder_window=cfg["reorder_window"])
     if len(stream) == 0:
@@ -366,61 +376,10 @@ def _analyze_one(tagfile: str, cfg: dict):
         bin_width=cfg["bin_width"],
         tau_max=cfg["tau_max"],
         rep_period=cfg["rep_period"],
+        processes=_processes_per_file(cfg),
     )
     result = g2_zero(hist, window=cfg.get("window"), n_side_peaks=cfg["n_side_peaks"])
     return hist, result
-
-
-def _analyze_worker(conn, tagfile: str, cfg: dict) -> None:
-    """Body of the child process ``_analyzing`` starts: send the result, or the exception raised."""
-    try:
-        outcome = (True, _analyze_one(tagfile, cfg))
-    except Exception as exc:
-        outcome = (False, exc)
-    conn.send(outcome)
-
-
-@contextmanager
-def _analyzing(tagfile: str, cfg: dict):
-    """Run ``_analyze_one(tagfile, cfg)`` in a child process while the block runs.
-
-    Yields a function that waits for the child's ``(histogram, g2)`` and
-    returns it, or raises the child's exception again, with its class,
-    message and attributes.  A child that dies without a result (killed,
-    out of memory) is a ``PhotonmixError`` naming the file and the exit
-    status.  The child is forked where the platform can fork, so it starts
-    with this process's imports instead of a new interpreter; elsewhere the
-    platform's default start method runs the same code.  On every way out
-    of the block the child is killed and joined, so none outlives it.
-    """
-    import multiprocessing  # here, so that no other command pays for the import
-
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_analyze_worker, args=(sender, tagfile, cfg))
-    with receiver:
-        with sender:  # the child then holds the only sending end, so EOF means it died
-            worker.start()
-
-        def result():
-            try:
-                ok, value = receiver.recv()
-            except EOFError:
-                worker.join()
-                raise PhotonmixError(
-                    f"the process analyzing {tagfile} exited with status {worker.exitcode} without a result"
-                ) from None
-            if not ok:
-                raise value
-            return value
-
-        try:
-            yield result
-        finally:
-            worker.kill()
-            worker.join()
-            worker.close()
 
 
 def _write_analysis(outdir: Path, suffix: str, hist, result) -> None:
@@ -429,12 +388,18 @@ def _write_analysis(outdir: Path, suffix: str, hist, result) -> None:
 
 
 def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> None:
+    # a config fault is reported before any tag is read or any worker starts
+    check_binning(cfg["bin_width"], cfg["tau_max"])
+    check_g2_params(
+        cfg["rep_period"], cfg["bin_width"], cfg["tau_max"], cfg.get("window"), cfg["n_side_peaks"]
+    )
     if "perp_tagfile" not in cfg:
         _write_analysis(outdir, "", *_analyze_one(tagfile, cfg))
         _write_meta(outdir, "analyze.meta.json", "analyze", cfg, [tagfile])
         return
     # the two runs are independent: the orthogonal one is analyzed meanwhile in a child process
-    with _analyzing(cfg["perp_tagfile"], cfg) as perp_result:
+    perp = cfg["perp_tagfile"]
+    with in_child(f"analyzing {perp}", _analyze_one, perp, cfg) as perp_result:
         hist, result = _analyze_one(tagfile, cfg)
         _write_analysis(outdir, "", hist, result)
         hist_perp, result_perp = perp_result()
@@ -444,7 +409,7 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> None:
         outdir / "visibility.json",
         {"v_hom": v, "err": err, "g2_par": result.value, "g2_perp": result_perp.value},
     )
-    _write_meta(outdir, "analyze.meta.json", "analyze", cfg, [tagfile, cfg["perp_tagfile"]])
+    _write_meta(outdir, "analyze.meta.json", "analyze", cfg, [tagfile, perp])
 
 
 def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:

@@ -13,14 +13,18 @@ stops at its own first offset with no delay within reach.  Each side's
 delays are selected with ``np.compress``, binned in place in int64 with the
 histogram offset folded into the numerator, and counted with ``np.add.at``
 into the one histogram; an auto-correlation over all records sweeps one
-side and mirrors it.  Zero-delay peak areas normalized by the mean
-uncorrelated peak area at multiples of the pulse period give g2(0).  Tag
-files are read by path only, as headerless ``channel,t_ps`` integer tables
-through :mod:`photonmix.tables`.
+side and mirrors it, and bins an offset whose delays are all within reach
+with no selection pass.  The blocks are independent, so a contiguous range
+of them is the unit of work: ``build_histogram`` can sweep ranges in child
+processes and sum their raw counts.  Zero-delay peak areas normalized by
+the mean uncorrelated peak area at multiples of the pulse period give
+g2(0).  Tag files are read by path only, as headerless ``channel,t_ps``
+integer tables through :mod:`photonmix.tables`.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .tables import read_table, row_line, write_table
+from .workers import in_child
 
 DEFAULT_CHANNELS = frozenset({1, 2, 3})
 
@@ -147,6 +152,27 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
     return TagStream.from_unsorted(channels, times)
 
 
+def check_binning(bin_width: int, tau_max: int) -> int:
+    """The bins on each side of zero delay, ``tau_max // bin_width``, of a valid binning.
+
+    Raises ``InvalidParameterError`` unless both are positive, ``bin_width``
+    divides ``tau_max`` and twice the largest binned value stays inside
+    int64, so that a caller can reject a binning before it reads any tag.
+    """
+    if bin_width < 1 or tau_max < 1:
+        raise InvalidParameterError("bin_width and tau_max must be positive integers")
+    if tau_max % bin_width != 0:
+        raise InvalidParameterError(
+            f"bin_width {bin_width} must divide tau_max {tau_max}"
+        )
+    k_max = tau_max // bin_width
+    if 2 * (tau_max + bin_width) + bin_width * (2 * k_max + 3) > np.iinfo(np.int64).max:
+        raise InvalidParameterError(
+            f"tau_max {tau_max} with bin_width {bin_width} overflows the int64 delay arithmetic"
+        )
+    return k_max
+
+
 def build_histogram(
     stream: TagStream,
     pair: tuple[int, int],
@@ -154,6 +180,7 @@ def build_histogram(
     tau_max: int,
     rep_period: int | None = None,
     a_index_range: tuple[int, int] | None = None,
+    processes: int = 1,
 ) -> CorrelationHistogram:
     """Count delays t_B - t_A between channel pair records into centered bins.
 
@@ -175,28 +202,22 @@ def build_histogram(
     ``np.add.at`` counts them into the one histogram (a ``bincount`` per
     block would allocate every bin of it again).  An auto pair over the whole
     A side selects the same delays on both sides, so only ``+d`` is swept and
-    binned; ``-d`` lands in the mirror bin ``2 k_max + 2 - p`` of plus bin
-    ``p``, except that a delay on a half-bin edge (even widths only) lands one
-    bin higher, so those delays are counted apart.  Raises
-    ``InvalidParameterError`` when the binning arithmetic would leave int64
-    or the histogram does not fit in memory.
+    binned, with no selection at all for an offset whose delays are all
+    within reach; ``-d`` lands in the mirror bin ``2 k_max + 2 - p`` of plus
+    bin ``p``, except that a delay on a half-bin edge (even widths only)
+    lands one bin higher, so those delays are counted apart.
+
+    With ``processes`` > 1 the blocks are split into that many contiguous
+    ranges (no more than there are blocks); all but the first are swept in
+    child processes (see :func:`photonmix.workers.in_child`), and their raw
+    counts are summed before the mirror, which is linear, so the histogram
+    is bit-identical to a one-process sweep.  A stream of one block starts
+    no process.  Raises ``InvalidParameterError`` for a binning
+    ``check_binning`` rejects or a histogram that does not fit in memory.
     """
-    if bin_width < 1 or tau_max < 1:
-        raise InvalidParameterError("bin_width and tau_max must be positive integers")
-    if tau_max % bin_width != 0:
-        raise InvalidParameterError(
-            f"bin_width {bin_width} must divide tau_max {tau_max}"
-        )
-    k_max = tau_max // bin_width
-    # delays within reach bin to -k_max - 1 .. k_max + 1; the two overflow bins are dropped
-    reach = tau_max + bin_width
-    # floor((2 tau + w) / 2w) + k_max + 1 with the offset folded into the numerator,
-    # so that every binned value is non-negative
-    offset = bin_width * (2 * k_max + 3)
-    if 2 * reach + offset > np.iinfo(np.int64).max:
-        raise InvalidParameterError(
-            f"tau_max {tau_max} with bin_width {bin_width} overflows the int64 delay arithmetic"
-        )
+    k_max = check_binning(bin_width, tau_max)
+    if processes < 1:
+        raise InvalidParameterError(f"processes must be a positive count, got {processes}")
     ch_a, ch_b = pair
     on_a = stream.channels == ch_a
     on_b = stream.channels == ch_b
@@ -225,33 +246,33 @@ def build_histogram(
             f"a histogram of {2 * k_max + 1} bins (tau_max / bin_width = {k_max}) "
             "does not fit in memory"
         ) from None
-    n = t.size
-    for s in range(0, n, _SWEEP_BLOCK):
-        for k in range(1, n - s):  # k >= 1: no record meets itself
-            e = min(s + _SWEEP_BLOCK, n - k)
-            d = t[s + k : e + k] - t[s:e]
-            near = d <= reach
-            if not near.any():
-                break
-            # earlier record as A: tau = +d; later record as A: tau = -d.  The floor
-            # rule is asymmetric at half-bin edges, so each side is binned on its own
-            if mirror:
-                sides = ((2, near),)
-            else:
-                sides = (
-                    (2, near & in_a[s:e] & is_b[s + k : e + k]),
-                    (-2, near & in_a[s + k : e + k] & is_b[s:e]),
+    block = _SWEEP_BLOCK
+    n_blocks = -(-t.size // block)
+    parts = max(1, min(processes, n_blocks))
+    # contiguous ranges of block starts; all but the first are swept in child processes
+    bounds = [n_blocks * i // parts * block for i in range(parts + 1)]
+    ranges = [range(a, b, block) for a, b in zip(bounds, bounds[1:])]
+    sweep = (t, in_a, is_b, bin_width, k_max, mirror)
+    with ExitStack() as children:
+        results = [
+            children.enter_context(
+                in_child(
+                    f"sweeping the blocks from record {r.start}",
+                    _sweep,
+                    *sweep,
+                    r,
+                    np.zeros_like(counts),
+                    None if edges is None else np.zeros_like(edges),
                 )
-            for scale, selected in sides:
-                v = np.compress(selected, d)
-                v *= scale
-                v += offset
-                if edges is None:
-                    v //= 2 * bin_width
-                else:  # a delay is on a half-bin edge when 2 bin_width divides v
-                    x, v = v, v // (2 * bin_width)
-                    np.add.at(edges, np.compress(v * (2 * bin_width) == x, v), 1)
-                np.add.at(counts, v, 1)
+            )
+            for r in ranges[1:]
+        ]
+        _sweep(*sweep, ranges[0], counts, edges)
+        for result in results:
+            part_counts, part_edges = result()
+            counts += part_counts
+            if edges is not None:
+                edges += part_edges
     if mirror:
         # -d lands in the plus side's bin reversed, or one bin higher from a half-bin edge
         counts[k_max::-1] = counts[k_max + 2 :]
@@ -260,6 +281,47 @@ def build_histogram(
             counts[k_max::-1] -= edges[k_max + 2 :]
             counts[k_max + 1 : 0 : -1] += edges[k_max + 2 :]
     return CorrelationHistogram(bin_width, tau_max, counts[1:-1], (ch_a, ch_b), rep_period)
+
+
+def _sweep(t, in_a, is_b, bin_width, k_max, mirror, starts, counts, edges):
+    """Sweep the blocks of earlier records that begin at ``starts`` (a range whose step
+    is the block size) into ``counts``, and the half-bin edge delays of a mirrored
+    sweep into ``edges``; return both."""
+    # delays within reach bin to -k_max - 1 .. k_max + 1; the two overflow bins are dropped
+    reach = (k_max + 1) * bin_width
+    # floor((2 tau + w) / 2w) + k_max + 1 is (tau + half) // w: the offset folded into the
+    # numerator keeps every binned value non-negative
+    half = bin_width * (2 * k_max + 3) // 2
+    n = t.size
+    for s in starts:
+        for k in range(1, n - s):  # k >= 1: no record meets itself
+            e = min(s + starts.step, n - k)
+            d = t[s + k : e + k] - t[s:e]
+            near = d <= reach
+            n_near = np.count_nonzero(near)
+            if n_near == 0:
+                break
+            # earlier record as A: tau = +d; later record as A: tau = -d.  The floor
+            # rule is asymmetric at half-bin edges, so each side is binned on its own
+            if mirror:  # when every delay is within reach, d itself is binned
+                sides = ((1, d if n_near == d.size else np.compress(near, d)),)
+            else:
+                sides = (
+                    (1, np.compress(near & in_a[s:e] & is_b[s + k : e + k], d)),
+                    (-1, np.compress(near & in_a[s + k : e + k] & is_b[s:e], d)),
+                )
+            for sign, v in sides:
+                if sign > 0:
+                    v += half
+                else:
+                    np.subtract(half, v, out=v)
+                if edges is None:
+                    v //= bin_width
+                else:  # a delay is on a half-bin edge when bin_width divides v
+                    x, v = v, v // bin_width
+                    np.add.at(edges, np.compress(v * bin_width == x, v), 1)
+                np.add.at(counts, v, 1)
+    return counts, edges
 
 
 def merge_histograms(parts) -> CorrelationHistogram:
@@ -295,6 +357,33 @@ def default_window(rep_period: int, bin_width: int) -> int:
     return window
 
 
+def check_g2_params(
+    rep_period: int | None, bin_width: int, tau_max: int, window: int | None, n_side_peaks: int
+) -> int:
+    """The window ``g2_zero`` integrates over for a histogram of these parameters.
+
+    Raises ``InvalidParameterError`` for parameters ``g2_zero`` cannot use,
+    so a caller can reject them before any histogram is built.
+    """
+    if rep_period is None or rep_period <= 0:
+        raise InvalidParameterError("histogram carries no repetition period")
+    if window is None:
+        window = default_window(rep_period, bin_width)
+    if window <= 0 or 2 * window >= rep_period:
+        raise InvalidParameterError(
+            f"window must satisfy 0 < window < rep_period / 2, got {window}"
+        )
+    if n_side_peaks < 2 or n_side_peaks % 2 != 0:
+        raise InvalidParameterError("n_side_peaks must be an even count >= 2")
+    half = n_side_peaks // 2
+    if half * rep_period + window // 2 > tau_max:
+        raise InvalidParameterError(
+            f"histogram range {tau_max} ps too small for {half} side peaks "
+            f"at rep_period {rep_period} ps"
+        )
+    return window
+
+
 def g2_zero(
     hist: CorrelationHistogram,
     window: int | None = None,
@@ -308,24 +397,10 @@ def g2_zero(
     of the central area and of the total side-peak area; an empty central
     window counts as one count there, so g2(0) = 0 still carries an error.
     """
-    if hist.rep_period is None or hist.rep_period <= 0:
-        raise InvalidParameterError("histogram carries no repetition period")
+    window = check_g2_params(hist.rep_period, hist.bin_width, hist.tau_max, window, n_side_peaks)
     rep = hist.rep_period
-    if window is None:
-        window = default_window(rep, hist.bin_width)
-    if window <= 0 or 2 * window >= rep:
-        raise InvalidParameterError(
-            f"window must satisfy 0 < window < rep_period / 2, got {window}"
-        )
-    if n_side_peaks < 2 or n_side_peaks % 2 != 0:
-        raise InvalidParameterError("n_side_peaks must be an even count >= 2")
     half = n_side_peaks // 2
     centers = hist.centers
-    if half * rep + window // 2 > hist.tau_max:
-        raise InvalidParameterError(
-            f"histogram range {hist.tau_max} ps too small for {half} side peaks "
-            f"at rep_period {rep} ps"
-        )
 
     def area(center: int) -> int:
         sel = 2 * np.abs(centers - center) <= window

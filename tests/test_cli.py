@@ -20,13 +20,14 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from photonmix.analytic_model import LocalOscillator, SourceParams
-from photonmix import cli
+from photonmix import cli, tagstream
 from photonmix.cli import _SCHEMAS, _load_config, _violations, cmd_analyze, main
-from photonmix.errors import ConfigError, DataFormatError
+from photonmix.errors import ConfigError, DataFormatError, PhotonmixError
 from photonmix.estimator import SweepPoint, auto_model, vhom_model, write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.mode_overlap import SampledProfile, write_profile
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags, write_tags_csv
+from photonmix.tagstream import parse_tags
 
 REP = 12195
 TAU_MAX = 122_000
@@ -324,6 +325,11 @@ def perp_tagfile(tmp_path_factory):
 _MALFORMED_TAGS = "1,100\n9,200\n"
 
 
+def set_cpus(monkeypatch, n):
+    """Give this process an affinity mask of ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 @contextmanager
 def deadline(seconds):
     """Fail the block with TimeoutError if it runs longer than ``seconds``, instead of hanging."""
@@ -453,6 +459,7 @@ class TestAnalyzePair:
     def test_start_methods_give_identical_outputs(
         self, tmp_path, monkeypatch, coherent_tagfile, perp_tagfile, platform_methods, used
     ):
+        set_cpus(monkeypatch, 2)  # one process per file: the worker is the only child started
         assert run(self.args(coherent_tagfile, perp_tagfile, tmp_path / "reference")) == 0
         contexts, get_context = [], multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: platform_methods)
@@ -462,6 +469,150 @@ class TestAnalyzePair:
         assert run(self.args(coherent_tagfile, perp_tagfile, tmp_path / "run")) == 0
         assert contexts == [used]
         assert output_files(tmp_path / "run") == output_files(tmp_path / "reference")
+
+
+class TestSplitSweep:
+    """A one-file analyze splits its offset sweep over the CPUs in its affinity mask."""
+
+    def args(self, tagfile, out, *extra):
+        return [
+            "analyze", str(tagfile), "--out", str(out),
+            "--set", "pair=[2,2]", "--set", "bin_width=25",
+            "--set", f"tau_max={TAU_MAX}", "--set", f"rep_period={REP}", *extra,
+        ]
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        # two CPUs and blocks of 4096 records: the sweep of the coherent file is split in two
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(tagstream, "_SWEEP_BLOCK", 4096)
+
+    def patch_sweep(self, monkeypatch, in_child, in_parent=None):
+        """Replace the sweep with ``in_child`` in child processes and ``in_parent`` here."""
+        parent, sweep = os.getpid(), tagstream._sweep
+
+        def patched(*args):
+            if os.getpid() != parent:
+                return in_child()
+            return in_parent() if in_parent else sweep(*args)
+
+        monkeypatch.setattr(tagstream, "_sweep", patched)
+
+    def record_processes(self, monkeypatch) -> list[int]:
+        """The ``processes`` of each histogram built in this process, which itself sweeps alone."""
+        seen, build = [], cli.build_histogram
+
+        def recording(*args, processes, **kwargs):
+            seen.append(processes)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_histogram", recording)
+        return seen
+
+    @pytest.mark.parametrize("n_cpus, one_file, two_files", [(1, 1, 1), (2, 2, 1), (4, 4, 2)])
+    def test_processes_per_file(self, tmp_path, monkeypatch, coherent_tagfile, perp_tagfile, n_cpus, one_file, two_files):
+        set_cpus(monkeypatch, n_cpus)
+        seen = self.record_processes(monkeypatch)
+        assert run(self.args(coherent_tagfile, tmp_path / "one")) == 0
+        perp = ("--set", f"perp_tagfile={json.dumps(str(perp_tagfile))}")
+        assert run(self.args(coherent_tagfile, tmp_path / "two", *perp)) == 0
+        # the orthogonal file's call is made in the worker, so only the parallel file's is seen here
+        assert seen == [one_file, two_files]
+
+    @pytest.mark.parametrize("cpu_count, processes", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, tmp_path, monkeypatch, coherent_tagfile, cpu_count, processes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        seen = self.record_processes(monkeypatch)
+        assert run(self.args(coherent_tagfile, tmp_path)) == 0
+        assert seen == [processes]
+
+    def test_split_outputs_match_one_process(self, tmp_path, monkeypatch, split, coherent_tagfile):
+        assert run(self.args(coherent_tagfile, tmp_path / "split")) == 0
+        set_cpus(monkeypatch, 1)
+        assert run(self.args(coherent_tagfile, tmp_path / "alone")) == 0
+        assert output_files(tmp_path / "split") == output_files(tmp_path / "alone")
+
+    def test_sweep_child_dying_is_an_error(self, tmp_path, capsys, monkeypatch, split, coherent_tagfile):
+        self.patch_sweep(monkeypatch, lambda: os._exit(9))
+        with deadline(60):
+            assert run(self.args(coherent_tagfile, tmp_path)) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: the process sweeping the blocks from record ") and "status 9" in err
+            stream = parse_tags(coherent_tagfile)
+            with pytest.raises(PhotonmixError, match="exited with status 9 without a result"):
+                tagstream.build_histogram(stream, (2, 2), 25, TAU_MAX, processes=2)
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_child_exception_is_raised_again(self, tmp_path, capsys, monkeypatch, split, coherent_tagfile):
+        def failing():
+            raise DataFormatError("bad block", line=7)
+
+        self.patch_sweep(monkeypatch, failing)
+        assert run(self.args(coherent_tagfile, tmp_path)) == 3
+        assert capsys.readouterr().err == "data error: line 7: bad block\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault", [None, RuntimeError, KeyboardInterrupt])
+    def test_no_sweep_child_outlives_the_command(self, tmp_path, monkeypatch, split, coherent_tagfile, fault):
+        if fault is not None:
+            def fail():
+                raise fault("the parent's own range failed")
+
+            # the child is stuck while the parent fails: it must be killed, not waited for
+            self.patch_sweep(monkeypatch, lambda: time.sleep(120), fail)
+        with deadline(30):
+            if fault is None:
+                assert run(self.args(coherent_tagfile, tmp_path)) == 0
+            else:
+                with pytest.raises(fault):
+                    run(self.args(coherent_tagfile, tmp_path))
+        assert multiprocessing.active_children() == []
+
+    def test_spawn_gives_identical_outputs(self, tmp_path, monkeypatch, split, coherent_tagfile):
+        assert run(self.args(coherent_tagfile, tmp_path / "fork")) == 0
+        contexts, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda method=None: contexts.append(method) or get_context(method)
+        )
+        assert run(self.args(coherent_tagfile, tmp_path / "spawn")) == 0
+        assert contexts == ["spawn"]
+        assert output_files(tmp_path / "spawn") == output_files(tmp_path / "fork")
+
+
+class TestConfigBeforeTags:
+    """analyze rejects a config fault before it reads a tag or starts a worker."""
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("n_side_peaks=3", "n_side_peaks must be an even count >= 2"),
+            ("window=20000", "window must satisfy 0 < window < rep_period / 2, got 20000"),
+            ("n_side_peaks=40", f"histogram range {TAU_MAX} ps too small for 20 side peaks at rep_period {REP} ps"),
+            ("bin_width=6100", f"bin_width 6100 too coarse for rep_period {REP}"),
+            ("bin_width=7", f"bin_width 7 must divide tau_max {TAU_MAX}"),
+        ],
+    )
+    @pytest.mark.parametrize("two_files", [False, True])
+    def test_config_error_wins_over_the_data(self, tmp_path, capsys, monkeypatch, setting, message, two_files):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached after a config fault")
+
+        monkeypatch.setattr(cli, "parse_tags", unreachable)
+        monkeypatch.setattr(cli, "in_child", unreachable)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(_MALFORMED_TAGS)  # a data error (exit 3) if it were read
+        args = [
+            "analyze", str(bad), "--out", str(tmp_path / "run"),
+            "--set", "pair=[2,2]", "--set", "bin_width=25",
+            "--set", f"tau_max={TAU_MAX}", "--set", f"rep_period={REP}", "--set", setting,
+        ]
+        if two_files:
+            args += ["--set", f"perp_tagfile={json.dumps(str(bad))}"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list((tmp_path / "run").iterdir()) == []
 
 
 class TestOverlapCommand:
@@ -845,7 +996,9 @@ print(json.dumps({"code": code, **{m: m in sys.modules for m in ("numpy", "multi
 class TestScipyOffCommandPath:
     """No command loads scipy or jsonschema; only fit_scale=true loads scipy.optimize.
 
-    Only a two-file analyze, which starts a worker process, loads multiprocessing.
+    Only a run that starts a worker process loads multiprocessing: a two-file
+    analyze does, and a one-file analyze of a stream of one sweep block, as
+    the probe's, does not on any number of CPUs.
     """
 
     @pytest.fixture(scope="class")

@@ -240,10 +240,30 @@ class TestBuildHistogram:
             start = data.draw(st.integers(0, n_a), label="start")
             a_index_range = (start, data.draw(st.integers(start, n_a), label="stop"))
         block = data.draw(SWEEP_BLOCKS, label="sweep block")
+        # a sweep split over processes must count what one process counts
+        processes = data.draw(st.sampled_from([1, 2, 3]), label="processes")
         with mock.patch.object(tagstream, "_SWEEP_BLOCK", block):
-            hist = build_histogram(stream, pair, width, tau_max, REP, a_index_range)
+            hist = build_histogram(stream, pair, width, tau_max, REP, a_index_range, processes)
+            alone = build_histogram(stream, pair, width, tau_max, REP, a_index_range)
         expected = naive_histogram(stream, pair, width, tau_max, a_index_range)
         assert hist.counts.tolist() == expected
+        assert np.array_equal(hist.counts, alone.counts)
+
+    @pytest.mark.parametrize("n, processes, children", [(7, 3, 0), (8, 3, 0), (9, 3, 1), (24, 3, 2), (24, 9, 2)])
+    def test_children_are_one_fewer_than_ranges_of_whole_blocks(self, monkeypatch, n, processes, children):
+        # blocks of 8 records: a stream of one block starts no process, and no range is empty.
+        # Every other delay is on a half-bin edge of width 4, which the mirror counts apart
+        started, in_child = [], tagstream.in_child
+        monkeypatch.setattr(tagstream, "_SWEEP_BLOCK", 8)
+        monkeypatch.setattr(tagstream, "in_child", lambda *a: started.append(a[0]) or in_child(*a))
+        stream = stream_from([2] * n, list(range(0, 10 * n, 10)))
+        hist = build_histogram(stream, (2, 2), 4, 48, processes=processes)
+        assert len(started) == children
+        assert hist.counts.tolist() == naive_histogram(stream, (2, 2), 4, 48)
+
+    def test_processes_must_be_positive(self):
+        with pytest.raises(InvalidParameterError, match="processes"):
+            build_histogram(stream_from([1, 2], [0, 5]), (1, 2), 5, 50, processes=0)
 
     @pytest.mark.parametrize("pair", [(2, 2), (1, 2)])
     def test_memory_stays_near_stream_size(self, pair):
