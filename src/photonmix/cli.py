@@ -359,14 +359,13 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
     _write_meta(outdir, "sweep.meta.json", "simulate", cfg, [])
 
 
-def _processes_per_file(cfg: dict) -> int:
-    """The CPUs this process may use, shared out among the run's tag files."""
+def _cpus() -> int:
+    """The CPUs this process may use."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, cpus // (2 if "perp_tagfile" in cfg else 1))
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _analyze_one(tagfile: str, cfg: dict):
+def _analyze_one(tagfile: str, cfg: dict, processes: int = 1):
     stream = parse_tags(tagfile, reorder_window=cfg["reorder_window"])
     if len(stream) == 0:
         raise DataFormatError(f"tag file {tagfile} contains no records")
@@ -376,7 +375,7 @@ def _analyze_one(tagfile: str, cfg: dict):
         bin_width=cfg["bin_width"],
         tau_max=cfg["tau_max"],
         rep_period=cfg["rep_period"],
-        processes=_processes_per_file(cfg),
+        processes=processes,
     )
     result = g2_zero(hist, window=cfg.get("window"), n_side_peaks=cfg["n_side_peaks"])
     return hist, result
@@ -394,13 +393,16 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> None:
         cfg["rep_period"], cfg["bin_width"], cfg["tau_max"], cfg.get("window"), cfg["n_side_peaks"]
     )
     if "perp_tagfile" not in cfg:
-        _write_analysis(outdir, "", *_analyze_one(tagfile, cfg))
+        _write_analysis(outdir, "", *_analyze_one(tagfile, cfg, _cpus()))
         _write_meta(outdir, "analyze.meta.json", "analyze", cfg, [tagfile])
         return
-    # the two runs are independent: the orthogonal one is analyzed meanwhile in a child process
+    # the two runs are independent: the orthogonal one is analyzed meanwhile in a child
+    # process.  That child sweeps alone: a child of its own would outlive it when it is
+    # killed, and would hold its pipe open when it dies.  This process, with a CPU share
+    # per file, splits the parallel file's sweep
     perp = cfg["perp_tagfile"]
     with in_child(f"analyzing {perp}", _analyze_one, perp, cfg) as perp_result:
-        hist, result = _analyze_one(tagfile, cfg)
+        hist, result = _analyze_one(tagfile, cfg, max(1, _cpus() // 2))
         _write_analysis(outdir, "", hist, result)
         hist_perp, result_perp = perp_result()
     _write_analysis(outdir, "_perp", hist_perp, result_perp)

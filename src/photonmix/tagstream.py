@@ -43,6 +43,13 @@ DEFAULT_CHANNELS = frozenset({1, 2, 3})
 #: 2**15 a block's delays, masks and selections stay in cache.
 _SWEEP_BLOCK = 1 << 15
 
+#: A split sweep gives the child of each further range a histogram of its own,
+#: and its caller a copy of it to add in.  ``build_histogram`` splits only as
+#: far as those histograms stay within the bytes of the swept times, or within
+#: this many for a small stream, so that a long histogram is not held once
+#: per CPU.
+_SPLIT_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class TagStream:
@@ -208,7 +215,9 @@ def build_histogram(
     lands one bin higher, so those delays are counted apart.
 
     With ``processes`` > 1 the blocks are split into that many contiguous
-    ranges (no more than there are blocks); all but the first are swept in
+    ranges, no more than there are blocks, and no more than keep the
+    further ranges' histograms within the bytes of the swept times (or
+    ``_SPLIT_BYTES``, whichever is larger); all but the first are swept in
     child processes (see :func:`photonmix.workers.in_child`), and their raw
     counts are summed before the mirror, which is linear, so the histogram
     is bit-identical to a one-process sweep.  A stream of one block starts
@@ -248,7 +257,8 @@ def build_histogram(
         ) from None
     block = _SWEEP_BLOCK
     n_blocks = -(-t.size // block)
-    parts = max(1, min(processes, n_blocks))
+    hist_bytes = counts.nbytes + (0 if edges is None else edges.nbytes)
+    parts = max(1, min(processes, n_blocks, 1 + max(t.nbytes, _SPLIT_BYTES) // hist_bytes))
     # contiguous ranges of block starts; all but the first are swept in child processes
     bounds = [n_blocks * i // parts * block for i in range(parts + 1)]
     ranges = [range(a, b, block) for a, b in zip(bounds, bounds[1:])]

@@ -412,9 +412,9 @@ class TestAnalyzePair:
     def test_worker_dying_without_result_is_an_error(self, tmp_path, capsys, monkeypatch, coherent_tagfile):
         parent, analyze_one = os.getpid(), cli._analyze_one
 
-        def dying(tagfile, cfg):
+        def dying(tagfile, cfg, processes=1):
             if tagfile == str(coherent_tagfile):
-                return analyze_one(tagfile, cfg)
+                return analyze_one(tagfile, cfg, processes)
             assert os.getpid() != parent, "the orthogonal file was analyzed in the calling process"
             os._exit(9)
 
@@ -429,10 +429,10 @@ class TestAnalyzePair:
     def test_parallel_failure_kills_the_worker(self, tmp_path, monkeypatch):
         analyze_one = cli._analyze_one
 
-        def stuck(tagfile, cfg):
+        def stuck(tagfile, cfg, processes=1):
             if tagfile.endswith("perp.csv"):
                 time.sleep(120)
-            return analyze_one(tagfile, cfg)
+            return analyze_one(tagfile, cfg, processes)
 
         monkeypatch.setattr(cli, "_analyze_one", stuck)
         par = self.bad_file(tmp_path, _MALFORMED_TAGS)
@@ -498,12 +498,19 @@ class TestSplitSweep:
 
         monkeypatch.setattr(tagstream, "_sweep", patched)
 
-    def record_processes(self, monkeypatch) -> list[int]:
-        """The ``processes`` of each histogram built in this process, which itself sweeps alone."""
-        seen, build = [], cli.build_histogram
+    def record_processes(self, monkeypatch, log: Path) -> list[int]:
+        """The ``processes`` of each histogram built in this process, which itself sweeps alone.
+
+        The worker's, built in another process, are appended to ``log``.
+        """
+        seen, build, parent = [], cli.build_histogram, os.getpid()
 
         def recording(*args, processes, **kwargs):
-            seen.append(processes)
+            if os.getpid() == parent:
+                seen.append(processes)
+            else:
+                with open(log, "a") as fh:
+                    fh.write(f"{processes}\n")
             return build(*args, **kwargs)
 
         monkeypatch.setattr(cli, "build_histogram", recording)
@@ -512,19 +519,21 @@ class TestSplitSweep:
     @pytest.mark.parametrize("n_cpus, one_file, two_files", [(1, 1, 1), (2, 2, 1), (4, 4, 2)])
     def test_processes_per_file(self, tmp_path, monkeypatch, coherent_tagfile, perp_tagfile, n_cpus, one_file, two_files):
         set_cpus(monkeypatch, n_cpus)
-        seen = self.record_processes(monkeypatch)
+        log = tmp_path / "worker.txt"
+        seen = self.record_processes(monkeypatch, log)
         assert run(self.args(coherent_tagfile, tmp_path / "one")) == 0
         perp = ("--set", f"perp_tagfile={json.dumps(str(perp_tagfile))}")
         assert run(self.args(coherent_tagfile, tmp_path / "two", *perp)) == 0
-        # the orthogonal file's call is made in the worker, so only the parallel file's is seen here
         assert seen == [one_file, two_files]
+        # the worker sweeps the orthogonal file alone on any CPU count
+        assert log.read_text() == "1\n"
 
     @pytest.mark.parametrize("cpu_count, processes", [(3, 3), (None, 1)])
     def test_cpu_count_without_affinity(self, tmp_path, monkeypatch, coherent_tagfile, cpu_count, processes):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        seen = self.record_processes(monkeypatch)
-        assert run(self.args(coherent_tagfile, tmp_path)) == 0
+        seen = self.record_processes(monkeypatch, tmp_path / "worker.txt")
+        assert run(self.args(coherent_tagfile, tmp_path / "run")) == 0
         assert seen == [processes]
 
     def test_split_outputs_match_one_process(self, tmp_path, monkeypatch, split, coherent_tagfile):
@@ -567,6 +576,52 @@ class TestSplitSweep:
             else:
                 with pytest.raises(fault):
                     run(self.args(coherent_tagfile, tmp_path))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault", ["parallel", "worker"])
+    def test_no_process_outlives_a_failed_pair(self, tmp_path, capsys, monkeypatch, coherent_tagfile, perp_tagfile, fault):
+        # on 4 CPUs this process splits the parallel file's sweep.  A child of the worker would
+        # outlive the worker killed after a parallel fault, and would hold the worker's pipe
+        # open after the worker died, so the run would hang
+        set_cpus(monkeypatch, 4)
+        monkeypatch.setattr(tagstream, "_SWEEP_BLOCK", 4096)
+        parent, sweep, started = os.getpid(), tagstream._sweep, tmp_path / "worker sweeping"
+        perp_size = int(np.count_nonzero(parse_tags(perp_tagfile).channels == 2))
+        assert perp_size != np.count_nonzero(parse_tags(coherent_tagfile).channels == 2)
+
+        def patched(t, *args):
+            if os.getpid() == parent:
+                if fault == "parallel":
+                    waited = time.monotonic()
+                    while not started.exists() and time.monotonic() - waited < 20:
+                        time.sleep(0.05)
+                    raise DataFormatError("the parallel file failed")
+            elif t.size == perp_size:
+                if os.getppid() != parent:  # a child of the worker: it outlives the test's deadline
+                    time.sleep(120)
+                    os._exit(0)
+                if fault == "worker":
+                    os._exit(9)
+                started.touch()
+                time.sleep(120)  # until the parallel fault kills the worker
+            return sweep(t, *args)
+
+        monkeypatch.setattr(tagstream, "_sweep", patched)
+        perp = ("--set", f"perp_tagfile={json.dumps(str(perp_tagfile))}")
+        # every process forked from here on holds ``alive`` open until it exits
+        done, alive = os.pipe()
+        try:
+            with deadline(60):
+                assert run(self.args(coherent_tagfile, tmp_path / "run", *perp)) == (3 if fault == "parallel" else 4)
+                os.close(alive)
+                alive = None
+                assert os.read(done, 1) == b""
+        finally:
+            os.close(done)
+            if alive is not None:
+                os.close(alive)
+        err = capsys.readouterr().err
+        assert ("the parallel file failed" if fault == "parallel" else "status 9") in err
         assert multiprocessing.active_children() == []
 
     def test_spawn_gives_identical_outputs(self, tmp_path, monkeypatch, split, coherent_tagfile):

@@ -261,6 +261,19 @@ class TestBuildHistogram:
         assert len(started) == children
         assert hist.counts.tolist() == naive_histogram(stream, (2, 2), 4, 48)
 
+    @pytest.mark.parametrize("k_max, children", [(1 << 14, 2), (1 << 15, 1), (1 << 16, 0)])
+    def test_split_keeps_the_histograms_within_bounds(self, monkeypatch, k_max, children):
+        # three blocks of 8 records, far fewer bytes than a histogram: the further ranges'
+        # histograms of 8 (2 k_max + 3) bytes each stay within _SPLIT_BYTES, 1 MiB
+        started, in_child = [], tagstream.in_child
+        monkeypatch.setattr(tagstream, "_SWEEP_BLOCK", 8)
+        monkeypatch.setattr(tagstream, "in_child", lambda *a: started.append(a[0]) or in_child(*a))
+        stream = stream_from([2] * 24, list(range(0, 240, 10)))
+        hist = build_histogram(stream, (2, 2), 1, k_max, processes=3)
+        assert len(started) == children
+        assert np.array_equal(hist.counts, build_histogram(stream, (2, 2), 1, k_max).counts)
+        assert hist.total() == 24 * 23
+
     def test_processes_must_be_positive(self):
         with pytest.raises(InvalidParameterError, match="processes"):
             build_histogram(stream_from([1, 2], [0, 5]), (1, 2), 5, 50, processes=0)
