@@ -27,7 +27,6 @@ from .analytic_model import (
     SourceParams,
     auto_g2_zero,
     cross_coincidence,
-    effective_overlap,
     g2_from_probs,
     hom_visibility,
     loss_degraded_probs,
@@ -46,7 +45,6 @@ from .fock_oracle import (
     displacement_matrix,
     joint_number_distribution,
     mix_on_beam_splitter,
-    oracle_visibility,
     required_cutoff,
     visibility_from_states,
 )
@@ -64,7 +62,6 @@ from .tagstream import (
     TagStream,
     build_histogram,
     g2_zero,
-    merge_histograms,
     parse_tags,
     visibility_from_histograms,
 )

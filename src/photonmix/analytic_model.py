@@ -113,8 +113,6 @@ class LocalOscillator:
 
     mu_alpha: float
     theta: float = 0.0
-    wavelength_m: float | None = None
-    tau_rep_s: float | None = None
 
     def __post_init__(self):
         _check_non_negative("mu_alpha", self.mu_alpha)
@@ -251,9 +249,3 @@ def peak_analysis(g2_psi: float, m: float) -> PeakReport:
         g2_max = None
     return PeakReport(r_vhom_star=r_vhom, v_max=v_max, r_auto_star=r_auto, g2_auto_max=g2_max)
 
-
-def effective_overlap(m: float, m_psi: float) -> float:
-    """Measured overlap when the source photons are only partially indistinguishable."""
-    _check_unit_interval("m", m)
-    _check_unit_interval("m_psi", m_psi)
-    return m * m_psi

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -362,16 +362,3 @@ def visibility_from_states(configured: OutputState, orthogonal: OutputState) -> 
         raise UndefinedCorrelationError("no coincidences in the orthogonal reference run")
     return (g_0 - g_m) / g_0
 
-
-def oracle_visibility(
-    source: SourceParams,
-    lo: LocalOscillator,
-    bs: BeamSplitterSpec,
-    cutoff: int,
-) -> float:
-    """Cross-output visibility from two runs: as configured vs orthogonal polarization."""
-    lo_perp = replace(lo, theta=math.pi / 2.0)
-    return visibility_from_states(
-        mix_on_beam_splitter(source, lo, bs, cutoff),
-        mix_on_beam_splitter(source, lo_perp, bs, cutoff),
-    )

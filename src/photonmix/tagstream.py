@@ -1,9 +1,9 @@
 """Detector time-tag ingestion and photon-correlation histograms.
 
-Timestamps are integer picoseconds throughout, so histogram construction and
-the merging of partial histograms are bit-exact and reproducible.
-Coincidences are counted by an offset sweep over the time-ordered records (no
-FFT correlators): each record meets the one k places later, for k = 1, 2, ...
+Timestamps are integer picoseconds throughout, so histogram construction is
+bit-exact and reproducible, however its sweep is split.  Coincidences are
+counted by an offset sweep over the time-ordered records (no FFT
+correlators): each record meets the one k places later, for k = 1, 2, ...
 until no delay is within reach, and for every ordered pair of records (i on
 channel A, j on channel B) the delay ``t_j - t_i`` is assigned to the bin
 whose center is the nearest multiple of the bin width; pairs beyond
@@ -12,13 +12,13 @@ its temporaries stay in cache whatever the stream's length, and each block
 stops at its own first offset with no delay within reach.  Each side's
 delays are selected with ``np.compress``, binned in place in int64 with the
 histogram offset folded into the numerator, and counted with ``np.add.at``
-into the one histogram; an auto-correlation over all records sweeps one
-side and mirrors it, and bins an offset whose delays are all within reach
-with no selection pass.  The blocks are independent, so a contiguous range
-of them is the unit of work: ``build_histogram`` can sweep ranges in child
-processes and sum their raw counts.  Zero-delay peak areas normalized by
-the mean uncorrelated peak area at multiples of the pulse period give
-g2(0).  Tag files are read by path only, as headerless ``channel,t_ps``
+into the one histogram; an auto-correlation sweeps one side and mirrors it,
+and bins an offset whose delays are all within reach with no selection
+pass.  The blocks are independent, so a contiguous range of them is the
+unit of work: ``build_histogram`` can sweep ranges in child processes and
+sum their raw counts.  Zero-delay peak areas normalized by the mean
+uncorrelated peak area at multiples of the pulse period give g2(0).  Tag
+files are read by path only, as headerless ``channel,t_ps``
 integer tables through :mod:`photonmix.tables`.
 """
 
@@ -89,6 +89,7 @@ class CorrelationHistogram:
     Bin k (center ``k * bin_width``) covers delays with
     ``floor((2 tau + bin_width) / (2 bin_width)) == k``; the bin count
     ``2 * tau_max / bin_width + 1`` is odd and centered on zero delay.
+    Raises ``InvalidParameterError`` for a binning ``check_binning`` rejects.
     """
 
     bin_width: int
@@ -99,7 +100,7 @@ class CorrelationHistogram:
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.size != 2 * (self.tau_max // self.bin_width) + 1:
+        if counts.size != 2 * check_binning(self.bin_width, self.tau_max) + 1:
             raise InvalidParameterError("counts length does not match tau_max / bin_width")
         object.__setattr__(self, "counts", counts)
 
@@ -163,8 +164,10 @@ def check_binning(bin_width: int, tau_max: int) -> int:
     """The bins on each side of zero delay, ``tau_max // bin_width``, of a valid binning.
 
     Raises ``InvalidParameterError`` unless both are positive, ``bin_width``
-    divides ``tau_max`` and twice the largest binned value stays inside
-    int64, so that a caller can reject a binning before it reads any tag.
+    divides ``tau_max`` and ``4 tau_max + 5 bin_width`` stays inside int64,
+    so that a caller can reject a binning before it reads any tag.  The
+    sweep of ``build_histogram`` bins values up to about half that bound,
+    and the window test of ``g2_zero`` reaches ``4 tau_max``.
     """
     if bin_width < 1 or tau_max < 1:
         raise InvalidParameterError("bin_width and tau_max must be positive integers")
@@ -186,7 +189,6 @@ def build_histogram(
     bin_width: int,
     tau_max: int,
     rep_period: int | None = None,
-    a_index_range: tuple[int, int] | None = None,
     processes: int = 1,
 ) -> CorrelationHistogram:
     """Count delays t_B - t_A between channel pair records into centered bins.
@@ -195,9 +197,7 @@ def build_histogram(
     Fore & Huser, Opt. Lett. 31, 829 (2006)).  For an auto-correlation pass
     ``pair = (ch, ch)``; a record is never paired with itself, while distinct
     records with equal timestamps contribute to the zero-delay bin in both
-    orders.  ``a_index_range`` restricts the A-side to a half-open slice of
-    its records, so a partition of the A side yields partial histograms whose
-    sum is bit-exactly the full histogram.
+    orders.
 
     The earlier records are swept in blocks of ``_SWEEP_BLOCK``: block
     ``[s, s + B)`` meets the records ``k`` places later for ``k = 1, 2, ...``
@@ -207,12 +207,12 @@ def build_histogram(
     each side's delays (a boolean index branches on the near-random channel
     mask and is several times slower), the delays are binned in place, and
     ``np.add.at`` counts them into the one histogram (a ``bincount`` per
-    block would allocate every bin of it again).  An auto pair over the whole
-    A side selects the same delays on both sides, so only ``+d`` is swept and
-    binned, with no selection at all for an offset whose delays are all
-    within reach; ``-d`` lands in the mirror bin ``2 k_max + 2 - p`` of plus
-    bin ``p``, except that a delay on a half-bin edge (even widths only)
-    lands one bin higher, so those delays are counted apart.
+    block would allocate every bin of it again).  An auto pair selects the
+    same delays on both sides, so only ``+d`` is swept and binned, with no
+    selection at all for an offset whose delays are all within reach; ``-d``
+    lands in the mirror bin ``2 k_max + 2 - p`` of plus bin ``p``, except
+    that a delay on a half-bin edge (even widths only) lands one bin higher,
+    so those delays are counted apart.
 
     With ``processes`` > 1 the blocks are split into that many contiguous
     ranges, no more than there are blocks, and no more than keep the
@@ -234,17 +234,9 @@ def build_histogram(
     t = stream.times[keep]
     is_a = on_a[keep]
     is_b = on_b[keep]
-    n_a = int(is_a.sum())
-    start, stop = (0, n_a) if a_index_range is None else a_index_range
-    if not 0 <= start <= stop <= n_a:
-        raise InvalidParameterError(f"a_index_range {a_index_range} outside [0, {n_a}]")
-    in_a = is_a
-    if (start, stop) != (0, n_a):
-        rank = np.cumsum(is_a)  # 1-based rank among the A records
-        in_a = is_a & (rank > start) & (rank <= stop)
-    # an auto pair over the whole A side puts every record on both sides, so the
-    # minus side selects the plus side's delays: only those are binned, then mirrored
-    mirror = ch_a == ch_b and (start, stop) == (0, n_a)
+    # an auto pair puts every record on both sides, so the minus side selects
+    # the plus side's delays: only those are binned, then mirrored
+    mirror = ch_a == ch_b
     try:
         counts = np.zeros(2 * k_max + 3, dtype=np.int64)
         # an even width puts some delays on half-bin edges, where the floor rule bins
@@ -262,7 +254,7 @@ def build_histogram(
     # contiguous ranges of block starts; all but the first are swept in child processes
     bounds = [n_blocks * i // parts * block for i in range(parts + 1)]
     ranges = [range(a, b, block) for a, b in zip(bounds, bounds[1:])]
-    sweep = (t, in_a, is_b, bin_width, k_max, mirror)
+    sweep = (t, is_a, is_b, bin_width, k_max, mirror)
     with ExitStack() as children:
         results = [
             children.enter_context(
@@ -293,7 +285,7 @@ def build_histogram(
     return CorrelationHistogram(bin_width, tau_max, counts[1:-1], (ch_a, ch_b), rep_period)
 
 
-def _sweep(t, in_a, is_b, bin_width, k_max, mirror, starts, counts, edges):
+def _sweep(t, is_a, is_b, bin_width, k_max, mirror, starts, counts, edges):
     """Sweep the blocks of earlier records that begin at ``starts`` (a range whose step
     is the block size) into ``counts``, and the half-bin edge delays of a mirrored
     sweep into ``edges``; return both."""
@@ -317,8 +309,8 @@ def _sweep(t, in_a, is_b, bin_width, k_max, mirror, starts, counts, edges):
                 sides = ((1, d if n_near == d.size else np.compress(near, d)),)
             else:
                 sides = (
-                    (1, np.compress(near & in_a[s:e] & is_b[s + k : e + k], d)),
-                    (-1, np.compress(near & in_a[s + k : e + k] & is_b[s:e], d)),
+                    (1, np.compress(near & is_a[s:e] & is_b[s + k : e + k], d)),
+                    (-1, np.compress(near & is_a[s + k : e + k] & is_b[s:e], d)),
                 )
             for sign, v in sides:
                 if sign > 0:
@@ -332,27 +324,6 @@ def _sweep(t, in_a, is_b, bin_width, k_max, mirror, starts, counts, edges):
                     np.add.at(edges, np.compress(v * bin_width == x, v), 1)
                 np.add.at(counts, v, 1)
     return counts, edges
-
-
-def merge_histograms(parts) -> CorrelationHistogram:
-    """Sum compatible partial histograms (associative, bit-exact)."""
-    parts = list(parts)
-    if not parts:
-        raise InvalidParameterError("no histograms to merge")
-    first = parts[0]
-    counts = np.zeros_like(first.counts)
-    for h in parts:
-        if (
-            h.bin_width != first.bin_width
-            or h.tau_max != first.tau_max
-            or h.channel_pair != first.channel_pair
-            or h.rep_period != first.rep_period
-        ):
-            raise InvalidParameterError("histograms have incompatible parameters")
-        counts = counts + h.counts
-    return CorrelationHistogram(
-        first.bin_width, first.tau_max, counts, first.channel_pair, first.rep_period
-    )
 
 
 def default_window(rep_period: int, bin_width: int) -> int:

@@ -7,10 +7,12 @@ lines.  Tolerances are pinned here and nowhere else.
 import functools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from photonmix import tagstream
 from photonmix.analytic_model import (
     LocalOscillator,
     SourceParams,
@@ -37,7 +39,7 @@ from photonmix.fock_oracle import (
 )
 from photonmix.mode_overlap import SampledProfile, overlap_integral
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
-from photonmix.tagstream import build_histogram, g2_zero, merge_histograms
+from photonmix.tagstream import build_histogram, g2_zero
 
 BALANCED = BeamSplitterSpec(0.5)
 REP = 12195  # ps
@@ -245,17 +247,11 @@ def test_tag_pipeline_closure():
     res_coh = g2_zero(hist_coh)
     assert abs(res_coh.value - 1.0) <= 3.0 * res_coh.stat_err
 
-    n_a = int(np.sum(stream.channels == 2))
-    edges = np.linspace(0, n_a, 5).astype(int)
-    parts = [
-        build_histogram(
-            stream, (2, 2), 25, 122_000, rep_period=REP,
-            a_index_range=(int(a), int(b)),
-        )
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-    merged = merge_histograms(parts)
-    assert np.array_equal(merged.counts, hist.counts)
+    started, in_child = [], tagstream.in_child
+    with mock.patch.object(tagstream, "in_child", lambda *a: started.append(a[0]) or in_child(*a)):
+        split = build_histogram(stream, (2, 2), 25, 122_000, rep_period=REP, processes=4)
+    assert len(started) == 3
+    assert np.array_equal(split.counts, hist.counts)
 
 
 @criterion("local-oscillator photon-number calibration arithmetic")

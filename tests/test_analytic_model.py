@@ -11,7 +11,6 @@ from photonmix.analytic_model import (
     SourceParams,
     auto_g2_zero,
     cross_coincidence,
-    effective_overlap,
     g2_from_probs,
     hom_visibility,
     loss_degraded_probs,
@@ -207,17 +206,6 @@ class TestPeakAnalysis:
                                 options={"xatol": 1e-10})
         assert found.x == pytest.approx(report.r_auto_star, rel=1e-5)
         assert -found.fun == pytest.approx(report.g2_auto_max, abs=1e-9)
-
-
-class TestEffectiveOverlap:
-    def test_reference_values(self):
-        assert effective_overlap(1.0, 0.905) == 0.905
-        assert effective_overlap(0.37, 1.0) == 0.37
-        assert effective_overlap(0.84, 0.905) == pytest.approx(0.7602, abs=1e-12)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            effective_overlap(1.2, 0.5)
 
 
 class TestSourceParams:

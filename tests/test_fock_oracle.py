@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -36,9 +37,9 @@ from photonmix.fock_oracle import (
     joint_number_distribution,
     lowering_operator,
     mix_on_beam_splitter,
-    oracle_visibility,
     required_cutoff,
     unitarity_defect,
+    visibility_from_states,
 )
 
 BALANCED = BeamSplitterSpec(0.5)
@@ -273,7 +274,11 @@ class TestMixOnBeamSplitter:
     def test_unit_fields_visibility_two_thirds(self):
         source = SourceParams(p1=1.0)
         lo = LocalOscillator(mu_alpha=1.0, theta=0.0)
-        v = oracle_visibility(source, lo, BALANCED, required_cutoff(1.0, 1e-10))
+        cutoff = required_cutoff(1.0, 1e-10)
+        v = visibility_from_states(
+            mix_on_beam_splitter(source, lo, BALANCED, cutoff),
+            mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2), BALANCED, cutoff),
+        )
         assert v == pytest.approx(2.0 / 3.0, abs=1e-8)
 
     def test_orthogonal_fields_mix_independently(self):
@@ -492,7 +497,8 @@ class TestOracleAgainstClosedForms:
         assert auto_correlation(state) == pytest.approx(
             auto_g2_zero(mu_alpha, mu_psi, g2, m), abs=1e-6
         )
-        assert oracle_visibility(source, lo, BALANCED, cutoff) == pytest.approx(
+        orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2), BALANCED, cutoff)
+        assert visibility_from_states(state, orthogonal) == pytest.approx(
             hom_visibility(mu_alpha, mu_psi, g2, m), abs=1e-6
         )
 

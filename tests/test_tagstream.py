@@ -29,7 +29,6 @@ from photonmix.tagstream import (
     build_histogram,
     default_window,
     g2_zero,
-    merge_histograms,
     parse_tags,
     visibility_from_histograms,
 )
@@ -200,23 +199,22 @@ class TestBuildHistogram:
         h1 = build_histogram(shifted, (1, 2), 1_000_000, 50_000_000)
         assert np.array_equal(h0.counts, h1.counts)
 
-    @given(n_chunks=st.integers(1, 9), seed=st.integers(0, 100), block=SWEEP_BLOCKS)
+    @given(processes=st.integers(1, 9), seed=st.integers(0, 100), block=SWEEP_BLOCKS)
     @settings(max_examples=20, deadline=None)
-    def test_chunked_merge_is_bit_exact(self, n_chunks, seed, block):
+    def test_chunked_merge_is_bit_exact(self, processes, seed, block):
+        # up to 9 contiguous ranges of sweep blocks, each but the first in a child
         stream = pulsed_coherent_tags({2: 0.4}, 400, REP, seed=seed)
-        full = build_histogram(stream, (2, 2), 25, 5 * REP - (5 * REP) % 25)
-        n_a = int(np.sum(stream.channels == 2))
-        edges = np.linspace(0, n_a, n_chunks + 1).astype(int)
-        with mock.patch.object(tagstream, "_SWEEP_BLOCK", block):
-            parts = [
-                build_histogram(
-                    stream, (2, 2), 25, 5 * REP - (5 * REP) % 25,
-                    a_index_range=(int(a), int(b)),
-                )
-                for a, b in zip(edges[:-1], edges[1:])
-            ]
-        merged = merge_histograms(parts)
-        assert np.array_equal(merged.counts, full.counts)
+        tau_max = 5 * REP - (5 * REP) % 25
+        alone = build_histogram(stream, (2, 2), 25, tau_max)
+        started, in_child = [], tagstream.in_child
+        with (
+            mock.patch.object(tagstream, "_SWEEP_BLOCK", block),
+            mock.patch.object(tagstream, "in_child", lambda *a: started.append(a[0]) or in_child(*a)),
+        ):
+            split = build_histogram(stream, (2, 2), 25, tau_max, processes=processes)
+        n_blocks = -(-int(np.sum(stream.channels == 2)) // block)
+        assert len(started) == min(processes, n_blocks) - 1
+        assert np.array_equal(split.counts, alone.counts)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -234,18 +232,13 @@ class TestBuildHistogram:
         )
         pair = data.draw(st.sampled_from([(1, 1), (2, 2), (1, 2), (2, 1)]), label="pair")
         stream = stream_from([c for c, _ in records], [t for _, t in records])
-        n_a = int(np.sum(stream.channels == pair[0]))
-        a_index_range = None
-        if data.draw(st.booleans(), label="restrict A"):
-            start = data.draw(st.integers(0, n_a), label="start")
-            a_index_range = (start, data.draw(st.integers(start, n_a), label="stop"))
         block = data.draw(SWEEP_BLOCKS, label="sweep block")
         # a sweep split over processes must count what one process counts
         processes = data.draw(st.sampled_from([1, 2, 3]), label="processes")
         with mock.patch.object(tagstream, "_SWEEP_BLOCK", block):
-            hist = build_histogram(stream, pair, width, tau_max, REP, a_index_range, processes)
-            alone = build_histogram(stream, pair, width, tau_max, REP, a_index_range)
-        expected = naive_histogram(stream, pair, width, tau_max, a_index_range)
+            hist = build_histogram(stream, pair, width, tau_max, REP, processes)
+            alone = build_histogram(stream, pair, width, tau_max, REP)
+        expected = naive_histogram(stream, pair, width, tau_max)
         assert hist.counts.tolist() == expected
         assert np.array_equal(hist.counts, alone.counts)
 
@@ -273,6 +266,17 @@ class TestBuildHistogram:
         assert len(started) == children
         assert np.array_equal(hist.counts, build_histogram(stream, (2, 2), 1, k_max).counts)
         assert hist.total() == 24 * 23
+
+    @pytest.mark.parametrize("pair, mirror", [((2, 2), True), ((1, 2), False)])
+    def test_only_an_auto_pair_is_mirrored(self, monkeypatch, pair, mirror):
+        # the mirror is exact for an auto pair only, and the sweep without it is too, so
+        # the counts alone cannot tell whether the auto pair skipped its minus side
+        seen, sweep = [], tagstream._sweep
+        monkeypatch.setattr(tagstream, "_sweep", lambda *a: seen.append(a[5]) or sweep(*a))
+        stream = stream_from([1, 2, 2, 1, 2], [0, 0, 4, 9, 10])
+        hist = build_histogram(stream, pair, 2, 12)
+        assert seen == [mirror]
+        assert hist.counts.tolist() == naive_histogram(stream, pair, 2, 12)
 
     def test_processes_must_be_positive(self):
         with pytest.raises(InvalidParameterError, match="processes"):
@@ -309,14 +313,12 @@ class TestBuildHistogram:
             build_histogram(stream_from([1, 2], [0, 5]), (1, 2), 1, 10**13)
 
 
-def naive_histogram(stream, pair, width, tau_max, a_index_range=None) -> list[int]:
+def naive_histogram(stream, pair, width, tau_max) -> list[int]:
     """O(n m) reference: every ordered (A, B) pair of distinct records, binned by
     floor(tau / width + 1/2) in exact rational arithmetic."""
     channels = stream.channels.tolist()
     times = stream.times.tolist()
     a_records = [i for i, c in enumerate(channels) if c == pair[0]]
-    if a_index_range is not None:
-        a_records = a_records[a_index_range[0] : a_index_range[1]]
     k_max = tau_max // width
     counts = [0] * (2 * k_max + 1)
     for i in a_records:
@@ -379,6 +381,16 @@ class TestG2Zero:
         hist = self.make_hist(10, 0)
         with pytest.raises(UndefinedCorrelationError):
             g2_zero(hist, window=400, n_side_peaks=2)
+
+    def test_histogram_refuses_a_binning_check_binning_refuses(self):
+        # the window test 2 |center - m rep| reaches 4 tau_max, which wraps in int64 here
+        k = 4
+        counts = np.zeros(2 * k + 1, dtype=np.int64)
+        counts[k], counts[k - 3], counts[k + 3] = 5, 10, 10
+        with pytest.raises(InvalidParameterError, match="int64"):
+            CorrelationHistogram(2**60, 2**62, counts, (1, 2), 3 * 2**60)
+        with pytest.raises(InvalidParameterError, match="must divide"):
+            CorrelationHistogram(10, 1005, np.zeros(201, dtype=np.int64), (2, 2))
 
     def test_missing_rep_period_rejected(self):
         hist = CorrelationHistogram(10, 1000, np.zeros(201, dtype=np.int64), (2, 2))
