@@ -11,7 +11,7 @@ Library layout:
   sampled profiles and fringe records.
 - :mod:`photonmix.tagstream`: detector time-tag ingestion, correlation
   histograms and g2(0) extraction.
-- :mod:`photonmix.estimator`: power calibration, sweep fits and brightness
+- :mod:`photonmix.estimator`: power calibration, the sweep fit and brightness
   estimation.
 - :mod:`photonmix.synthetic`: seeded Monte Carlo tag generators.
 - :mod:`photonmix.tables`: the CSV table format every reader and writer shares.
@@ -68,12 +68,9 @@ from .tagstream import (
 from .estimator import (
     FitResult,
     PowerCalibration,
-    SweepPoint,
     brightness_from_auto_peak,
     calibrate_mu_alpha,
-    fit_auto_curve,
-    fit_vhom_curve,
-    pointwise_overlap,
+    fit_sweep,
     polarization_efficiency_correction,
 )
 

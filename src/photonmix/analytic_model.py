@@ -7,6 +7,14 @@ oscillator is a pulsed coherent state with mean photon number ``mu_alpha``
 whose polarization is rotated by ``theta`` relative to the source light.
 Every function here is a pure closed form; the brute-force Fock-space
 counterpart lives in :mod:`photonmix.fock_oracle`.
+
+The sweep closed forms (:func:`cross_coincidence`, :func:`hom_visibility`,
+:func:`auto_g2_zero`, :func:`overlap_from_visibility`) take floats or numpy
+arrays that broadcast; each element of an array call has the bits of the
+float call on that element.  The estimator's fit and the CLI call them, and
+no other copy of these formulas exists.  They square by multiplying, never
+by Python's ``float ** 2``, which for some ``x`` differs from ``x * x``
+(numpy's square) in the last digit.
 """
 
 from __future__ import annotations
@@ -14,24 +22,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError, UndefinedCorrelationError
 
 
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidParameterError(f"{name} must be in [0, 1], got {value}")
+def _refuse(bad, name: str, value, requirement: str) -> None:
+    """Raise for ``value``, or its first element, where ``bad`` holds."""
+    if np.any(bad):
+        first = np.asarray(value)[bad][0] if np.ndim(bad) else value
+        raise InvalidParameterError(f"{name} must be {requirement}, got {first}")
 
 
-def _check_non_negative(name: str, value: float) -> None:
-    if value < 0.0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+def _check_unit_interval(name: str, value) -> None:
+    v = np.asarray(value)
+    _refuse(~((0.0 <= v) & (v <= 1.0)), name, value, "in [0, 1]")
 
 
-def _check_probs(p1: float, p2: float) -> None:
+def _check_non_negative(name: str, value) -> None:
+    _refuse(np.asarray(value) < 0.0, name, value, ">= 0")
+
+
+def _check_probs(p1, p2) -> None:
     _check_non_negative("p1", p1)
     _check_non_negative("p2", p2)
-    if p1 + p2 > 1.0 + 1e-12:
-        raise InvalidParameterError(f"p1 + p2 must be <= 1, got {p1 + p2}")
+    total = p1 + p2
+    _refuse(np.asarray(total) > 1.0 + 1e-12, "p1 + p2", total, "<= 1")
 
 
 @dataclass(frozen=True)
@@ -135,8 +151,8 @@ class LocalOscillator:
 class PeakReport:
     """Locations and values of the extrema of the two correlation curves.
 
-    The auto-correlation curve is monotone for ``m = 0``; its peak fields are
-    then ``None``.
+    The auto-correlation curve is monotone on r > 0 for ``m = 0`` and for
+    ``g2_psi >= 1 + m``; its peak fields are then ``None``.
     """
 
     r_vhom_star: float
@@ -169,7 +185,7 @@ def loss_degraded_probs(p1: float, p2: float, eta: float) -> tuple[float, float,
     return q0, q1, q2
 
 
-def cross_coincidence(mu_alpha: float, mu_psi: float, g2_psi: float, m: float) -> float:
+def cross_coincidence(mu_alpha, mu_psi, g2_psi, m):
     """Unnormalized coincidence moment between the two beam splitter outputs.
 
     mu_alpha^2 + mu_psi^2 g2_psi + 2 mu_alpha mu_psi (1 - m), in units where
@@ -180,40 +196,35 @@ def cross_coincidence(mu_alpha: float, mu_psi: float, g2_psi: float, m: float) -
     _check_non_negative("mu_psi", mu_psi)
     _check_non_negative("g2_psi", g2_psi)
     _check_unit_interval("m", m)
-    return mu_alpha**2 + mu_psi**2 * g2_psi + 2.0 * mu_alpha * mu_psi * (1.0 - m)
+    return mu_alpha * mu_alpha + mu_psi * mu_psi * g2_psi + 2.0 * mu_alpha * mu_psi * (1.0 - m)
 
 
-def hom_visibility(mu_alpha: float, mu_psi: float, g2_psi: float, m: float) -> float:
+def hom_visibility(mu_alpha, mu_psi, g2_psi, m):
     """Coincidence suppression (G_0 - G_m) / G_0 between interfering and orthogonal fields."""
     g0 = cross_coincidence(mu_alpha, mu_psi, g2_psi, 0.0)
-    if g0 <= 0.0:
+    if np.any(g0 <= 0.0):
         raise UndefinedCorrelationError("visibility undefined: no coincidences at m = 0")
     return 2.0 * mu_alpha * mu_psi * m / g0
 
 
-def overlap_from_visibility(
-    visibility: float,
-    mu_alpha: float,
-    mu_psi: float,
-    g2_psi: float,
-    g2_alpha: float = 1.0,
-) -> float:
+def overlap_from_visibility(visibility, mu_alpha, mu_psi, g2_psi):
     """Invert the visibility into the mean wavepacket overlap.
 
-    m = V (1 + mu_alpha g2_alpha / (2 mu_psi) + mu_psi g2_psi / (2 mu_alpha));
-    exact inverse of :func:`hom_visibility` when ``g2_alpha = 1``.
+    m = V (1 + mu_alpha / (2 mu_psi) + mu_psi g2_psi / (2 mu_alpha)), the exact
+    inverse of :func:`hom_visibility`.  Being linear in V, it maps a
+    visibility's error to the overlap's error as well.
     """
-    if mu_alpha <= 0.0 or mu_psi <= 0.0:
+    if np.any(mu_alpha <= 0.0) or np.any(mu_psi <= 0.0):
         raise InvalidParameterError(
             "mu_alpha and mu_psi must be positive: the multi-photon correction "
             "factor diverges otherwise"
         )
     _check_non_negative("g2_psi", g2_psi)
-    correction = 1.0 + (mu_alpha / (2.0 * mu_psi)) * g2_alpha + (mu_psi / (2.0 * mu_alpha)) * g2_psi
+    correction = 1.0 + mu_alpha / (2.0 * mu_psi) + (mu_psi / (2.0 * mu_alpha)) * g2_psi
     return visibility * correction
 
 
-def auto_g2_zero(mu_alpha: float, mu_psi: float, g2_psi: float, m: float) -> float:
+def auto_g2_zero(mu_alpha, mu_psi, g2_psi, m):
     """Normalized second-order correlation at one beam splitter output.
 
     (mu_alpha^2 + mu_psi^2 g2_psi + 2 mu_alpha mu_psi (1 + m)) / (mu_alpha + mu_psi)^2.
@@ -224,28 +235,28 @@ def auto_g2_zero(mu_alpha: float, mu_psi: float, g2_psi: float, m: float) -> flo
     _check_non_negative("g2_psi", g2_psi)
     _check_unit_interval("m", m)
     total = mu_alpha + mu_psi
-    if total <= 0.0:
+    if np.any(total <= 0.0):
         raise UndefinedCorrelationError("g2_auto undefined for two vacuum inputs")
-    num = mu_alpha**2 + mu_psi**2 * g2_psi + 2.0 * mu_alpha * mu_psi * (1.0 + m)
-    return num / total**2
+    num = mu_alpha * mu_alpha + mu_psi * mu_psi * g2_psi + 2.0 * mu_alpha * mu_psi * (1.0 + m)
+    return num / (total * total)
 
 
 def peak_analysis(g2_psi: float, m: float) -> PeakReport:
     """Extrema of visibility and auto-correlation over the power ratio r = mu_alpha/mu_psi.
 
     The visibility peaks at r = sqrt(g2_psi) with value m / (sqrt(g2_psi) + 1).
-    The auto-correlation peaks at r = (1 + m - g2_psi) / m; for m = 0 the curve
-    is monotone and the peak is reported as absent.
+    The auto-correlation peaks at r = (1 + m - g2_psi) / m.  For m = 0 or
+    g2_psi >= 1 + m that point is not at r > 0: the curve is monotone on
+    r > 0 and the peak is reported as absent.
     """
     _check_non_negative("g2_psi", g2_psi)
     _check_unit_interval("m", m)
     r_vhom = math.sqrt(g2_psi)
     v_max = m / (r_vhom + 1.0)
-    if m > 0.0:
+    if m > 0.0 and g2_psi < 1.0 + m:
         r_auto = (1.0 + m - g2_psi) / m
         g2_max = auto_g2_zero(r_auto, 1.0, g2_psi, m)
     else:
         r_auto = None
         g2_max = None
     return PeakReport(r_vhom_star=r_vhom, v_max=v_max, r_auto_star=r_auto, g2_auto_max=g2_max)
-

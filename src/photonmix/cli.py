@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic_model import LocalOscillator, SourceParams, peak_analysis
+from .analytic_model import LocalOscillator, SourceParams, auto_g2_zero, hom_visibility, peak_analysis
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -36,15 +36,7 @@ from .errors import (
     TruncationError,
     UndefinedCorrelationError,
 )
-from .estimator import (
-    auto_model,
-    fit_auto_curve,
-    fit_vhom_curve,
-    read_sweep,
-    vhom_model,
-    write_sweep,
-    SweepPoint,
-)
+from .estimator import SWEEP_MODELS, fit_sweep, read_sweep, write_sweep
 from .fock_oracle import (
     BeamSplitterSpec,
     auto_correlation,
@@ -91,7 +83,7 @@ _SCHEMAS = {
             "oracle_check_ratios": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "default": []},
             "tail_target": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e-6, "default": 1e-10},
             "noise_sigma_rel": {"type": "number", "exclusiveMinimum": 0},
-            "noise_model": {"enum": ["vhom", "auto"]},
+            "noise_model": {"enum": list(SWEEP_MODELS)},
             "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         "required": ["m", "g2_psi"],
@@ -149,7 +141,7 @@ _SCHEMAS = {
     "fit": {
         "type": "object",
         "properties": {
-            "model": {"enum": ["vhom", "auto"]},
+            "model": {"enum": list(SWEEP_MODELS)},
             "g2_psi": {"type": "number", "minimum": 0},
             "fit_scale": {"type": "boolean", "default": False},
             "seed": {"type": "integer", "minimum": 0, "default": 0},
@@ -311,9 +303,8 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
             "every y_err would be 0"
         )
     grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
-    v = vhom_model(grid, m, g2_psi)
-    g2a = auto_model(grid, m, g2_psi)
-    write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, v, g2a])
+    curves = {name: curve(grid, 1.0, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
+    write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, curves["vhom"], curves["auto"]])
 
     peaks = peak_analysis(g2_psi, m)
     checks = []
@@ -329,8 +320,8 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
         orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), bs, cutoff)
         g2_oracle = auto_correlation(state)
         v_oracle = visibility_from_states(state, orthogonal)
-        v_formula = float(vhom_model(ratio, m, g2_psi))
-        g2_formula = float(auto_model(ratio, m, g2_psi))
+        v_formula = hom_visibility(ratio, 1.0, g2_psi, m)
+        g2_formula = auto_g2_zero(ratio, 1.0, g2_psi, m)
         checks.append(
             {
                 "ratio": ratio,
@@ -347,14 +338,11 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
     _write_json(outdir / "report.json", {"peaks": asdict(peaks), "oracle_checks": checks})
 
     if "noise_sigma_rel" in cfg:
-        model_y = v if model_name == "vhom" else g2a
+        model_y = curves[model_name]
         rng = np.random.default_rng(cfg["seed"])
         sigma = cfg["noise_sigma_rel"] * model_y
         noisy = model_y + rng.normal(0.0, 1.0, size=model_y.size) * sigma
-        points = [
-            SweepPoint(float(r), float(y), float(s)) for r, y, s in zip(grid, noisy, sigma)
-        ]
-        write_sweep(points, outdir / f"points_{model_name}.csv")
+        write_sweep(outdir / f"points_{model_name}.csv", grid, noisy, sigma)
 
     _write_meta(outdir, "sweep.meta.json", "simulate", cfg, [])
 
@@ -471,14 +459,11 @@ def cmd_overlap(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> None:
-    points = read_sweep(sweepfile)
-    fit = fit_vhom_curve if cfg["model"] == "vhom" else fit_auto_curve
-    result = fit(points, cfg["g2_psi"], fit_scale=cfg["fit_scale"])
+    r, y, y_err = read_sweep(sweepfile)
+    result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
     _write_json(outdir / "fit.json", result.to_dict())
-    model = vhom_model if cfg["model"] == "vhom" else auto_model
     scale = result.scale_hat if result.scale_hat is not None else 1.0
-    r, y, y_err = np.array([(p.ratio, p.y, p.y_err) for p in points], dtype=float).T
-    y_model = model(scale * r, result.m_hat, cfg["g2_psi"])
+    y_model = SWEEP_MODELS[cfg["model"]](scale * r, 1.0, cfg["g2_psi"], result.m_hat)
     write_table(
         outdir / "residuals.csv",
         ("ratio", "y", "y_err", "model", "residual_sigma"),

@@ -1,10 +1,18 @@
 """Calibrations and statistical inference for the interference measurements.
 
 Covers the local-oscillator photon-number calibration from optical power,
-the polarization-dependent detection-efficiency correction, weighted
-single-parameter fits of visibility and bunching sweeps that recover the
-mean wavepacket overlap, per-point overlap inversion, and the brightness
-estimate from the location of the bunching maximum.
+the polarization-dependent detection-efficiency correction, the weighted
+fit of a visibility or bunching sweep that recovers the mean wavepacket
+overlap, and the brightness estimate from the location of the bunching
+maximum.
+
+A sweep is three equal-length arrays: the power ratio ``ratio``
+(mu_alpha / mu_psi), the measured ``y`` and its error ``y_err``.  Its model
+curves are the closed forms of :mod:`photonmix.analytic_model` at
+mu_psi = 1, named in ``SWEEP_MODELS``.  The per-point overlap needs no
+function of its own: :func:`~photonmix.analytic_model.overlap_from_visibility`
+is linear in the visibility, so applied to ``y`` and to ``y_err`` it gives
+each point's overlap and its error.
 
 Both sweep models are affine in the overlap m, so the default fit is the
 closed-form weighted least-squares estimate with its exact curvature error.
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_model import overlap_from_visibility
+from .analytic_model import auto_g2_zero, hom_visibility
 from .errors import DataFormatError, IllConditionedFitError, InvalidParameterError
 from .fock_oracle import BeamSplitterSpec
 from .tables import read_table, row_line, write_table
@@ -48,15 +56,6 @@ class PowerCalibration:
     @property
     def p_alpha_watts(self) -> float:
         return 10.0 ** (-self.attenuation_db / 10.0) * self.p0_watts
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One measured point of a correlation sweep over the power ratio."""
-
-    ratio: float
-    y: float
-    y_err: float
 
 
 @dataclass(frozen=True)
@@ -93,16 +92,6 @@ class FitResult:
         return out
 
 
-@dataclass(frozen=True)
-class PointOverlap:
-    """Overlap inverted from a single sweep point; skipped when the ratio is unusable."""
-
-    ratio: float
-    m: float
-    m_err: float
-    skipped: bool = False
-
-
 def calibrate_mu_alpha(cal: PowerCalibration) -> float:
     """Mean photon number per pulse from attenuated power: P 10^(-C/10) lambda tau / (h c)."""
     return cal.p_alpha_watts * cal.wavelength_m * cal.tau_rep_s / (_H * _C)
@@ -122,27 +111,17 @@ def polarization_efficiency_correction(rate_parallel: float, rate_rotated: float
     return rate_parallel / rate_rotated
 
 
-def vhom_model(ratio, m: float, g2_psi: float):
-    """Visibility vs power ratio r: 2 r m / (r^2 + g2_psi + 2 r)."""
-    r = np.asarray(ratio, dtype=float)
-    return 2.0 * r * m / (r**2 + g2_psi + 2.0 * r)
+#: Sweep model names, as the fit and the CLI take them, and their closed forms,
+#: called as ``curve(ratio, 1.0, g2_psi, m)``.
+SWEEP_MODELS = {"vhom": hom_visibility, "auto": auto_g2_zero}
 
 
-def auto_model(ratio, m: float, g2_psi: float):
-    """Single-output g2(0) vs power ratio r: (r^2 + g2_psi + 2 r (1 + m)) / (r + 1)^2."""
-    r = np.asarray(ratio, dtype=float)
-    return (r**2 + g2_psi + 2.0 * r * (1.0 + m)) / (r + 1.0) ** 2
-
-
-_MODELS = {"vhom": vhom_model, "auto": auto_model}
-
-
-def _point_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(points) < 3:
-        raise IllConditionedFitError(f"need at least 3 sweep points, got {len(points)}")
-    r = np.array([p.ratio for p in points], dtype=float)
-    y = np.array([p.y for p in points], dtype=float)
-    s = np.array([p.y_err for p in points], dtype=float)
+def _point_arrays(ratio, y, y_err) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    r, y, s = (np.array(column, dtype=float) for column in (ratio, y, y_err))
+    if r.ndim != 1 or not r.shape == y.shape == s.shape:
+        raise InvalidParameterError("ratio, y and y_err must be 1-D and of one length")
+    if r.size < 3:
+        raise IllConditionedFitError(f"need at least 3 sweep points, got {r.size}")
     if np.any(r <= 0):
         raise InvalidParameterError("sweep ratios must be positive")
     if np.any(s <= 0):
@@ -154,38 +133,36 @@ def _point_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, y, s
 
 
-def _fit_single_parameter(points, g2_psi: float, model_name: str) -> FitResult:
+def _fit_single_parameter(r, y, s, g2_psi: float, model: str) -> FitResult:
     """Closed-form weighted least squares: both models are y = a(r) + m b(r)."""
-    model = _MODELS[model_name]
-    r, y, s = _point_arrays(points)
-    a = model(r, 0.0, g2_psi)
-    b = model(r, 1.0, g2_psi) - a
+    curve = SWEEP_MODELS[model]
+    a = curve(r, 1.0, g2_psi, 0.0)
+    b = curve(r, 1.0, g2_psi, 1.0) - a
     w = 1.0 / s**2
     info = float(w @ b**2)  # Fisher information of m: half the curvature of chi2
     if not np.isfinite(info) or info <= 0:
         raise IllConditionedFitError("objective curvature vanished at the optimum")
     m_free = float(w @ (b * (y - a))) / info
     m_hat = min(max(m_free, 0.0), 1.0)
-    res = (y - model(r, m_hat, g2_psi)) / s
+    res = (y - curve(r, 1.0, g2_psi, m_hat)) / s
     return FitResult(
         m_hat=m_hat,
         m_err=info**-0.5,
-        chi2_red=float(res @ res) / (len(points) - 1),
-        n_points=len(points),
-        model=model_name,
+        chi2_red=float(res @ res) / (r.size - 1),
+        n_points=r.size,
+        model=model,
         at_bound=not 0.0 <= m_free <= 1.0,
     )
 
 
-def _fit_with_scale(points, g2_psi: float, model_name: str) -> FitResult:
+def _fit_with_scale(r, y, s, g2_psi: float, model: str) -> FitResult:
     from scipy.optimize import least_squares  # only this non-default path needs scipy
 
-    model = _MODELS[model_name]
-    r, y, s = _point_arrays(points)
+    curve = SWEEP_MODELS[model]
 
     def residuals(params):
         m, scale = params
-        return (y - model(scale * r, m, g2_psi)) / s
+        return (y - curve(scale * r, 1.0, g2_psi, m)) / s
 
     ls = least_squares(residuals, x0=[0.5, 1.0], bounds=([0.0, 1e-2], [1.0, 1e2]))
     if not ls.success:
@@ -196,58 +173,34 @@ def _fit_with_scale(points, g2_psi: float, model_name: str) -> FitResult:
     except np.linalg.LinAlgError:
         raise IllConditionedFitError("singular normal matrix in two-parameter fit") from None
     errs = np.sqrt(np.diag(cov))
-    dof = max(len(points) - 2, 1)
+    dof = max(r.size - 2, 1)
     return FitResult(
         m_hat=float(ls.x[0]),
         m_err=float(errs[0]),
         chi2_red=float(2.0 * ls.cost / dof),
-        n_points=len(points),
-        model=model_name,
+        n_points=r.size,
+        model=model,
         at_bound=bool(np.any(ls.active_mask != 0)),
         scale_hat=float(ls.x[1]),
         scale_err=float(errs[1]),
     )
 
 
-def fit_vhom_curve(points, g2_psi: float, fit_scale: bool = False) -> FitResult:
-    """Weighted least-squares fit of the visibility sweep for the overlap m.
+def fit_sweep(ratio, y, y_err, model: str, g2_psi: float, fit_scale: bool = False) -> FitResult:
+    """Weighted least-squares fit of a sweep for the overlap m.
 
-    Single parameter m, the closed-form estimate clipped to [0, 1]; g2_psi is
-    fixed from an independent measurement.  ``fit_scale`` additionally floats
-    a multiplicative ratio calibration (off by default).
+    ``model`` names the sweep curve in ``SWEEP_MODELS``: ``"vhom"`` for the
+    visibility, ``"auto"`` for the single-output bunching.  Single parameter
+    m, the closed-form estimate clipped to [0, 1]; g2_psi is fixed from an
+    independent measurement.  ``fit_scale`` additionally floats a
+    multiplicative ratio calibration (off by default).
     """
+    if model not in SWEEP_MODELS:
+        raise InvalidParameterError(f"unknown sweep model {model!r}, expected one of {list(SWEEP_MODELS)}")
     if g2_psi < 0:
         raise InvalidParameterError("g2_psi must be >= 0")
-    if fit_scale:
-        return _fit_with_scale(points, g2_psi, "vhom")
-    return _fit_single_parameter(points, g2_psi, "vhom")
-
-
-def fit_auto_curve(points, g2_psi: float, fit_scale: bool = False) -> FitResult:
-    """Weighted least-squares fit of the single-output bunching sweep for m."""
-    if g2_psi < 0:
-        raise InvalidParameterError("g2_psi must be >= 0")
-    if fit_scale:
-        return _fit_with_scale(points, g2_psi, "auto")
-    return _fit_single_parameter(points, g2_psi, "auto")
-
-
-def pointwise_overlap(points, g2_psi: float) -> list[PointOverlap]:
-    """Invert each visibility point into an overlap with propagated uncertainty.
-
-    The multi-photon correction factor multiplies both the visibility and its
-    error, so the overlap uncertainty grows without bound at extreme power
-    ratios.  Points with non-positive ratio are skipped and flagged.
-    """
-    out = []
-    for p in points:
-        if p.ratio <= 0:
-            out.append(PointOverlap(ratio=p.ratio, m=float("nan"), m_err=float("nan"), skipped=True))
-            continue
-        m = overlap_from_visibility(p.y, p.ratio, 1.0, g2_psi)
-        factor = m / p.y if p.y != 0 else overlap_from_visibility(1.0, p.ratio, 1.0, g2_psi)
-        out.append(PointOverlap(ratio=p.ratio, m=m, m_err=abs(factor) * p.y_err))
-    return out
+    fit = _fit_with_scale if fit_scale else _fit_single_parameter
+    return fit(*_point_arrays(ratio, y, y_err), g2_psi, model)
 
 
 def brightness_from_auto_peak(
@@ -259,7 +212,8 @@ def brightness_from_auto_peak(
     """Source brightness from the LO power that maximizes single-output bunching.
 
     mu_psi = T mu_alpha* m / (R (1 + m - g2_psi)); for a balanced splitter
-    with ideal overlap and pure single photons this is mu_alpha* / 2.
+    with ideal overlap and pure single photons this is mu_alpha* / 2.  The
+    curve has no peak at r > 0 for m = 0 or g2_psi >= 1 + m.
     """
     if m <= 0:
         raise InvalidParameterError("the bunching curve is monotone for m = 0: no peak")
@@ -267,6 +221,8 @@ def brightness_from_auto_peak(
         raise InvalidParameterError(f"m must be in (0, 1], got {m}")
     if g2_psi < 0:
         raise InvalidParameterError("g2_psi must be >= 0")
+    if g2_psi >= 1.0 + m:
+        raise InvalidParameterError("the bunching curve is monotone for g2_psi >= 1 + m: no peak")
     if mu_alpha_at_peak <= 0:
         raise InvalidParameterError("peak LO photon number must be positive")
     if bs.reflection <= 0:
@@ -274,8 +230,11 @@ def brightness_from_auto_peak(
     return bs.transmission * mu_alpha_at_peak * m / (bs.reflection * (1.0 + m - g2_psi))
 
 
-def read_sweep(path) -> list[SweepPoint]:
-    """Read a ``ratio,y,y_err`` sweep CSV with a header row; ratios and y_err must be positive."""
+def read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a ``ratio,y,y_err`` sweep CSV with a header row into its three columns.
+
+    Ratios and y_err must be positive.
+    """
     rows = read_table(path, [_SWEEP_HEADER])[1]
     bad = np.flatnonzero((rows[:, 0] <= 0) | (rows[:, 2] <= 0))
     if bad.size:
@@ -284,9 +243,8 @@ def read_sweep(path) -> list[SweepPoint]:
             f"ratio and y_err must be positive, got ratio {ratio!r}, y_err {y_err!r}",
             line=row_line(path, [_SWEEP_HEADER], bad[0]),
         )
-    return [SweepPoint(*row) for row in rows.tolist()]
+    return tuple(rows.T)
 
 
-def write_sweep(points, path) -> None:
-    table = np.array([(p.ratio, p.y, p.y_err) for p in points], dtype=float).reshape(-1, 3)
-    write_table(path, _SWEEP_HEADER, table.T)
+def write_sweep(path, ratio, y, y_err) -> None:
+    write_table(path, _SWEEP_HEADER, [ratio, y, y_err])

@@ -21,15 +21,7 @@ from photonmix.analytic_model import (
     hom_visibility,
     peak_analysis,
 )
-from photonmix.estimator import (
-    PowerCalibration,
-    SweepPoint,
-    auto_model,
-    calibrate_mu_alpha,
-    fit_auto_curve,
-    fit_vhom_curve,
-    vhom_model,
-)
+from photonmix.estimator import PowerCalibration, calibrate_mu_alpha, fit_sweep
 from photonmix.fock_oracle import (
     BeamSplitterSpec,
     auto_correlation,
@@ -207,24 +199,19 @@ def test_overlap_quadrature():
 @criterion("fit coverage >= 95% at 2% noise and exact noiseless recovery")
 def test_fit_coverage():
     r = np.geomspace(0.01, 30.0, 20)
-    for model, fit in ((vhom_model, fit_vhom_curve), (auto_model, fit_auto_curve)):
-        noiseless = [
-            SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, model(r, M_REF, G2_REF))
-        ]
-        assert abs(fit(noiseless, G2_REF).m_hat - M_REF) <= 1e-9
+    for model, curve in (("vhom", hom_visibility), ("auto", auto_g2_zero)):
+        y_true = curve(r, 1.0, G2_REF, M_REF)
+        noiseless = fit_sweep(r, y_true, np.full(r.size, 0.01), model, G2_REF)
+        assert abs(noiseless.m_hat - M_REF) <= 1e-9
         rng = np.random.default_rng(0)
-        y_true = model(r, M_REF, G2_REF)
         sigma = 0.02 * y_true
         hits = 0
         trials = 1000
         for _ in range(trials):
             y = y_true + rng.normal(size=r.size) * sigma
-            points = [
-                SweepPoint(float(a), float(b), float(s)) for a, b, s in zip(r, y, sigma)
-            ]
-            result = fit(points, G2_REF)
+            result = fit_sweep(r, y, sigma, model, G2_REF)
             hits += abs(result.m_hat - M_REF) <= 2.0 * result.m_err
-        assert hits >= 950, f"{fit.__name__}: {hits}/1000 within 2 sigma"
+        assert hits >= 950, f"{model}: {hits}/1000 within 2 sigma"
 
 
 @criterion("tag pipeline closure at 1e7 pulses, Poissonian control, chunk merge")

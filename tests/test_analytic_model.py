@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -18,6 +18,9 @@ from photonmix.analytic_model import (
     peak_analysis,
 )
 from photonmix.errors import InvalidParameterError, UndefinedCorrelationError
+
+#: A ratio whose square through Python's ``float ** 2`` differs from ``r * r`` in the last digit.
+R_POW_ROUNDS = 47.29386512309867
 
 
 class TestG2FromProbs:
@@ -100,6 +103,8 @@ class TestHomVisibility:
     def test_undefined_without_coincidences(self):
         with pytest.raises(UndefinedCorrelationError):
             hom_visibility(0.0, 0.0, 0.0, 0.5)
+        with pytest.raises(UndefinedCorrelationError):
+            hom_visibility(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.0, 0.5)
 
 
 class TestOverlapFromVisibility:
@@ -119,6 +124,10 @@ class TestOverlapFromVisibility:
             overlap_from_visibility(0.5, 0.0, 1.0, 0.0)
         with pytest.raises(InvalidParameterError):
             overlap_from_visibility(0.5, 1.0, 0.0, 0.0)
+        with pytest.raises(InvalidParameterError):
+            overlap_from_visibility(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1.0, 0.0)
+        with pytest.raises(InvalidParameterError):
+            overlap_from_visibility(0.5, 1.0, np.array([1.0, -1.0]), 0.0)
 
     @given(
         mu_a=st.floats(1e-3, 1e3),
@@ -145,6 +154,8 @@ class TestAutoG2Zero:
     def test_undefined_for_two_vacua(self):
         with pytest.raises(UndefinedCorrelationError):
             auto_g2_zero(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(UndefinedCorrelationError):
+            auto_g2_zero(np.array([0.5, 0.0]), 0.0, 0.0, 0.0)
 
     def test_strictly_increasing_in_overlap(self):
         ms = np.linspace(0.0, 1.0, 41)
@@ -192,6 +203,18 @@ class TestPeakAnalysis:
         assert report.r_auto_star is None
         assert report.g2_auto_max is None
 
+    @pytest.mark.parametrize("g2, m", [(1.5, 0.5), (2.0, 0.5), (2.0, 1.0), (3.0, 0.2)])
+    def test_no_auto_peak_where_the_stationary_point_is_not_positive(self, g2, m):
+        # g2_psi >= 1 + m: the curve falls on all of r > 0, its stationary point (1 + m - g2_psi) / m is at r <= 0
+        report = peak_analysis(g2, m)
+        assert report.r_auto_star is None
+        assert report.g2_auto_max is None
+
+    def test_auto_peak_just_inside_the_ratio_domain(self):
+        report = peak_analysis(1.49, 0.5)
+        assert report.r_auto_star == pytest.approx(0.02, rel=1e-9)
+        assert report.g2_auto_max == auto_g2_zero(report.r_auto_star, 1.0, 1.49, 0.5)
+
     @given(g2=st.floats(1e-4, 1.0), m=st.floats(0.05, 1.0))
     @settings(max_examples=60)
     def test_closed_forms_match_numeric_argmax(self, g2, m):
@@ -206,6 +229,70 @@ class TestPeakAnalysis:
                                 options={"xatol": 1e-10})
         assert found.x == pytest.approx(report.r_auto_star, rel=1e-5)
         assert -found.fun == pytest.approx(report.g2_auto_max, abs=1e-9)
+
+
+_SWEEP_POINT = st.tuples(
+    st.one_of(st.just(R_POW_ROUNDS), st.floats(1e-3, 1e3)),  # ratio mu_alpha / mu_psi
+    st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),  # mu_psi
+    st.floats(0.0, 1.0),  # g2_psi
+    st.floats(0.0, 1.0),  # m
+    st.floats(0.0, 1.0),  # visibility
+)
+
+
+class TestSweepFormsOnArrays:
+    """The sweep closed forms take numpy arrays, elementwise bit for bit as floats."""
+
+    @given(points=st.lists(_SWEEP_POINT, min_size=1, max_size=6))
+    @example(points=[(R_POW_ROUNDS, 1.0, 0.0412, 0.76, 0.5), (R_POW_ROUNDS, R_POW_ROUNDS, 0.3, 0.1, 0.2)])
+    @settings(max_examples=200)
+    def test_array_call_matches_scalar_calls(self, points):
+        ratio, mu_psi, g2, m, v = (np.array(column) for column in zip(*points))
+        mu_alpha = ratio * mu_psi
+        scalar_args = list(zip(mu_alpha.tolist(), mu_psi.tolist(), g2.tolist(), m.tolist()))
+        for form in (cross_coincidence, hom_visibility, auto_g2_zero):
+            want = np.array([form(*args) for args in scalar_args])
+            assert form(mu_alpha, mu_psi, g2, m).tobytes() == want.tobytes(), form.__name__
+            # a scalar argument broadcasts against the arrays
+            want = np.array([form(a, 1.0, g2[0], b) for a, b in zip(ratio.tolist(), m.tolist())])
+            assert form(ratio, 1.0, g2[0], m).tobytes() == want.tobytes(), form.__name__
+        want = np.array([overlap_from_visibility(a, *args[:3]) for a, args in zip(v.tolist(), scalar_args)])
+        assert overlap_from_visibility(v, mu_alpha, mu_psi, g2).tobytes() == want.tobytes()
+
+    @given(r=st.one_of(st.just(R_POW_ROUNDS), st.floats(1e-3, 1e3)), g2=st.floats(0.0, 1.0), m=st.floats(0.0, 1.0))
+    @example(r=R_POW_ROUNDS, g2=0.0412, m=0.76)
+    @settings(max_examples=200)
+    def test_sweep_curves_keep_their_operation_order(self, r, g2, m):
+        # the order sweep.csv, points_*.csv and fit.json have always been computed in
+        r = np.array([r])
+        assert hom_visibility(r, 1.0, g2, m).tobytes() == (2.0 * r * m / (r * r + g2 + 2.0 * r)).tobytes()
+        expected = (r * r + g2 + 2.0 * r * (1.0 + m)) / ((r + 1.0) * (r + 1.0))
+        assert auto_g2_zero(r, 1.0, g2, m).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda a: cross_coincidence(a, 1.0, 0.0, 0.5), "mu_alpha must be >= 0, got -1.0"),
+            (lambda a: cross_coincidence(1.0, a, 0.0, 0.5), "mu_psi must be >= 0, got -1.0"),
+            (lambda a: hom_visibility(1.0, 1.0, a, 0.5), "g2_psi must be >= 0, got -1.0"),
+            (lambda a: auto_g2_zero(1.0, 1.0, 0.0, 1.0 - a / 2.0), "m must be in [0, 1], got 1.5"),
+            (lambda a: auto_g2_zero(1.0, a, 0.0, 0.5), "mu_psi must be >= 0, got -1.0"),
+            (lambda a: overlap_from_visibility(0.5, 1.0, 1.0, a), "g2_psi must be >= 0, got -1.0"),
+        ],
+    )
+    def test_a_bad_element_raises_as_a_bad_float(self, call, message):
+        with pytest.raises(InvalidParameterError) as scalar:
+            call(-1.0)
+        assert str(scalar.value) == message
+        with pytest.raises(InvalidParameterError) as array:
+            call(np.array([0.5, -1.0, -2.0]))
+        assert str(array.value) == message
+
+    def test_nan_passes_the_sign_checks_as_before(self):
+        assert math.isnan(cross_coincidence(math.nan, 1.0, 0.0, 0.5))
+        assert np.isnan(cross_coincidence(np.array([math.nan]), 1.0, 0.0, 0.5)).all()
+        with pytest.raises(InvalidParameterError, match="m must be in"):
+            cross_coincidence(1.0, 1.0, 0.0, np.array([0.5, math.nan]))
 
 
 class TestSourceParams:

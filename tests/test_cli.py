@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from photonmix.analytic_model import LocalOscillator, SourceParams
+from photonmix.analytic_model import LocalOscillator, SourceParams, auto_g2_zero, hom_visibility
 from photonmix import cli, tagstream
 from photonmix.cli import _SCHEMAS, _load_config, _violations, cmd_analyze, main
 from photonmix.errors import ConfigError, DataFormatError, PhotonmixError
-from photonmix.estimator import SweepPoint, auto_model, vhom_model, write_sweep
+from photonmix.estimator import write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.mode_overlap import SampledProfile, write_profile
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags, write_tags_csv
@@ -75,6 +75,16 @@ class TestSimulate:
         report = read_json(out / "report.json")
         assert report["peaks"]["g2_auto_max"] == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert report["peaks"]["r_auto_star"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("g2_psi", [1.5, 2])
+    def test_monotone_bunching_curve_has_no_peak(self, tmp_path, capsys, g2_psi):
+        # g2_psi >= 1 + m puts the bunching curve's stationary point at r <= 0
+        out = tmp_path / "run"
+        assert run(["simulate", "--out", str(out), "--set", "m=0.5", "--set", f"g2_psi={g2_psi}"]) == 0
+        assert capsys.readouterr().err == ""
+        peaks = read_json(out / "report.json")["peaks"]
+        assert peaks["r_auto_star"] is None
+        assert peaks["g2_auto_max"] is None
 
     def test_oracle_spot_checks(self, tmp_path):
         out = tmp_path / "run"
@@ -732,10 +742,8 @@ class TestOverlapCommand:
 class TestFitCommand:
     def test_noiseless_sweep(self, tmp_path):
         r = np.geomspace(0.02, 20.0, 15)
-        y = vhom_model(r, 0.5, 0.03)
-        points = [SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, y)]
         sweep = tmp_path / "sweep.csv"
-        write_sweep(points, sweep)
+        write_sweep(sweep, r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
         out = tmp_path / "run"
         code = run(
             ["fit", str(sweep), "--out", str(out), "--set", "model=vhom", "--set", "g2_psi=0.03"]
@@ -752,10 +760,9 @@ class TestFitCommand:
     def test_clipped_fit_is_flagged_at_bound(self, tmp_path, model):
         # a sweep taken at m = 1 whose signal reads 10 % high asks for m > 1
         r = np.geomspace(0.02, 20.0, 15)
-        fn = vhom_model if model == "vhom" else auto_model
-        y = 1.1 * fn(r, 1.0, 0.03)
+        fn = hom_visibility if model == "vhom" else auto_g2_zero
         sweep = tmp_path / "sweep.csv"
-        write_sweep([SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, y)], sweep)
+        write_sweep(sweep, r, 1.1 * fn(r, 1.0, 0.03, 1.0), np.full(r.size, 0.01))
         out = tmp_path / "run"
         code = run(
             ["fit", str(sweep), "--out", str(out), "--set", f"model={model}", "--set", "g2_psi=0.03"]
@@ -764,6 +771,26 @@ class TestFitCommand:
         result = read_json(out / "fit.json")
         assert result["M_hat"] == 1.0
         assert result["at_bound"] is True
+
+    @pytest.mark.parametrize("model, curve", [("vhom", hom_visibility), ("auto", auto_g2_zero)])
+    @pytest.mark.parametrize("fit_scale", [False, True])
+    def test_residuals_hold_the_fitted_curve(self, tmp_path, model, curve, fit_scale):
+        # a sweep taken with the ratio read 10 % low: only the scale fit meets every point
+        r = np.geomspace(0.05, 10.0, 25)
+        y = curve(1.1 * r, 1.0, 0.03, 0.6)
+        sweep = tmp_path / "sweep.csv"
+        write_sweep(sweep, r, y, np.full(r.size, 0.005))
+        out = tmp_path / "run"
+        args = ["--set", f"model={model}", "--set", "g2_psi=0.03", "--set", f"fit_scale={json.dumps(fit_scale)}"]
+        assert run(["fit", str(sweep), "--out", str(out), *args]) == 0
+        result = read_json(out / "fit.json")
+        scale = result.get("scale_hat", 1.0)
+        assert ("scale_hat" in result) is fit_scale
+        header, *rows = (out / "residuals.csv").read_text().splitlines()
+        assert header == "ratio,y,y_err,model,residual_sigma"
+        table = np.array([[float(c) for c in row.split(",")] for row in rows])
+        assert table[:, 3].tolist() == curve(scale * r, 1.0, 0.03, result["M_hat"]).tolist()
+        assert bool(np.abs(table[:, 4]).max() < 1e-3) is fit_scale
 
     def test_degenerate_sweep_is_numerical_error(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
@@ -997,7 +1024,7 @@ class TestConfigValidator:
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, args, message):
         sweep = tmp_path / "sweep.csv"
         r = np.geomspace(0.02, 20.0, 15)
-        write_sweep([SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, vhom_model(r, 0.5, 0.03))], sweep)
+        write_sweep(sweep, r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
         out = tmp_path / "run"
         assert run([*(a.format(sweep=sweep) for a in args), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: config key {message} is not a finite number\n"
@@ -1062,8 +1089,7 @@ class TestScipyOffCommandPath:
         write_tags_csv(pulsed_coherent_tags({2: 0.3}, 5_000, REP, seed=2), base / "tags.csv")
         write_tags_csv(pulsed_coherent_tags({2: 0.3}, 5_000, REP, seed=3), base / "perp.csv")
         r = np.geomspace(0.02, 20.0, 15)
-        points = [SweepPoint(float(a), float(b), 0.01) for a, b in zip(r, vhom_model(r, 0.5, 0.03))]
-        write_sweep(points, base / "sweep.csv")
+        write_sweep(base / "sweep.csv", r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
         return base
 
     def probe(self, args):

@@ -4,24 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from photonmix.analytic_model import peak_analysis
+from photonmix.analytic_model import auto_g2_zero, hom_visibility, overlap_from_visibility, peak_analysis
 from photonmix.errors import (
     DataFormatError,
     IllConditionedFitError,
     InvalidParameterError,
 )
 from photonmix.estimator import (
+    SWEEP_MODELS,
     PowerCalibration,
-    SweepPoint,
-    auto_model,
     brightness_from_auto_peak,
     calibrate_mu_alpha,
-    fit_auto_curve,
-    fit_vhom_curve,
-    pointwise_overlap,
+    fit_sweep,
     polarization_efficiency_correction,
     read_sweep,
-    vhom_model,
     write_sweep,
 )
 from photonmix.fock_oracle import BeamSplitterSpec
@@ -30,10 +26,13 @@ G2_REF = 0.0412
 M_REF = 0.76
 
 
-def make_points(model, m, g2, r=None, sigma=0.01):
+def curve(model, r, m, g2=G2_REF):
+    return SWEEP_MODELS[model](r, 1.0, g2, m)
+
+
+def make_sweep(model, m, g2, r=None, sigma=0.01):
     r = np.geomspace(0.01, 30.0, 20) if r is None else np.asarray(r, dtype=float)
-    y = model(r, m, g2)
-    return [SweepPoint(float(a), float(b), sigma) for a, b in zip(r, y)]
+    return r, curve(model, r, m, g2), np.full(r.size, sigma)
 
 
 class TestCalibration:
@@ -80,81 +79,69 @@ class TestPolarizationCorrection:
 
 class TestVhomFit:
     def test_noiseless_recovery(self):
-        points = make_points(vhom_model, M_REF, G2_REF)
-        result = fit_vhom_curve(points, G2_REF)
+        result = fit_sweep(*make_sweep("vhom", M_REF, G2_REF), "vhom", G2_REF)
         assert result.m_hat == pytest.approx(M_REF, abs=1e-9)
         assert result.chi2_red == pytest.approx(0.0, abs=1e-18)
 
     def test_noiseless_recovery_across_grid(self):
         for m in np.linspace(0.0, 1.0, 11):
-            result = fit_vhom_curve(make_points(vhom_model, m, G2_REF), G2_REF)
+            result = fit_sweep(*make_sweep("vhom", m, G2_REF), "vhom", G2_REF)
             assert result.m_hat == pytest.approx(m, abs=1e-9)
 
     def test_coverage_with_relative_noise(self):
         rng = np.random.default_rng(0)
         r = np.geomspace(0.01, 30.0, 20)
-        y_true = vhom_model(r, M_REF, G2_REF)
+        y_true = curve("vhom", r, M_REF)
         sigma = 0.02 * y_true
         hits = 0
         trials = 300
         for _ in range(trials):
             y = y_true + rng.normal(size=r.size) * sigma
-            pts = [SweepPoint(float(a), float(b), float(s)) for a, b, s in zip(r, y, sigma)]
-            res = fit_vhom_curve(pts, G2_REF)
+            res = fit_sweep(r, y, sigma, "vhom", G2_REF)
             hits += abs(res.m_hat - M_REF) <= 2.0 * res.m_err
         assert hits / trials >= 0.92
 
     def test_single_abscissa_rejected(self):
         r_star = np.sqrt(G2_REF)
-        points = [SweepPoint(r_star, 0.5, 0.01) for _ in range(5)]
         with pytest.raises(IllConditionedFitError):
-            fit_vhom_curve(points, G2_REF)
+            fit_sweep([r_star] * 5, [0.5] * 5, [0.01] * 5, "vhom", G2_REF)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(IllConditionedFitError):
-            fit_vhom_curve([SweepPoint(0.1, 0.2, 0.01), SweepPoint(1.0, 0.3, 0.01)], G2_REF)
+            fit_sweep([0.1, 1.0], [0.2, 0.3], [0.01, 0.01], "vhom", G2_REF)
 
     def test_two_parameter_mode_recovers_scale(self):
         r = np.geomspace(0.05, 10.0, 25)
-        y = vhom_model(1.1 * r, 0.6, G2_REF)
-        points = [SweepPoint(float(a), float(b), 0.005) for a, b in zip(r, y)]
-        result = fit_vhom_curve(points, G2_REF, fit_scale=True)
+        y = curve("vhom", 1.1 * r, 0.6)
+        result = fit_sweep(r, y, np.full(r.size, 0.005), "vhom", G2_REF, fit_scale=True)
         assert result.m_hat == pytest.approx(0.6, abs=1e-6)
         assert result.scale_hat == pytest.approx(1.1, abs=1e-6)
 
 
 class TestAutoFit:
     def test_noiseless_recovery(self):
-        result = fit_auto_curve(make_points(auto_model, M_REF, G2_REF), G2_REF)
+        result = fit_sweep(*make_sweep("auto", M_REF, G2_REF), "auto", G2_REF)
         assert result.m_hat == pytest.approx(M_REF, abs=1e-9)
 
     def test_boundary_recovery_at_zero_overlap(self):
-        result = fit_auto_curve(make_points(auto_model, 0.0, G2_REF), G2_REF)
+        result = fit_sweep(*make_sweep("auto", 0.0, G2_REF), "auto", G2_REF)
         assert abs(result.m_hat - 0.0) <= 2.0 * result.m_err
         assert result.m_hat == pytest.approx(0.0, abs=1e-9)
 
     def test_sparse_reference_grid_self_consistency(self):
         r = [0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
-        result = fit_auto_curve(make_points(auto_model, M_REF, G2_REF, r=r), G2_REF)
+        result = fit_sweep(*make_sweep("auto", M_REF, G2_REF, r=r), "auto", G2_REF)
         assert result.m_hat == pytest.approx(M_REF, abs=1e-9)
 
     def test_methods_agree_on_shared_experiment(self):
         rng = np.random.default_rng(42)
         r = np.geomspace(0.05, 10.0, 24)
         m_true = 0.58
-        y_v = vhom_model(r, m_true, G2_REF)
-        y_a = auto_model(r, m_true, G2_REF)
+        y_v = curve("vhom", r, m_true)
+        y_a = curve("auto", r, m_true)
         sv, sa = 0.02 * y_v, 0.02 * y_a
-        pts_v = [
-            SweepPoint(float(a), float(b + rng.normal() * s), float(s))
-            for a, b, s in zip(r, y_v, sv)
-        ]
-        pts_a = [
-            SweepPoint(float(a), float(b + rng.normal() * s), float(s))
-            for a, b, s in zip(r, y_a, sa)
-        ]
-        res_v = fit_vhom_curve(pts_v, G2_REF)
-        res_a = fit_auto_curve(pts_a, G2_REF)
+        res_v = fit_sweep(r, y_v + rng.normal(size=r.size) * sv, sv, "vhom", G2_REF)
+        res_a = fit_sweep(r, y_a + rng.normal(size=r.size) * sa, sa, "auto", G2_REF)
         combined = np.hypot(res_v.m_err, res_a.m_err)
         assert abs(res_v.m_hat - res_a.m_hat) <= 2.0 * combined
 
@@ -162,17 +149,21 @@ class TestAutoFit:
 class TestClosedFormFit:
     """The closed form against a brute-force minimum of the same chi2."""
 
-    @pytest.mark.parametrize("model, fit", [(vhom_model, fit_vhom_curve), (auto_model, fit_auto_curve)])
+    # the ids keep the case names the test has had since each model had its own fit function
+    @pytest.mark.parametrize("model", ["vhom", "auto"], ids=["vhom_model-fit_vhom_curve", "auto_model-fit_auto_curve"])
     @pytest.mark.parametrize("m_true, at_bound", [(0.6, False), (-0.2, True), (1.3, True)])
-    def test_matches_brute_force_minimum(self, model, fit, m_true, at_bound):
+    def test_matches_brute_force_minimum(self, model, m_true, at_bound):
         rng = np.random.default_rng(11)
         r = np.geomspace(0.02, 30.0, 18)
         s = 0.01 * (1.0 + rng.random(r.size))
-        y = model(r, m_true, G2_REF) + rng.normal(size=r.size) * s
-        result = fit([SweepPoint(float(a), float(b), float(c)) for a, b, c in zip(r, y, s)], G2_REF)
+        # the closed forms refuse an overlap outside [0, 1]; the curve is affine in m
+        y = curve(model, r, 0.0) + m_true * (curve(model, r, 1.0) - curve(model, r, 0.0))
+        y += rng.normal(size=r.size) * s
+        result = fit_sweep(r, y, s, model, G2_REF)
+        assert result.model == model
 
         def chi2(m):
-            res = (y - model(r, m, G2_REF)) / s
+            res = (y - curve(model, r, m)) / s
             return float(res @ res)
 
         found = minimize_scalar(chi2, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
@@ -186,46 +177,82 @@ class TestClosedFormFit:
         assert result.chi2_red == pytest.approx(chi2(result.m_hat) / (r.size - 1), rel=1e-12)
 
     def test_non_finite_point_rejected(self):
-        points = make_points(vhom_model, M_REF, G2_REF)
-        points[3] = SweepPoint(points[3].ratio, float("nan"), points[3].y_err)
+        r, y, y_err = make_sweep("vhom", M_REF, G2_REF)
+        y[3] = float("nan")
         with pytest.raises(InvalidParameterError):
-            fit_vhom_curve(points, G2_REF)
+            fit_sweep(r, y, y_err, "vhom", G2_REF)
 
     def test_two_parameter_fit_flags_a_bound(self):
         r = np.geomspace(0.05, 10.0, 25)
-        inside = [SweepPoint(float(a), float(b), 0.005) for a, b in zip(r, vhom_model(1.1 * r, 0.6, G2_REF))]
+        s = np.full(r.size, 0.005)
+        inside = curve("vhom", 1.1 * r, 0.6)
         # the visibility peak height does not depend on the ratio scale, so
         # a peak 10 % above the m = 1 curve can only be met by m > 1
-        above = [SweepPoint(float(a), float(b), 0.005) for a, b in zip(r, 1.1 * vhom_model(r, 1.0, G2_REF))]
-        assert fit_vhom_curve(inside, G2_REF, fit_scale=True).at_bound is False
-        clipped = fit_vhom_curve(above, G2_REF, fit_scale=True)
+        above = 1.1 * curve("vhom", r, 1.0)
+        assert fit_sweep(r, inside, s, "vhom", G2_REF, fit_scale=True).at_bound is False
+        clipped = fit_sweep(r, above, s, "vhom", G2_REF, fit_scale=True)
         assert clipped.m_hat == pytest.approx(1.0, abs=1e-9)
         assert clipped.at_bound is True
 
 
 class TestPointwiseOverlap:
+    """overlap_from_visibility on a sweep's columns: each point's overlap, and its error from y_err."""
+
     def test_reference_plateau_point(self):
-        points = [SweepPoint(0.203, 0.6318, 0.01)]
-        out = pointwise_overlap(points, G2_REF)
-        assert out[0].m == pytest.approx(0.760, abs=1e-3)
+        m = overlap_from_visibility(np.array([0.6318]), np.array([0.203]), 1.0, G2_REF)
+        assert m[0] == pytest.approx(0.760, abs=1e-3)
 
     def test_zero_visibility(self):
-        out = pointwise_overlap([SweepPoint(1.0, 0.0, 0.01)], G2_REF)
-        assert out[0].m == 0.0
-        assert out[0].m_err > 0.0
+        r = np.array([1.0])
+        assert overlap_from_visibility(np.array([0.0]), r, 1.0, G2_REF)[0] == 0.0
+        assert overlap_from_visibility(np.array([0.01]), r, 1.0, G2_REF)[0] > 0.0
 
     def test_correction_factor_arithmetic(self):
-        out = pointwise_overlap([SweepPoint(10.0, 0.1, 0.01)], 0.04)
-        assert out[0].m == pytest.approx(0.6002, abs=1e-12)
+        m = overlap_from_visibility(np.array([0.1]), np.array([10.0]), 1.0, 0.04)
+        assert m[0] == pytest.approx(0.6002, abs=1e-12)
 
     def test_error_grows_at_extreme_ratios(self):
-        points = [SweepPoint(0.2, 0.5, 0.01), SweepPoint(50.0, 0.02, 0.01)]
-        out = pointwise_overlap(points, G2_REF)
-        assert out[1].m_err > 10.0 * out[0].m_err
+        m_err = overlap_from_visibility(np.array([0.01, 0.01]), np.array([0.2, 50.0]), 1.0, G2_REF)
+        assert m_err[1] > 10.0 * m_err[0]
 
-    def test_nonpositive_ratio_skipped(self):
-        out = pointwise_overlap([SweepPoint(0.0, 0.5, 0.01)], G2_REF)
-        assert out[0].skipped
+    def test_inverts_a_sweep(self):
+        r = np.geomspace(0.01, 30.0, 20)
+        m = overlap_from_visibility(curve("vhom", r, M_REF), r, 1.0, G2_REF)
+        assert m == pytest.approx(np.full(r.size, M_REF), abs=1e-12)
+
+    def test_nonpositive_ratio_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            overlap_from_visibility(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1.0, G2_REF)
+
+
+class TestFitSweep:
+    def test_unknown_model_rejected(self):
+        with pytest.raises(InvalidParameterError, match="unknown sweep model 'vhm'"):
+            fit_sweep(*make_sweep("vhom", M_REF, G2_REF), "vhm", G2_REF)
+
+    def test_models_are_the_closed_forms(self):
+        assert SWEEP_MODELS == {"vhom": hom_visibility, "auto": auto_g2_zero}
+
+    @pytest.mark.parametrize("columns", [
+        ([0.1, 0.5, 1.0], [0.2, 0.3], [0.01, 0.01, 0.01]),
+        ([0.1, 0.5, 1.0], [0.2, 0.3, 0.3], 0.01),
+        ([[0.1, 0.5, 1.0]], [[0.2, 0.3, 0.3]], [[0.01, 0.01, 0.01]]),
+    ])
+    def test_columns_of_unequal_shape_rejected(self, columns):
+        with pytest.raises(InvalidParameterError, match="1-D and of one length"):
+            fit_sweep(*columns, "vhom", G2_REF)
+
+    @pytest.mark.parametrize("model", ["vhom", "auto"])
+    def test_scale_fit_differs_from_the_fixed_scale_fit(self, model):
+        r = np.geomspace(0.05, 10.0, 25)
+        y = curve(model, 1.1 * r, 0.6)
+        s = np.full(r.size, 0.005)
+        scaled = fit_sweep(r, y, s, model, G2_REF, fit_scale=True)
+        fixed = fit_sweep(r, y, s, model, G2_REF)
+        assert scaled.scale_hat == pytest.approx(1.1, abs=1e-6)
+        assert scaled.chi2_red < 1e-6 < fixed.chi2_red
+        assert fixed.scale_hat is None
+        assert (scaled.model, fixed.model) == (model, model)
 
 
 class TestBrightness:
@@ -256,14 +283,22 @@ class TestBrightness:
         with pytest.raises(InvalidParameterError):
             brightness_from_auto_peak(2.0, BeamSplitterSpec(0.5), 0.0, 0.0)
 
+    @pytest.mark.parametrize("g2", [1.5, 2.0, 3.0])
+    def test_monotone_curve_has_no_peak(self, g2):
+        # g2_psi >= 1 + m puts the stationary point at r <= 0
+        with pytest.raises(InvalidParameterError, match="monotone"):
+            brightness_from_auto_peak(2.0, BeamSplitterSpec(0.5), 0.5, g2)
+
 
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
-        points = make_points(vhom_model, 0.5, G2_REF)
+        columns = make_sweep("vhom", 0.5, G2_REF)
         path = tmp_path / "sweep.csv"
-        write_sweep(points, path)
+        write_sweep(path, *columns)
         back = read_sweep(path)
-        assert back == points
+        assert len(back) == 3
+        for got, want in zip(back, columns):
+            assert got.tolist() == want.tolist()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "sweep.csv"
