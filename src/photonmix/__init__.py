@@ -3,8 +3,9 @@
 Library layout:
 
 - :mod:`photonmix.fock_oracle`: brute-force truncated Fock-space simulation
-  of the mixing experiment, carried as products of two-mode states with
-  photon-number-sector unitaries; the ground truth for every closed form.
+  of the mixing experiment with photon-number-sector unitaries, whose output
+  state is the (2 cutoff + 5)^2 joint photon-number distribution P[n2, n3];
+  the ground truth for every closed form.
 - :mod:`photonmix.analytic_model`: closed-form photon correlations,
   visibility, overlap inversion and peak identities.
 - :mod:`photonmix.mode_overlap`: per-degree-of-freedom mode overlaps from
@@ -43,7 +44,6 @@ from .fock_oracle import (
     coherent_tail_mass,
     cross_correlations,
     displacement_matrix,
-    joint_number_distribution,
     mix_on_beam_splitter,
     required_cutoff,
     visibility_from_states,

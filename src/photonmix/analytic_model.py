@@ -202,6 +202,7 @@ def cross_coincidence(mu_alpha, mu_psi, g2_psi, m):
 def hom_visibility(mu_alpha, mu_psi, g2_psi, m):
     """Coincidence suppression (G_0 - G_m) / G_0 between interfering and orthogonal fields."""
     g0 = cross_coincidence(mu_alpha, mu_psi, g2_psi, 0.0)
+    _check_unit_interval("m", m)
     if np.any(g0 <= 0.0):
         raise UndefinedCorrelationError("visibility undefined: no coincidences at m = 0")
     return 2.0 * mu_alpha * mu_psi * m / g0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_model import auto_g2_zero, hom_visibility
+from .analytic_model import auto_g2_zero, hom_visibility, peak_analysis
 from .errors import DataFormatError, IllConditionedFitError, InvalidParameterError
 from .fock_oracle import BeamSplitterSpec
 from .tables import read_table, row_line, write_table
@@ -211,23 +211,22 @@ def brightness_from_auto_peak(
 ) -> float:
     """Source brightness from the LO power that maximizes single-output bunching.
 
-    mu_psi = T mu_alpha* m / (R (1 + m - g2_psi)); for a balanced splitter
-    with ideal overlap and pure single photons this is mu_alpha* / 2.  The
-    curve has no peak at r > 0 for m = 0 or g2_psi >= 1 + m.
+    mu_psi = T mu_alpha* / (R r*), with r* the bunching peak's power ratio
+    from :func:`~photonmix.analytic_model.peak_analysis`; for a balanced
+    splitter with ideal overlap and pure single photons this is
+    mu_alpha* / 2.  The curve has no peak at r > 0 for m = 0 or
+    g2_psi >= 1 + m.
     """
-    if m <= 0:
-        raise InvalidParameterError("the bunching curve is monotone for m = 0: no peak")
-    if not 0 < m <= 1:
-        raise InvalidParameterError(f"m must be in (0, 1], got {m}")
-    if g2_psi < 0:
-        raise InvalidParameterError("g2_psi must be >= 0")
-    if g2_psi >= 1.0 + m:
-        raise InvalidParameterError("the bunching curve is monotone for g2_psi >= 1 + m: no peak")
+    r_star = peak_analysis(g2_psi, m).r_auto_star
+    if r_star is None:
+        raise InvalidParameterError(
+            f"the bunching curve is monotone for m = {m}, g2_psi = {g2_psi}: no peak"
+        )
     if mu_alpha_at_peak <= 0:
         raise InvalidParameterError("peak LO photon number must be positive")
     if bs.reflection <= 0:
         raise InvalidParameterError("beam splitter must reflect part of the source light")
-    return bs.transmission * mu_alpha_at_peak * m / (bs.reflection * (1.0 + m - g2_psi))
+    return bs.transmission * mu_alpha_at_peak / (bs.reflection * r_star)
 
 
 def read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

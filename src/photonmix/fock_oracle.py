@@ -16,12 +16,13 @@ number N (Campos, Saleh & Teich, Phys. Rev. A 40, 1371 (1989)).  Each block
 is exact, so the maps are exact on every state they meet here.  Every
 generator here is anti-Hermitian, so its exponential comes from a Hermitian
 eigendecomposition, the well-conditioned normal-matrix case of Moler & Van
-Loan, SIAM Rev. 45, 3 (2003); numpy alone does it.  A state
-holds one (cutoff+3)^2 amplitude array per branch plus one per
-perpendicular run, instead of a (cutoff+3)^4 four-mode ket.  The only
-approximation in the whole pipeline is the truncation of the incoming
-coherent state, whose discarded tail mass is summed exactly in decimal
-arithmetic and enforced against a hard bound.
+Loan, SIAM Rev. 45, 3 (2003); numpy alone does it.  The branches live
+only inside :func:`mix_on_beam_splitter`: the state it returns is the
+(2 cutoff + 5)^2 distribution P[n2, n3] itself, instead of a (cutoff+3)^4
+four-mode ket, and every moment is read from it.  The only approximation
+in the whole pipeline is the truncation of the incoming coherent state,
+whose discarded tail mass is summed exactly in decimal arithmetic and
+enforced against a hard bound.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 
-#: Output labels, in the axis order of :func:`joint_number_distribution`.
+#: Output labels, in the axis order of :attr:`OutputState.distribution`.
 OUTPUTS = ("out_2", "out_3")
 
 #: Coherent tail mass above which the mixing operation refuses to run.
@@ -84,19 +85,14 @@ class CrossMoments(NamedTuple):
 
 @dataclass(frozen=True)
 class OutputState:
-    """Beam-splitter output as a weighted mixture of two-pair product states.
+    """Beam-splitter output as its polarization-summed photon-number distribution.
 
-    Branch k is the pure state |parallel[k]> (x) |perpendicular[run[k]]>
-    with weight ``weights[k]``.  Amplitude arrays are indexed [n2, n3] and
-    sized (cutoff+3) x (cutoff+3).  There is one perpendicular array per
-    lossy-source run: one for the configured polarization, and a second one
-    for the orthogonal run that models partial source indistinguishability.
+    ``distribution[n2, n3]`` is the probability of n2 photons at out_2 and
+    n3 at out_3, summed over both polarizations; it is sized
+    (2 cutoff + 5) x (2 cutoff + 5).
     """
 
-    weights: np.ndarray
-    parallel: np.ndarray
-    perpendicular: np.ndarray
-    run: np.ndarray
+    distribution: np.ndarray
     report: TruncationReport
 
 
@@ -269,8 +265,9 @@ def mix_on_beam_splitter(
     coherent field (sqrt(T) b + sqrt(R) a); out_3 the transmitted source
     field.  The lossy source is a mixture of number states, each one branch;
     the coherent inputs are truncated at ``cutoff`` and renormalized, and
-    the output arrays hold up to ``cutoff + 2`` photons per mode, so the
-    number-conserving beam splitter acts exactly.
+    each two-mode pair holds up to ``cutoff + 2`` photons per mode, so the
+    number-conserving beam splitter acts exactly.  The returned state is the
+    branches' polarization-summed distribution P[n2, n3].
 
     Partial source indistinguishability (``source.m_psi < 1``) is realized by
     adding the branches of an orthogonal-polarization run at weight
@@ -290,20 +287,19 @@ def mix_on_beam_splitter(
     populations = np.diag(apply_loss(build_qd_state(source.p1, source.p2, 2), source.eta))
     photons = np.flatnonzero(populations > 0.0)
     runs = [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]
-    runs = [(w, theta) for w, theta in runs if w > 0.0]
     t, size = bs.transmission, cutoff + 3
-    weights, parallel, perpendicular, run = [], [], [], []
-    for index, (run_weight, theta) in enumerate(runs):
+
+    def run_distribution(run_weight: float, theta: float) -> np.ndarray:
+        # each branch is |parallel> (x) |perpendicular>: sum the parallel pair
+        # distributions by weight, then convolve with the perpendicular one
         ket_par = _coherent_input_ket(lo.alpha * math.cos(theta), cutoff)
         ket_perp = _coherent_input_ket(lo.alpha * math.sin(theta), cutoff)
-        perpendicular.append(_mix_pair(0, ket_perp, t, size))
-        for n in photons:
-            weights.append(run_weight * populations[n])
-            parallel.append(_mix_pair(int(n), ket_par, t, size))
-            run.append(index)
-    return OutputState(
-        np.array(weights), np.array(parallel), np.array(perpendicular), np.array(run), report
-    )
+        weights = np.array([run_weight * populations[n] for n in photons])
+        parallel = np.array([_mix_pair(int(n), ket_par, t, size) for n in photons])
+        perpendicular = _mix_pair(0, ket_perp, t, size)
+        return _convolve(np.tensordot(weights, np.abs(parallel) ** 2, axes=1), np.abs(perpendicular) ** 2)
+
+    return OutputState(sum(run_distribution(w, theta) for w, theta in runs if w > 0.0), report)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,22 +313,9 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def joint_number_distribution(state: OutputState) -> np.ndarray:
-    """Polarization-summed joint photon-number distribution P[n2, n3]."""
-    parallel = np.abs(state.parallel) ** 2
-    perpendicular = np.abs(state.perpendicular) ** 2
-    return sum(
-        _convolve(
-            np.tensordot(state.weights[state.run == r], parallel[state.run == r], axes=1),
-            perp,
-        )
-        for r, perp in enumerate(perpendicular)
-    )
-
-
 def cross_correlations(state: OutputState) -> CrossMoments:
     """Polarization-summed moments (<n2 n3>, <n2>, <n3>) of the output state."""
-    dist = joint_number_distribution(state)
+    dist = state.distribution
     n2 = np.arange(dist.shape[0])
     n3 = np.arange(dist.shape[1])
     return CrossMoments(
@@ -346,7 +329,7 @@ def auto_correlation(state: OutputState, output: str = "out_2") -> float:
     """Polarization-summed g2(0) = <n(n-1)> / <n>^2 at one output."""
     if output not in OUTPUTS:
         raise InvalidParameterError(f"unknown output {output!r}; expected one of {OUTPUTS}")
-    marginal = joint_number_distribution(state).sum(axis=1 - OUTPUTS.index(output))
+    marginal = state.distribution.sum(axis=1 - OUTPUTS.index(output))
     n = np.arange(marginal.size)
     mean = float(marginal @ n)
     if mean <= 0.0:

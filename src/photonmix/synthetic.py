@@ -21,7 +21,6 @@ from .fock_oracle import (
     BeamSplitterSpec,
     auto_correlation,
     cross_correlations,
-    joint_number_distribution,
     mix_on_beam_splitter,
 )
 from .tables import write_table
@@ -118,7 +117,7 @@ def displaced_fock_tags(
         "g2_auto_3": auto_correlation(state, "out_3"),
         "g2_cross": moments.coincidence / (moments.mean_2 * moments.mean_3),
     }
-    joint = joint_number_distribution(state)
+    joint = state.distribution
     flat = joint.ravel()
     flat = flat / flat.sum()
     n3_levels = joint.shape[1]

@@ -275,6 +275,8 @@ class TestSweepFormsOnArrays:
             (lambda a: cross_coincidence(a, 1.0, 0.0, 0.5), "mu_alpha must be >= 0, got -1.0"),
             (lambda a: cross_coincidence(1.0, a, 0.0, 0.5), "mu_psi must be >= 0, got -1.0"),
             (lambda a: hom_visibility(1.0, 1.0, a, 0.5), "g2_psi must be >= 0, got -1.0"),
+            (lambda a: hom_visibility(1.0, 1.0, 0.0, a), "m must be in [0, 1], got -1.0"),
+            (lambda a: hom_visibility(1.0, 1.0, 0.0, 1.0 - a), "m must be in [0, 1], got 2.0"),
             (lambda a: auto_g2_zero(1.0, 1.0, 0.0, 1.0 - a / 2.0), "m must be in [0, 1], got 1.5"),
             (lambda a: auto_g2_zero(1.0, a, 0.0, 0.5), "mu_psi must be >= 0, got -1.0"),
             (lambda a: overlap_from_visibility(0.5, 1.0, 1.0, a), "g2_psi must be >= 0, got -1.0"),

@@ -289,6 +289,18 @@ class TestBrightness:
         with pytest.raises(InvalidParameterError, match="monotone"):
             brightness_from_auto_peak(2.0, BeamSplitterSpec(0.5), 0.5, g2)
 
+    @pytest.mark.parametrize(
+        "m, g2, message",
+        [
+            (-0.1, 0.0, r"m must be in \[0, 1\], got -0.1"),
+            (1.5, 0.0, r"m must be in \[0, 1\], got 1.5"),
+            (0.5, -0.1, "g2_psi must be >= 0, got -0.1"),
+        ],
+    )
+    def test_out_of_range_parameters_rejected(self, m, g2, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            brightness_from_auto_peak(2.0, BeamSplitterSpec(0.5), m, g2)
+
 
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):

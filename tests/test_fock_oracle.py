@@ -34,7 +34,6 @@ from photonmix.fock_oracle import (
     coherent_tail_mass,
     cross_correlations,
     displacement_matrix,
-    joint_number_distribution,
     lowering_operator,
     mix_on_beam_splitter,
     required_cutoff,
@@ -309,19 +308,15 @@ class TestMixOnBeamSplitter:
         source = SourceParams.from_moments(0.3, 0.0412)
         lo = LocalOscillator(mu_alpha=0.2, theta=0.5)
         state = mix_on_beam_splitter(source, lo, BALANCED, 8)
-        norms = (np.abs(state.parallel) ** 2).sum(axis=(1, 2))
-        perp_norms = (np.abs(state.perpendicular) ** 2).sum(axis=(1, 2))
-        trace = float(np.dot(state.weights, norms * perp_norms[state.run]))
-        assert trace == pytest.approx(1.0, abs=1e-12)
-        probs = joint_number_distribution(state)
-        assert probs.min() >= -1e-15
+        probs = state.distribution
+        assert probs.min() >= 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_distribution_normalized(self):
         source = SourceParams.from_moments(0.3, 0.0412)
         lo = LocalOscillator(mu_alpha=0.2, theta=0.5)
         state = mix_on_beam_splitter(source, lo, BALANCED, 8)
-        joint = joint_number_distribution(state)
+        joint = state.distribution
         assert joint.sum() == pytest.approx(1.0, abs=1e-12)
         moments = cross_correlations(state)
         n2 = np.arange(joint.shape[0])
@@ -329,15 +324,11 @@ class TestMixOnBeamSplitter:
 
 
 class TestCrossCorrelationsDirect:
-    def make_output_state(self, n2_par: int, n3_par: int, cutoff: int = 2):
-        d = cutoff + 3
-        parallel = np.zeros((1, d, d))
-        parallel[0, n2_par, n3_par] = 1.0
-        perpendicular = np.zeros((1, d, d))
-        perpendicular[0, 0, 0] = 1.0
-        return OutputState(
-            np.array([1.0]), parallel, perpendicular, np.array([0]), TruncationReport(cutoff, 0.0)
-        )
+    def make_output_state(self, n2: int, n3: int, cutoff: int = 2):
+        d = 2 * cutoff + 5
+        distribution = np.zeros((d, d))
+        distribution[n2, n3] = 1.0
+        return OutputState(distribution, TruncationReport(cutoff, 0.0))
 
     def test_vacuum_state(self):
         moments = cross_correlations(self.make_output_state(0, 0))
@@ -417,25 +408,27 @@ class TestStateSize:
         state = mix_on_beam_splitter(
             SourceParams(p1=1.0), LocalOscillator(mu_alpha=2.0), BALANCED, cutoff
         )
-        branches = len(state.weights)
-        for array in (state.weights, state.parallel, state.perpendicular, state.run):
-            assert array.size <= branches * (cutoff + 3) ** 2
-        assert state.parallel.shape[1:] == (cutoff + 3, cutoff + 3)
-        assert state.perpendicular.shape[1:] == (cutoff + 3, cutoff + 3)
+        assert state.distribution.shape == (2 * cutoff + 5, 2 * cutoff + 5)
 
     def test_branches_reproduce_lossy_source_populations(self):
+        # with no coherent light, n2 + n3 counts the source photons that survived the loss
         source = SourceParams(p1=0.9, p2=0.05, eta=0.7)
-        state = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.5), BALANCED, 12)
+        state = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.0), BALANCED, 12)
         populations = np.diag(apply_loss(build_qd_state(0.9, 0.05, 2), 0.7))
-        assert np.allclose(state.weights, populations, atol=1e-15)
-        assert state.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        dist = state.distribution
+        n2, n3 = np.indices(dist.shape)
+        totals = np.bincount((n2 + n3).ravel(), weights=dist.ravel())
+        assert np.allclose(totals[:3], populations, atol=1e-15)
+        assert np.allclose(totals[3:], 0.0, atol=1e-15)
 
     def test_orthogonal_run_adds_branches(self):
-        source = SourceParams.from_moments(0.3, 0.04, m_psi=0.9)
-        state = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.5), BALANCED, 12)
-        assert len(state.perpendicular) == 2
-        assert np.array_equal(state.run, [0, 0, 0, 1, 1, 1])
-        assert state.weights[state.run == 1].sum() == pytest.approx(0.1, abs=1e-12)
+        m_psi, lo = 0.9, LocalOscillator(mu_alpha=0.5, theta=0.4)
+        source = SourceParams.from_moments(0.3, 0.04)
+        mixed = mix_on_beam_splitter(replace(source, m_psi=m_psi), lo, BALANCED, 12)
+        configured = mix_on_beam_splitter(source, lo, BALANCED, 12)
+        orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), BALANCED, 12)
+        expected = m_psi * configured.distribution + (1.0 - m_psi) * orthogonal.distribution
+        assert np.allclose(mixed.distribution, expected, rtol=0.0, atol=1e-15)
 
 
 class TestOracleInvariants:
@@ -454,7 +447,7 @@ class TestOracleInvariants:
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         cutoff = required_cutoff(mu_alpha, 1e-10)
         state = mix_on_beam_splitter(source, lo, BeamSplitterSpec(transmission), cutoff)
-        return joint_number_distribution(state)
+        return state.distribution
 
     @given(**params)
     @settings(max_examples=40, deadline=None)
