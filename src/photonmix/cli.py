@@ -136,6 +136,8 @@ _SCHEMAS = {
             "m_psi": {"type": "number", "minimum": 0, "maximum": 1},
             "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
+        # the filter windows the frequency profiles; alone it would do nothing
+        "dependentRequired": {"spectral_filter": ["frequency_profiles"]},
         "additionalProperties": False,
     },
     "fit": {

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic_model import LocalOscillator, SourceParams, _check_probs
+from .analytic_model import LocalOscillator, SourceParams, _check_probs, _check_unit_interval
 from .errors import (
     InvalidParameterError,
     TruncationError,
@@ -59,10 +59,7 @@ class BeamSplitterSpec:
     transmission: float
 
     def __post_init__(self):
-        if not 0.0 <= self.transmission <= 1.0:
-            raise InvalidParameterError(
-                f"transmission must be in [0, 1], got {self.transmission}"
-            )
+        _check_unit_interval("transmission", self.transmission)
 
     @property
     def reflection(self) -> float:
@@ -172,17 +169,11 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
 
     Column 0 approximates the coherent-state amplitudes
     exp(-|alpha|^2/2) alpha^n / sqrt(n!); the approximation is unitary up to
-    the truncated tail, see :func:`unitarity_defect`.
+    the truncated tail.
     """
     a = lowering_operator(cutoff)
     gen = alpha * a.conj().T - np.conjugate(alpha) * a
     return _expm_antihermitian(gen)
-
-
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max elementwise deviation of M+ M from the identity."""
-    d = matrix.conj().T @ matrix - np.eye(matrix.shape[0])
-    return float(np.abs(d).max())
 
 
 @lru_cache(maxsize=1024)
@@ -219,8 +210,7 @@ def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
     environment.  Input |n>|0> lies in sector n, so the environment keeping
     k photons leaves the Kraus operator K_k[j, j + k] = U_{j+k}[j, j + k].
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidParameterError(f"eta must be in [0, 1], got {eta}")
+    _check_unit_interval("eta", eta)
     d = rho.shape[0]
     out = np.zeros_like(rho)
     for k in range(d):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analytic_model import _check_unit_interval
 from .errors import DataFormatError, InvalidParameterError, UndefinedCorrelationError
 from .tables import read_table, write_table
 
@@ -164,15 +165,11 @@ def total_overlap(
     m_psi: float | None = None,
 ) -> OverlapBreakdown:
     """Product of the per-degree-of-freedom overlaps, optionally scaled by m_psi."""
-    for name, value in (("m_t", m_t), ("m_f", m_f), ("m_p", m_p), ("m_s", m_s)):
-        if not 0.0 <= value <= 1.0:
-            raise InvalidParameterError(f"{name} must be in [0, 1], got {value}")
+    for name, value in (("m_t", m_t), ("m_f", m_f), ("m_p", m_p), ("m_s", m_s), ("m_psi", m_psi)):
+        if value is not None:
+            _check_unit_interval(name, value)
     total = m_t * m_f * m_p * m_s
-    tilde = None
-    if m_psi is not None:
-        if not 0.0 <= m_psi <= 1.0:
-            raise InvalidParameterError(f"m_psi must be in [0, 1], got {m_psi}")
-        tilde = total * m_psi
+    tilde = None if m_psi is None else total * m_psi
     return OverlapBreakdown(m_t=m_t, m_f=m_f, m_p=m_p, m_s=m_s, m_total=total, m_tilde=tilde)
 
 

@@ -1,17 +1,18 @@
-"""Seeded Monte Carlo generators of detector time tags for pipeline closure tests.
+"""Seeded Monte Carlo generators of pulsed detector time tags for pipeline closure tests.
 
-Tags are number-resolved: every photon contributes one record, so correlation
-histograms built from these streams estimate the underlying photon-number
-moments without click-detector saturation corrections.  Per-pulse photon
-numbers for the interference fixtures are drawn from the exact joint output
-distribution of the Fock-space simulation, which makes the generated streams
-an end-to-end check of the tag pipeline against the closed-form correlation
-values.
+Both generators share one pulse-train sampler and differ only in how they draw
+the photon numbers of each pulse: independent Poisson numbers per channel, or
+joint numbers (n2, n3) from the exact output distribution of the Fock-space
+simulation.  Tags are number-resolved: every photon contributes one record, so
+correlation histograms built from these streams estimate the underlying
+photon-number moments without click-detector saturation corrections, which
+makes the interference streams an end-to-end check of the tag pipeline against
+the closed-form correlation values.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -28,58 +29,55 @@ from .tagstream import TagStream
 
 _PULSE_CHUNK = 2_000_000
 
-
-def poisson_cw_tags(rates_hz: Mapping[int, float], duration_s: float, seed: int) -> TagStream:
-    """Independent continuous-wave Poisson processes, one per channel."""
-    if duration_s <= 0:
-        raise InvalidParameterError("duration must be positive")
-    rng = np.random.default_rng(seed)
-    duration_ps = int(round(duration_s * 1e12))
-    channels = []
-    times = []
-    for ch in sorted(rates_hz):
-        rate = rates_hz[ch]
-        if rate < 0:
-            raise InvalidParameterError(f"rate for channel {ch} must be >= 0")
-        n = rng.poisson(rate * duration_s)
-        t = rng.integers(0, duration_ps, size=n, dtype=np.int64)
-        channels.append(np.full(n, ch, dtype=np.int64))
-        times.append(t)
-    return TagStream.from_unsorted(np.concatenate(channels), np.concatenate(times))
+# draw(rng, count) yields (channel, photons per pulse) for the next count pulses
+Draw = Callable[[np.random.Generator, int], Iterable[tuple[int, np.ndarray]]]
 
 
-def _emission_delays(rng: np.random.Generator, n: int, lifetime_ps: float | None) -> np.ndarray:
-    if lifetime_ps is None or n == 0:
-        return np.zeros(n, dtype=np.int64)
-    return rng.exponential(lifetime_ps, size=n).astype(np.int64)
+def _pulse_train(
+    n_pulses: int, rep_period_ps: int, seed: int, lifetime_ps: float | None
+) -> Callable[[Draw], TagStream]:
+    """Check a train of ``n_pulses`` pulses ``rep_period_ps`` apart and return its sampler.
+
+    The sampler walks the train in chunks of ``_PULSE_CHUNK`` pulses, takes
+    each channel's photons per pulse from ``draw`` as it yields them, and
+    delays every photon by an exponential emission time when a lifetime is
+    given.
+    """
+    if n_pulses < 1 or rep_period_ps < 1:
+        raise InvalidParameterError("n_pulses and rep_period_ps must be positive")
+
+    def sample(draw: Draw) -> TagStream:
+        rng = np.random.default_rng(seed)
+        channels = []
+        times = []
+        for start in range(0, n_pulses, _PULSE_CHUNK):
+            count = min(_PULSE_CHUNK, n_pulses - start)
+            pulse_t = np.arange(start, start + count, dtype=np.int64) * rep_period_ps
+            for ch, photons in draw(rng, count):
+                t = np.repeat(pulse_t, photons)
+                if lifetime_ps is not None and t.size:
+                    t = t + rng.exponential(lifetime_ps, size=t.size).astype(np.int64)
+                channels.append(np.full(t.size, ch, dtype=np.int64))
+                times.append(t)
+        return TagStream.from_unsorted(np.concatenate(channels), np.concatenate(times))
+
+    return sample
 
 
 def pulsed_coherent_tags(
-    mean_photons: Mapping[int, float],
-    n_pulses: int,
-    rep_period_ps: int,
-    seed: int,
-    lifetime_ps: float | None = None,
+    mean_photons: Mapping[int, float], n_pulses: int, rep_period_ps: int, seed: int
 ) -> TagStream:
     """Pulsed Poissonian source: independent Poisson photon number per pulse per channel."""
-    if n_pulses < 1 or rep_period_ps < 1:
-        raise InvalidParameterError("n_pulses and rep_period_ps must be positive")
-    rng = np.random.default_rng(seed)
-    channels = []
-    times = []
-    for start in range(0, n_pulses, _PULSE_CHUNK):
-        count = min(_PULSE_CHUNK, n_pulses - start)
-        pulse_t = (np.arange(start, start + count, dtype=np.int64)) * rep_period_ps
+    sample = _pulse_train(n_pulses, rep_period_ps, seed, None)
+
+    def draw(rng, count):
         for ch in sorted(mean_photons):
             mu = mean_photons[ch]
             if mu < 0:
                 raise InvalidParameterError(f"mean photon number for channel {ch} must be >= 0")
-            n_per_pulse = rng.poisson(mu, size=count)
-            t = np.repeat(pulse_t, n_per_pulse)
-            t = t + _emission_delays(rng, t.size, lifetime_ps)
-            channels.append(np.full(t.size, ch, dtype=np.int64))
-            times.append(t)
-    return TagStream.from_unsorted(np.concatenate(channels), np.concatenate(times))
+            yield ch, rng.poisson(mu, size=count)
+
+    return sample(draw)
 
 
 def displaced_fock_tags(
@@ -104,10 +102,9 @@ def displaced_fock_tags(
     means, polarization-summed g2_auto of both outputs, and the normalized
     cross-output coincidence ratio <n2 n3> / (<n2><n3>).
     """
-    if n_pulses < 1 or rep_period_ps < 1:
-        raise InvalidParameterError("n_pulses and rep_period_ps must be positive")
-    if lifetime_ps is None:
-        lifetime_ps = source.tau_lt_ps
+    sample = _pulse_train(
+        n_pulses, rep_period_ps, seed, source.tau_lt_ps if lifetime_ps is None else lifetime_ps
+    )
     state = mix_on_beam_splitter(source, lo, bs, cutoff)
     moments = cross_correlations(state)
     truth = {
@@ -117,27 +114,15 @@ def displaced_fock_tags(
         "g2_auto_3": auto_correlation(state, "out_3"),
         "g2_cross": moments.coincidence / (moments.mean_2 * moments.mean_3),
     }
-    joint = state.distribution
-    flat = joint.ravel()
+    flat = state.distribution.ravel()
     flat = flat / flat.sum()
-    n3_levels = joint.shape[1]
+    n3_levels = state.distribution.shape[1]
 
-    rng = np.random.default_rng(seed)
-    channels = []
-    times = []
-    for start in range(0, n_pulses, _PULSE_CHUNK):
-        count = min(_PULSE_CHUNK, n_pulses - start)
+    def draw(rng, count):
         cells = rng.choice(flat.size, size=count, p=flat)
-        n2 = (cells // n3_levels).astype(np.int64)
-        n3 = (cells % n3_levels).astype(np.int64)
-        pulse_t = (np.arange(start, start + count, dtype=np.int64)) * rep_period_ps
-        for ch, counts in ((channel_2, n2), (channel_3, n3)):
-            t = np.repeat(pulse_t, counts)
-            t = t + _emission_delays(rng, t.size, lifetime_ps)
-            channels.append(np.full(t.size, ch, dtype=np.int64))
-            times.append(t)
-    stream = TagStream.from_unsorted(np.concatenate(channels), np.concatenate(times))
-    return stream, truth
+        return (channel_2, cells // n3_levels), (channel_3, cells % n3_levels)
+
+    return sample(draw), truth
 
 
 def write_tags_csv(stream: TagStream, path) -> None:

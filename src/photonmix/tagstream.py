@@ -109,9 +109,6 @@ class CorrelationHistogram:
         k = self.tau_max // self.bin_width
         return np.arange(-k, k + 1, dtype=np.int64) * self.bin_width
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class G2Result:

@@ -902,11 +902,15 @@ _FAULTS = [
     ("analyze", ["pair=[1,2,3]"], "pair: [1, 2, 3] is too long"),
     ("analyze", ["pair=[2,true]"], "pair/1: True is not one of [1, 2, 3]"),
     ("analyze", ["perp_tagfile=7"], "perp_tagfile: 7 is not of type 'string'"),
-    ("overlap", ['spectral_filter={"center":1}'], "spectral_filter: 'half_width' is a required property"),
-    ("overlap", ['spectral_filter={"center":1,"half_width":0}'],
+    ("overlap", ['frequency_profiles=["a","b"]', 'spectral_filter={"center":1}'],
+     "spectral_filter: 'half_width' is a required property"),
+    ("overlap", ['frequency_profiles=["a","b"]', 'spectral_filter={"center":1,"half_width":0}'],
      "spectral_filter/half_width: 0 is less than or equal to the minimum of 0"),
     ("fit", ["fit_scale=1"], "fit_scale: 1 is not of type 'boolean'"),
     ("fit", ['model="quad"'], "model: 'quad' is not one of ['vhom', 'auto']"),
+    # appended last, so the ids of the cases above keep their indices
+    ("overlap", ['spectral_filter={"center":0,"half_width":1}'],
+     "<root>: 'frequency_profiles' is a dependency of 'spectral_filter'"),
 ]
 
 _JSON = st.recursive(

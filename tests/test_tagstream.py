@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonmix import tagstream
+from photonmix import synthetic, tagstream
 from photonmix.analytic_model import LocalOscillator, SourceParams, auto_g2_zero
 from photonmix.errors import (
     DataFormatError,
@@ -18,7 +19,6 @@ from photonmix.errors import (
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.synthetic import (
     displaced_fock_tags,
-    poisson_cw_tags,
     pulsed_coherent_tags,
     write_tags_csv,
 )
@@ -151,6 +151,18 @@ def stream_from(channels, times) -> TagStream:
     return TagStream.from_unsorted(np.array(channels), np.array(times))
 
 
+def poisson_cw_tags(rates_hz, duration_s, seed) -> TagStream:
+    """Independent continuous-wave Poisson processes, one per channel."""
+    rng = np.random.default_rng(seed)
+    duration_ps = int(round(duration_s * 1e12))
+    channels, times = [], []
+    for ch in sorted(rates_hz):
+        n = rng.poisson(rates_hz[ch] * duration_s)
+        channels.append(np.full(n, ch, dtype=np.int64))
+        times.append(rng.integers(0, duration_ps, size=n, dtype=np.int64))
+    return TagStream.from_unsorted(np.concatenate(channels), np.concatenate(times))
+
+
 class TestBuildHistogram:
     def test_fixed_offset_pair_fills_central_peak(self):
         n = 50
@@ -265,7 +277,7 @@ class TestBuildHistogram:
         hist = build_histogram(stream, (2, 2), 1, k_max, processes=3)
         assert len(started) == children
         assert np.array_equal(hist.counts, build_histogram(stream, (2, 2), 1, k_max).counts)
-        assert hist.total() == 24 * 23
+        assert hist.counts.sum() == 24 * 23
 
     @pytest.mark.parametrize("pair, mirror", [((2, 2), True), ((1, 2), False)])
     def test_only_an_auto_pair_is_mirrored(self, monkeypatch, pair, mirror):
@@ -294,7 +306,7 @@ class TestBuildHistogram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert hist.total() > 30 * len(stream)
+        assert hist.counts.sum() > 30 * len(stream)
         assert peak <= 6 * (stream.channels.nbytes + stream.times.nbytes)
 
     def test_bin_arithmetic_beyond_int64_rejected(self):
@@ -469,6 +481,54 @@ class TestDisplacedFockGenerator:
         b, _ = displaced_fock_tags(source, lo, BeamSplitterSpec(0.5), 6, 10_000, REP, seed=9)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.channels, b.channels)
+
+
+def stream_digests(stream: TagStream) -> tuple[str, str]:
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (stream.channels, stream.times))
+
+
+class TestGeneratedStreamsPinned:
+    """Seeded streams are pinned bit for bit: every closure test draws its data from them.
+
+    1000-pulse chunks put chunk seams into each call.
+    """
+
+    def test_pulsed_coherent(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_PULSE_CHUNK", 1000)
+        stream = pulsed_coherent_tags({1: 0.2, 2: 0.3}, 3500, REP, seed=4)
+        assert stream_digests(stream) == (
+            "71668100c361289f5b133733152a51f7fcd02a210a3d404dca4b701d60595b77",
+            "c750a9e82c17d59f187d726eb79ed7e97c572f03caeca3dcaed10f19c40aad62",
+        )
+
+    @pytest.mark.parametrize(
+        "m_psi, transmission, lifetime_ps, digests",
+        [
+            (0.9, 0.5, None, (  # the source lifetime, 170 ps
+                "cd63b4eed452bee5a6dceb763cfb32e919c800915be6b4d7ec721a46d6ce3128",
+                "f4a3acd1449f2357c113748389fce5cef5b27e8059f3fdb789011c731f118da4",
+            )),
+            (0.8, 0.2, 55.0, (
+                "96adc0a38a9d868378db0da1ce0d68c5fb3b139f237d4067332691415b59df20",
+                "e915303c7b1b1a1061091f49be025ab9fe6fe9960209a5b276d3e0c8b21d1aca",
+            )),
+        ],
+    )
+    def test_displaced_fock(self, monkeypatch, m_psi, transmission, lifetime_ps, digests):
+        monkeypatch.setattr(synthetic, "_PULSE_CHUNK", 1000)
+        source = SourceParams.from_moments(0.3, 0.04, tau_lt_ps=170.0, m_psi=m_psi)
+        lo = LocalOscillator(mu_alpha=0.5, theta=0.4)
+        stream, _ = displaced_fock_tags(
+            source, lo, BeamSplitterSpec(transmission), 9, 3500, REP, seed=5, lifetime_ps=lifetime_ps
+        )
+        assert stream_digests(stream) == digests
+
+    def test_pulse_count_is_checked_first(self):
+        with pytest.raises(InvalidParameterError, match="n_pulses"):
+            pulsed_coherent_tags({1: -1.0}, 0, REP, seed=1)
+        source = SourceParams.from_moments(0.3, 0.04)
+        with pytest.raises(InvalidParameterError, match="n_pulses"):
+            displaced_fock_tags(source, LocalOscillator(mu_alpha=0.5), BeamSplitterSpec(0.5), -1, 0, REP, 1)
 
 
 class TestTagsCsvRoundTrip:
