@@ -304,18 +304,20 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
             "noise_sigma_rel scales the visibility curve, which is zero for m = 0: "
             "every y_err would be 0"
         )
+    mu_psi = cfg["mu_psi"]
+    ratios = cfg["oracle_check_ratios"]
+    # every config fault of the oracle checks is raised before the first write
+    source = SourceParams.from_moments(mu_psi, g2_psi) if ratios else None
+    cutoffs = [required_cutoff(ratio * mu_psi, cfg["tail_target"]) for ratio in ratios]
     grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
     curves = {name: curve(grid, 1.0, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
     write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, curves["vhom"], curves["auto"]])
 
     peaks = peak_analysis(g2_psi, m)
     checks = []
-    mu_psi = cfg["mu_psi"]
     theta = math.acos(math.sqrt(m))
-    for ratio in cfg["oracle_check_ratios"]:
+    for ratio, cutoff in zip(ratios, cutoffs):
         mu_alpha = ratio * mu_psi
-        cutoff = required_cutoff(mu_alpha, cfg["tail_target"])
-        source = SourceParams.from_moments(mu_psi, g2_psi)
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         bs = BeamSplitterSpec(0.5)
         state = mix_on_beam_splitter(source, lo, bs, cutoff)
@@ -464,8 +466,7 @@ def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> None:
     r, y, y_err = read_sweep(sweepfile)
     result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
     _write_json(outdir / "fit.json", result.to_dict())
-    scale = result.scale_hat if result.scale_hat is not None else 1.0
-    y_model = SWEEP_MODELS[cfg["model"]](scale * r, 1.0, cfg["g2_psi"], result.m_hat)
+    y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, 1.0, cfg["g2_psi"], result.m_hat)
     write_table(
         outdir / "residuals.csv",
         ("ratio", "y", "y_err", "model", "residual_sigma"),

@@ -14,15 +14,16 @@ function of its own: :func:`~photonmix.analytic_model.overlap_from_visibility`
 is linear in the visibility, so applied to ``y`` and to ``y_err`` it gives
 each point's overlap and its error.
 
-Both sweep models are affine in the overlap m, so the default fit is the
-closed-form weighted least-squares estimate with its exact curvature error.
-Only the optional fit that also floats the ratio scale is iterative; it
-imports scipy's ``least_squares`` when called, so no other path loads scipy.
+Both sweep models are affine in the overlap m, so at a given ratio scale
+the closed-form weighted least-squares estimate, clipped to [0, 1], is the
+exact best m, with its exact curvature error.  The default fit is that
+estimate; the optional fit that also floats the ratio scale profiles it over
+the scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,12 +61,12 @@ class PowerCalibration:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted overlap with its curvature error.
+    """Fitted overlap, and ratio scale if it was fitted too, with curvature errors.
 
     ``at_bound`` is true when a parameter was held at the edge of its range:
-    the unclipped overlap lies outside [0, 1], or the two-parameter fit ended
-    on a bound.  ``m_err`` is then the curvature of an unconstrained
-    quadratic, not a confidence interval.
+    the unclipped overlap lies outside [0, 1], or the fitted scale is 1e-2 or
+    1e2.  The errors are then the curvature of an unconstrained quadratic,
+    not a confidence interval.
     """
 
     m_hat: float
@@ -78,18 +79,8 @@ class FitResult:
     scale_err: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "M_hat": self.m_hat,
-            "M_err": self.m_err,
-            "chi2_red": self.chi2_red,
-            "n_points": self.n_points,
-            "model": self.model,
-            "at_bound": self.at_bound,
-        }
-        if self.scale_hat is not None:
-            out["scale_hat"] = self.scale_hat
-            out["scale_err"] = self.scale_err
-        return out
+        out = {name: value for name, value in asdict(self).items() if value is not None}
+        return {"M_hat": out.pop("m_hat"), "M_err": out.pop("m_err"), **out}
 
 
 def calibrate_mu_alpha(cal: PowerCalibration) -> float:
@@ -156,33 +147,38 @@ def _fit_single_parameter(r, y, s, g2_psi: float, model: str) -> FitResult:
 
 
 def _fit_with_scale(r, y, s, g2_psi: float, model: str) -> FitResult:
-    from scipy.optimize import least_squares  # only this non-default path needs scipy
+    """The closed-form fit at ``scale * r``, profiled over the scale in [1e-2, 1e2].
 
-    curve = SWEEP_MODELS[model]
-
-    def residuals(params):
-        m, scale = params
-        return (y - curve(scale * r, 1.0, g2_psi, m)) / s
-
-    ls = least_squares(residuals, x0=[0.5, 1.0], bounds=([0.0, 1e-2], [1.0, 1e2]))
-    if not ls.success:
-        raise IllConditionedFitError(f"two-parameter fit failed: {ls.message}")
-    jtj = ls.jac.T @ ls.jac
+    chi2 is quadratic in m, so at each scale the clipped closed form is its
+    exact minimum over m in [0, 1] (variable projection).  The profile may
+    have more than one minimum: a log-spaced grid over the whole range finds
+    the best one, and grids between the best point's neighbours refine it.
+    """
+    lo, hi, n = 1e-2, 1e2, 65
+    while hi / lo > 1.0 + 1e-9:
+        grid = np.geomspace(lo, hi, n)
+        fits = [_fit_single_parameter(scale * r, y, s, g2_psi, model) for scale in grid]
+        i = int(np.argmin([fit.chi2_red for fit in fits]))
+        lo, hi, n = grid[max(i - 1, 0)], grid[min(i + 1, n - 1)], 5
+    scale, fit = grid[i], fits[i]
+    # Gauss-Newton curvature: the m column exact, the scale column a central difference
+    curve, h = SWEEP_MODELS[model], 1e-5 * scale
+    jac = np.column_stack([
+        curve(scale * r, 1.0, g2_psi, 1.0) - curve(scale * r, 1.0, g2_psi, 0.0),
+        (curve((scale + h) * r, 1.0, g2_psi, fit.m_hat) - curve((scale - h) * r, 1.0, g2_psi, fit.m_hat)) / (2 * h),
+    ]) / s[:, None]
     try:
-        cov = np.linalg.inv(jtj)
+        cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         raise IllConditionedFitError("singular normal matrix in two-parameter fit") from None
-    errs = np.sqrt(np.diag(cov))
-    dof = max(r.size - 2, 1)
-    return FitResult(
-        m_hat=float(ls.x[0]),
-        m_err=float(errs[0]),
-        chi2_red=float(2.0 * ls.cost / dof),
-        n_points=r.size,
-        model=model,
-        at_bound=bool(np.any(ls.active_mask != 0)),
-        scale_hat=float(ls.x[1]),
-        scale_err=float(errs[1]),
+    m_err, scale_err = np.sqrt(np.diag(cov)).tolist()
+    return replace(
+        fit,
+        m_err=m_err,
+        chi2_red=fit.chi2_red * (r.size - 1) / max(r.size - 2, 1),
+        at_bound=fit.at_bound or scale in (1e-2, 1e2),
+        scale_hat=float(scale),
+        scale_err=scale_err,
     )
 
 
@@ -193,10 +189,12 @@ def fit_sweep(ratio, y, y_err, model: str, g2_psi: float, fit_scale: bool = Fals
     visibility, ``"auto"`` for the single-output bunching.  Single parameter
     m, the closed-form estimate clipped to [0, 1]; g2_psi is fixed from an
     independent measurement.  ``fit_scale`` additionally floats a
-    multiplicative ratio calibration (off by default).
+    multiplicative ratio calibration in [1e-2, 1e2] (off by default).
     """
     if model not in SWEEP_MODELS:
         raise InvalidParameterError(f"unknown sweep model {model!r}, expected one of {list(SWEEP_MODELS)}")
+    if not np.isfinite(g2_psi):
+        raise InvalidParameterError(f"g2_psi must be finite, got {g2_psi}")
     if g2_psi < 0:
         raise InvalidParameterError("g2_psi must be >= 0")
     fit = _fit_with_scale if fit_scale else _fit_single_parameter

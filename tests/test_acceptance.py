@@ -214,6 +214,24 @@ def test_fit_coverage():
         assert hits >= 950, f"{model}: {hits}/1000 within 2 sigma"
 
 
+@criterion("ratio-scale fit recovers M and a 1.3 miscalibration within 3 sigma, pulls of unit spread")
+def test_scale_fit_recovery():
+    r = np.geomspace(0.01, 30.0, 20)
+    for model, curve in (("vhom", hom_visibility), ("auto", auto_g2_zero)):
+        y_true = curve(1.3 * r, 1.0, G2_REF, M_REF)
+        sigma = 0.02 * y_true
+        pulls = []
+        for seed in range(20):
+            y = y_true + np.random.default_rng(seed).normal(size=r.size) * sigma
+            result = fit_sweep(r, y, sigma, model, G2_REF, fit_scale=True)
+            assert abs(result.m_hat - M_REF) <= 3.0 * result.m_err, f"{model} seed {seed}: M"
+            assert abs(result.scale_hat - 1.3) <= 3.0 * result.scale_err, f"{model} seed {seed}: scale"
+            pulls.append([(result.m_hat - M_REF) / result.m_err, (result.scale_hat - 1.3) / result.scale_err])
+        # the 99.9 % band of a 20-sample standard deviation of unit-variance pulls
+        spread = np.std(pulls, axis=0, ddof=1)
+        assert np.all((0.5 <= spread) & (spread <= 1.5)), f"{model}: pull spread {spread}"
+
+
 @criterion("tag pipeline closure at 1e7 pulses, Poissonian control, chunk merge")
 def test_tag_pipeline_closure():
     expected = auto_g2_zero(0.06, 0.03, G2_REF, M_REF)

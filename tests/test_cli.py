@@ -135,6 +135,25 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["g2_psi=3", "oracle_check_ratios=[1]"], "g2_psi=3 too large for emitted mean 1.0"),
+            (
+                ["g2_psi=0.04", "oracle_check_ratios=[1,1e6]"],
+                "no cutoff <= 500 reaches tail mass 1e-10 for mu = 1000000.0",
+            ),
+        ],
+        ids=["source", "cutoff"],
+    )
+    def test_oracle_check_config_error_writes_no_file(self, tmp_path, capsys, settings, message):
+        args = ["simulate", "--out", str(tmp_path / "run"), "--set", "m=0.5"]
+        for setting in settings:
+            args += ["--set", setting]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_relative_noise_on_zero_visibility_is_config_error(self, tmp_path, capsys):
         # V_HOM is zero at m = 0, so relative noise would write y_err = 0, which fit rejects
         args = ["simulate", "--set", "m=0", "--set", "g2_psi=0.02", "--set", "noise_sigma_rel=0.1"]
@@ -1080,7 +1099,7 @@ print(json.dumps({"code": code, **{m: m in sys.modules for m in ("numpy", "multi
 
 
 class TestScipyOffCommandPath:
-    """No command loads scipy or jsonschema; only fit_scale=true loads scipy.optimize.
+    """No command loads scipy or jsonschema, fit_scale=true included.
 
     Only a run that starts a worker process loads multiprocessing: a two-file
     analyze does, and a one-file analyze of a stream of one sweep block, as
@@ -1111,7 +1130,8 @@ class TestScipyOffCommandPath:
         ]
 
     @pytest.mark.parametrize(
-        "command", ["version", "analyze", "analyze_pair", "fit_vhom", "fit_auto", "simulate", "simulate_oracle"]
+        "command",
+        ["version", "analyze", "analyze_pair", "fit_vhom", "fit_auto", "fit_scale", "simulate", "simulate_oracle"],
     )
     def test_command_loads_no_scipy(self, inputs, command):
         simulate = [
@@ -1129,6 +1149,7 @@ class TestScipyOffCommandPath:
             "analyze_pair": [*analyze, "--set", f"perp_tagfile={json.dumps(str(inputs / 'perp.csv'))}"],
             "fit_vhom": self.fit_args(inputs, "vhom", "false"),
             "fit_auto": self.fit_args(inputs, "auto", "false"),
+            "fit_scale": self.fit_args(inputs, "vhom", "true"),
             "simulate": simulate,
             "simulate_oracle": [*simulate, "--set", "oracle_check_ratios=[0.2,10]"],
         }[command]
@@ -1136,8 +1157,3 @@ class TestScipyOffCommandPath:
         assert self.probe(args) == {
             "code": 0, "numpy": True, "multiprocessing": command == "analyze_pair", "scipy": [], "jsonschema": []
         }
-
-    def test_fit_scale_loads_scipy_optimize(self, inputs):
-        scaled = self.probe(self.fit_args(inputs, "vhom", "true"))
-        assert scaled["code"] == 0 and scaled["jsonschema"] == []
-        assert "scipy.optimize" in scaled["scipy"]

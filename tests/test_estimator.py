@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import least_squares, minimize_scalar
 
 from photonmix.analytic_model import auto_g2_zero, hom_visibility, overlap_from_visibility, peak_analysis
 from photonmix.errors import (
@@ -242,6 +242,24 @@ class TestFitSweep:
         with pytest.raises(InvalidParameterError, match="1-D and of one length"):
             fit_sweep(*columns, "vhom", G2_REF)
 
+    @pytest.mark.parametrize("fit_scale", [False, True])
+    @pytest.mark.parametrize("g2_psi", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_g2_psi_rejected(self, g2_psi, fit_scale):
+        with pytest.raises(InvalidParameterError, match=f"g2_psi must be finite, got {g2_psi}"):
+            fit_sweep(*make_sweep("vhom", M_REF, G2_REF), "vhom", g2_psi, fit_scale=fit_scale)
+
+    @pytest.mark.parametrize("model", ["vhom", "auto"])
+    def test_one_sided_sweep_is_accepted(self, model):
+        # every ratio right of the visibility peak at sqrt(g2_psi): m alone is still well-posed
+        r = np.geomspace(2.0 * np.sqrt(G2_REF), 30.0, 20)
+        y_true = curve(model, r, M_REF)
+        sigma = 0.02 * y_true
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            result = fit_sweep(r, y_true + rng.normal(size=r.size) * sigma, sigma, model, G2_REF)
+            assert result.at_bound is False
+            assert abs(result.m_hat - M_REF) <= 3.0 * result.m_err
+
     @pytest.mark.parametrize("model", ["vhom", "auto"])
     def test_scale_fit_differs_from_the_fixed_scale_fit(self, model):
         r = np.geomspace(0.05, 10.0, 25)
@@ -253,6 +271,45 @@ class TestFitSweep:
         assert scaled.chi2_red < 1e-6 < fixed.chi2_red
         assert fixed.scale_hat is None
         assert (scaled.model, fixed.model) == (model, model)
+
+
+class TestScaleFitAgainstLeastSquares:
+    """The scale fit against scipy's bounded least_squares on the same chi2."""
+
+    @staticmethod
+    def reference(r, y, s, model, g2_psi):
+        ls = least_squares(
+            lambda p: (y - curve(model, p[1] * r, p[0], g2_psi)) / s, x0=[0.5, 1.0], bounds=([0.0, 1e-2], [1.0, 1e2])
+        )
+        m_err, scale_err = np.sqrt(np.diag(np.linalg.inv(ls.jac.T @ ls.jac)))
+        return {
+            "m_hat": ls.x[0], "scale_hat": ls.x[1], "m_err": m_err, "scale_err": scale_err,
+            "chi2_red": 2.0 * ls.cost / max(r.size - 2, 1), "at_bound": bool(np.any(ls.active_mask != 0)),
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        model=st.sampled_from(["vhom", "auto"]),
+        m=st.floats(0.1, 1.0),
+        g2_psi=st.floats(0.0, 0.2),
+        scale=st.floats(0.3, 3.0),
+        n=st.integers(5, 30),
+        r_min=st.floats(0.005, 0.5),
+        r_max=st.floats(2.0, 50.0),
+        noise=st.floats(0.005, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_least_squares(self, model, m, g2_psi, scale, n, r_min, r_max, noise, seed):
+        r = np.geomspace(r_min, r_max, n)
+        y_true = curve(model, scale * r, m, g2_psi)
+        s = noise * y_true + 1e-3
+        y = y_true + np.random.default_rng(seed).normal(size=n) * s
+        fit = fit_sweep(r, y, s, model, g2_psi, fit_scale=True)
+        ref = self.reference(r, y, s, model, g2_psi)
+        assert fit.chi2_red <= ref["chi2_red"] * (1.0 + 1e-9)
+        if not (fit.at_bound or ref["at_bound"]):
+            for name in ("m_hat", "scale_hat", "m_err", "scale_err"):
+                assert getattr(fit, name) == pytest.approx(ref[name], rel=1e-3), name
 
 
 class TestBrightness:
