@@ -309,8 +309,11 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
     # every config fault of the oracle checks is raised before the first write
     source = SourceParams.from_moments(mu_psi, g2_psi) if ratios else None
     cutoffs = [required_cutoff(ratio * mu_psi, cfg["tail_target"]) for ratio in ratios]
-    grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
-    curves = {name: curve(grid, 1.0, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
+    try:
+        grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
+        curves = {name: curve(grid, 1.0, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
+    except MemoryError:
+        raise ConfigError(f"a sweep of {cfg['n_points']} points does not fit in memory") from None
     write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, curves["vhom"], curves["auto"]])
 
     peaks = peak_analysis(g2_psi, m)
@@ -514,7 +517,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.command, args.config, args.overrides, args.seed)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror or exc}") from exc
         if args.command == "simulate":
             cmd_simulate(cfg, outdir)
         elif args.command == "analyze":

@@ -24,7 +24,6 @@ from .fock_oracle import (
     cross_correlations,
     mix_on_beam_splitter,
 )
-from .tables import write_table
 from .tagstream import TagStream
 
 _PULSE_CHUNK = 2_000_000
@@ -123,8 +122,3 @@ def displaced_fock_tags(
         return (channel_2, cells // n3_levels), (channel_3, cells % n3_levels)
 
     return sample(draw), truth
-
-
-def write_tags_csv(stream: TagStream, path) -> None:
-    """Write a stream in the ``channel,t_ps`` format accepted by parse_tags."""
-    write_table(path, None, [stream.channels, stream.times])

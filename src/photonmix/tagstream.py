@@ -9,17 +9,18 @@ channel A, j on channel B) the delay ``t_j - t_i`` is assigned to the bin
 whose center is the nearest multiple of the bin width; pairs beyond
 ``tau_max`` are ignored.  The sweep runs over blocks of earlier records, so
 its temporaries stay in cache whatever the stream's length, and each block
-stops at its own first offset with no delay within reach.  Each side's
-delays are selected with ``np.compress``, binned in place in int64 with the
-histogram offset folded into the numerator, and counted with ``np.add.at``
-into the one histogram; an auto-correlation sweeps one side and mirrors it,
-and bins an offset whose delays are all within reach with no selection
-pass.  The blocks are independent, so a contiguous range of them is the
-unit of work: ``build_histogram`` can sweep ranges in child processes and
-sum their raw counts.  Zero-delay peak areas normalized by the mean
-uncorrelated peak area at multiples of the pulse period give g2(0).  Tag
-files are read by path only, as headerless ``channel,t_ps``
-integer tables through :mod:`photonmix.tables`.
+stops at its own first offset with no delay within reach.  Every pair runs
+one loop body: one ``np.compress`` selects the delays that count (of a cross
+pair, those between records on different channels, signed by which came
+first), they are binned in place in int64 with the histogram offset folded
+into the numerator, and one ``np.add.at`` counts them into the one
+histogram; an auto-correlation sweeps ``+d`` only and mirrors it.  The
+blocks are independent, so a contiguous range of them is the unit of work:
+``build_histogram`` can sweep ranges in child processes and sum their raw
+counts.  Zero-delay peak areas normalized by the mean uncorrelated peak
+area at multiples of the pulse period give g2(0).  Tag files are read and
+written by path only, as headerless ``channel,t_ps`` integer tables through
+:mod:`photonmix.tables`.
 """
 
 from __future__ import annotations
@@ -127,18 +128,20 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
 
     Channels must be in ``DEFAULT_CHANNELS``.  Records may arrive out of
     order by at most ``reorder_window`` >= 0 ps (a larger backward jump is a
-    format error); sorting is stable so equal timestamps keep file order,
+    format error, a negative window an ``InvalidParameterError`` before the
+    file is read); sorting is stable so equal timestamps keep file order,
     and a file already in time order is not sorted at all.
     """
+    if reorder_window < 0:
+        raise InvalidParameterError(f"reorder_window must be >= 0 ps, got {reorder_window}")
     _, rows = read_table(path, None, int)
     if rows.size and rows.shape[1] != 2:
         raise DataFormatError(
             f"expected 'channel,t_ps', got {rows.shape[1]} columns", line=row_line(path, None, 0)
         )
-    # two contiguous columns, so that the parsed rows are freed before any check or sort
-    channels, times = rows.reshape(-1, 2).T.copy()
-    del rows
-    unknown = ~np.isin(channels, sorted(DEFAULT_CHANNELS))
+    channels, times = rows.reshape(-1, 2).T
+    # views of the parsed table: np.isin would copy the strided column
+    unknown = np.logical_and.reduce([channels != ch for ch in DEFAULT_CHANNELS])
     # including a record in its own running maximum changes nothing for a window >= 0
     running_max = np.maximum.accumulate(times)
     bad = np.flatnonzero(unknown | (times < running_max - reorder_window))
@@ -155,6 +158,11 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
         return TagStream(channels, times)
     del running_max
     return TagStream.from_unsorted(channels, times)
+
+
+def write_tags_csv(stream: TagStream, path) -> None:
+    """Write a stream in the ``channel,t_ps`` format accepted by parse_tags."""
+    write_table(path, None, [stream.channels, stream.times])
 
 
 def check_binning(bin_width: int, tau_max: int) -> int:
@@ -200,16 +208,17 @@ def build_histogram(
     ``[s, s + B)`` meets the records ``k`` places later for ``k = 1, 2, ...``
     and stops at the first ``k`` where none of its delays is within reach.
     That stop is exact, because each record's delay only grows with ``k``
-    and the block's slice only shrinks at its end.  ``np.compress`` selects
-    each side's delays (a boolean index branches on the near-random channel
-    mask and is several times slower), the delays are binned in place, and
-    ``np.add.at`` counts them into the one histogram (a ``bincount`` per
-    block would allocate every bin of it again).  An auto pair selects the
-    same delays on both sides, so only ``+d`` is swept and binned, with no
-    selection at all for an offset whose delays are all within reach; ``-d``
-    lands in the mirror bin ``2 k_max + 2 - p`` of plus bin ``p``, except
-    that a delay on a half-bin edge (even widths only) lands one bin higher,
-    so those delays are counted apart.
+    and the block's slice only shrinks at its end.  A cross pair signs each
+    record, +1 on A and -1 on B: a delay counts between records of opposite
+    sign, and times the earlier one's sign it is ``tau``.  One ``np.compress``
+    selects the delays that count, unless all do (a boolean index branches on
+    the near-random channel mask and is several times slower); they are
+    binned in place, and ``np.add.at`` counts them into the one histogram (a
+    ``bincount`` per block would allocate every bin of it again).  An auto
+    pair counts every delay both ways, so only ``+d`` is swept and binned;
+    ``-d`` lands in the mirror bin ``2 k_max + 2 - p`` of plus bin ``p``,
+    except that a delay on a half-bin edge (even widths only) lands one bin
+    higher, so those delays are counted apart.
 
     With ``processes`` > 1 the blocks are split into that many contiguous
     ranges, no more than there are blocks, and no more than keep the
@@ -229,11 +238,10 @@ def build_histogram(
     on_b = stream.channels == ch_b
     keep = on_a | on_b
     t = stream.times[keep]
-    is_a = on_a[keep]
-    is_b = on_b[keep]
-    # an auto pair puts every record on both sides, so the minus side selects
-    # the plus side's delays: only those are binned, then mirrored
+    # an auto pair puts every record on A and on B, so -d selects the delays of +d:
+    # only those are binned, then mirrored
     mirror = ch_a == ch_b
+    sign = None if mirror else np.where(on_a[keep], np.int8(1), np.int8(-1))
     try:
         counts = np.zeros(2 * k_max + 3, dtype=np.int64)
         # an even width puts some delays on half-bin edges, where the floor rule bins
@@ -251,7 +259,7 @@ def build_histogram(
     # contiguous ranges of block starts; all but the first are swept in child processes
     bounds = [n_blocks * i // parts * block for i in range(parts + 1)]
     ranges = [range(a, b, block) for a, b in zip(bounds, bounds[1:])]
-    sweep = (t, is_a, is_b, bin_width, k_max, mirror)
+    sweep = (t, sign, bin_width, k_max)
     with ExitStack() as children:
         results = [
             children.enter_context(
@@ -282,10 +290,10 @@ def build_histogram(
     return CorrelationHistogram(bin_width, tau_max, counts[1:-1], (ch_a, ch_b), rep_period)
 
 
-def _sweep(t, is_a, is_b, bin_width, k_max, mirror, starts, counts, edges):
+def _sweep(t, sign, bin_width, k_max, starts, counts, edges):
     """Sweep the blocks of earlier records that begin at ``starts`` (a range whose step
     is the block size) into ``counts``, and the half-bin edge delays of a mirrored
-    sweep into ``edges``; return both."""
+    sweep into ``edges``; return both.  ``sign`` is +1 on A, -1 on B, or None (auto)."""
     # delays within reach bin to -k_max - 1 .. k_max + 1; the two overflow bins are dropped
     reach = (k_max + 1) * bin_width
     # floor((2 tau + w) / 2w) + k_max + 1 is (tau + half) // w: the offset folded into the
@@ -297,29 +305,20 @@ def _sweep(t, is_a, is_b, bin_width, k_max, mirror, starts, counts, edges):
             e = min(s + starts.step, n - k)
             d = t[s + k : e + k] - t[s:e]
             near = d <= reach
-            n_near = np.count_nonzero(near)
-            if n_near == 0:
+            if not near.any():
                 break
-            # earlier record as A: tau = +d; later record as A: tau = -d.  The floor
-            # rule is asymmetric at half-bin edges, so each side is binned on its own
-            if mirror:  # when every delay is within reach, d itself is binned
-                sides = ((1, d if n_near == d.size else np.compress(near, d)),)
-            else:
-                sides = (
-                    (1, np.compress(near & is_a[s:e] & is_b[s + k : e + k], d)),
-                    (-1, np.compress(near & is_a[s + k : e + k] & is_b[s:e], d)),
-                )
-            for sign, v in sides:
-                if sign > 0:
-                    v += half
-                else:
-                    np.subtract(half, v, out=v)
-                if edges is None:
-                    v //= bin_width
-                else:  # a delay is on a half-bin edge when bin_width divides v
-                    x, v = v, v // bin_width
-                    np.add.at(edges, np.compress(v * bin_width == x, v), 1)
-                np.add.at(counts, v, 1)
+            if sign is not None:  # one record on each side: tau = +d with A earlier, -d with B
+                near &= sign[s:e] != sign[s + k : e + k]
+                d *= sign[s:e]
+            # when every delay counts, d itself is binned
+            v = d if near.all() else np.compress(near, d)
+            v += half
+            if edges is None:
+                v //= bin_width
+            else:  # a delay is on a half-bin edge when bin_width divides v
+                x, v = v, v // bin_width
+                np.add.at(edges, np.compress(v * bin_width == x, v), 1)
+            np.add.at(counts, v, 1)
     return counts, edges
 
 

@@ -26,8 +26,8 @@ from photonmix.errors import ConfigError, DataFormatError, PhotonmixError
 from photonmix.estimator import write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.mode_overlap import SampledProfile, write_profile
-from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags, write_tags_csv
-from photonmix.tagstream import parse_tags
+from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
+from photonmix.tagstream import parse_tags, write_tags_csv
 
 REP = 12195
 TAU_MAX = 122_000
@@ -152,6 +152,14 @@ class TestSimulate:
             args += ["--set", setting]
         assert run(args) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list((tmp_path / "run").iterdir()) == []
+
+    def test_sweep_too_large_for_memory_is_config_error(self, tmp_path, capsys):
+        # 10**15 float64 points, 7 PiB: no allocation of that size succeeds, so nothing large starts
+        args = ["simulate", "--out", str(tmp_path / "run"), "--set", "m=0.5", "--set", "g2_psi=0.04",
+                "--set", f"n_points={10**15}"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"config error: a sweep of {10**15} points does not fit in memory\n"
         assert list((tmp_path / "run").iterdir()) == []
 
     def test_relative_noise_on_zero_visibility_is_config_error(self, tmp_path, capsys):
@@ -859,6 +867,38 @@ class TestFitCommand:
              "--set", "g2_psi=0.03"]
         )
         assert code == 2
+
+
+class TestOutDirectory:
+    """An ``--out`` that cannot be made a directory is a config error that writes no file."""
+
+    def fit_args(self, tmp_path, out):
+        r = np.geomspace(0.02, 20.0, 15)
+        sweep = tmp_path / "sweep.csv"
+        write_sweep(sweep, r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
+        return ["fit", str(sweep), "--out", str(out), "--set", "model=vhom", "--set", "g2_psi=0.03"]
+
+    @pytest.mark.parametrize("out, reason", [("some_file", "File exists"), ("some_file/sub", "Not a directory")])
+    def test_out_through_a_file_is_config_error(self, tmp_path, capsys, out, reason):
+        (tmp_path / "some_file").write_bytes(b"kept")
+        args = self.fit_args(tmp_path, tmp_path / out)
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"config error: cannot create output directory {tmp_path / out}: {reason}\n"
+        assert (tmp_path / "some_file").read_bytes() == b"kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["some_file", "sweep.csv"]
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # a mkdir refused for permission is a fault of the --out path too, not of the input data
+        def refused(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        args = self.fit_args(tmp_path, tmp_path / "run")
+        monkeypatch.setattr(Path, "mkdir", refused)
+        assert run(args) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {tmp_path / 'run'}: Permission denied\n"
+        )
+        assert not (tmp_path / "run").exists()
 
 
 class TestConfigDefaults:

@@ -17,11 +17,7 @@ from photonmix.errors import (
     UndefinedCorrelationError,
 )
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
-from photonmix.synthetic import (
-    displaced_fock_tags,
-    pulsed_coherent_tags,
-    write_tags_csv,
-)
+from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
 from photonmix.tagstream import (
     CorrelationHistogram,
     G2Result,
@@ -31,6 +27,7 @@ from photonmix.tagstream import (
     g2_zero,
     parse_tags,
     visibility_from_histograms,
+    write_tags_csv,
 )
 from photonmix.tables import write_table
 
@@ -70,6 +67,13 @@ class TestParseTags:
         with pytest.raises(DataFormatError) as err:
             parse_tags(tags(b"2,100\n1,30\n"), reorder_window=50)
         assert err.value.line == 2
+
+    def test_negative_reorder_window_is_a_parameter_error(self, tags, tmp_path):
+        # the window is refused before any file is read, not blamed on records in order
+        path = tags(b"1,10\n2,20\n")
+        for target in (path, tmp_path / "missing.csv"):
+            with pytest.raises(InvalidParameterError, match="reorder_window must be >= 0 ps, got -1"):
+                parse_tags(target, reorder_window=-1)
 
     def test_unknown_channel_rejected(self, tags):
         with pytest.raises(DataFormatError) as err:
@@ -211,20 +215,25 @@ class TestBuildHistogram:
         h1 = build_histogram(shifted, (1, 2), 1_000_000, 50_000_000)
         assert np.array_equal(h0.counts, h1.counts)
 
-    @given(processes=st.integers(1, 9), seed=st.integers(0, 100), block=SWEEP_BLOCKS)
+    @given(
+        processes=st.integers(1, 9),
+        seed=st.integers(0, 100),
+        block=SWEEP_BLOCKS,
+        pair=st.sampled_from([(2, 2), (2, 3)]),
+    )
     @settings(max_examples=20, deadline=None)
-    def test_chunked_merge_is_bit_exact(self, processes, seed, block):
+    def test_chunked_merge_is_bit_exact(self, processes, seed, block, pair):
         # up to 9 contiguous ranges of sweep blocks, each but the first in a child
-        stream = pulsed_coherent_tags({2: 0.4}, 400, REP, seed=seed)
+        stream = pulsed_coherent_tags(dict.fromkeys(pair, 0.4), 400, REP, seed=seed)
         tau_max = 5 * REP - (5 * REP) % 25
-        alone = build_histogram(stream, (2, 2), 25, tau_max)
+        alone = build_histogram(stream, pair, 25, tau_max)
         started, in_child = [], tagstream.in_child
         with (
             mock.patch.object(tagstream, "_SWEEP_BLOCK", block),
             mock.patch.object(tagstream, "in_child", lambda *a: started.append(a[0]) or in_child(*a)),
         ):
-            split = build_histogram(stream, (2, 2), 25, tau_max, processes=processes)
-        n_blocks = -(-int(np.sum(stream.channels == 2)) // block)
+            split = build_histogram(stream, pair, 25, tau_max, processes=processes)
+        n_blocks = -(-int(np.isin(stream.channels, pair).sum()) // block)
         assert len(started) == min(processes, n_blocks) - 1
         assert np.array_equal(split.counts, alone.counts)
 
@@ -282,9 +291,10 @@ class TestBuildHistogram:
     @pytest.mark.parametrize("pair, mirror", [((2, 2), True), ((1, 2), False)])
     def test_only_an_auto_pair_is_mirrored(self, monkeypatch, pair, mirror):
         # the mirror is exact for an auto pair only, and the sweep without it is too, so
-        # the counts alone cannot tell whether the auto pair skipped its minus side
+        # the counts alone cannot tell whether the auto pair skipped its minus side:
+        # the sweep of an auto pair alone gets no sign per record
         seen, sweep = [], tagstream._sweep
-        monkeypatch.setattr(tagstream, "_sweep", lambda *a: seen.append(a[5]) or sweep(*a))
+        monkeypatch.setattr(tagstream, "_sweep", lambda *a: seen.append(a[1] is None) or sweep(*a))
         stream = stream_from([1, 2, 2, 1, 2], [0, 0, 4, 9, 10])
         hist = build_histogram(stream, pair, 2, 12)
         assert seen == [mirror]
