@@ -175,7 +175,8 @@ def loss_degraded_probs(p1: float, p2: float, eta: float) -> tuple[float, float,
 
     Returns (q0, q1, q2) with q0 = (1-eta)(p1 + p2 - eta p2),
     q1 = eta (p1 + 2 p2 - 2 eta p2), q2 = eta^2 p2.  The vacuum population of
-    the full state is ``1 - p1 - p2 + q0``.
+    the full state is ``1 - p1 - p2 + q0``.  It is the closed-form reference
+    that the oracle's ``apply_loss`` is tested against; the oracle never calls it.
     """
     _check_probs(p1, p2)
     _check_unit_interval("eta", eta)

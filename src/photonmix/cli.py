@@ -105,7 +105,7 @@ _SCHEMAS = {
             "rep_period": {"type": "integer", "minimum": 1},
             "window": {"type": "integer", "minimum": 1},
             "n_side_peaks": {"type": "integer", "minimum": 2, "default": 10},
-            "reorder_window": {"type": "integer", "minimum": 0, "default": 0},
+            "reorder_window": {"type": "integer", "minimum": 0, "maximum": 9223372036854775807, "default": 0},
             "perp_tagfile": {"type": "string"},
             "seed": {"type": "integer", "minimum": 0, "default": 0},
         },

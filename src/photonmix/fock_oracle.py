@@ -6,23 +6,26 @@ vacuum, while the beam splitter acts on each polarization separately.  So
 every pure branch of the output is a product of a parallel two-mode state
 (source branch mixed with the parallel coherent component) and a
 perpendicular two-mode state (vacuum mixed with the perpendicular coherent
-component), and the polarization-summed photon-number distribution
-P[n2, n3] is the 2-D convolution of the two pair distributions.
+component).
 
-Beam splitters and loss channels are matrix exponentials of the two-mode
-mixing generator.  The generator conserves total photon number, so it is
-exponentiated block by block: one (N+1) x (N+1) block per total photon
-number N (Campos, Saleh & Teich, Phys. Rev. A 40, 1371 (1989)).  Each block
-is exact, so the maps are exact on every state they meet here.  Every
-generator here is anti-Hermitian, so its exponential comes from a Hermitian
+The beam splitter and the loss channel act on creation operators (Campos,
+Saleh & Teich, Phys. Rev. A 40, 1371 (1989)): each input photon leaves as a
+fixed combination of the two output creation operators, so an input number
+state leaves as those operators applied to the output vacuum, one photon at
+a time, each step two shifted adds.  This is exact, and it forms only the
+amplitudes that are used.  The parallel light interferes, so its output is
+built as amplitudes; the perpendicular light meets no other field, so each
+of its photons is added in probability, moving mass T to out_2 and R to
+out_3.  The displacement that prepares the coherent input is a matrix
+exponential of an anti-Hermitian generator, taken from a Hermitian
 eigendecomposition, the well-conditioned normal-matrix case of Moler & Van
-Loan, SIAM Rev. 45, 3 (2003); numpy alone does it.  The branches live
-only inside :func:`mix_on_beam_splitter`: the state it returns is the
+Loan, SIAM Rev. 45, 3 (2003); numpy alone does it.  The branches live only
+inside :func:`mix_on_beam_splitter`: the state it returns is the
 (2 cutoff + 5)^2 distribution P[n2, n3] itself, instead of a (cutoff+3)^4
-four-mode ket, and every moment is read from it.  The only approximation
-in the whole pipeline is the truncation of the incoming coherent state,
-whose discarded tail mass is summed exactly in decimal arithmetic and
-enforced against a hard bound.
+four-mode ket, and every moment is read from it.  The only approximation in
+the whole pipeline is the truncation of the incoming coherent state, whose
+discarded tail mass is summed exactly in decimal arithmetic and enforced
+against a hard bound.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -154,42 +156,33 @@ def lowering_operator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1)
 
 
-def _expm_antihermitian(gen: np.ndarray) -> np.ndarray:
-    """exp(gen) for anti-Hermitian ``gen``: V diag(e^{iw}) V+ from eigh(-1j gen).
-
-    The result is real when ``gen`` is real.
-    """
-    w, v = np.linalg.eigh(-1j * gen)
-    out = (v * np.exp(1j * w)) @ v.conj().T
-    return out.real if np.isrealobj(gen) else out
-
-
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Displacement operator exp(alpha a+ - alpha* a) in the truncated space.
 
-    Column 0 approximates the coherent-state amplitudes
+    The generator G is anti-Hermitian, so exp(G) = V diag(e^{iw}) V+ comes
+    from the Hermitian eigendecomposition eigh(-1j G); the result is real for
+    real alpha.  Column 0 approximates the coherent-state amplitudes
     exp(-|alpha|^2/2) alpha^n / sqrt(n!); the approximation is unitary up to
     the truncated tail.
     """
     a = lowering_operator(cutoff)
     gen = alpha * a.conj().T - np.conjugate(alpha) * a
-    return _expm_antihermitian(gen)
+    w, v = np.linalg.eigh(-1j * gen)
+    out = (v * np.exp(1j * w)) @ v.conj().T
+    return out.real if np.isrealobj(gen) else out
 
 
-@lru_cache(maxsize=1024)
-def _sector_unitary(transmission: float, total: int) -> np.ndarray:
-    """Two-mode mixing unitary on (x, y) restricted to ``total`` photons.
+def _create(amp: np.ndarray, on_2: float, on_3: float) -> np.ndarray:
+    """(on_2 a2+ + on_3 a3+) applied to the two-mode amplitudes amp[n2, n3].
 
-    The unitary is expm(theta (x+ y - x y+)) with cos(theta) = sqrt(T), so
-    x_out = sqrt(T) x + sqrt(R) y.  Row and column j stand for the basis
-    state |j>_x |total - j>_y.
+    Each creation operator is one shifted add scaled by sqrt(n + 1).  The
+    result is one larger along each axis, so no photon leaves the array.
     """
-    j = np.arange(total)
-    hop = np.diag(np.sqrt((j + 1.0) * (total - j)), -1)  # matrix of x+ y
-    theta = math.acos(min(1.0, math.sqrt(transmission)))
-    unitary = _expm_antihermitian(theta * (hop - hop.T))
-    unitary.setflags(write=False)  # shared by every caller through the cache
-    return unitary
+    rows, cols = amp.shape
+    out = np.zeros((rows + 1, cols + 1), dtype=amp.dtype)
+    out[1:, :-1] = on_2 * np.sqrt(np.arange(1.0, rows + 1.0))[:, None] * amp
+    out[:-1, 1:] += on_3 * np.sqrt(np.arange(1.0, cols + 1.0)) * amp
+    return out
 
 
 def build_qd_state(p1: float, p2: float, cutoff: int) -> np.ndarray:
@@ -207,38 +200,25 @@ def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
 
     Realized as a virtual beam splitter of transmission eta coupling the mode
     to a vacuum environment, followed by a partial trace over the
-    environment.  Input |n>|0> lies in sector n, so the environment keeping
-    k photons leaves the Kraus operator K_k[j, j + k] = U_{j+k}[j, j + k].
+    environment.  Each photon leaves as sqrt(eta) a+ - sqrt(1 - eta) e+, so
+    |n> leaves as amplitudes amp_n[j, k] over j kept and k lost photons, and
+    the environment keeping k photons leaves the Kraus operator
+    K_k[j, n] = amp_n[j, k].
     """
     _check_unit_interval("eta", eta)
     d = rho.shape[0]
-    out = np.zeros_like(rho)
-    for k in range(d):
-        kraus = np.zeros((d, d))
-        for j in range(d - k):
-            kraus[j, j + k] = _sector_unitary(eta, j + k)[j, j + k]
-        out += kraus @ rho @ kraus.T
-    return out
+    kraus = np.zeros((d, d, d))  # [k, j, n]
+    amp = np.ones((1, 1))  # the vacuum
+    for n in range(d):
+        kraus[: n + 1, : n + 1, n] = amp.T
+        amp = _create(amp, math.sqrt(eta / (n + 1)), -math.sqrt((1.0 - eta) / (n + 1)))
+    return (kraus @ rho @ kraus.transpose(0, 2, 1)).sum(axis=0)
 
 
 def _coherent_input_ket(alpha: float, cutoff: int) -> np.ndarray:
-    """Coherent ket truncated at ``cutoff`` and renormalized."""
+    """Coherent ket truncated at ``cutoff``, renormalized, trailing zeros dropped."""
     ket = displacement_matrix(alpha, cutoff)[:, 0]
-    return ket / np.linalg.norm(ket)
-
-
-def _mix_pair(n_x: int, ket_y: np.ndarray, transmission: float, size: int) -> np.ndarray:
-    """Output amplitudes [n2, n3] of |n_x>_x (x) ket_y on the beam splitter.
-
-    The x slot exits as the transmitted-source output out_3 and the y slot
-    as out_2.  Input |n_x, k> lies in sector n_x + k, where it is column n_x.
-    """
-    amp = np.zeros((size, size), dtype=ket_y.dtype)
-    for k, c in enumerate(ket_y):
-        total = n_x + k
-        j = np.arange(total + 1)
-        amp[total - j, j] = c * _sector_unitary(transmission, total)[:, n_x]
-    return amp
+    return np.trim_zeros(ket / np.linalg.norm(ket), "b")
 
 
 def mix_on_beam_splitter(
@@ -252,12 +232,11 @@ def mix_on_beam_splitter(
     The source light occupies the parallel polarization of input a; the
     coherent state enters input b split as alpha cos(theta) parallel and
     alpha sin(theta) perpendicular.  Output out_2 carries the transmitted
-    coherent field (sqrt(T) b + sqrt(R) a); out_3 the transmitted source
-    field.  The lossy source is a mixture of number states, each one branch;
-    the coherent inputs are truncated at ``cutoff`` and renormalized, and
-    each two-mode pair holds up to ``cutoff + 2`` photons per mode, so the
-    number-conserving beam splitter acts exactly.  The returned state is the
-    branches' polarization-summed distribution P[n2, n3].
+    coherent field: the beam splitter maps b+ to sqrt(T) a2+ + sqrt(R) a3+
+    and a+ to sqrt(T) a3+ - sqrt(R) a2+.  The lossy source is a mixture of
+    number states, each one branch; the coherent inputs are truncated at
+    ``cutoff`` and renormalized.  The returned state is the branches'
+    polarization-summed distribution P[n2, n3].
 
     Partial source indistinguishability (``source.m_psi < 1``) is realized by
     adding the branches of an orthogonal-polarization run at weight
@@ -275,32 +254,37 @@ def mix_on_beam_splitter(
             report=report,
         )
     populations = np.diag(apply_loss(build_qd_state(source.p1, source.p2, 2), source.eta))
-    photons = np.flatnonzero(populations > 0.0)
     runs = [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]
-    t, size = bs.transmission, cutoff + 3
+    t, r = bs.transmission, bs.reflection
 
     def run_distribution(run_weight: float, theta: float) -> np.ndarray:
-        # each branch is |parallel> (x) |perpendicular>: sum the parallel pair
-        # distributions by weight, then convolve with the perpendicular one
+        # parallel light interferes: build the amplitudes of
+        # sum_k ket[k] (b+)^k / sqrt(k!) |0> by Horner's scheme, then add the
+        # source photons one at a time, each branch weighted by its population
         ket_par = _coherent_input_ket(lo.alpha * math.cos(theta), cutoff)
-        ket_perp = _coherent_input_ket(lo.alpha * math.sin(theta), cutoff)
-        weights = np.array([run_weight * populations[n] for n in photons])
-        parallel = np.array([_mix_pair(int(n), ket_par, t, size) for n in photons])
-        perpendicular = _mix_pair(0, ket_perp, t, size)
-        return _convolve(np.tensordot(weights, np.abs(parallel) ** 2, axes=1), np.abs(perpendicular) ** 2)
+        amp = ket_par[-1:, None]
+        for k in range(ket_par.size - 2, -1, -1):
+            amp = _create(amp, math.sqrt(t / (k + 1)), math.sqrt(r / (k + 1)))
+            amp[0, 0] += ket_par[k]
+        parallel = np.zeros((ket_par.size + 2, ket_par.size + 2))
+        for n, population in enumerate(populations):
+            parallel[: amp.shape[0], : amp.shape[1]] += run_weight * population * np.abs(amp) ** 2
+            amp = _create(amp, -math.sqrt(r / (n + 1)), math.sqrt(t / (n + 1)))
+        # perpendicular light meets no other field: each of its photons moves
+        # mass T to n2 + 1 and R to n3 + 1, by Horner's scheme over |ket[k]|^2
+        weights = np.abs(_coherent_input_ket(lo.alpha * math.sin(theta), cutoff)) ** 2
+        dist = weights[-1] * parallel
+        for w in weights[-2::-1]:
+            grown = np.zeros((dist.shape[0] + 1, dist.shape[1] + 1))
+            grown[1:, :-1] = t * dist
+            grown[:-1, 1:] += r * dist
+            grown[: parallel.shape[0], : parallel.shape[1]] += w * parallel
+            dist = grown
+        out = np.zeros((2 * cutoff + 5, 2 * cutoff + 5))
+        out[: dist.shape[0], : dist.shape[1]] = dist
+        return out
 
     return OutputState(sum(run_distribution(w, theta) for w, theta in runs if w > 0.0), report)
-
-
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-D convolution of two arrays, one Toeplitz product per row of b."""
-    (rows_a, cols_a), (rows_b, cols_b) = a.shape, b.shape
-    shift = np.arange(cols_a + cols_b - 1) - np.arange(cols_a)[:, None]
-    inside = (shift >= 0) & (shift < cols_b)
-    out = np.zeros((rows_a + rows_b - 1, cols_a + cols_b - 1))
-    for i, row in enumerate(b):
-        out[i : i + rows_a] += a @ np.where(inside, row[np.clip(shift, 0, cols_b - 1)], 0.0)
-    return out
 
 
 def cross_correlations(state: OutputState) -> CrossMoments:

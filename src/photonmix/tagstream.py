@@ -40,6 +40,8 @@ from .workers import in_child
 
 DEFAULT_CHANNELS = frozenset({1, 2, 3})
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 #: Earlier records per block of the offset sweep in ``build_histogram``; at
 #: 2**15 a block's delays, masks and selections stay in cache.
 _SWEEP_BLOCK = 1 << 15
@@ -67,7 +69,7 @@ class TagStream:
         if np.any(t[1:] < t[:-1]):
             raise InvalidParameterError("timestamps must be non-decreasing")
         # with the order above, this keeps every delay t_j - t_i (j > i) inside int64
-        if t.size and int(t[-1]) - int(t[0]) > np.iinfo(np.int64).max:
+        if t.size and int(t[-1]) - int(t[0]) > _INT64_MAX:
             raise InvalidParameterError("timestamps span more than 2**63 - 1 ps")
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "times", t)
@@ -127,13 +129,18 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
     """Read the headerless ``channel,t_ps`` integer table at ``path`` into a sorted TagStream.
 
     Channels must be in ``DEFAULT_CHANNELS``.  Records may arrive out of
-    order by at most ``reorder_window`` >= 0 ps (a larger backward jump is a
-    format error, a negative window an ``InvalidParameterError`` before the
-    file is read); sorting is stable so equal timestamps keep file order,
-    and a file already in time order is not sorted at all.
+    order by at most ``reorder_window`` ps, from 0 to 2**63 - 1 (a larger
+    backward jump is a format error, a window outside that range an
+    ``InvalidParameterError`` before the file is read); sorting is stable so
+    equal timestamps keep file order, and a file already in time order is not
+    sorted at all.  Timestamps spanning more than 2**63 - 1 ps, whose delays
+    would overflow, are a format error at the record where the span first
+    overflows; that is checked before channels and order.
     """
     if reorder_window < 0:
         raise InvalidParameterError(f"reorder_window must be >= 0 ps, got {reorder_window}")
+    if reorder_window > _INT64_MAX:
+        raise InvalidParameterError(f"reorder_window must be <= 2**63 - 1 ps, got {reorder_window}")
     _, rows = read_table(path, None, int)
     if rows.size and rows.shape[1] != 2:
         raise DataFormatError(
@@ -142,21 +149,27 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
     channels, times = rows.reshape(-1, 2).T
     # views of the parsed table: np.isin would copy the strided column
     unknown = np.logical_and.reduce([channels != ch for ch in DEFAULT_CHANNELS])
-    # including a record in its own running maximum changes nothing for a window >= 0
     running_max = np.maximum.accumulate(times)
-    bad = np.flatnonzero(unknown | (times < running_max - reorder_window))
+    if times.size and int(running_max[-1]) - int(times.min()) > _INT64_MAX:
+        # as uint64 the span of every prefix is exact, from 0 to 2**64 - 1
+        span = running_max.astype(np.uint64) - np.minimum.accumulate(times).astype(np.uint64)
+        k = int(np.argmax(span > _INT64_MAX))
+        raise DataFormatError("timestamps span more than 2**63 - 1 ps", line=row_line(path, None, k))
+    # exact now that the span fits; a record's lag behind its own running maximum is >= 0
+    lag = np.subtract(running_max, times, out=running_max)
+    bad = np.flatnonzero(unknown | (lag > reorder_window))
     if bad.size:
         k = bad[0]
         if unknown[k]:
             raise DataFormatError(f"unknown channel {channels[k]}", line=row_line(path, None, k))
         raise DataFormatError(
-            f"timestamp {times[k]} precedes the running maximum {running_max[k]} by more "
+            f"timestamp {times[k]} precedes the running maximum {times[k] + lag[k]} by more "
             f"than the reorder window ({reorder_window} ps)",
             line=row_line(path, None, k),
         )
-    if np.array_equal(running_max, times):  # in time order: the stable sort is the identity
+    if not lag.any():  # in time order: the stable sort is the identity
         return TagStream(channels, times)
-    del running_max
+    del lag, running_max
     return TagStream.from_unsorted(channels, times)
 
 
@@ -181,7 +194,7 @@ def check_binning(bin_width: int, tau_max: int) -> int:
             f"bin_width {bin_width} must divide tau_max {tau_max}"
         )
     k_max = tau_max // bin_width
-    if 2 * (tau_max + bin_width) + bin_width * (2 * k_max + 3) > np.iinfo(np.int64).max:
+    if 2 * (tau_max + bin_width) + bin_width * (2 * k_max + 3) > _INT64_MAX:
         raise InvalidParameterError(
             f"tau_max {tau_max} with bin_width {bin_width} overflows the int64 delay arithmetic"
         )

@@ -246,6 +246,42 @@ class TestAnalyze:
         assert hist_rows[0] == "tau_ps,counts"
         assert len(hist_rows) == 2 * (TAU_MAX // 25) + 2
 
+    @staticmethod
+    def fault_args(tags, out, *extra):
+        return [
+            "analyze", str(tags), "--out", str(out), "--set", "pair=[1,2]",
+            "--set", "bin_width=1", "--set", "tau_max=100", "--set", "rep_period=10",
+            "--set", "n_side_peaks=2", *extra,
+        ]
+
+    @pytest.fixture
+    def negative_tagfile(self, tmp_path):
+        # negative times, one step back by 2 ps, and a pair on the first side
+        # peak, so that the analysis itself succeeds
+        path = tmp_path / "negative.csv"
+        path.write_text("1,-10\n2,-5\n2,-7\n2,0\n")
+        return path
+
+    def test_reorder_window_beyond_int64_is_config_error(self, tmp_path, capsys, negative_tagfile):
+        out = tmp_path / "run"
+        assert run(self.fault_args(negative_tagfile, out, "--set", f"reorder_window={2**63}")) == 2
+        err = capsys.readouterr().err
+        assert "reorder_window: 9223372036854775808 is greater than the maximum" in err
+        assert not out.exists()
+
+    def test_widest_reorder_window_does_not_wrap(self, tmp_path, negative_tagfile):
+        widest, narrow = tmp_path / "widest", tmp_path / "narrow"
+        assert run(self.fault_args(negative_tagfile, widest, "--set", f"reorder_window={2**63 - 1}")) == 0
+        assert run(self.fault_args(negative_tagfile, narrow, "--set", "reorder_window=2")) == 0
+        for name in ("g2.json", "histogram.csv"):
+            assert (widest / name).read_bytes() == (narrow / name).read_bytes()
+
+    def test_timestamp_span_beyond_int64_is_data_error(self, tmp_path, capsys):
+        tags = tmp_path / "span.csv"
+        tags.write_text(f"1,{-(2**63)}\n2,{2**63 - 1}\n")
+        assert run(self.fault_args(tags, tmp_path / "run")) == 3
+        assert capsys.readouterr().err == "data error: line 2: timestamps span more than 2**63 - 1 ps\n"
+
     def test_empty_tagfile_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import factorial
@@ -23,11 +24,11 @@ from photonmix.errors import (
     UndefinedCorrelationError,
 )
 from photonmix.fock_oracle import (
+    TAIL_REFUSAL,
     BeamSplitterSpec,
     OutputState,
     TruncationReport,
-    _convolve,
-    _sector_unitary,
+    _create,
     apply_loss,
     auto_correlation,
     build_qd_state,
@@ -371,6 +372,96 @@ def exact_sector_unitary(transmission: float, total: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1024)
+def reference_sector_unitary(transmission: float, total: int) -> np.ndarray:
+    """Two-mode mixing unitary on (x, y) restricted to ``total`` photons, by eigh.
+
+    The unitary is expm(theta (x+ y - x y+)) with cos(theta) = sqrt(T), so
+    x_out = sqrt(T) x + sqrt(R) y.  Row and column j stand for the basis
+    state |j>_x |total - j>_y.  One Hermitian eigendecomposition per
+    photon-number sector: the reference for the creation-operator steps.
+    """
+    j = np.arange(total)
+    hop = np.diag(np.sqrt((j + 1.0) * (total - j)), -1)  # matrix of x+ y
+    theta = math.acos(min(1.0, math.sqrt(transmission)))
+    w, v = np.linalg.eigh(-1j * theta * (hop - hop.T))
+    return ((v * np.exp(1j * w)) @ v.conj().T).real
+
+
+def reference_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-D convolution of two arrays, one Toeplitz product per row of b."""
+    (rows_a, cols_a), (rows_b, cols_b) = a.shape, b.shape
+    shift = np.arange(cols_a + cols_b - 1) - np.arange(cols_a)[:, None]
+    inside = (shift >= 0) & (shift < cols_b)
+    out = np.zeros((rows_a + rows_b - 1, cols_a + cols_b - 1))
+    for i, row in enumerate(b):
+        out[i : i + rows_a] += a @ np.where(inside, row[np.clip(shift, 0, cols_b - 1)], 0.0)
+    return out
+
+
+def reference_mix_on_beam_splitter(source, lo, bs, cutoff) -> np.ndarray:
+    """Reference output distribution from sector unitaries and a 2-D convolution.
+
+    Loss keeps the Kraus elements K_k[j, j + k] = U_{j+k}[j, j + k] of the
+    sector unitaries; each source branch |n>_x meets the coherent ket in
+    y sector by sector (the x slot exits as out_3, the y slot as out_2), and
+    the perpendicular pair distribution is convolved in.
+    """
+    rho = build_qd_state(source.p1, source.p2, 2)
+    populations = np.zeros(3)
+    for k in range(3):
+        kraus = np.zeros((3, 3))
+        for j in range(3 - k):
+            kraus[j, j + k] = reference_sector_unitary(source.eta, j + k)[j, j + k]
+        populations += np.diag(kraus @ rho @ kraus.T)
+    size = cutoff + 3
+
+    def pair(n_x, ket_y):
+        amp = np.zeros((size, size))
+        for k, c in enumerate(ket_y):
+            total = n_x + k
+            j = np.arange(total + 1)
+            amp[total - j, j] = c * reference_sector_unitary(bs.transmission, total)[:, n_x]
+        return np.abs(amp) ** 2
+
+    def ket(alpha):
+        column = displacement_matrix(alpha, cutoff)[:, 0]
+        return column / np.linalg.norm(column)
+
+    out = np.zeros((2 * size - 1, 2 * size - 1))
+    for run_weight, theta in [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]:
+        if run_weight > 0.0:
+            ket_par, ket_perp = ket(lo.alpha * math.cos(theta)), ket(lo.alpha * math.sin(theta))
+            parallel = sum(run_weight * populations[n] * pair(n, ket_par) for n in range(3))
+            out += reference_convolve(parallel, pair(0, ket_perp))
+    return out
+
+
+def creation_column(transmission: float, total: int, a: int) -> np.ndarray:
+    """Column a of the sector unitary from fock_oracle's creation-operator helper.
+
+    The column is (sqrt(T) x+ - sqrt(R) y+)^a (sqrt(R) x+ + sqrt(T) y+)^b
+    |0, 0> / sqrt(a! b!) with b = total - a; x exits as out_3 and y as out_2.
+    """
+    c, s = math.sqrt(transmission), math.sqrt(1.0 - transmission)
+    amp = np.ones((1, 1))
+    for k in range(1, total - a + 1):
+        amp = _create(amp, c / math.sqrt(k), s / math.sqrt(k))
+    for k in range(1, a + 1):
+        amp = _create(amp, -s / math.sqrt(k), c / math.sqrt(k))
+    j = np.arange(total + 1)
+    return amp[total - j, j]
+
+
+def creation_sector_unitary(transmission: float, total: int) -> np.ndarray:
+    return np.column_stack([creation_column(transmission, total, a) for a in range(total + 1)])
+
+
+def oracle_columns(total: int) -> list[int]:
+    """Columns the oracle forms: at most two source photons (mixing) or two lost ones (loss)."""
+    return sorted({0, 1, 2, total - 2, total - 1, total} & set(range(total + 1)))
+
+
 class TestSectorMaps:
     def test_sector_unitary_matches_dense_two_mode_unitary(self):
         # reference: the mixing generator built on the full two-mode product space
@@ -383,23 +474,53 @@ class TestSectorMaps:
             j = np.arange(total + 1)
             flat = j * (cutoff + 1) + (total - j)  # |j>_x |total - j>_y
             block = dense[np.ix_(flat, flat)]
-            assert np.abs(block - _sector_unitary(transmission, total)).max() < 1e-13
+            assert np.abs(block - creation_sector_unitary(transmission, total)).max() < 1e-13
 
     @pytest.mark.parametrize("transmission", [0.0, 0.3, 0.5, 1.0])
     def test_sector_unitary_matches_exact_expansion(self, transmission):
         # scipy's expm is itself up to 1.8e-13 off the exact map at 40 photons,
-        # so the reference is the binomial expansion in 40-digit decimals
+        # so the reference is the binomial expansion in 40-digit decimals.  The
+        # columns are those the oracle forms; one with many photons of both
+        # kinds loses digits to the alternating signs (1e-11 at 40 photons).
         for total in range(41):
             exact = exact_sector_unitary(transmission, total)
-            assert np.abs(_sector_unitary(transmission, total) - exact).max() <= 1e-13
+            for a in oracle_columns(total):
+                column = creation_column(transmission, total, a)
+                assert np.abs(column - exact[:, a]).max() <= 1e-13
 
-    def test_convolution_matches_direct_sum(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.random((4, 6)), rng.random((5, 3))
-        direct = np.zeros((8, 8))
-        for (i, j), value in np.ndenumerate(b):
-            direct[i : i + 4, j : j + 6] += value * a
-        assert np.allclose(_convolve(a, b), direct, rtol=1e-14, atol=0.0)
+    @pytest.mark.parametrize("total", [200, 475])
+    def test_columns_match_eigh_reference_at_large_totals(self, total):
+        # 475 photons fill the largest sector of the CLI's largest cutoff
+        for transmission in (0.3, 0.5):
+            reference = reference_sector_unitary(transmission, total)
+            for a in oracle_columns(total):
+                column = creation_column(transmission, total, a)
+                assert np.abs(column - reference[:, a]).max() <= 1e-12
+
+
+class TestAgainstSectorReference:
+    @given(
+        p1=st.floats(0.0, 1.0),
+        p2=st.floats(0.0, 1.0),
+        eta=st.floats(0.0, 1.0),
+        m_psi=st.floats(0.0, 1.0),
+        theta=st.floats(0.0, math.pi),
+        transmission=st.floats(0.0, 1.0),
+        mu_alpha=st.floats(0.0, 5.0),
+        cutoff=st.integers(2, 20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_distribution_matches_reference(
+        self, p1, p2, eta, m_psi, theta, transmission, mu_alpha, cutoff
+    ):
+        assume(p1 + p2 <= 1.0 and coherent_tail_mass(mu_alpha, cutoff) < TAIL_REFUSAL)
+        source = SourceParams(p1=p1, p2=p2, eta=eta, m_psi=m_psi)
+        lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
+        bs = BeamSplitterSpec(transmission)
+        state = mix_on_beam_splitter(source, lo, bs, cutoff)
+        reference = reference_mix_on_beam_splitter(source, lo, bs, cutoff)
+        assert state.distribution.shape == reference.shape
+        assert np.abs(state.distribution - reference).max() <= 1e-14
 
 
 class TestStateSize:

@@ -75,6 +75,36 @@ class TestParseTags:
             with pytest.raises(InvalidParameterError, match="reorder_window must be >= 0 ps, got -1"):
                 parse_tags(target, reorder_window=-1)
 
+    def test_reorder_window_beyond_int64_is_a_parameter_error(self, tags):
+        with pytest.raises(InvalidParameterError, match="reorder_window must be <= 2\\*\\*63 - 1 ps"):
+            parse_tags(tags(b"1,10\n2,20\n"), reorder_window=2**63)
+
+    def test_widest_reorder_window_does_not_wrap(self, tags):
+        # running maximum - window would wrap below -2**63 on negative times
+        stream = parse_tags(tags(b"1,-10\n2,-5\n2,-7\n"), reorder_window=INT64_MAX)
+        assert stream.times.tolist() == [-10, -7, -5]
+        assert stream.channels.tolist() == [1, 2, 2]
+
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            ([(1, -INT64_MAX - 1), (2, INT64_MAX)], 2),
+            # a step back across the span: the lag itself would overflow
+            ([(2, 0), (1, -INT64_MAX - 1)], 2),
+            # the span overflows at a record that is neither first nor last nor the maximum
+            ([(1, 0), (2, 5), (3, -INT64_MAX), (1, 2), (2, 9)], 3),
+        ],
+    )
+    def test_span_beyond_int64_is_a_format_error(self, tags, records, line):
+        data = "".join(f"{ch},{t}\n" for ch, t in records).encode()
+        with pytest.raises(DataFormatError, match="timestamps span more than 2\\*\\*63 - 1 ps") as err:
+            parse_tags(tags(data), reorder_window=INT64_MAX)
+        assert err.value.line == line
+
+    def test_span_of_exactly_int64_max_is_accepted(self, tags):
+        stream = parse_tags(tags(f"1,{-INT64_MAX - 1}\n2,-1\n".encode()))
+        assert stream.times.tolist() == [-INT64_MAX - 1, -1]
+
     def test_unknown_channel_rejected(self, tags):
         with pytest.raises(DataFormatError) as err:
             parse_tags(tags(b"1,10\n7,20\n"))
