@@ -3,9 +3,10 @@
 Library layout:
 
 - :mod:`photonmix.fock_oracle`: brute-force truncated Fock-space simulation
-  of the mixing experiment with photon-number-sector unitaries, whose output
-  state is the (2 cutoff + 5)^2 joint photon-number distribution P[n2, n3];
-  the ground truth for every closed form.
+  of the mixing experiment, whose output is built photon by photon with the
+  beam splitter's creation operators into the (2 cutoff + 5)^2 joint
+  photon-number distribution P[n2, n3]; the ground truth for every closed
+  form.
 - :mod:`photonmix.analytic_model`: closed-form photon correlations,
   visibility, overlap inversion and peak identities.
 - :mod:`photonmix.mode_overlap`: per-degree-of-freedom mode overlaps from

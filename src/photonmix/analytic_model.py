@@ -76,46 +76,20 @@ class SourceParams:
         """Mean photon number delivered to the beam splitter."""
         return self.eta * (self.p1 + 2.0 * self.p2)
 
-    @property
-    def g2_zero(self) -> float:
-        """Second-order autocorrelation of the source light (loss-independent)."""
-        return g2_from_probs(self.p1, self.p2)
-
     @classmethod
-    def from_moments(
-        cls,
-        mu_psi: float,
-        g2_psi: float,
-        eta: float | None = None,
-        **kwargs,
-    ) -> "SourceParams":
+    def from_moments(cls, mu_psi: float, g2_psi: float, **kwargs) -> "SourceParams":
         """Build emission probabilities realizing target (mu_psi, g2_psi).
 
-        The decomposition is not unique; unless ``eta`` is given, the total
-        emitted photon number per pulse is normalized to ``p1 + 2 p2 = 1`` so
-        that ``eta = mu_psi`` (requires ``mu_psi <= 1``).
+        The decomposition is not unique: the emitted photon number per pulse
+        is normalized to ``p1 + 2 p2 = 1``, so that ``eta = mu_psi``.
         """
-        _check_non_negative("mu_psi", mu_psi)
+        _check_unit_interval("mu_psi", mu_psi)
         _check_non_negative("g2_psi", g2_psi)
-        if eta is None:
-            if mu_psi > 1.0:
-                raise InvalidParameterError(
-                    "mu_psi > 1 needs an explicit eta (unit-normalized emission "
-                    "cannot exceed one photon per pulse)"
-                )
-            eta = mu_psi
-            emitted = 1.0
-        else:
-            if eta <= 0.0:
-                raise InvalidParameterError("eta must be positive when given")
-            emitted = mu_psi / eta
-        p2 = 0.5 * g2_psi * emitted**2
-        p1 = emitted - 2.0 * p2
+        p2 = 0.5 * g2_psi
+        p1 = 1.0 - 2.0 * p2
         if p1 < 0.0:
-            raise InvalidParameterError(
-                f"g2_psi={g2_psi} too large for emitted mean {emitted}"
-            )
-        return cls(p1=p1, p2=p2, eta=eta, **kwargs)
+            raise InvalidParameterError(f"g2_psi={g2_psi} too large for emitted mean 1.0")
+        return cls(p1=p1, p2=p2, eta=mu_psi, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -124,7 +98,6 @@ class LocalOscillator:
 
     ``theta`` is the polarization rotation relative to the source light, so
     the polarization contribution to the mode overlap is ``cos(theta)**2``.
-    The second-order correlation of a coherent state is exactly 1.
     """
 
     mu_alpha: float
@@ -134,17 +107,8 @@ class LocalOscillator:
         _check_non_negative("mu_alpha", self.mu_alpha)
 
     @property
-    def g2_zero(self) -> float:
-        return 1.0
-
-    @property
     def alpha(self) -> float:
         return math.sqrt(self.mu_alpha)
-
-    @property
-    def m_p(self) -> float:
-        """Polarization mode overlap cos^2(theta)."""
-        return math.cos(self.theta) ** 2
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Each run is driven by a JSON config document; individual keys can be
 overridden on the command line with ``--set key=value`` (flag values win over
 the config file, which wins over built-in defaults).  Every output table is
-CSV with a JSON metadata sidecar recording the resolved configuration, seed
-and package version, so a run is reproducible byte for byte from its
-sidecar.
+CSV with a JSON metadata sidecar recording the command, the resolved
+configuration, the input files and the package version, so a run is
+reproducible byte for byte from its sidecar.  Only ``simulate`` draws random
+numbers: its seed is the config key ``seed``, which ``--seed`` overrides.
 
 Exit codes: 0 success, 2 configuration error, 3 input data error,
 4 numerical failure.
@@ -107,7 +108,6 @@ _SCHEMAS = {
             "n_side_peaks": {"type": "integer", "minimum": 2, "default": 10},
             "reorder_window": {"type": "integer", "minimum": 0, "maximum": 9223372036854775807, "default": 0},
             "perp_tagfile": {"type": "string"},
-            "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         "required": ["pair", "bin_width", "tau_max", "rep_period"],
         "additionalProperties": False,
@@ -134,7 +134,6 @@ _SCHEMAS = {
             "m_p": {"type": "number", "minimum": 0, "maximum": 1},
             "m_s": {"type": "number", "minimum": 0, "maximum": 1, "default": 1.0},
             "m_psi": {"type": "number", "minimum": 0, "maximum": 1},
-            "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         # the filter windows the frequency profiles; alone it would do nothing
         "dependentRequired": {"spectral_filter": ["frequency_profiles"]},
@@ -146,7 +145,6 @@ _SCHEMAS = {
             "model": {"enum": list(SWEEP_MODELS)},
             "g2_psi": {"type": "number", "minimum": 0},
             "fit_scale": {"type": "boolean", "default": False},
-            "seed": {"type": "integer", "minimum": 0, "default": 0},
         },
         "required": ["model", "g2_psi"],
         "additionalProperties": False,
@@ -281,19 +279,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_meta(outdir: Path, name: str, command: str, cfg: dict, inputs: list[str]) -> None:
-    _write_json(
-        outdir / name,
-        {
-            "command": command,
-            "config": cfg,
-            "inputs": inputs,
-            "seed": cfg.get("seed", 0),
-            "version": __version__,
-        },
-    )
+    _write_json(outdir / name, {"command": command, "config": cfg, "inputs": inputs, "version": __version__})
 
 
-def cmd_simulate(cfg: dict, outdir: Path) -> None:
+def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
     m = cfg["m"]
     g2_psi = cfg["g2_psi"]
     if cfg["r_min"] >= cfg["r_max"]:
@@ -350,8 +339,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> None:
         sigma = cfg["noise_sigma_rel"] * model_y
         noisy = model_y + rng.normal(0.0, 1.0, size=model_y.size) * sigma
         write_sweep(outdir / f"points_{model_name}.csv", grid, noisy, sigma)
-
-    _write_meta(outdir, "sweep.meta.json", "simulate", cfg, [])
+    return []
 
 
 def _cpus() -> int:
@@ -381,7 +369,7 @@ def _write_analysis(outdir: Path, suffix: str, hist, result) -> None:
     _write_json(outdir / f"g2{suffix}.json", asdict(result))
 
 
-def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> None:
+def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> list[str]:
     # a config fault is reported before any tag is read or any worker starts
     check_binning(cfg["bin_width"], cfg["tau_max"])
     check_g2_params(
@@ -389,8 +377,7 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> None:
     )
     if "perp_tagfile" not in cfg:
         _write_analysis(outdir, "", *_analyze_one(tagfile, cfg, _cpus()))
-        _write_meta(outdir, "analyze.meta.json", "analyze", cfg, [tagfile])
-        return
+        return [tagfile]
     # the two runs are independent: the orthogonal one is analyzed meanwhile in a child
     # process.  That child sweeps alone: a child of its own would outlive it when it is
     # killed, and would hold its pipe open when it dies.  This process, with a CPU share
@@ -406,7 +393,7 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> None:
         outdir / "visibility.json",
         {"v_hom": v, "err": err, "g2_par": result.value, "g2_perp": result_perp.value},
     )
-    _write_meta(outdir, "analyze.meta.json", "analyze", cfg, [tagfile, perp])
+    return [tagfile, perp]
 
 
 def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
@@ -419,8 +406,6 @@ def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
             )
     if domain == "frequency" and "spectral_filter" in cfg:
         filt = cfg["spectral_filter"]
-        if cfg["profile_kind"] != "intensity":
-            raise ConfigError("spectral_filter applies to intensity profiles only")
         a = spectral_filter(a, filt["center"], filt["half_width"])
         b = spectral_filter(b, filt["center"], filt["half_width"])
     if cfg["profile_kind"] == "intensity":
@@ -429,7 +414,13 @@ def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
     return overlap_integral(a, b)
 
 
-def cmd_overlap(cfg: dict, outdir: Path) -> None:
+def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
+    # a config fault is reported before any file is read
+    for key, measured_by in (("m_t", "time_profiles"), ("m_f", "frequency_profiles"), ("m_p", "fringe_file")):
+        if key in cfg and measured_by in cfg:
+            raise ConfigError(f"{key} and {measured_by} both give {key}: set one of them")
+    if "spectral_filter" in cfg and cfg["profile_kind"] != "intensity":
+        raise ConfigError("spectral_filter applies to intensity profiles only")
     factors: dict[str, float] = {}
     sources: dict[str, str] = {}
     inputs: list[str] = []
@@ -462,10 +453,10 @@ def cmd_overlap(cfg: dict, outdir: Path) -> None:
     if fringe is not None:
         payload["fringe"] = asdict(fringe)
     _write_json(outdir / "overlap.json", payload)
-    _write_meta(outdir, "overlap.meta.json", "overlap", cfg, inputs)
+    return inputs
 
 
-def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> None:
+def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> list[str]:
     r, y, y_err = read_sweep(sweepfile)
     result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
     _write_json(outdir / "fit.json", result.to_dict())
@@ -475,7 +466,20 @@ def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> None:
         ("ratio", "y", "y_err", "model", "residual_sigma"),
         [r, y, y_err, y_model, (y - y_model) / y_err],
     )
-    _write_meta(outdir, "fit.meta.json", "fit", cfg, [sweepfile])
+    return [sweepfile]
+
+
+# command -> (function, help, input-file arguments, metadata sidecar).  The function
+# takes the input files, the config and the output directory, and returns the input
+# files it read, which the sidecar records.
+_COMMANDS = {
+    "simulate": (cmd_simulate, "emit correlation sweep curves and oracle spot checks", (), "sweep.meta.json"),
+    "analyze": (
+        cmd_analyze, "build correlation histograms and g2(0) from a tag file", ("tagfile",), "analyze.meta.json"
+    ),
+    "overlap": (cmd_overlap, "compute per-degree-of-freedom mode overlaps", (), "overlap.meta.json"),
+    "fit": (cmd_fit, "fit a sweep CSV for the mean wavepacket overlap", ("sweepfile",), "fit.meta.json"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -486,10 +490,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, help_text, files, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for file_arg in files:
+            p.add_argument(file_arg)
         p.add_argument("--config", help="JSON config document")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        if "seed" in _SCHEMAS[name]["properties"]:
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument(
             "--set",
@@ -499,36 +506,22 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (value parsed as JSON when possible)",
         )
-
-    add_common(sub.add_parser("simulate", help="emit correlation sweep curves and oracle spot checks"))
-    p_analyze = sub.add_parser("analyze", help="build correlation histograms and g2(0) from a tag file")
-    p_analyze.add_argument("tagfile")
-    add_common(p_analyze)
-    add_common(sub.add_parser("overlap", help="compute per-degree-of-freedom mode overlaps"))
-    p_fit = sub.add_parser("fit", help="fit a sweep CSV for the mean wavepacket overlap")
-    p_fit.add_argument("sweepfile")
-    add_common(p_fit)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    run, _, files, sidecar = _COMMANDS[args.command]
     try:
-        cfg = _load_config(args.command, args.config, args.overrides, args.seed)
+        cfg = _load_config(args.command, args.config, args.overrides, getattr(args, "seed", None))
         outdir = Path(args.out)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror or exc}") from exc
-        if args.command == "simulate":
-            cmd_simulate(cfg, outdir)
-        elif args.command == "analyze":
-            cmd_analyze(args.tagfile, cfg, outdir)
-        elif args.command == "overlap":
-            cmd_overlap(cfg, outdir)
-        elif args.command == "fit":
-            cmd_fit(args.sweepfile, cfg, outdir)
+        inputs = run(*(getattr(args, file_arg) for file_arg in files), cfg, outdir)
+        _write_meta(outdir, sidecar, args.command, cfg, inputs)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

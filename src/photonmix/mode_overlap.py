@@ -16,12 +16,11 @@ import numpy as np
 
 from .analytic_model import _check_unit_interval
 from .errors import DataFormatError, InvalidParameterError, UndefinedCorrelationError
-from .tables import read_table, write_table
+from .tables import read_table
 
 _DOMAINS = ("time", "frequency")
 _KINDS = ("intensity", "amplitude")
 _DOMAIN_HEADERS = {("t_ps", "value"): "time", ("f_GHz", "value"): "frequency"}
-_HEADER_BY_DOMAIN = {v: k for k, v in _DOMAIN_HEADERS.items()}
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,3 @@ def read_profile(path, kind: str) -> SampledProfile:
         )
     except InvalidParameterError as exc:
         raise DataFormatError(str(exc)) from exc
-
-
-def write_profile(profile: SampledProfile, path) -> None:
-    write_table(path, _HEADER_BY_DOMAIN[profile.domain], [profile.xs, profile.values])

@@ -1,0 +1,8 @@
+"""Helpers shared by several test modules."""
+
+from photonmix.tables import write_table
+
+
+def write_time_profile(path, xs, values) -> None:
+    """Write a time profile as the CSV ``mode_overlap.read_profile`` reads."""
+    write_table(path, ("t_ps", "value"), [xs, values])

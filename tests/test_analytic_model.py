@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from photonmix.analytic_model import (
-    LocalOscillator,
     SourceParams,
     auto_g2_zero,
     cross_coincidence,
@@ -301,23 +300,19 @@ class TestSourceParams:
     def test_derived_moments(self):
         src = SourceParams(p1=0.96, p2=0.02, eta=0.5)
         assert src.mu_psi == pytest.approx(0.5)
-        assert src.g2_zero == pytest.approx(0.04)
+        assert g2_from_probs(src.p1, src.p2) == pytest.approx(0.04)
 
     def test_from_moments_round_trip(self):
         src = SourceParams.from_moments(0.3, 0.0412)
         assert src.mu_psi == pytest.approx(0.3, abs=1e-12)
-        assert src.g2_zero == pytest.approx(0.0412, abs=1e-12)
+        assert g2_from_probs(src.p1, src.p2) == pytest.approx(0.0412, abs=1e-12)
 
-    def test_from_moments_with_explicit_eta(self):
-        src = SourceParams.from_moments(0.9, 0.04, eta=0.9)
-        assert src.mu_psi == pytest.approx(0.9, abs=1e-12)
-        assert src.g2_zero == pytest.approx(0.04, abs=1e-12)
+    @pytest.mark.parametrize("mu_psi", [-0.1, 1.5])
+    def test_from_moments_needs_mu_psi_in_unit_interval(self, mu_psi):
+        # emission is normalized to one photon per pulse, so mu_psi is the channel transmission
+        with pytest.raises(InvalidParameterError, match=rf"mu_psi must be in \[0, 1\], got {mu_psi}"):
+            SourceParams.from_moments(mu_psi, 0.04)
 
     def test_rejects_inconsistent_probabilities(self):
         with pytest.raises(InvalidParameterError):
             SourceParams(p1=0.8, p2=0.3)
-
-    def test_local_oscillator_polarization_overlap(self):
-        lo = LocalOscillator(mu_alpha=0.5, theta=math.pi / 3)
-        assert lo.m_p == pytest.approx(0.25, abs=1e-15)
-        assert lo.g2_zero == 1.0

@@ -25,9 +25,10 @@ from photonmix.cli import _SCHEMAS, _load_config, _violations, cmd_analyze, main
 from photonmix.errors import ConfigError, DataFormatError, PhotonmixError
 from photonmix.estimator import write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
-from photonmix.mode_overlap import SampledProfile, write_profile
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
 from photonmix.tagstream import parse_tags, write_tags_csv
+
+from helpers import write_time_profile
 
 REP = 12195
 TAU_MAX = 122_000
@@ -748,9 +749,8 @@ class TestOverlapCommand:
         t = np.arange(0.0, 2000.0, 1.0)
         paths = []
         for tau in (170.0, 100.0):
-            profile = SampledProfile("time", t, np.exp(-t / tau), "intensity")
             path = tmp_path / f"tau{int(tau)}.csv"
-            write_profile(profile, path)
+            write_time_profile(path, t, np.exp(-t / tau))
             paths.append(str(path))
         return paths
 
@@ -800,6 +800,43 @@ class TestOverlapCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"frequency_profiles": paths}))
         assert run(["overlap", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+
+    @staticmethod
+    def forbid_reads(monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a file was read after a config fault")
+
+        monkeypatch.setattr(cli, "read_profile", unreachable)
+        monkeypatch.setattr(cli, "read_table", unreachable)
+
+    @pytest.mark.parametrize(
+        "key, measured_by, files",
+        [
+            ("m_t", "time_profiles", ["a.csv", "b.csv"]),
+            ("m_f", "frequency_profiles", ["a.csv", "b.csv"]),
+            ("m_p", "fringe_file", "fringe.csv"),
+        ],
+    )
+    def test_factor_set_beside_its_measurement_is_config_error(
+        self, tmp_path, capsys, monkeypatch, key, measured_by, files
+    ):
+        # the set value would silently replace the measured one
+        self.forbid_reads(monkeypatch)
+        out = tmp_path / "run"
+        args = ["overlap", "--out", str(out), "--set", f"{measured_by}={json.dumps(files)}", "--set", f"{key}=0.3"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"config error: {key} and {measured_by} both give {key}: set one of them\n"
+        assert list(out.iterdir()) == []
+
+    def test_filter_on_amplitudes_is_config_error_before_any_read(self, tmp_path, capsys, monkeypatch):
+        # a config error wins over the data, as in analyze
+        self.forbid_reads(monkeypatch)
+        out = tmp_path / "run"
+        args = ["overlap", "--out", str(out), "--set", 'frequency_profiles=["bad.csv","bad.csv"]',
+                "--set", "profile_kind=amplitude", "--set", 'spectral_filter={"center":0,"half_width":1}']
+        assert run(args) == 2
+        assert capsys.readouterr().err == "config error: spectral_filter applies to intensity profiles only\n"
+        assert list(out.iterdir()) == []
 
 
 class TestFitCommand:
@@ -951,17 +988,17 @@ class TestConfigDefaults:
                 "analyze",
                 ["pair=[2,3]", "bin_width=25", "tau_max=1000", "rep_period=500"],
                 {"pair": [2, 3], "bin_width": 25, "tau_max": 1000, "rep_period": 500,
-                 "n_side_peaks": 10, "reorder_window": 0, "seed": 0},
+                 "n_side_peaks": 10, "reorder_window": 0},
             ),
             (
                 "overlap",
                 [],
-                {"profile_kind": "intensity", "k_tail": 500, "m_s": 1.0, "seed": 0},
+                {"profile_kind": "intensity", "k_tail": 500, "m_s": 1.0},
             ),
             (
                 "fit",
                 ["model=auto", "g2_psi=0.03"],
-                {"model": "auto", "g2_psi": 0.03, "fit_scale": False, "seed": 0},
+                {"model": "auto", "g2_psi": 0.03, "fit_scale": False},
             ),
         ],
     )
@@ -973,6 +1010,64 @@ class TestConfigDefaults:
         first["oracle_check_ratios"].append(1.0)
         second = _load_config("simulate", None, ["m=0.5", "g2_psi=0"], None)
         assert second["oracle_check_ratios"] == []
+
+
+class TestCommandSurface:
+    """Only simulate draws random numbers, so only simulate takes a seed."""
+
+    @pytest.fixture
+    def sweep(self, tmp_path):
+        r = np.geomspace(0.02, 20.0, 15)
+        path = tmp_path / "sweep.csv"
+        write_sweep(path, r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
+        return path
+
+    # a valid config of each command
+    settings = {
+        "simulate": ["m=0.5", "g2_psi=0.02"],
+        "analyze": ["pair=[2,2]", "bin_width=25", f"tau_max={TAU_MAX}", f"rep_period={REP}"],
+        "overlap": [],
+        "fit": ["model=vhom", "g2_psi=0.03"],
+    }
+
+    def command_args(self, command, out, tagfile="tags.csv", sweep="sweep.csv"):
+        files = {"analyze": [str(tagfile)], "fit": [str(sweep)]}.get(command, [])
+        return [command, *files, "--out", str(out), *(a for s in self.settings[command] for a in ("--set", s))]
+
+    @pytest.mark.parametrize("command", ["analyze", "overlap", "fit"])
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        args = self.command_args(command, tmp_path / "run")
+        with pytest.raises(SystemExit) as exit_:
+            run([*args, "--seed", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "overlap", "fit"])
+    def test_seed_key_is_a_config_error(self, tmp_path, capsys, command):
+        args = self.command_args(command, tmp_path / "run")
+        assert run([*args, "--set", "seed=0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config key <root>: Additional properties are not allowed ('seed' was unexpected)\n"
+        )
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, sidecar", [("simulate", "sweep"), ("analyze", "analyze"), ("overlap", "overlap"), ("fit", "fit")]
+    )
+    def test_sidecar_keys(self, tmp_path, coherent_tagfile, sweep, command, sidecar):
+        out = tmp_path / "run"
+        assert run(self.command_args(command, out, coherent_tagfile, sweep)) == 0
+        meta = read_json(out / f"{sidecar}.meta.json")
+        assert set(meta) == {"command", "config", "inputs", "version"}
+        assert meta["command"] == command
+        assert meta["inputs"] == {"analyze": [str(coherent_tagfile)], "fit": [str(sweep)]}.get(command, [])
+        assert ("seed" in meta["config"]) is (command == "simulate")
+
+    def test_simulate_records_its_seed_in_config(self, tmp_path):
+        out = tmp_path / "run"
+        assert run([*self.command_args("simulate", out), "--seed", "7"]) == 0
+        assert read_json(out / "sweep.meta.json")["config"]["seed"] == 7
 
 
 _VALID = {

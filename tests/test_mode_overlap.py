@@ -18,8 +18,9 @@ from photonmix.mode_overlap import (
     read_profile,
     spectral_filter,
     total_overlap,
-    write_profile,
 )
+
+from helpers import write_time_profile
 
 
 def exponential_amplitude(tau_ps: float, t_max: float = 3000.0, dt: float = 1.0) -> SampledProfile:
@@ -242,7 +243,7 @@ class TestProfileCsv:
     def test_round_trip(self, tmp_path):
         profile = exponential_amplitude(120.0, t_max=50.0)
         path = tmp_path / "profile.csv"
-        write_profile(profile, path)
+        write_time_profile(path, profile.xs, profile.values)
         back = read_profile(path, kind="amplitude")
         assert back.domain == "time"
         assert np.allclose(back.xs, profile.xs)
