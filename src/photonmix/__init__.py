@@ -39,9 +39,7 @@ from .fock_oracle import (
     BeamSplitterSpec,
     OutputState,
     TruncationReport,
-    apply_loss,
     auto_correlation,
-    build_qd_state,
     coherent_tail_mass,
     cross_correlations,
     displacement_matrix,

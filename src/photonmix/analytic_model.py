@@ -40,7 +40,7 @@ def _check_unit_interval(name: str, value) -> None:
 
 
 def _check_non_negative(name: str, value) -> None:
-    _refuse(np.asarray(value) < 0.0, name, value, ">= 0")
+    _refuse(~(np.asarray(value) >= 0.0), name, value, ">= 0")
 
 
 def _check_probs(p1, p2) -> None:
@@ -61,15 +61,12 @@ class SourceParams:
     p1: float
     p2: float = 0.0
     eta: float = 1.0
-    tau_lt_ps: float | None = None
     m_psi: float = 1.0
 
     def __post_init__(self):
         _check_probs(self.p1, self.p2)
         _check_unit_interval("eta", self.eta)
         _check_unit_interval("m_psi", self.m_psi)
-        if self.tau_lt_ps is not None and self.tau_lt_ps <= 0:
-            raise InvalidParameterError("tau_lt_ps must be positive")
 
     @property
     def mu_psi(self) -> float:
@@ -140,7 +137,9 @@ def loss_degraded_probs(p1: float, p2: float, eta: float) -> tuple[float, float,
     Returns (q0, q1, q2) with q0 = (1-eta)(p1 + p2 - eta p2),
     q1 = eta (p1 + 2 p2 - 2 eta p2), q2 = eta^2 p2.  The vacuum population of
     the full state is ``1 - p1 - p2 + q0``.  It is the closed-form reference
-    that the oracle's ``apply_loss`` is tested against; the oracle never calls it.
+    that the oracle's loss step, which splits each emitted photon into kept
+    and lost in :func:`photonmix.fock_oracle.mix_on_beam_splitter`, is tested
+    against; the oracle never calls it.
     """
     _check_probs(p1, p2)
     _check_unit_interval("eta", eta)
@@ -180,7 +179,7 @@ def overlap_from_visibility(visibility, mu_alpha, mu_psi, g2_psi):
     inverse of :func:`hom_visibility`.  Being linear in V, it maps a
     visibility's error to the overlap's error as well.
     """
-    if np.any(mu_alpha <= 0.0) or np.any(mu_psi <= 0.0):
+    if np.any(~(np.asarray(mu_alpha) > 0.0)) or np.any(~(np.asarray(mu_psi) > 0.0)):
         raise InvalidParameterError(
             "mu_alpha and mu_psi must be positive: the multi-photon correction "
             "factor diverges otherwise"

@@ -357,10 +357,9 @@ def _analyze_one(tagfile: str, cfg: dict, processes: int = 1):
         pair=tuple(cfg["pair"]),
         bin_width=cfg["bin_width"],
         tau_max=cfg["tau_max"],
-        rep_period=cfg["rep_period"],
         processes=processes,
     )
-    result = g2_zero(hist, window=cfg.get("window"), n_side_peaks=cfg["n_side_peaks"])
+    result = g2_zero(hist, cfg["rep_period"], window=cfg.get("window"), n_side_peaks=cfg["n_side_peaks"])
     return hist, result
 
 

@@ -1,25 +1,25 @@
 """Brute-force simulation of the mixing experiment in a truncated Fock space.
 
-The output state is carried in factorized form.  The source light occupies
-the parallel polarization of input a and its perpendicular polarization is
-vacuum, while the beam splitter acts on each polarization separately.  So
-every pure branch of the output is a product of a parallel two-mode state
-(source branch mixed with the parallel coherent component) and a
-perpendicular two-mode state (vacuum mixed with the perpendicular coherent
-component).
+Light that interferes is carried as amplitudes; light that meets no other
+field is carried as a photon-number distribution and split photon by photon.
+The source light occupies the parallel polarization of input a and meets the
+parallel coherent component there, so each source number state and that
+component form a parallel two-mode ket.  Two kinds of light meet nothing:
+the perpendicular coherent component (the source's perpendicular input is
+vacuum), and the source photons lost on the way to the beam splitter.  Each
+of their photons is added in probability, moving mass t to one axis and r to
+the other: T to out_2 and R to out_3 for the perpendicular light, eta to the
+kept photons and 1 - eta to the lost ones for the source.
 
-The beam splitter and the loss channel act on creation operators (Campos,
-Saleh & Teich, Phys. Rev. A 40, 1371 (1989)): each input photon leaves as a
-fixed combination of the two output creation operators, so an input number
-state leaves as those operators applied to the output vacuum, one photon at
-a time, each step two shifted adds.  This is exact, and it forms only the
-amplitudes that are used.  The parallel light interferes, so its output is
-built as amplitudes; the perpendicular light meets no other field, so each
-of its photons is added in probability, moving mass T to out_2 and R to
-out_3.  The displacement that prepares the coherent input is a matrix
+The beam splitter acts on creation operators (Campos, Saleh & Teich, Phys.
+Rev. A 40, 1371 (1989)): each input photon leaves as a fixed combination of
+the two output creation operators, so an input number state leaves as those
+operators applied to the output vacuum, one photon at a time, each step two
+shifted adds.  This is exact, and it forms only the amplitudes that are
+used.  The displacement that prepares the coherent input is a matrix
 exponential of an anti-Hermitian generator, taken from a Hermitian
 eigendecomposition, the well-conditioned normal-matrix case of Moler & Van
-Loan, SIAM Rev. 45, 3 (2003); numpy alone does it.  The branches live only
+Loan, SIAM Rev. 45, 3 (2003); numpy alone does it.  The kets live only
 inside :func:`mix_on_beam_splitter`: the state it returns is the
 (2 cutoff + 5)^2 distribution P[n2, n3] itself, instead of a (cutoff+3)^4
 four-mode ket, and every moment is read from it.  The only approximation in
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic_model import LocalOscillator, SourceParams, _check_probs, _check_unit_interval
+from .analytic_model import LocalOscillator, SourceParams, _check_unit_interval
 from .errors import (
     InvalidParameterError,
     TruncationError,
@@ -185,34 +185,22 @@ def _create(amp: np.ndarray, on_2: float, on_3: float) -> np.ndarray:
     return out
 
 
-def build_qd_state(p1: float, p2: float, cutoff: int) -> np.ndarray:
-    """Single-mode source density matrix: a mixture of 0, 1 and 2 photons."""
-    _check_probs(p1, p2)
-    if cutoff < 2:
-        raise InvalidParameterError("cutoff must be >= 2 to hold the two-photon term")
-    rho = np.zeros((cutoff + 1, cutoff + 1))
-    rho[0, 0], rho[1, 1], rho[2, 2] = 1.0 - p1 - p2, p1, p2
-    return rho
+def _split(weights, base: np.ndarray, t: float, r: float) -> np.ndarray:
+    """Add a field of photon-number distribution ``weights`` to the two-axis distribution ``base``.
 
-
-def apply_loss(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Send a single-mode density matrix through a channel of transmission eta.
-
-    Realized as a virtual beam splitter of transmission eta coupling the mode
-    to a vacuum environment, followed by a partial trace over the
-    environment.  Each photon leaves as sqrt(eta) a+ - sqrt(1 - eta) e+, so
-    |n> leaves as amplitudes amp_n[j, k] over j kept and k lost photons, and
-    the environment keeping k photons leaves the Kraus operator
-    K_k[j, n] = amp_n[j, k].
+    The field meets no other field, so each of its photons moves mass ``t``
+    one step along the first axis and ``r`` one step along the second; the
+    k-photon terms are summed by Horner's scheme over ``weights``, one grown
+    array per photon.
     """
-    _check_unit_interval("eta", eta)
-    d = rho.shape[0]
-    kraus = np.zeros((d, d, d))  # [k, j, n]
-    amp = np.ones((1, 1))  # the vacuum
-    for n in range(d):
-        kraus[: n + 1, : n + 1, n] = amp.T
-        amp = _create(amp, math.sqrt(eta / (n + 1)), -math.sqrt((1.0 - eta) / (n + 1)))
-    return (kraus @ rho @ kraus.transpose(0, 2, 1)).sum(axis=0)
+    dist = weights[-1] * base
+    for w in weights[-2::-1]:
+        grown = np.zeros((dist.shape[0] + 1, dist.shape[1] + 1))
+        grown[1:, :-1] = t * dist
+        grown[:-1, 1:] += r * dist
+        grown[: base.shape[0], : base.shape[1]] += w * base
+        dist = grown
+    return dist
 
 
 def _coherent_input_ket(alpha: float, cutoff: int) -> np.ndarray:
@@ -233,8 +221,9 @@ def mix_on_beam_splitter(
     coherent state enters input b split as alpha cos(theta) parallel and
     alpha sin(theta) perpendicular.  Output out_2 carries the transmitted
     coherent field: the beam splitter maps b+ to sqrt(T) a2+ + sqrt(R) a3+
-    and a+ to sqrt(T) a3+ - sqrt(R) a2+.  The lossy source is a mixture of
-    number states, each one branch; the coherent inputs are truncated at
+    and a+ to sqrt(T) a3+ - sqrt(R) a2+.  The source reaches input a through
+    a channel of transmission ``source.eta``; what arrives is a mixture of
+    number states, each one branch.  The coherent inputs are truncated at
     ``cutoff`` and renormalized.  The returned state is the branches'
     polarization-summed distribution P[n2, n3].
 
@@ -253,7 +242,9 @@ def mix_on_beam_splitter(
             f"coherent state (tail {report.tail_mass:.3e} >= {TAIL_REFUSAL:.0e})",
             report=report,
         )
-    populations = np.diag(apply_loss(build_qd_state(source.p1, source.p2, 2), source.eta))
+    # each emitted photon reaches the beam splitter (first axis) with probability eta
+    weights = (1.0 - source.p1 - source.p2, source.p1, source.p2)
+    populations = _split(weights, np.ones((1, 1)), source.eta, 1.0 - source.eta).sum(axis=1)
     runs = [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]
     t, r = bs.transmission, bs.reflection
 
@@ -270,16 +261,9 @@ def mix_on_beam_splitter(
         for n, population in enumerate(populations):
             parallel[: amp.shape[0], : amp.shape[1]] += run_weight * population * np.abs(amp) ** 2
             amp = _create(amp, -math.sqrt(r / (n + 1)), math.sqrt(t / (n + 1)))
-        # perpendicular light meets no other field: each of its photons moves
-        # mass T to n2 + 1 and R to n3 + 1, by Horner's scheme over |ket[k]|^2
-        weights = np.abs(_coherent_input_ket(lo.alpha * math.sin(theta), cutoff)) ** 2
-        dist = weights[-1] * parallel
-        for w in weights[-2::-1]:
-            grown = np.zeros((dist.shape[0] + 1, dist.shape[1] + 1))
-            grown[1:, :-1] = t * dist
-            grown[:-1, 1:] += r * dist
-            grown[: parallel.shape[0], : parallel.shape[1]] += w * parallel
-            dist = grown
+        # perpendicular light meets no other field
+        ket_perp = _coherent_input_ket(lo.alpha * math.sin(theta), cutoff)
+        dist = _split(np.abs(ket_perp) ** 2, parallel, t, r)
         out = np.zeros((2 * cutoff + 5, 2 * cutoff + 5))
         out[: dist.shape[0], : dist.shape[1]] = dist
         return out

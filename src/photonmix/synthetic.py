@@ -12,6 +12,7 @@ the closed-form correlation values.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -44,6 +45,8 @@ def _pulse_train(
     """
     if n_pulses < 1 or rep_period_ps < 1:
         raise InvalidParameterError("n_pulses and rep_period_ps must be positive")
+    if lifetime_ps is not None and not 0.0 < lifetime_ps < math.inf:
+        raise InvalidParameterError(f"lifetime_ps must be positive and finite, got {lifetime_ps}")
 
     def sample(draw: Draw) -> TagStream:
         rng = np.random.default_rng(seed)
@@ -95,15 +98,13 @@ def displaced_fock_tags(
 
     Per-pulse photon numbers (n2, n3) are sampled from the joint output
     distribution of :func:`photonmix.fock_oracle.mix_on_beam_splitter`; each
-    photon is delayed by an exponential emission time when a lifetime is
-    given (default: the source lifetime).  Returns the stream together with
-    the oracle's exact moments of that distribution, usable as ground truth:
-    means, polarization-summed g2_auto of both outputs, and the normalized
+    photon is delayed by an exponential emission time of mean ``lifetime_ps``
+    when one is given.  Returns the stream together with the oracle's exact
+    moments of that distribution, usable as ground truth: means,
+    polarization-summed g2_auto of both outputs, and the normalized
     cross-output coincidence ratio <n2 n3> / (<n2><n3>).
     """
-    sample = _pulse_train(
-        n_pulses, rep_period_ps, seed, source.tau_lt_ps if lifetime_ps is None else lifetime_ps
-    )
+    sample = _pulse_train(n_pulses, rep_period_ps, seed, lifetime_ps)
     state = mix_on_beam_splitter(source, lo, bs, cutoff)
     moments = cross_correlations(state)
     truth = {

@@ -98,8 +98,6 @@ class CorrelationHistogram:
     bin_width: int
     tau_max: int
     counts: np.ndarray
-    channel_pair: tuple[int, int]
-    rep_period: int | None = None
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -206,7 +204,7 @@ def build_histogram(
     pair: tuple[int, int],
     bin_width: int,
     tau_max: int,
-    rep_period: int | None = None,
+    *,
     processes: int = 1,
 ) -> CorrelationHistogram:
     """Count delays t_B - t_A between channel pair records into centered bins.
@@ -300,7 +298,7 @@ def build_histogram(
         if edges is not None:
             counts[k_max::-1] -= edges[k_max + 2 :]
             counts[k_max + 1 : 0 : -1] += edges[k_max + 2 :]
-    return CorrelationHistogram(bin_width, tau_max, counts[1:-1], (ch_a, ch_b), rep_period)
+    return CorrelationHistogram(bin_width, tau_max, counts[1:-1])
 
 
 def _sweep(t, sign, bin_width, k_max, starts, counts, edges):
@@ -348,15 +346,15 @@ def default_window(rep_period: int, bin_width: int) -> int:
 
 
 def check_g2_params(
-    rep_period: int | None, bin_width: int, tau_max: int, window: int | None, n_side_peaks: int
+    rep_period: int, bin_width: int, tau_max: int, window: int | None, n_side_peaks: int
 ) -> int:
     """The window ``g2_zero`` integrates over for a histogram of these parameters.
 
     Raises ``InvalidParameterError`` for parameters ``g2_zero`` cannot use,
     so a caller can reject them before any histogram is built.
     """
-    if rep_period is None or rep_period <= 0:
-        raise InvalidParameterError("histogram carries no repetition period")
+    if rep_period <= 0:
+        raise InvalidParameterError(f"rep_period must be positive, got {rep_period}")
     if window is None:
         window = default_window(rep_period, bin_width)
     if window <= 0 or 2 * window >= rep_period:
@@ -376,6 +374,7 @@ def check_g2_params(
 
 def g2_zero(
     hist: CorrelationHistogram,
+    rep_period: int,
     window: int | None = None,
     n_side_peaks: int = 10,
 ) -> G2Result:
@@ -387,8 +386,7 @@ def g2_zero(
     of the central area and of the total side-peak area; an empty central
     window counts as one count there, so g2(0) = 0 still carries an error.
     """
-    window = check_g2_params(hist.rep_period, hist.bin_width, hist.tau_max, window, n_side_peaks)
-    rep = hist.rep_period
+    window = check_g2_params(rep_period, hist.bin_width, hist.tau_max, window, n_side_peaks)
     half = n_side_peaks // 2
     centers = hist.centers
 
@@ -397,8 +395,8 @@ def g2_zero(
         return int(hist.counts[sel].sum())
 
     peak0 = area(0)
-    side_areas = [area(m * rep) for m in range(1, half + 1)]
-    side_areas += [area(-m * rep) for m in range(1, half + 1)]
+    side_areas = [area(m * rep_period) for m in range(1, half + 1)]
+    side_areas += [area(-m * rep_period) for m in range(1, half + 1)]
     side_total = sum(side_areas)
     if side_total == 0:
         raise UndefinedCorrelationError("all side peaks are empty: cannot normalize")

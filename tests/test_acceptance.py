@@ -263,25 +263,25 @@ def test_scale_fit_recovery():
 def test_tag_pipeline_closure():
     expected = auto_g2_zero(0.06, 0.03, G2_REF, M_REF)
     assert abs(expected - 1.2312) <= 1e-4
-    source = SourceParams.from_moments(0.03, G2_REF, tau_lt_ps=170.0)
+    source = SourceParams.from_moments(0.03, G2_REF)
     lo = LocalOscillator(mu_alpha=0.06, theta=math.acos(math.sqrt(M_REF)))
     cutoff = required_cutoff(0.06, 1e-10)
     stream, truth = displaced_fock_tags(
-        source, lo, BALANCED, cutoff, 10_000_000, REP, seed=1
+        source, lo, BALANCED, cutoff, 10_000_000, REP, seed=1, lifetime_ps=170.0
     )
     assert abs(truth["g2_auto_2"] - expected) <= 1e-6
-    hist = build_histogram(stream, (2, 2), 25, 122_000, rep_period=REP)
-    result = g2_zero(hist)
+    hist = build_histogram(stream, (2, 2), 25, 122_000)
+    result = g2_zero(hist, REP)
     assert abs(result.value - expected) <= 3.0 * result.stat_err
 
     coherent = pulsed_coherent_tags({2: 0.3}, 1_000_000, REP, seed=1)
-    hist_coh = build_histogram(coherent, (2, 2), 25, 122_000, rep_period=REP)
-    res_coh = g2_zero(hist_coh)
+    hist_coh = build_histogram(coherent, (2, 2), 25, 122_000)
+    res_coh = g2_zero(hist_coh, REP)
     assert abs(res_coh.value - 1.0) <= 3.0 * res_coh.stat_err
 
     started, in_child = [], tagstream.in_child
     with mock.patch.object(tagstream, "in_child", lambda *a: started.append(a[0]) or in_child(*a)):
-        split = build_histogram(stream, (2, 2), 25, 122_000, rep_period=REP, processes=4)
+        split = build_histogram(stream, (2, 2), 25, 122_000, processes=4)
     assert len(started) == 3
     assert np.array_equal(split.counts, hist.counts)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from photonmix.analytic_model import (
+    LocalOscillator,
     SourceParams,
     auto_g2_zero,
     cross_coincidence,
@@ -289,11 +290,32 @@ class TestSweepFormsOnArrays:
             call(np.array([0.5, -1.0, -2.0]))
         assert str(array.value) == message
 
-    def test_nan_passes_the_sign_checks_as_before(self):
-        assert math.isnan(cross_coincidence(math.nan, 1.0, 0.0, 0.5))
-        assert np.isnan(cross_coincidence(np.array([math.nan]), 1.0, 0.0, 0.5)).all()
+    def test_nan_fails_the_sign_checks(self):
+        with pytest.raises(InvalidParameterError, match="mu_alpha must be >= 0, got nan"):
+            cross_coincidence(math.nan, 1.0, 0.0, 0.5)
+        with pytest.raises(InvalidParameterError, match="mu_alpha must be >= 0, got nan"):
+            cross_coincidence(np.array([0.5, math.nan]), 1.0, 0.0, 0.5)
         with pytest.raises(InvalidParameterError, match="m must be in"):
             cross_coincidence(1.0, 1.0, 0.0, np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SourceParams.from_moments(0.3, math.nan),
+        lambda: LocalOscillator(math.nan),
+        lambda: auto_g2_zero(math.nan, 1.0, 0.0, 0.5),
+        lambda: hom_visibility(1.0, 1.0, math.nan, 0.5),
+        lambda: peak_analysis(math.nan, 0.5),
+        lambda: g2_from_probs(math.nan, 0.0),
+        lambda: overlap_from_visibility(0.5, math.nan, 1.0, 0.0),
+    ],
+    ids=["from_moments", "LocalOscillator", "auto_g2_zero", "hom_visibility", "peak_analysis",
+         "g2_from_probs", "overlap_from_visibility"],
+)
+def test_nan_is_refused(call):
+    with pytest.raises(InvalidParameterError):
+        call()
 
 
 class TestSourceParams:

@@ -340,16 +340,16 @@ class TestAnalyze:
 
     def test_visibility_pair_matches_fixture_truth(self, tmp_path):
         m, g2 = 0.76, 0.0412
-        source = SourceParams.from_moments(0.3, g2, tau_lt_ps=170.0)
+        source = SourceParams.from_moments(0.3, g2)
         bs = BeamSplitterSpec(0.5)
         cutoff = required_cutoff(0.15, 1e-10)
         lo_par = LocalOscillator(mu_alpha=0.15, theta=math.acos(math.sqrt(m)))
         lo_perp = LocalOscillator(mu_alpha=0.15, theta=math.pi / 2)
         stream_par, truth_par = displaced_fock_tags(
-            source, lo_par, bs, cutoff, 600_000, REP, seed=31, channel_2=2, channel_3=1
+            source, lo_par, bs, cutoff, 600_000, REP, seed=31, channel_2=2, channel_3=1, lifetime_ps=170.0
         )
         stream_perp, truth_perp = displaced_fock_tags(
-            source, lo_perp, bs, cutoff, 600_000, REP, seed=32, channel_2=2, channel_3=1
+            source, lo_perp, bs, cutoff, 600_000, REP, seed=32, channel_2=2, channel_3=1, lifetime_ps=170.0
         )
         par_path = tmp_path / "par.csv"
         perp_path = tmp_path / "perp.csv"

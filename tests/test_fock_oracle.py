@@ -1,15 +1,18 @@
+import ast
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import factorial
 
+from photonmix import fock_oracle
 from photonmix.analytic_model import (
     LocalOscillator,
     SourceParams,
@@ -29,9 +32,8 @@ from photonmix.fock_oracle import (
     OutputState,
     TruncationReport,
     _create,
-    apply_loss,
+    _split,
     auto_correlation,
-    build_qd_state,
     coherent_tail_mass,
     cross_correlations,
     displacement_matrix,
@@ -66,84 +68,86 @@ def complement_tails(mu: float, kmax: int, digits: int) -> list[Decimal]:
         return tails
 
 
+def source_photon_totals(source: SourceParams) -> np.ndarray:
+    """Distribution of n2 + n3 with no coherent light: the source photons that arrive."""
+    dist = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.0), BALANCED, 2).distribution
+    n2, n3 = np.indices(dist.shape)
+    return np.bincount((n2 + n3).ravel(), weights=dist.ravel())
+
+
 class TestBuildQdState:
+    """The source is a mixture of zero, one and two photons, as its totals show at eta = 1."""
+
     def test_pure_single_photon(self):
-        rho = build_qd_state(1.0, 0.0, 4)
-        expected = np.zeros((5, 5))
-        expected[1, 1] = 1.0
-        assert np.allclose(rho, expected, atol=1e-15)
+        totals = source_photon_totals(SourceParams(p1=1.0))
+        assert np.allclose(totals, [0.0, 1.0] + [0.0] * (totals.size - 2), atol=1e-15)
 
     def test_vacuum(self):
-        rho = build_qd_state(0.0, 0.0, 4)
-        expected = np.zeros((5, 5))
-        expected[0, 0] = 1.0
-        assert np.allclose(rho, expected, atol=1e-15)
+        totals = source_photon_totals(SourceParams(p1=0.0))
+        assert np.allclose(totals, [1.0] + [0.0] * (totals.size - 1), atol=1e-15)
 
     def test_mixture_diagonal(self):
-        rho = build_qd_state(0.96, 0.02, 4)
-        assert np.allclose(np.diag(rho).real, [0.02, 0.96, 0.02, 0.0, 0.0], atol=1e-15)
-        assert np.allclose(rho, np.diag(np.diag(rho)), atol=1e-15)
+        totals = source_photon_totals(SourceParams(p1=0.96, p2=0.02))
+        assert np.allclose(totals[:3], [0.02, 0.96, 0.02], atol=1e-15)
+        assert np.allclose(totals[3:], 0.0, atol=1e-15)
 
     def test_rejects_invalid_probabilities(self):
         with pytest.raises(InvalidParameterError):
-            build_qd_state(-0.1, 0.0, 4)
+            SourceParams(p1=-0.1)
         with pytest.raises(InvalidParameterError):
-            build_qd_state(0.8, 0.3, 4)
-        with pytest.raises(InvalidParameterError):
-            build_qd_state(1.0, 0.0, 1)
+            SourceParams(p1=0.8, p2=0.3)
 
     def test_state_invariants(self):
-        rho = build_qd_state(0.9, 0.05, 4)
-        assert abs(np.trace(rho).real - 1.0) < 1e-12
-        assert np.abs(rho - rho.conj().T).max() < 1e-12
-        assert np.linalg.eigvalsh(rho).min() >= -1e-10
+        totals = source_photon_totals(SourceParams(p1=0.9, p2=0.05))
+        assert abs(totals.sum() - 1.0) < 1e-12
+        assert totals.min() >= 0.0
 
 
 class TestApplyLoss:
+    """Each emitted photon reaches the beam splitter with probability eta."""
+
     def test_lossless_identity(self):
-        rho = build_qd_state(1.0, 0.0, 4)
-        assert np.allclose(apply_loss(rho, 1.0), rho, atol=1e-12)
+        totals = source_photon_totals(SourceParams(p1=1.0, eta=1.0))
+        assert np.allclose(totals[:3], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_full_loss_gives_vacuum(self):
-        rho = apply_loss(build_qd_state(1.0, 0.0, 4), 0.0)
-        assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
+        totals = source_photon_totals(SourceParams(p1=1.0, eta=0.0))
+        assert totals[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_binomial_transform_of_single_photon(self):
-        diag = np.diag(apply_loss(build_qd_state(1.0, 0.0, 4), 0.3)).real
-        assert np.allclose(diag[:2], [0.7, 0.3], atol=1e-12)
-        assert np.allclose(diag[2:], 0.0, atol=1e-12)
+        totals = source_photon_totals(SourceParams(p1=1.0, eta=0.3))
+        assert np.allclose(totals[:2], [0.7, 0.3], atol=1e-12)
+        assert np.allclose(totals[2:], 0.0, atol=1e-12)
 
     def test_rejects_transmission_outside_unit_interval(self):
         with pytest.raises(InvalidParameterError):
-            apply_loss(build_qd_state(1.0, 0.0, 4), 1.5)
+            SourceParams(p1=1.0, eta=1.5)
 
     def test_composition_of_losses(self):
-        rho = build_qd_state(0.9, 0.05, 4)
-        twice = apply_loss(apply_loss(rho, 0.8), 0.6)
-        once = apply_loss(rho, 0.48)
-        assert np.abs(twice - once).max() < 1e-10
+        def kept(populations, eta):
+            return _split(populations, np.ones((1, 1)), eta, 1.0 - eta).sum(axis=1)
 
-    def test_populations_match_loss_degraded_probs(self):
-        p1, p2, eta = 0.9, 0.05, 0.37
-        diag = np.diag(apply_loss(build_qd_state(p1, p2, 4), eta)).real
+        populations = np.array([0.05, 0.9, 0.05])
+        twice = kept(kept(populations, 0.8), 0.6)
+        once = kept(populations, 0.48)
+        assert np.abs(twice - once).max() < 1e-15
+
+    @given(p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0), eta=st.floats(0.0, 1.0))
+    @example(p1=0.9, p2=0.05, eta=0.0)
+    @example(p1=0.9, p2=0.05, eta=1.0)
+    @example(p1=0.0, p2=1.0, eta=0.0)
+    @example(p1=0.0, p2=1.0, eta=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_populations_match_loss_degraded_probs(self, p1, p2, eta):
+        assume(p1 + p2 <= 1.0)
+        totals = source_photon_totals(SourceParams(p1=p1, p2=p2, eta=eta))
         q0, q1, q2 = loss_degraded_probs(p1, p2, eta)
-        vacuum = 1.0 - p1 - p2 + q0
-        assert np.allclose(diag[:3], [vacuum, q1, q2], atol=1e-10)
+        assert np.abs(totals[:3] - [1.0 - p1 - p2 + q0, q1, q2]).max() <= 1e-15
+        assert np.abs(totals[3:]).max() <= 1e-15
 
     def test_trace_preserved(self):
-        out = apply_loss(build_qd_state(0.9, 0.05, 4), 0.41)
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_coherent_superposition_stays_physical(self):
-        psi = np.array([1.0, 1.0, 1.0, 0.0]) / math.sqrt(3.0)
-        out = apply_loss(np.outer(psi, psi), 0.6)
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(out - out.conj().T).max() < 1e-12
-        assert np.linalg.eigvalsh(out).min() >= -1e-10
-        # the surviving coherence between 0 and 1 photons is sqrt(eta) / 3 plus
-        # the part carried by the two-photon term after losing one photon
-        expected = (math.sqrt(0.6) + math.sqrt(0.4) * math.sqrt(2.0 * 0.6 * 0.4)) / 3.0
-        assert out[0, 1] == pytest.approx(expected, abs=1e-12)
+        totals = source_photon_totals(SourceParams(p1=0.9, p2=0.05, eta=0.41))
+        assert totals.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDisplacement:
@@ -407,7 +411,7 @@ def reference_mix_on_beam_splitter(source, lo, bs, cutoff) -> np.ndarray:
     y sector by sector (the x slot exits as out_3, the y slot as out_2), and
     the perpendicular pair distribution is convolved in.
     """
-    rho = build_qd_state(source.p1, source.p2, 2)
+    rho = np.diag([1.0 - source.p1 - source.p2, source.p1, source.p2])
     populations = np.zeros(3)
     for k in range(3):
         kraus = np.zeros((3, 3))
@@ -523,6 +527,37 @@ class TestAgainstSectorReference:
         assert np.abs(state.distribution - reference).max() <= 1e-14
 
 
+def names_in(tree: ast.AST) -> set[str]:
+    """Every identifier, attribute, imported name and string constant in a syntax tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(part for part in (node.name, node.asname) if part)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+class TestIndependence:
+    closed_forms = {
+        "cross_coincidence", "hom_visibility", "auto_g2_zero", "overlap_from_visibility",
+        "g2_from_probs", "loss_degraded_probs", "peak_analysis",
+    }
+
+    def test_oracle_names_no_closed_form(self):
+        # the oracle checks the closed forms, so it must not compute with them
+        tree = ast.parse(Path(fock_oracle.__file__).read_text())
+        assert names_in(tree) & self.closed_forms == set()
+
+    def test_a_named_closed_form_is_found(self):
+        tree = ast.parse("from .analytic_model import loss_degraded_probs as q\nx = am.hom_visibility")
+        assert names_in(tree) & self.closed_forms == {"loss_degraded_probs", "hom_visibility"}
+
+
 class TestStateSize:
     def test_arrays_stay_two_mode(self):
         cutoff = required_cutoff(2.0, 1e-10)
@@ -535,11 +570,11 @@ class TestStateSize:
         # with no coherent light, n2 + n3 counts the source photons that survived the loss
         source = SourceParams(p1=0.9, p2=0.05, eta=0.7)
         state = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.0), BALANCED, 12)
-        populations = np.diag(apply_loss(build_qd_state(0.9, 0.05, 2), 0.7))
+        q0, q1, q2 = loss_degraded_probs(0.9, 0.05, 0.7)
         dist = state.distribution
         n2, n3 = np.indices(dist.shape)
         totals = np.bincount((n2 + n3).ravel(), weights=dist.ravel())
-        assert np.allclose(totals[:3], populations, atol=1e-15)
+        assert np.allclose(totals[:3], [1.0 - 0.9 - 0.05 + q0, q1, q2], atol=1e-15)
         assert np.allclose(totals[3:], 0.0, atol=1e-15)
 
     def test_orthogonal_run_adds_branches(self):

@@ -287,8 +287,8 @@ class TestBuildHistogram:
         # a sweep split over processes must count what one process counts
         processes = data.draw(st.sampled_from([1, 2, 3]), label="processes")
         with mock.patch.object(tagstream, "_SWEEP_BLOCK", block):
-            hist = build_histogram(stream, pair, width, tau_max, REP, processes)
-            alone = build_histogram(stream, pair, width, tau_max, REP)
+            hist = build_histogram(stream, pair, width, tau_max, processes=processes)
+            alone = build_histogram(stream, pair, width, tau_max)
         expected = naive_histogram(stream, pair, width, tau_max)
         assert hist.counts.tolist() == expected
         assert np.array_equal(hist.counts, alone.counts)
@@ -342,7 +342,7 @@ class TestBuildHistogram:
         tau_max = 100 * REP - (100 * REP) % 25
         tracemalloc.start()
         try:
-            hist = build_histogram(stream, pair, 25, tau_max, REP)
+            hist = build_histogram(stream, pair, 25, tau_max)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -393,11 +393,11 @@ class TestG2Zero:
         for m in range(1, n_side // 2 + 1):
             counts[k + m * rep // width] = side_counts
             counts[k - m * rep // width] = side_counts
-        return CorrelationHistogram(width, tau_max, counts, (2, 2), rep_period=rep)
+        return CorrelationHistogram(width, tau_max, counts)
 
     def test_ratio_and_poisson_error(self):
         hist = self.make_hist(500, 1000)
-        result = g2_zero(hist, window=400, n_side_peaks=2)
+        result = g2_zero(hist, 1000, window=400, n_side_peaks=2)
         assert result.value == pytest.approx(0.5, abs=1e-12)
         assert result.side_mean == pytest.approx(1000.0)
         # both areas Poisson: value * sqrt(1/500 + 1/2000)
@@ -406,8 +406,8 @@ class TestG2Zero:
 
     def test_pulsed_coherent_is_poissonian(self):
         stream = pulsed_coherent_tags({2: 0.3}, 200_000, REP, seed=11)
-        hist = build_histogram(stream, (2, 2), 25, 122_000 - 122_000 % 25, rep_period=REP)
-        result = g2_zero(hist)
+        hist = build_histogram(stream, (2, 2), 25, 122_000 - 122_000 % 25)
+        result = g2_zero(hist, REP)
         assert abs(result.value - 1.0) <= 3.0 * result.stat_err
 
     def test_single_photon_stream_has_empty_central_peak(self):
@@ -415,8 +415,8 @@ class TestG2Zero:
         # antibunched, the central peak holds no pairs at all
         n = 5000
         stream = stream_from([2] * n, [k * REP for k in range(n)])
-        hist = build_histogram(stream, (2, 2), 25, 65_000, rep_period=REP)
-        result = g2_zero(hist)
+        hist = build_histogram(stream, (2, 2), 25, 65_000)
+        result = g2_zero(hist, REP)
         assert result.peak_area_0 == 0
         assert result.value == 0.0
         # the empty central window counts as one count in the error: 1/side_mean * sqrt(1 + 1/side_total)
@@ -427,12 +427,12 @@ class TestG2Zero:
     def test_side_peaks_must_fit_histogram(self):
         hist = self.make_hist(10, 10)
         with pytest.raises(InvalidParameterError):
-            g2_zero(hist, window=400, n_side_peaks=8)
+            g2_zero(hist, 1000, window=400, n_side_peaks=8)
 
     def test_empty_sides_undefined(self):
         hist = self.make_hist(10, 0)
         with pytest.raises(UndefinedCorrelationError):
-            g2_zero(hist, window=400, n_side_peaks=2)
+            g2_zero(hist, 1000, window=400, n_side_peaks=2)
 
     def test_histogram_refuses_a_binning_check_binning_refuses(self):
         # the window test 2 |center - m rep| reaches 4 tau_max, which wraps in int64 here
@@ -440,14 +440,15 @@ class TestG2Zero:
         counts = np.zeros(2 * k + 1, dtype=np.int64)
         counts[k], counts[k - 3], counts[k + 3] = 5, 10, 10
         with pytest.raises(InvalidParameterError, match="int64"):
-            CorrelationHistogram(2**60, 2**62, counts, (1, 2), 3 * 2**60)
+            CorrelationHistogram(2**60, 2**62, counts)
         with pytest.raises(InvalidParameterError, match="must divide"):
-            CorrelationHistogram(10, 1005, np.zeros(201, dtype=np.int64), (2, 2))
+            CorrelationHistogram(10, 1005, np.zeros(201, dtype=np.int64))
 
-    def test_missing_rep_period_rejected(self):
-        hist = CorrelationHistogram(10, 1000, np.zeros(201, dtype=np.int64), (2, 2))
-        with pytest.raises(InvalidParameterError):
-            g2_zero(hist, window=100)
+    def test_non_positive_rep_period_rejected(self):
+        hist = CorrelationHistogram(10, 1000, np.zeros(201, dtype=np.int64))
+        for rep in (0, -1000):
+            with pytest.raises(InvalidParameterError, match="rep_period must be positive"):
+                g2_zero(hist, rep, window=100)
 
     def test_default_window_stays_below_half_period(self):
         assert default_window(12195, 25) == 6075
@@ -482,43 +483,43 @@ class TestVisibility:
 
 class TestDisplacedFockGenerator:
     def test_auto_correlation_closure_small(self):
-        source = SourceParams.from_moments(0.05, 0.0412, tau_lt_ps=170.0)
+        source = SourceParams.from_moments(0.05, 0.0412)
         lo = LocalOscillator(mu_alpha=0.1, theta=math.acos(math.sqrt(0.76)))
         cutoff = required_cutoff(0.1, 1e-10)
         stream, truth = displaced_fock_tags(
-            source, lo, BeamSplitterSpec(0.5), cutoff, 1_000_000, REP, seed=5
+            source, lo, BeamSplitterSpec(0.5), cutoff, 1_000_000, REP, seed=5, lifetime_ps=170.0
         )
         expected = auto_g2_zero(0.1, 0.05, 0.0412, 0.76)
         assert truth["g2_auto_2"] == pytest.approx(expected, abs=1e-8)
-        hist = build_histogram(stream, (2, 2), 25, 122_000 - 122_000 % 25, rep_period=REP)
-        result = g2_zero(hist)
+        hist = build_histogram(stream, (2, 2), 25, 122_000 - 122_000 % 25)
+        result = g2_zero(hist, REP)
         assert abs(result.value - expected) <= 3.0 * result.stat_err
 
     def test_cross_visibility_closure(self):
         m, g2 = 0.76, 0.0412
-        source = SourceParams.from_moments(0.3, g2, tau_lt_ps=170.0)
+        source = SourceParams.from_moments(0.3, g2)
         bs = BeamSplitterSpec(0.5)
         cutoff = required_cutoff(0.15, 1e-10)
         lo_par = LocalOscillator(mu_alpha=0.15, theta=math.acos(math.sqrt(m)))
         lo_perp = LocalOscillator(mu_alpha=0.15, theta=math.pi / 2)
         tau_max = 122_000 - 122_000 % 25
         stream_par, truth_par = displaced_fock_tags(
-            source, lo_par, bs, cutoff, 1_000_000, REP, seed=21, channel_2=2, channel_3=1
+            source, lo_par, bs, cutoff, 1_000_000, REP, seed=21, channel_2=2, channel_3=1, lifetime_ps=170.0
         )
         stream_perp, truth_perp = displaced_fock_tags(
-            source, lo_perp, bs, cutoff, 1_000_000, REP, seed=22, channel_2=2, channel_3=1
+            source, lo_perp, bs, cutoff, 1_000_000, REP, seed=22, channel_2=2, channel_3=1, lifetime_ps=170.0
         )
-        g_par = g2_zero(build_histogram(stream_par, (1, 2), 25, tau_max, rep_period=REP))
-        g_perp = g2_zero(build_histogram(stream_perp, (1, 2), 25, tau_max, rep_period=REP))
+        g_par = g2_zero(build_histogram(stream_par, (1, 2), 25, tau_max), REP)
+        g_perp = g2_zero(build_histogram(stream_perp, (1, 2), 25, tau_max), REP)
         v, err = visibility_from_histograms(g_par, g_perp)
         v_expected = 1.0 - truth_par["g2_cross"] / truth_perp["g2_cross"]
         assert abs(v - v_expected) <= 3.0 * err
 
     def test_generator_is_deterministic(self):
-        source = SourceParams.from_moments(0.05, 0.0, tau_lt_ps=170.0)
+        source = SourceParams.from_moments(0.05, 0.0)
         lo = LocalOscillator(mu_alpha=0.05)
-        a, _ = displaced_fock_tags(source, lo, BeamSplitterSpec(0.5), 6, 10_000, REP, seed=9)
-        b, _ = displaced_fock_tags(source, lo, BeamSplitterSpec(0.5), 6, 10_000, REP, seed=9)
+        a, _ = displaced_fock_tags(source, lo, BeamSplitterSpec(0.5), 6, 10_000, REP, seed=9, lifetime_ps=170.0)
+        b, _ = displaced_fock_tags(source, lo, BeamSplitterSpec(0.5), 6, 10_000, REP, seed=9, lifetime_ps=170.0)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.channels, b.channels)
 
@@ -544,7 +545,7 @@ class TestGeneratedStreamsPinned:
     @pytest.mark.parametrize(
         "m_psi, transmission, lifetime_ps, digests",
         [
-            (0.9, 0.5, None, (  # the source lifetime, 170 ps
+            (0.9, 0.5, 170.0, (
                 "cd63b4eed452bee5a6dceb763cfb32e919c800915be6b4d7ec721a46d6ce3128",
                 "f4a3acd1449f2357c113748389fce5cef5b27e8059f3fdb789011c731f118da4",
             )),
@@ -556,12 +557,18 @@ class TestGeneratedStreamsPinned:
     )
     def test_displaced_fock(self, monkeypatch, m_psi, transmission, lifetime_ps, digests):
         monkeypatch.setattr(synthetic, "_PULSE_CHUNK", 1000)
-        source = SourceParams.from_moments(0.3, 0.04, tau_lt_ps=170.0, m_psi=m_psi)
+        source = SourceParams.from_moments(0.3, 0.04, m_psi=m_psi)
         lo = LocalOscillator(mu_alpha=0.5, theta=0.4)
         stream, _ = displaced_fock_tags(
             source, lo, BeamSplitterSpec(transmission), 9, 3500, REP, seed=5, lifetime_ps=lifetime_ps
         )
         assert stream_digests(stream) == digests
+
+    @pytest.mark.parametrize("lifetime_ps", [0.0, -170.0, math.nan, math.inf])
+    def test_lifetime_must_be_positive_and_finite(self, lifetime_ps):
+        source, lo = SourceParams.from_moments(0.3, 0.04), LocalOscillator(mu_alpha=0.5)
+        with pytest.raises(InvalidParameterError, match="lifetime_ps"):
+            displaced_fock_tags(source, lo, BeamSplitterSpec(0.5), 6, 10, REP, 1, lifetime_ps=lifetime_ps)
 
     def test_pulse_count_is_checked_first(self):
         with pytest.raises(InvalidParameterError, match="n_pulses"):
