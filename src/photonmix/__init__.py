@@ -42,7 +42,6 @@ from .fock_oracle import (
     auto_correlation,
     coherent_tail_mass,
     cross_correlations,
-    displacement_matrix,
     mix_on_beam_splitter,
     required_cutoff,
     visibility_from_states,

@@ -384,8 +384,9 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> list[str]:
     perp = cfg["perp_tagfile"]
     with in_child(f"analyzing {perp}", _analyze_one, perp, cfg) as perp_result:
         hist, result = _analyze_one(tagfile, cfg, max(1, _cpus() // 2))
-        _write_analysis(outdir, "", hist, result)
         hist_perp, result_perp = perp_result()
+    # written only now that both files succeeded, so a failed run leaves no output
+    _write_analysis(outdir, "", hist, result)
     _write_analysis(outdir, "_perp", hist_perp, result_perp)
     v, err = visibility_from_histograms(result, result_perp)
     _write_json(

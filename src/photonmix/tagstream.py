@@ -62,10 +62,7 @@ class TagStream:
     times: np.ndarray
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=np.int64)
-        t = np.asarray(self.times, dtype=np.int64)
-        if ch.shape != t.shape or ch.ndim != 1:
-            raise InvalidParameterError("channels and times must be equal-length 1-D arrays")
+        ch, t = _columns(self.channels, self.times)
         if np.any(t[1:] < t[:-1]):
             raise InvalidParameterError("timestamps must be non-decreasing")
         # with the order above, this keeps every delay t_j - t_i (j > i) inside int64
@@ -80,9 +77,18 @@ class TagStream:
     @classmethod
     def from_unsorted(cls, channels, times) -> "TagStream":
         """Stable-sort records by timestamp (equal timestamps keep input order)."""
-        t = np.asarray(times, dtype=np.int64)
+        ch, t = _columns(channels, times)  # checked before the gather, which would drop a record
         order = np.argsort(t, kind="stable")
-        return cls(np.asarray(channels, dtype=np.int64)[order], t[order])
+        return cls(ch[order], t[order])
+
+
+def _columns(channels, times) -> tuple[np.ndarray, np.ndarray]:
+    """Channels and times as int64 arrays; ``InvalidParameterError`` unless equal-length 1-D."""
+    ch = np.asarray(channels, dtype=np.int64)
+    t = np.asarray(times, dtype=np.int64)
+    if ch.shape != t.shape or ch.ndim != 1:
+        raise InvalidParameterError("channels and times must be equal-length 1-D arrays")
+    return ch, t
 
 
 @dataclass(frozen=True)
@@ -253,11 +259,13 @@ def build_histogram(
     # only those are binned, then mirrored
     mirror = ch_a == ch_b
     sign = None if mirror else np.where(on_a[keep], np.int8(1), np.int8(-1))
+    size = 2 * k_max + 3
+    # an even width puts some delays on half-bin edges, where the floor rule bins
+    # +d and -d asymmetrically: the mirror counts them apart, by plus-side bin, in a
+    # second half of the counts
+    edged = mirror and bin_width % 2 == 0
     try:
-        counts = np.zeros(2 * k_max + 3, dtype=np.int64)
-        # an even width puts some delays on half-bin edges, where the floor rule bins
-        # +d and -d asymmetrically: the mirror counts them apart, by plus-side bin
-        edges = np.zeros_like(counts) if mirror and bin_width % 2 == 0 else None
+        counts = np.zeros(2 * size if edged else size, dtype=np.int64)
     except MemoryError:
         raise InvalidParameterError(
             f"a histogram of {2 * k_max + 1} bins (tau_max / bin_width = {k_max}) "
@@ -265,8 +273,7 @@ def build_histogram(
         ) from None
     block = _SWEEP_BLOCK
     n_blocks = -(-t.size // block)
-    hist_bytes = counts.nbytes + (0 if edges is None else edges.nbytes)
-    parts = max(1, min(processes, n_blocks, 1 + max(t.nbytes, _SPLIT_BYTES) // hist_bytes))
+    parts = max(1, min(processes, n_blocks, 1 + max(t.nbytes, _SPLIT_BYTES) // counts.nbytes))
     # contiguous ranges of block starts; all but the first are swept in child processes
     bounds = [n_blocks * i // parts * block for i in range(parts + 1)]
     ranges = [range(a, b, block) for a, b in zip(bounds, bounds[1:])]
@@ -274,42 +281,35 @@ def build_histogram(
     with ExitStack() as children:
         results = [
             children.enter_context(
-                in_child(
-                    f"sweeping the blocks from record {r.start}",
-                    _sweep,
-                    *sweep,
-                    r,
-                    np.zeros_like(counts),
-                    None if edges is None else np.zeros_like(edges),
-                )
+                in_child(f"sweeping the blocks from record {r.start}", _sweep, *sweep, r, np.zeros_like(counts))
             )
             for r in ranges[1:]
         ]
-        _sweep(*sweep, ranges[0], counts, edges)
+        _sweep(*sweep, ranges[0], counts)
         for result in results:
-            part_counts, part_edges = result()
-            counts += part_counts
-            if edges is not None:
-                edges += part_edges
+            counts += result()
     if mirror:
         # -d lands in the plus side's bin reversed, or one bin higher from a half-bin edge
+        on_edge, counts = counts[size + k_max + 2 :], counts[:size]
         counts[k_max::-1] = counts[k_max + 2 :]
         counts[k_max + 1] *= 2
-        if edges is not None:
-            counts[k_max::-1] -= edges[k_max + 2 :]
-            counts[k_max + 1 : 0 : -1] += edges[k_max + 2 :]
+        if edged:
+            counts[k_max::-1] -= on_edge
+            counts[k_max + 1 : 0 : -1] += on_edge
     return CorrelationHistogram(bin_width, tau_max, counts[1:-1])
 
 
-def _sweep(t, sign, bin_width, k_max, starts, counts, edges):
+def _sweep(t, sign, bin_width, k_max, starts, counts):
     """Sweep the blocks of earlier records that begin at ``starts`` (a range whose step
-    is the block size) into ``counts``, and the half-bin edge delays of a mirrored
-    sweep into ``edges``; return both.  ``sign`` is +1 on A, -1 on B, or None (auto)."""
+    is the block size) into ``counts`` and return it.  ``counts`` of twice the
+    2 k_max + 3 bins counts the half-bin edge delays of a mirrored sweep again in its
+    second half.  ``sign`` is +1 on A, -1 on B, or None (auto)."""
     # delays within reach bin to -k_max - 1 .. k_max + 1; the two overflow bins are dropped
     reach = (k_max + 1) * bin_width
+    size = 2 * k_max + 3
     # floor((2 tau + w) / 2w) + k_max + 1 is (tau + half) // w: the offset folded into the
     # numerator keeps every binned value non-negative
-    half = bin_width * (2 * k_max + 3) // 2
+    half = bin_width * size // 2
     n = t.size
     for s in starts:
         for k in range(1, n - s):  # k >= 1: no record meets itself
@@ -324,13 +324,13 @@ def _sweep(t, sign, bin_width, k_max, starts, counts, edges):
             # when every delay counts, d itself is binned
             v = d if near.all() else np.compress(near, d)
             v += half
-            if edges is None:
+            if counts.size == size:
                 v //= bin_width
             else:  # a delay is on a half-bin edge when bin_width divides v
                 x, v = v, v // bin_width
-                np.add.at(edges, np.compress(v * bin_width == x, v), 1)
+                np.add.at(counts[size:], np.compress(v * bin_width == x, v), 1)
             np.add.at(counts, v, 1)
-    return counts, edges
+    return counts
 
 
 def default_window(rep_period: int, bin_width: int) -> int:

@@ -462,12 +462,12 @@ class TestAnalyzePair:
         assert run(self.args(par, perp, tmp_path / "run")) == 3
         assert capsys.readouterr().err == "data error: line 2: unknown channel 9\n"
 
-    def test_orthogonal_failure_leaves_the_parallel_outputs(self, tmp_path, coherent_tagfile):
-        assert run(self.args(coherent_tagfile, None, tmp_path / "alone")) == 0
+    @pytest.mark.parametrize("body", [None, _MALFORMED_TAGS, ""], ids=["missing", "malformed", "empty"])
+    def test_orthogonal_failure_writes_nothing(self, tmp_path, coherent_tagfile, body):
+        # the parallel file succeeds, but its outputs wait for the orthogonal one's
         out = tmp_path / "pair"
-        assert run(self.args(coherent_tagfile, self.bad_file(tmp_path, ""), out)) == 3
-        alone = output_files(tmp_path / "alone")
-        assert output_files(out) == {name: alone[name] for name in ("g2.json", "histogram.csv")}
+        assert run(self.args(coherent_tagfile, self.bad_file(tmp_path, body), out)) == 3
+        assert list(out.iterdir()) == []
 
     def test_reruns_match_and_match_one_file_runs(self, tmp_path, coherent_tagfile, perp_tagfile):
         for name in ("a", "b"):

@@ -1,5 +1,6 @@
 import ast
 import math
+import time
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -31,13 +32,12 @@ from photonmix.fock_oracle import (
     BeamSplitterSpec,
     OutputState,
     TruncationReport,
+    _coherent_input_ket,
     _create,
     _split,
     auto_correlation,
     coherent_tail_mass,
     cross_correlations,
-    displacement_matrix,
-    lowering_operator,
     mix_on_beam_splitter,
     required_cutoff,
     visibility_from_states,
@@ -150,13 +150,29 @@ class TestApplyLoss:
         assert totals.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def lowering_operator(cutoff: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1)
+
+
+def reference_displacement(alpha: float, cutoff: int) -> np.ndarray:
+    """The whole truncated displacement exp(alpha (a+ - a)), from eigh(-1j G)."""
+    a = lowering_operator(cutoff)
+    w, v = np.linalg.eigh(-1j * alpha * (a.T - a))
+    return ((v * np.exp(1j * w)) @ v.conj().T).real
+
+
+CUTOFFS = [*range(1, 41), 71, 170, 475]
+
+
 class TestDisplacement:
+    """The oracle's coherent input, column 0 of the displacement, and the tail its truncation drops."""
+
     def test_zero_displacement_is_identity(self):
-        assert np.allclose(displacement_matrix(0.0, 8), np.eye(9), atol=1e-15)
+        assert _coherent_input_ket(0.0, 8).tolist() == [1.0]
 
     def test_coherent_column_amplitudes(self):
         alpha, n = 0.5, 10
-        column = displacement_matrix(alpha, n)[:, 0]
+        column = _coherent_input_ket(alpha, n)
         ns = np.arange(n + 1)
         expected = np.exp(-abs(alpha) ** 2 / 2) * alpha**ns / np.sqrt(factorial(ns))
         # truncation of the generator is felt most at the top Fock level; the
@@ -164,20 +180,27 @@ class TestDisplacement:
         assert np.allclose(column, expected, atol=1e-8)
         assert np.allclose(column[:6], expected[:6], atol=1e-13)
 
-    @pytest.mark.parametrize("alpha", [0.3 + 0.2j, 2.0 - 1.5j, math.sqrt(30.0) * np.exp(0.7j)])
-    def test_matches_scipy_expm(self, alpha):
-        for cutoff in range(1, 41):
+    # 475 is the CLI's largest cutoff, 71 that of its sweep end, 170 between.  A
+    # field at mu_alpha = 350 is checked at its own cutoff only: truncated far
+    # below its mean, scipy's expm is the one off (1.4e-13 at cutoff 2)
+    @pytest.mark.parametrize(
+        "alpha, cutoffs",
+        [(0.3, CUTOFFS), (-2.0, CUTOFFS), (math.sqrt(30.0), CUTOFFS), (math.sqrt(350.0), [475])],
+        ids=["0.3", "-2", "sqrt30", "sqrt350"],
+    )
+    def test_matches_scipy_expm_column(self, alpha, cutoffs):
+        for cutoff in cutoffs:
             a = lowering_operator(cutoff)
-            reference = expm(alpha * a.T - np.conjugate(alpha) * a)
-            assert np.abs(displacement_matrix(alpha, cutoff) - reference).max() <= 1e-13
+            column = expm(alpha * (a.T - a))[:, 0]
+            ket = _coherent_input_ket(alpha, cutoff)
+            # only trailing zeros may be dropped
+            padded = np.zeros(cutoff + 1)
+            padded[: ket.size] = ket
+            assert np.abs(padded - column / np.linalg.norm(column)).max() <= 1e-13, cutoff
 
     def test_real_alpha_gives_real_matrix(self):
-        assert displacement_matrix(0.5, 10).dtype == np.float64
-        assert displacement_matrix(0.5 + 0.5j, 10).dtype == np.complex128
-
-    def test_unitarity_at_adequate_cutoff(self):
-        d = displacement_matrix(0.5, 10)
-        assert np.abs(d.T @ d - np.eye(d.shape[0])).max() <= 1e-8
+        # the ket, column 0 of the displacement matrix, is real for real alpha
+        assert _coherent_input_ket(0.5, 10).dtype == np.float64
 
     def test_tail_mass_helpers(self):
         assert coherent_tail_mass(0.0, 3) == 0.0
@@ -223,6 +246,15 @@ class TestDisplacement:
         for bad in (-1.0, math.nan):
             with pytest.raises(InvalidParameterError):
                 coherent_tail_mass(bad, 10)
+
+    def test_bright_field_is_refused_fast(self):
+        # simulate reaches this with oracle_check_ratios=[1e6]; without the head
+        # branch the tail series climbs to the Poisson mode first, for seconds
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="no cutoff <= 500"):
+            required_cutoff(1e6)
+        assert coherent_tail_mass(1e6, 500) == 1.0
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMixOnBeamSplitter:
@@ -429,7 +461,7 @@ def reference_mix_on_beam_splitter(source, lo, bs, cutoff) -> np.ndarray:
         return np.abs(amp) ** 2
 
     def ket(alpha):
-        column = displacement_matrix(alpha, cutoff)[:, 0]
+        column = reference_displacement(alpha, cutoff)[:, 0]
         return column / np.linalg.norm(column)
 
     out = np.zeros((2 * size - 1, 2 * size - 1))

@@ -180,6 +180,17 @@ class TestTagStream:
         stream = TagStream(np.array([1, 1]), np.array([-(2**62), 2**62 - 1]))
         assert stream.times.tolist() == [-(2**62), 2**62 - 1]
 
+    @pytest.mark.parametrize(
+        "channels, times",
+        [([1, 2], [5, 3, 4]), ([1, 2, 3, 1], [5, 3, 4]), ([[1, 2]], [[5, 3]])],
+        ids=["fewer channels", "more channels", "2-D"],
+    )
+    def test_from_unsorted_rejects_mismatched_columns(self, channels, times):
+        # checked before the records are gathered into time order, which would
+        # raise IndexError or silently drop a record
+        with pytest.raises(InvalidParameterError, match="equal-length 1-D"):
+            TagStream.from_unsorted(channels, times)
+
 
 def stream_from(channels, times) -> TagStream:
     return TagStream.from_unsorted(np.array(channels), np.array(times))
