@@ -13,8 +13,8 @@ Library layout:
   sampled profiles and fringe records.
 - :mod:`photonmix.tagstream`: detector time-tag ingestion, correlation
   histograms and g2(0) extraction.
-- :mod:`photonmix.estimator`: power calibration, the sweep fit and brightness
-  estimation.
+- :mod:`photonmix.estimator`: power calibration and the sweep fit, whose ratio
+  scale gives the source brightness.
 - :mod:`photonmix.synthetic`: seeded Monte Carlo tag generators.
 - :mod:`photonmix.tables`: the CSV table format every reader and writer shares.
 - :mod:`photonmix.workers`: child processes that run one call each.
@@ -66,10 +66,8 @@ from .tagstream import (
 from .estimator import (
     FitResult,
     PowerCalibration,
-    brightness_from_auto_peak,
     calibrate_mu_alpha,
     fit_sweep,
-    polarization_efficiency_correction,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

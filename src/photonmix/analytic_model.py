@@ -68,11 +68,6 @@ class SourceParams:
         _check_unit_interval("eta", self.eta)
         _check_unit_interval("m_psi", self.m_psi)
 
-    @property
-    def mu_psi(self) -> float:
-        """Mean photon number delivered to the beam splitter."""
-        return self.eta * (self.p1 + 2.0 * self.p2)
-
     @classmethod
     def from_moments(cls, mu_psi: float, g2_psi: float, **kwargs) -> "SourceParams":
         """Build emission probabilities realizing target (mu_psi, g2_psi).
@@ -123,7 +118,10 @@ class PeakReport:
 
 
 def g2_from_probs(p1: float, p2: float) -> float:
-    """g2(0) = 2 p2 / (p1 + 2 p2)^2 for the zero/one/two-photon mixture."""
+    """g2(0) = 2 p2 / (p1 + 2 p2)^2 for the zero/one/two-photon mixture.
+
+    No command calls it: it is the reference :meth:`SourceParams.from_moments` is tested against.
+    """
     _check_probs(p1, p2)
     s = p1 + 2.0 * p2
     if s <= 0.0:

@@ -63,7 +63,7 @@ from .tagstream import (
     visibility_from_histograms,
     write_histogram_csv,
 )
-from .tables import read_table, write_table
+from .tables import read_table, row_line, write_table
 from .workers import in_child
 
 EXIT_OK = 0
@@ -351,7 +351,7 @@ def _cpus() -> int:
 def _analyze_one(tagfile: str, cfg: dict, processes: int = 1):
     stream = parse_tags(tagfile, reorder_window=cfg["reorder_window"])
     if len(stream) == 0:
-        raise DataFormatError(f"tag file {tagfile} contains no records")
+        raise DataFormatError("contains no records", path=tagfile)
     hist = build_histogram(
         stream,
         pair=tuple(cfg["pair"]),
@@ -397,13 +397,10 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> list[str]:
 
 
 def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
-    a = read_profile(paths[0], kind=cfg["profile_kind"])
-    b = read_profile(paths[1], kind=cfg["profile_kind"])
-    for p in (a, b):
+    a, b = (read_profile(path, kind=cfg["profile_kind"]) for path in paths)
+    for path, p in zip(paths, (a, b)):
         if p.domain != domain:
-            raise DataFormatError(
-                f"profile declares domain {p.domain!r}, expected {domain!r}"
-            )
+            raise DataFormatError(f"profile declares domain {p.domain!r}, expected {domain!r}", path=path)
     if domain == "frequency" and "spectral_filter" in cfg:
         filt = cfg["spectral_filter"]
         a = spectral_filter(a, filt["center"], filt["half_width"])
@@ -434,11 +431,16 @@ def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
         inputs += cfg["frequency_profiles"]
     fringe = None
     if "fringe_file" in cfg:
-        samples = read_table(cfg["fringe_file"], [("value",)])[1][:, 0]
+        path = cfg["fringe_file"]
+        samples = read_table(path, [("value",)])[1][:, 0]
+        negative = np.flatnonzero(samples < 0)
+        if negative.size:  # a reading is an intensity or a visibility, never below 0
+            at = row_line(path, [("value",)], negative[0])
+            raise DataFormatError(f"negative reading {samples[negative[0]].item()!r}", line=at, path=path)
         fringe = fringe_visibility_overlap(samples, k_tail=cfg["k_tail"])
         factors["m_p"] = fringe.m_p
         sources["m_p"] = "fringe"
-        inputs.append(cfg["fringe_file"])
+        inputs.append(path)
     for key in ("m_t", "m_f", "m_p"):
         if key in cfg:
             factors[key] = cfg[key]

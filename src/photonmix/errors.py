@@ -24,11 +24,13 @@ class UndefinedCorrelationError(PhotonmixError, ZeroDivisionError):
 
 
 class DataFormatError(PhotonmixError, ValueError):
-    """An input file violates the declared format."""
+    """An input file violates the declared format; the message leads with its path and line, where known."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -1,10 +1,8 @@
 """Calibrations and statistical inference for the interference measurements.
 
-Covers the local-oscillator photon-number calibration from optical power,
-the polarization-dependent detection-efficiency correction, the weighted
-fit of a visibility or bunching sweep that recovers the mean wavepacket
-overlap, and the brightness estimate from the location of the bunching
-maximum.
+Covers the local-oscillator photon-number calibration from optical power and
+the weighted fit of a visibility or bunching sweep that recovers the mean
+wavepacket overlap.
 
 A sweep is three equal-length arrays: the power ratio ``ratio``
 (mu_alpha / mu_psi), the measured ``y`` and its error ``y_err``.  Its model
@@ -18,7 +16,9 @@ Both sweep models are affine in the overlap m, so at a given ratio scale
 the closed-form weighted least-squares estimate, clipped to [0, 1], is the
 exact best m, with its exact curvature error.  The default fit is that
 estimate; the optional fit that also floats the ratio scale profiles it over
-the scale.
+the scale.  That fit also gives the source brightness: for a balanced
+splitter, on ratios taken at a nominal mu_psi it returns
+``scale_hat = nominal / mu_psi``, with its error ``scale_err``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .analytic_model import auto_g2_zero, hom_visibility, peak_analysis
+from .analytic_model import auto_g2_zero, hom_visibility
 from .errors import DataFormatError, IllConditionedFitError, InvalidParameterError
-from .fock_oracle import BeamSplitterSpec
 from .tables import read_table, row_line, write_table
 
 _SWEEP_HEADER = ("ratio", "y", "y_err")
@@ -53,10 +52,6 @@ class PowerCalibration:
             raise InvalidParameterError("monitor power must be >= 0")
         if self.wavelength_m <= 0 or self.tau_rep_s <= 0:
             raise InvalidParameterError("wavelength and repetition period must be positive")
-
-    @property
-    def p_alpha_watts(self) -> float:
-        return 10.0 ** (-self.attenuation_db / 10.0) * self.p0_watts
 
 
 @dataclass(frozen=True)
@@ -85,21 +80,7 @@ class FitResult:
 
 def calibrate_mu_alpha(cal: PowerCalibration) -> float:
     """Mean photon number per pulse from attenuated power: P 10^(-C/10) lambda tau / (h c)."""
-    return cal.p_alpha_watts * cal.wavelength_m * cal.tau_rep_s / (_H * _C)
-
-
-def polarization_efficiency_correction(rate_parallel: float, rate_rotated: float) -> float:
-    """Scale factor on the LO photon number that equalizes detected count rates.
-
-    Detection efficiency drops when the LO polarization is rotated away from
-    the detector alignment; multiplying the target mean photon number by
-    ``rate_parallel / rate_rotated`` restores the detected rate.  The count
-    statistics behind the two rates should be folded into the LO
-    photon-number error budget by the caller.
-    """
-    if rate_parallel <= 0 or rate_rotated <= 0:
-        raise InvalidParameterError("count rates must be positive")
-    return rate_parallel / rate_rotated
+    return 10.0 ** (-cal.attenuation_db / 10.0) * cal.p0_watts * cal.wavelength_m * cal.tau_rep_s / (_H * _C)
 
 
 #: Sweep model names, as the fit and the CLI take them, and their closed forms,
@@ -175,7 +156,7 @@ def _fit_with_scale(r, y, s, g2_psi: float, model: str) -> FitResult:
     return replace(
         fit,
         m_err=m_err,
-        chi2_red=fit.chi2_red * (r.size - 1) / max(r.size - 2, 1),
+        chi2_red=fit.chi2_red * (r.size - 1) / (r.size - 2),
         at_bound=fit.at_bound or scale in (1e-2, 1e2),
         scale_hat=float(scale),
         scale_err=scale_err,
@@ -201,32 +182,6 @@ def fit_sweep(ratio, y, y_err, model: str, g2_psi: float, fit_scale: bool = Fals
     return fit(*_point_arrays(ratio, y, y_err), g2_psi, model)
 
 
-def brightness_from_auto_peak(
-    mu_alpha_at_peak: float,
-    bs: BeamSplitterSpec,
-    m: float,
-    g2_psi: float,
-) -> float:
-    """Source brightness from the LO power that maximizes single-output bunching.
-
-    mu_psi = T mu_alpha* / (R r*), with r* the bunching peak's power ratio
-    from :func:`~photonmix.analytic_model.peak_analysis`; for a balanced
-    splitter with ideal overlap and pure single photons this is
-    mu_alpha* / 2.  The curve has no peak at r > 0 for m = 0 or
-    g2_psi >= 1 + m.
-    """
-    r_star = peak_analysis(g2_psi, m).r_auto_star
-    if r_star is None:
-        raise InvalidParameterError(
-            f"the bunching curve is monotone for m = {m}, g2_psi = {g2_psi}: no peak"
-        )
-    if mu_alpha_at_peak <= 0:
-        raise InvalidParameterError("peak LO photon number must be positive")
-    if bs.reflection <= 0:
-        raise InvalidParameterError("beam splitter must reflect part of the source light")
-    return bs.transmission * mu_alpha_at_peak / (bs.reflection * r_star)
-
-
 def read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a ``ratio,y,y_err`` sweep CSV with a header row into its three columns.
 
@@ -239,6 +194,7 @@ def read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DataFormatError(
             f"ratio and y_err must be positive, got ratio {ratio!r}, y_err {y_err!r}",
             line=row_line(path, [_SWEEP_HEADER], bad[0]),
+            path=path,
         )
     return tuple(rows.T)
 

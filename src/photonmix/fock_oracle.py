@@ -51,6 +51,9 @@ OUTPUTS = ("out_2", "out_3")
 #: Coherent tail mass above which the mixing operation refuses to run.
 TAIL_REFUSAL = 1e-6
 
+#: Largest cutoff :func:`required_cutoff` searches.
+MAX_CUTOFF = 500
+
 #: Decimal digits carried by :func:`coherent_tail_mass`.
 TAIL_DIGITS = 30
 
@@ -136,21 +139,21 @@ def coherent_tail_mass(mu: float, cutoff: int) -> float:
         return float(tail)
 
 
-def required_cutoff(mu: float, tail_target: float = 1e-10, max_cutoff: int = 500) -> int:
-    """Smallest cutoff whose coherent tail mass is below the target (min 2).
+def required_cutoff(mu: float, tail_target: float = 1e-10) -> int:
+    """Smallest cutoff whose coherent tail mass is below the target (min 2, max ``MAX_CUTOFF``).
 
     The tail mass falls as the cutoff grows, so the cutoff is bisected for.
     """
-    lo, hi = 2, max_cutoff + 1  # hi: the smallest cutoff known to reach the target
+    lo, hi = 2, MAX_CUTOFF + 1  # hi: the smallest cutoff known to reach the target
     while lo < hi:
         mid = (lo + hi) // 2
         if coherent_tail_mass(mu, mid) < tail_target:
             hi = mid
         else:
             lo = mid + 1
-    if lo > max_cutoff:
+    if lo > MAX_CUTOFF:
         raise InvalidParameterError(
-            f"no cutoff <= {max_cutoff} reaches tail mass {tail_target} for mu = {mu}"
+            f"no cutoff <= {MAX_CUTOFF} reaches tail mass {tail_target} for mu = {mu}"
         )
     return lo
 

@@ -186,12 +186,14 @@ def read_profile(path, kind: str) -> SampledProfile:
     """Read a two-column profile CSV; the x header declares the domain units.
 
     Format: header ``t_ps,value`` or ``f_GHz,value``, then one ``x,value``
-    row per sample, UTF-8, decimal point.
+    row per sample, UTF-8, decimal point.  A profile of zeros has no mode: a format error.
     """
     header, rows = read_table(path, list(_DOMAIN_HEADERS))
+    if not rows[:, 1].any():
+        raise DataFormatError("every profile value is 0", path=path)
     try:
         return SampledProfile(
             domain=_DOMAIN_HEADERS[header], xs=rows[:, 0], values=rows[:, 1], kind=kind
         )
     except InvalidParameterError as exc:
-        raise DataFormatError(str(exc)) from exc
+        raise DataFormatError(str(exc), path=path) from exc

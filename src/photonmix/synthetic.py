@@ -69,7 +69,11 @@ def _pulse_train(
 def pulsed_coherent_tags(
     mean_photons: Mapping[int, float], n_pulses: int, rep_period_ps: int, seed: int
 ) -> TagStream:
-    """Pulsed Poissonian source: independent Poisson photon number per pulse per channel."""
+    """Pulsed Poissonian source: independent Poisson photon number per pulse per channel.
+
+    The Poissonian control of the tag pipeline's closure test: it must not go
+    through the oracle that :func:`displaced_fock_tags` samples.
+    """
     sample = _pulse_train(n_pulses, rep_period_ps, seed, None)
 
     def draw(rng, count):

@@ -76,7 +76,7 @@ def read_table(path, headers, kind=float) -> tuple[tuple[str, ...] | None, np.nd
         return _read_table_loop(path, headers, kind)
     try:
         with open(path, encoding="utf-8") as fh:
-            header = _read_header(fh, headers)
+            header = _read_header(fh, path, headers)
         with warnings.catch_warnings():  # an empty table is left to the loop
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(
@@ -96,15 +96,15 @@ def read_table(path, headers, kind=float) -> tuple[tuple[str, ...] | None, np.nd
     return header, rows
 
 
-def _read_header(fh, headers) -> tuple[str, ...] | None:
-    """Read and check the header line of ``fh``; ``None`` when ``headers`` is ``None``."""
+def _read_header(fh, path, headers) -> tuple[str, ...] | None:
+    """Read and check the header line of ``fh``, open on ``path``; ``None`` when ``headers`` is ``None``."""
     if headers is None:
         return None
     first = fh.readline().strip()
     header = tuple(c.strip() for c in first.split(","))
     if header not in headers:
         expected = " or ".join(repr(",".join(h)) for h in headers)
-        raise DataFormatError(f"expected header {expected}, got {first!r}", line=1)
+        raise DataFormatError(f"expected header {expected}, got {first!r}", line=1, path=path)
     return header
 
 
@@ -112,7 +112,7 @@ def _read_table_loop(path, headers, kind):
     """``read_table`` one line at a time: the reader of every file ``np.loadtxt`` turns down."""
     try:
         with open(path, encoding="utf-8") as fh:
-            header = _read_header(fh, headers)
+            header = _read_header(fh, path, headers)
             width = None if header is None else len(header)
             vals: list = []  # one flat list, reshaped once: much faster than a list per row
             for line in fh:
@@ -127,16 +127,16 @@ def _read_table_loop(path, headers, kind):
                     if line.strip():
                         problem = exc if len(cols) != width else f"expected {kind.__name__} fields"
                         at = row_line(path, headers, len(vals) // width)
-                        raise DataFormatError(f"{problem} in row {line.strip()!r}", line=at) from None
+                        raise DataFormatError(f"{problem} in row {line.strip()!r}", line=at, path=path) from None
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from None
+        raise DataFormatError(f"is not UTF-8 text: {exc}", path=path) from None
     try:
         rows = np.array(vals, dtype=kind).reshape(-1, width or 1)
     except OverflowError:  # an int field beyond the 64-bit range
         limits = np.iinfo(np.int64)
         big = next(i for i, v in enumerate(vals) if not limits.min <= v <= limits.max)
         at = row_line(path, headers, big // width)
-        raise DataFormatError("integer outside the 64-bit range", line=at) from None
+        raise DataFormatError("integer outside the 64-bit range", line=at, path=path) from None
     _check_finite(path, headers, rows)
     return header, rows
 
@@ -150,7 +150,7 @@ def _check_finite(path, headers, rows) -> None:
         return
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise DataFormatError("non-finite value", line=row_line(path, headers, bad[0]))
+        raise DataFormatError("non-finite value", line=row_line(path, headers, bad[0]), path=path)
 
 
 def row_line(path, headers, row: int) -> int | None:

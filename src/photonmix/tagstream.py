@@ -148,7 +148,7 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
     _, rows = read_table(path, None, int)
     if rows.size and rows.shape[1] != 2:
         raise DataFormatError(
-            f"expected 'channel,t_ps', got {rows.shape[1]} columns", line=row_line(path, None, 0)
+            f"expected 'channel,t_ps', got {rows.shape[1]} columns", line=row_line(path, None, 0), path=path
         )
     channels, times = rows.reshape(-1, 2).T
     # views of the parsed table: np.isin would copy the strided column
@@ -158,28 +158,23 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
         # as uint64 the span of every prefix is exact, from 0 to 2**64 - 1
         span = running_max.astype(np.uint64) - np.minimum.accumulate(times).astype(np.uint64)
         k = int(np.argmax(span > _INT64_MAX))
-        raise DataFormatError("timestamps span more than 2**63 - 1 ps", line=row_line(path, None, k))
+        raise DataFormatError("timestamps span more than 2**63 - 1 ps", line=row_line(path, None, k), path=path)
     # exact now that the span fits; a record's lag behind its own running maximum is >= 0
     lag = np.subtract(running_max, times, out=running_max)
     bad = np.flatnonzero(unknown | (lag > reorder_window))
     if bad.size:
         k = bad[0]
         if unknown[k]:
-            raise DataFormatError(f"unknown channel {channels[k]}", line=row_line(path, None, k))
+            raise DataFormatError(f"unknown channel {channels[k]}", line=row_line(path, None, k), path=path)
         raise DataFormatError(
             f"timestamp {times[k]} precedes the running maximum {times[k] + lag[k]} by more "
             f"than the reorder window ({reorder_window} ps)",
-            line=row_line(path, None, k),
+            line=row_line(path, None, k), path=path,
         )
     if not lag.any():  # in time order: the stable sort is the identity
         return TagStream(channels, times)
     del lag, running_max
     return TagStream.from_unsorted(channels, times)
-
-
-def write_tags_csv(stream: TagStream, path) -> None:
-    """Write a stream in the ``channel,t_ps`` format accepted by parse_tags."""
-    write_table(path, None, [stream.channels, stream.times])
 
 
 def check_binning(bin_width: int, tau_max: int) -> int:

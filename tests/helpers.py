@@ -3,6 +3,11 @@
 from photonmix.tables import write_table
 
 
+def write_tags_csv(stream, path) -> None:
+    """Write a ``TagStream`` in the headerless ``channel,t_ps`` format ``parse_tags`` reads."""
+    write_table(path, None, [stream.channels, stream.times])
+
+
 def write_time_profile(path, xs, values) -> None:
     """Write a time profile as the CSV ``mode_overlap.read_profile`` reads."""
     write_table(path, ("t_ps", "value"), [xs, values])

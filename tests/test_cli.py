@@ -26,9 +26,9 @@ from photonmix.errors import ConfigError, DataFormatError, PhotonmixError
 from photonmix.estimator import write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
-from photonmix.tagstream import parse_tags, write_tags_csv
+from photonmix.tagstream import parse_tags
 
-from helpers import write_time_profile
+from helpers import write_tags_csv, write_time_profile
 
 REP = 12195
 TAU_MAX = 122_000
@@ -281,7 +281,7 @@ class TestAnalyze:
         tags = tmp_path / "span.csv"
         tags.write_text(f"1,{-(2**63)}\n2,{2**63 - 1}\n")
         assert run(self.fault_args(tags, tmp_path / "run")) == 3
-        assert capsys.readouterr().err == "data error: line 2: timestamps span more than 2**63 - 1 ps\n"
+        assert capsys.readouterr().err == f"data error: {tags}: line 2: timestamps span more than 2**63 - 1 ps\n"
 
     def test_empty_tagfile_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -454,13 +454,20 @@ class TestAnalyzePair:
         with pytest.raises(DataFormatError) as err:
             cmd_analyze(str(coherent_tagfile), cfg, tmp_path)
         assert err.value.line == 2
-        assert str(err.value) == "line 2: unknown channel 9"
+        assert str(err.value) == f"{bad}: line 2: unknown channel 9"
+
+    @pytest.mark.parametrize("bad_is_perp", [False, True], ids=["tagfile", "perp_tagfile"])
+    def test_data_error_names_its_file(self, tmp_path, capsys, coherent_tagfile, bad_is_perp):
+        bad = self.bad_file(tmp_path, "1,10\nx,200\n")
+        files = (coherent_tagfile, bad) if bad_is_perp else (bad, coherent_tagfile)
+        assert run(self.args(*files, tmp_path / "run")) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: line 2: expected int fields in row 'x,200'\n"
 
     def test_parallel_file_error_wins(self, tmp_path, capsys):
         par = self.bad_file(tmp_path, _MALFORMED_TAGS, "par.csv")
         perp = self.bad_file(tmp_path, "", "perp.csv")
         assert run(self.args(par, perp, tmp_path / "run")) == 3
-        assert capsys.readouterr().err == "data error: line 2: unknown channel 9\n"
+        assert capsys.readouterr().err == f"data error: {par}: line 2: unknown channel 9\n"
 
     @pytest.mark.parametrize("body", [None, _MALFORMED_TAGS, ""], ids=["missing", "malformed", "empty"])
     def test_orthogonal_failure_writes_nothing(self, tmp_path, coherent_tagfile, body):
@@ -795,11 +802,35 @@ class TestOverlapCommand:
         cfg.write_text(json.dumps({"fringe_file": str(fringe), "k_tail": 100}))
         assert run(["overlap", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
 
-    def test_domain_mismatch_is_data_error(self, tmp_path):
+    def test_domain_mismatch_is_data_error(self, tmp_path, capsys):
         paths = self.make_time_profiles(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"frequency_profiles": paths}))
         assert run(["overlap", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {paths[0]}: profile declares domain 'time', expected 'frequency'\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["intensity", "amplitude"])
+    def test_all_zero_profile_is_data_error(self, tmp_path, capsys, kind):
+        good = self.make_time_profiles(tmp_path)[0]
+        zero = tmp_path / "zero.csv"
+        write_time_profile(zero, np.arange(0.0, 100.0), np.zeros(100))
+        out = tmp_path / "run"
+        args = ["--set", f"time_profiles={json.dumps([good, str(zero)])}", "--set", f"profile_kind={kind}"]
+        assert run(["overlap", "--out", str(out), *args]) == 3
+        assert capsys.readouterr().err == f"data error: {zero}: every profile value is 0\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("readings", [(-3.0, -1.0), (-1.0, 3.0)], ids=["all-negative", "some-negative"])
+    def test_negative_fringe_reading_is_data_error(self, tmp_path, capsys, readings):
+        # readings are intensities or visibilities; negative ones would give V = -0.5, or M_p = 4
+        fringe = tmp_path / "fringe.csv"
+        fringe.write_text("value\n\n" + f"{readings[0]!r}\n" * 600 + f"{readings[1]!r}\n" * 600)
+        out = tmp_path / "run"
+        assert run(["overlap", "--out", str(out), "--set", f"fringe_file={json.dumps(str(fringe))}"]) == 3
+        assert capsys.readouterr().err == f"data error: {fringe}: line 3: negative reading {readings[0]!r}\n"
+        assert list(out.iterdir()) == []
 
     @staticmethod
     def forbid_reads(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares, minimize_scalar
 
-from photonmix.analytic_model import auto_g2_zero, hom_visibility, overlap_from_visibility, peak_analysis
+from photonmix.analytic_model import auto_g2_zero, hom_visibility, overlap_from_visibility
 from photonmix.errors import (
     DataFormatError,
     IllConditionedFitError,
@@ -13,14 +13,11 @@ from photonmix.errors import (
 from photonmix.estimator import (
     SWEEP_MODELS,
     PowerCalibration,
-    brightness_from_auto_peak,
     calibrate_mu_alpha,
     fit_sweep,
-    polarization_efficiency_correction,
     read_sweep,
     write_sweep,
 )
-from photonmix.fock_oracle import BeamSplitterSpec
 
 G2_REF = 0.0412
 M_REF = 0.76
@@ -63,18 +60,6 @@ class TestCalibration:
         base = calibrate_mu_alpha(PowerCalibration(1e-9, db, 925e-9, 1e-8))
         deeper = calibrate_mu_alpha(PowerCalibration(1e-9, db + extra, 925e-9, 1e-8))
         assert deeper == pytest.approx(base * 10 ** (-extra / 10.0), rel=1e-12)
-
-
-class TestPolarizationCorrection:
-    def test_equal_rates(self):
-        assert polarization_efficiency_correction(1000.0, 1000.0) == 1.0
-
-    def test_reduced_rate(self):
-        assert polarization_efficiency_correction(1000.0, 800.0) == pytest.approx(1.25)
-
-    def test_zero_rate_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            polarization_efficiency_correction(1000.0, 0.0)
 
 
 class TestVhomFit:
@@ -262,15 +247,23 @@ class TestFitSweep:
 
     @pytest.mark.parametrize("model", ["vhom", "auto"])
     def test_scale_fit_differs_from_the_fixed_scale_fit(self, model):
-        r = np.geomspace(0.05, 10.0, 25)
-        y = curve(model, 1.1 * r, 0.6)
-        s = np.full(r.size, 0.005)
-        scaled = fit_sweep(r, y, s, model, G2_REF, fit_scale=True)
-        fixed = fit_sweep(r, y, s, model, G2_REF)
-        assert scaled.scale_hat == pytest.approx(1.1, abs=1e-6)
-        assert scaled.chi2_red < 1e-6 < fixed.chi2_red
-        assert fixed.scale_hat is None
-        assert (scaled.model, fixed.model) == (model, model)
+        # ratios read 10 % low; then ratios taken at a nominal brightness mu_psi of 1
+        # where it is 0.7, so that nominal / scale_hat is the brightness
+        brightness = 0.7
+        for r, scale, m, rel_err in [
+            (np.geomspace(0.05, 10.0, 25), 1.1, 0.6, None),
+            (np.geomspace(0.01, 30.0, 60), 1.0 / brightness, M_REF, 0.02),
+        ]:
+            y = curve(model, scale * r, m)
+            s = np.full(r.size, 0.005) if rel_err is None else rel_err * y
+            scaled = fit_sweep(r, y, s, model, G2_REF, fit_scale=True)
+            fixed = fit_sweep(r, y, s, model, G2_REF)
+            assert scaled.scale_hat == pytest.approx(scale, abs=1e-6)
+            assert scaled.m_hat == pytest.approx(m, abs=1e-6)
+            assert scaled.chi2_red < 1e-6 < fixed.chi2_red
+            assert fixed.scale_hat is None
+            assert (scaled.model, fixed.model) == (model, model)
+        assert 1.0 / scaled.scale_hat == pytest.approx(brightness, abs=1e-6)  # the last case
 
 
 class TestScaleFitAgainstLeastSquares:
@@ -310,53 +303,6 @@ class TestScaleFitAgainstLeastSquares:
         if not (fit.at_bound or ref["at_bound"]):
             for name in ("m_hat", "scale_hat", "m_err", "scale_err"):
                 assert getattr(fit, name) == pytest.approx(ref[name], rel=1e-3), name
-
-
-class TestBrightness:
-    def test_ideal_condition(self):
-        bs = BeamSplitterSpec(0.5)
-        assert brightness_from_auto_peak(2.0, bs, 1.0, 0.0) == pytest.approx(1.0)
-
-    def test_reference_inverse_of_peak(self):
-        bs = BeamSplitterSpec(0.5)
-        mu = brightness_from_auto_peak(2.2616, bs, M_REF, G2_REF)
-        assert mu == pytest.approx(1.0, abs=1e-3)
-
-    def test_linear_in_peak_power(self):
-        bs = BeamSplitterSpec(0.5)
-        assert brightness_from_auto_peak(4.0, bs, 1.0, 0.0) == pytest.approx(2.0)
-
-    def test_round_trip_with_peak_analysis(self):
-        bs = BeamSplitterSpec(0.5)
-        for m in (0.3, 0.76, 1.0):
-            for g2 in (0.0, 0.0412, 0.2):
-                mu_psi = 0.7
-                report = peak_analysis(g2, m)
-                mu_alpha_star = report.r_auto_star * mu_psi
-                back = brightness_from_auto_peak(mu_alpha_star, bs, m, g2)
-                assert back == pytest.approx(mu_psi, abs=1e-6)
-
-    def test_zero_overlap_has_no_peak(self):
-        with pytest.raises(InvalidParameterError):
-            brightness_from_auto_peak(2.0, BeamSplitterSpec(0.5), 0.0, 0.0)
-
-    @pytest.mark.parametrize("g2", [1.5, 2.0, 3.0])
-    def test_monotone_curve_has_no_peak(self, g2):
-        # g2_psi >= 1 + m puts the stationary point at r <= 0
-        with pytest.raises(InvalidParameterError, match="monotone"):
-            brightness_from_auto_peak(2.0, BeamSplitterSpec(0.5), 0.5, g2)
-
-    @pytest.mark.parametrize(
-        "m, g2, message",
-        [
-            (-0.1, 0.0, r"m must be in \[0, 1\], got -0.1"),
-            (1.5, 0.0, r"m must be in \[0, 1\], got 1.5"),
-            (0.5, -0.1, "g2_psi must be >= 0, got -0.1"),
-        ],
-    )
-    def test_out_of_range_parameters_rejected(self, m, g2, message):
-        with pytest.raises(InvalidParameterError, match=message):
-            brightness_from_auto_peak(2.0, BeamSplitterSpec(0.5), m, g2)
 
 
 class TestSweepCsv:

@@ -27,9 +27,10 @@ from photonmix.tagstream import (
     g2_zero,
     parse_tags,
     visibility_from_histograms,
-    write_tags_csv,
 )
 from photonmix.tables import write_table
+
+from helpers import write_tags_csv
 
 REP = 12195  # ps, 82 MHz pulse train
 INT64_MAX = 2**63 - 1
