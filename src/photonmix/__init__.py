@@ -1,6 +1,7 @@
 """Quantum interference of a pulsed single-photon stream with a weak coherent field.
 
-Library layout:
+Library layout (names are imported from their modules, e.g.
+``from photonmix.fock_oracle import mix_on_beam_splitter``):
 
 - :mod:`photonmix.fock_oracle`: brute-force truncated Fock-space simulation
   of the mixing experiment, whose output is built photon by photon with the
@@ -22,52 +23,3 @@ Library layout:
 """
 
 __version__ = "0.1.0"
-
-from .analytic_model import (
-    LocalOscillator,
-    PeakReport,
-    SourceParams,
-    auto_g2_zero,
-    cross_coincidence,
-    g2_from_probs,
-    hom_visibility,
-    loss_degraded_probs,
-    overlap_from_visibility,
-    peak_analysis,
-)
-from .fock_oracle import (
-    BeamSplitterSpec,
-    OutputState,
-    TruncationReport,
-    auto_correlation,
-    coherent_tail_mass,
-    cross_correlations,
-    mix_on_beam_splitter,
-    required_cutoff,
-    visibility_from_states,
-)
-from .mode_overlap import (
-    OverlapBreakdown,
-    SampledProfile,
-    amplitude_from_intensity,
-    fringe_visibility_overlap,
-    overlap_integral,
-    total_overlap,
-)
-from .tagstream import (
-    CorrelationHistogram,
-    G2Result,
-    TagStream,
-    build_histogram,
-    g2_zero,
-    parse_tags,
-    visibility_from_histograms,
-)
-from .estimator import (
-    FitResult,
-    PowerCalibration,
-    calibrate_mu_alpha,
-    fit_sweep,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,12 +4,13 @@ The overlap of two fields factorizes over independent degrees of freedom
 (time, frequency, polarization, spatial); each factor is the squared inner
 product of the L2-normalized single-mode wavefunctions.  Temporal and
 spectral factors come from sampled intensity or amplitude profiles, the
-polarization factor from the visibility of interference fringes.
+polarization factor from the visibility of interference fringes.  Two
+profiles are compared on the union of their grids: each is normalized there
+and is 0 outside its own samples, so profiles that never meet give 0.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,16 +89,16 @@ def _normalized_on_grid(profile: SampledProfile, grid: np.ndarray) -> np.ndarray
     values = np.interp(grid, profile.xs, profile.values, left=0.0, right=0.0)
     norm_sq = np.trapezoid(values**2, grid)
     if norm_sq <= 0.0:
-        raise InvalidParameterError("profile vanishes on the common grid")
+        raise InvalidParameterError("profile is 0 at every sample")
     return values / np.sqrt(norm_sq)
 
 
 def overlap_integral(psi1: SampledProfile, psi2: SampledProfile) -> float:
     """Squared inner product |∫ psi1 psi2 dx|^2 of two normalized amplitudes.
 
-    Profiles are linearly resampled onto the union of their grids restricted
-    to the overlapping range and L2-normalized there (trapezoidal rule).
-    Disjoint ranges give 0 with a warning.
+    Profiles are linearly resampled onto the union of their grids, each 0
+    outside its own samples, and L2-normalized there (trapezoidal rule), so
+    profiles that never meet give 0.
     """
     if psi1.kind != "amplitude" or psi2.kind != "amplitude":
         raise InvalidParameterError("overlap_integral expects amplitude profiles")
@@ -105,13 +106,7 @@ def overlap_integral(psi1: SampledProfile, psi2: SampledProfile) -> float:
         raise InvalidParameterError(
             f"profiles live in different domains: {psi1.domain} vs {psi2.domain}"
         )
-    lo = max(psi1.xs[0], psi2.xs[0])
-    hi = min(psi1.xs[-1], psi2.xs[-1])
-    if lo >= hi:
-        warnings.warn("profiles have disjoint x-ranges; overlap is 0", stacklevel=2)
-        return 0.0
     grid = np.union1d(psi1.xs, psi2.xs)
-    grid = grid[(grid >= lo) & (grid <= hi)]
     f1 = _normalized_on_grid(psi1, grid)
     f2 = _normalized_on_grid(psi2, grid)
     inner = np.trapezoid(f1 * f2, grid)

@@ -822,6 +822,16 @@ class TestOverlapCommand:
         assert capsys.readouterr().err == f"data error: {zero}: every profile value is 0\n"
         assert list(out.iterdir()) == []
 
+    def test_profiles_that_never_meet_overlap_zero(self, tmp_path):
+        # a is 1 before 50 ps and 0 to 99 ps; b is 1 from 60 ps: their shared range holds no light of a
+        t = np.arange(0.0, 100.0)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_time_profile(a, t, np.where(t < 50.0, 1.0, 0.0))
+        write_time_profile(b, t + 60.0, np.ones(t.size))
+        out = tmp_path / "run"
+        assert run(["overlap", "--out", str(out), "--set", f"time_profiles={json.dumps([str(a), str(b)])}"]) == 0
+        assert read_json(out / "overlap.json")["breakdown"]["m_t"] == 0.0
+
     @pytest.mark.parametrize("readings", [(-3.0, -1.0), (-1.0, 3.0)], ids=["all-negative", "some-negative"])
     def test_negative_fringe_reading_is_data_error(self, tmp_path, capsys, readings):
         # readings are intensities or visibilities; negative ones would give V = -0.5, or M_p = 4

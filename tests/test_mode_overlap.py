@@ -104,8 +104,30 @@ class TestOverlapIntegral:
     def test_disjoint_ranges_warn_and_return_zero(self):
         a = SampledProfile("time", np.array([0.0, 1.0]), np.array([1.0, 1.0]), "amplitude")
         b = SampledProfile("time", np.array([5.0, 6.0]), np.array([1.0, 1.0]), "amplitude")
-        with pytest.warns(UserWarning):
-            assert overlap_integral(a, b) == 0.0
+        assert overlap_integral(a, b) == 0.0
+
+    def test_offset_flat_pulses(self):
+        # two 100 ps pulses 50 ps apart share half their light: M = (1/2)^2
+        t = np.arange(0.0, 100.05, 0.1)
+        a = SampledProfile("time", t, np.ones(t.size), "amplitude")
+        b = SampledProfile("time", t + 50.0, np.ones(t.size), "amplitude")
+        assert overlap_integral(a, b) == pytest.approx(0.25, rel=0.01)
+
+    def test_gaussians_on_different_supports(self):
+        # intensity rms 20 ps, centred at -10 and +10 ps, each cut to its own support
+        def amplitude(t, center):
+            return np.exp(-((t - center) ** 2) / (4.0 * 20.0**2))
+
+        fine = np.arange(-100.0, 100.0 + 5e-4, 1e-3)
+        profiles, truth = [], []
+        for center, lo, hi in [(-10.0, -100.0, 30.0), (10.0, -30.0, 100.0)]:
+            t = np.arange(lo, hi + 0.25, 0.5)
+            profiles.append(SampledProfile("time", t, amplitude(t, center), "amplitude"))
+            truth.append(np.where((fine >= lo) & (fine <= hi), amplitude(fine, center), 0.0))
+        inner = np.trapezoid(truth[0] * truth[1], fine)
+        expected = inner**2 / (np.trapezoid(truth[0] ** 2, fine) * np.trapezoid(truth[1] ** 2, fine))
+        assert expected == pytest.approx(0.612, abs=1e-3)
+        assert overlap_integral(*profiles) == pytest.approx(expected, abs=1e-2)
 
     def test_mismatched_domains_rejected(self):
         a = exponential_amplitude(100.0)
@@ -122,14 +144,15 @@ class TestOverlapIntegral:
     @settings(max_examples=50, deadline=None)
     def test_cauchy_schwarz_on_random_profiles(self, seed):
         rng = np.random.default_rng(seed)
-        xs = np.sort(rng.uniform(0.0, 10.0, size=40))
-        xs = np.unique(xs)
-        if xs.size < 4:
-            return
-        a = SampledProfile("time", xs, rng.uniform(0.0, 1.0, xs.size) + 1e-6, "amplitude")
-        b = SampledProfile("time", xs, rng.uniform(0.0, 1.0, xs.size) + 1e-6, "amplitude")
+
+        def profile():  # each on its own grid
+            xs = np.unique(rng.uniform(0.0, 10.0, size=40))
+            return SampledProfile("time", xs, rng.uniform(0.0, 1.0, xs.size) + 1e-6, "amplitude")
+
+        a, b = profile(), profile()
         m = overlap_integral(a, b)
         assert 0.0 <= m <= 1.0 + 1e-12
+        assert overlap_integral(b, a) == pytest.approx(m, abs=1e-12)
 
     def test_grid_refinement_convergence(self):
         tau1, tau2 = 170.0, 100.0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import photonmix
 
-#: The program's modules; ``__init__`` only gathers their names.
+#: The program's modules; ``__init__`` holds only the package version.
 MODULES = [path for path in Path(photonmix.__file__).parent.glob("*.py") if path.name != "__init__.py"]
 
 #: Public names that no module of the program uses, each kept for a stated reason.
