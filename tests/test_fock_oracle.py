@@ -162,6 +162,8 @@ def reference_displacement(alpha: float, cutoff: int) -> np.ndarray:
 
 
 CUTOFFS = [*range(1, 41), 71, 170, 475]
+J0_J1_ZEROS = (2.404825557695773, 3.831705970207512)
+J3_ZERO = 9.76102312998167
 
 
 class TestDisplacement:
@@ -182,11 +184,26 @@ class TestDisplacement:
 
     # 475 is the CLI's largest cutoff, 71 that of its sweep end, 170 between.  A
     # field at mu_alpha = 350 is checked at its own cutoff only: truncated far
-    # below its mean, scipy's expm is the one off (1.4e-13 at cutoff 2)
+    # below its mean, scipy's expm is the one off (1.4e-13 at cutoff 2).  The
+    # rest stress the Bessel values J_k(rho), rho = 2 |alpha| sqrt(cutoff):
+    # a field of 1.9e-16, which every orthogonal run prepares, or of 1e-150
+    # (mu_alpha = 1e-300) overflows an unscaled backward recurrence; at a zero
+    # of J_0 or J_1 a ratio J_k / J_{k-1} is huge; at the first zero of J_3
+    # the ratio recurrence divides by exactly 0 (cutoffs 1, 4 and 16 keep rho
+    # exact)
     @pytest.mark.parametrize(
         "alpha, cutoffs",
-        [(0.3, CUTOFFS), (-2.0, CUTOFFS), (math.sqrt(30.0), CUTOFFS), (math.sqrt(350.0), [475])],
-        ids=["0.3", "-2", "sqrt30", "sqrt350"],
+        [
+            (0.3, CUTOFFS), (-2.0, CUTOFFS), (math.sqrt(30.0), CUTOFFS), (math.sqrt(350.0), [475]),
+            (math.sqrt(10.0) * math.cos(math.pi / 2.0), CUTOFFS), (1e-150, CUTOFFS),
+            *[(rho / (2.0 * math.sqrt(c)), [c]) for rho in J0_J1_ZEROS for c in (1, 2, 36)],
+            *[(J3_ZERO / (2.0 * math.sqrt(c)), [c]) for c in (1, 4, 16)],
+        ],
+        ids=[
+            "0.3", "-2", "sqrt30", "sqrt350", "orthogonal", "1e-150",
+            *[f"j{order}-zero-cutoff{c}" for order in (0, 1) for c in (1, 2, 36)],
+            *[f"j3-zero-cutoff{c}" for c in (1, 4, 16)],
+        ],
     )
     def test_matches_scipy_expm_column(self, alpha, cutoffs):
         for cutoff in cutoffs:
@@ -574,6 +591,18 @@ def names_in(tree: ast.AST) -> set[str]:
     return names
 
 
+def linalg_names_in(tree: ast.AST) -> set[str]:
+    """Every name taken from a ``linalg`` module, as ``x.linalg.name`` or ``from ... linalg import name``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "linalg":
+                names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 class TestIndependence:
     closed_forms = {
         "cross_coincidence", "hom_visibility", "auto_g2_zero", "overlap_from_visibility",
@@ -588,6 +617,16 @@ class TestIndependence:
     def test_a_named_closed_form_is_found(self):
         tree = ast.parse("from .analytic_model import loss_degraded_probs as q\nx = am.hom_visibility")
         assert names_in(tree) & self.closed_forms == {"loss_degraded_probs", "hom_visibility"}
+
+    def test_oracle_calls_no_lapack(self):
+        # the coherent input is summed from elementwise steps; only the
+        # renormalization takes a norm
+        tree = ast.parse(Path(fock_oracle.__file__).read_text())
+        assert linalg_names_in(tree) <= {"norm"}
+
+    def test_a_linalg_call_is_found(self):
+        tree = ast.parse("w, v = np.linalg.eigh(h)\nfrom numpy.linalg import expm as e\nn = np.linalg.norm(v)")
+        assert linalg_names_in(tree) == {"eigh", "expm", "norm"}
 
 
 class TestStateSize:
