@@ -299,10 +299,17 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
     source = SourceParams.from_moments(mu_psi, g2_psi) if ratios else None
     cutoffs = [required_cutoff(ratio * mu_psi, cfg["tail_target"]) for ratio in ratios]
     try:
-        grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
-        curves = {name: curve(grid, 1.0, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
+        # a value beyond float64 (r_max above about 1.3e154 squares to inf) is refused before any write
+        with np.errstate(over="raise", invalid="raise"):
+            grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
+            curves = {name: curve(grid, 1.0, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
+            if "noise_sigma_rel" in cfg:
+                sigma = cfg["noise_sigma_rel"] * curves[model_name]
+                noisy = curves[model_name] + np.random.default_rng(cfg["seed"]).normal(size=grid.size) * sigma
     except MemoryError:
         raise ConfigError(f"a sweep of {cfg['n_points']} points does not fit in memory") from None
+    except FloatingPointError as exc:
+        raise ConfigError(f"the sweep's values exceed the float64 range ({exc})") from None
     write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, curves["vhom"], curves["auto"]])
 
     peaks = peak_analysis(g2_psi, m)
@@ -334,10 +341,6 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
     _write_json(outdir / "report.json", {"peaks": asdict(peaks), "oracle_checks": checks})
 
     if "noise_sigma_rel" in cfg:
-        model_y = curves[model_name]
-        rng = np.random.default_rng(cfg["seed"])
-        sigma = cfg["noise_sigma_rel"] * model_y
-        noisy = model_y + rng.normal(0.0, 1.0, size=model_y.size) * sigma
         write_sweep(outdir / f"points_{model_name}.csv", grid, noisy, sigma)
     return []
 

@@ -16,12 +16,8 @@ Rev. A 40, 1371 (1989)): each input photon leaves as a fixed combination of
 the two output creation operators, so an input number state leaves as those
 operators applied to the output vacuum, one photon at a time, each step two
 shifted adds.  This is exact, and it forms only the amplitudes that are
-used.  The coherent input is column 0 of the displacement, the exponential
-of a real antisymmetric tridiagonal generator, summed as a Chebyshev series
-whose coefficients are Bessel values (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)): each term is two shifted multiply-adds on a real vector, so
-neither the matrix nor a LAPACK call is needed, and no BLAS thread pool
-starts.  The kets live only
+used.  The coherent input is the coherent state itself, its amplitudes
+alpha^n / sqrt(n!) up to the cutoff, renormalized.  The kets live only
 inside :func:`mix_on_beam_splitter`: the state it returns is the
 (2 cutoff + 5)^2 distribution P[n2, n3] itself, instead of a (cutoff+3)^4
 four-mode ket, and every moment is read from it.  The only approximation in
@@ -57,10 +53,6 @@ MAX_CUTOFF = 500
 
 #: Decimal digits carried by :func:`coherent_tail_mass`.
 TAIL_DIGITS = 30
-
-# Bessel values below this end the displacement's Chebyshev series; the
-# terms dropped move no amplitude by more than about twice it.
-_BESSEL_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
@@ -194,53 +186,21 @@ def _split(weights, base: np.ndarray, t: float, r: float) -> np.ndarray:
     return dist
 
 
-def _bessel_j(rho: float) -> np.ndarray:
-    """J_0(rho), J_1(rho), ... up to the last one not below ``_BESSEL_FLOOR``.
-
-    Miller's backward recurrence on the ratios r_k = J_k / J_{k-1},
-    r_k = rho / (2k - rho r_{k+1}), starts from 0 at k = rho + 15 rho^(1/3)
-    + 30, where J_k(rho) stays below 2e-33 for rho up to 1000; ratios cannot
-    overflow however small rho is.  A denominator that rounds to exactly 0
-    (J_{k-1} at a zero) is taken as its rounding error instead.  The
-    products of the ratios are J_k / J_0, scaled by J_0 + 2 (J_2 + J_4 + ...)
-    = 1.
-    """
-    top = math.ceil(rho + 15.0 * rho ** (1.0 / 3.0) + 30.0)
-    ratios = np.empty(top + 1)
-    ratios[0], ratio = 1.0, 0.0
-    for k in range(top, 0, -1):
-        ratio = rho / (2.0 * k - rho * ratio or math.ulp(2.0 * k))
-        ratios[k] = ratio
-    scaled = np.cumprod(ratios)
-    j = scaled / (1.0 + 2.0 * scaled[2::2].sum())
-    return j[: np.flatnonzero(np.abs(j) >= _BESSEL_FLOOR)[-1] + 1]
-
-
 def _coherent_input_ket(alpha: float, cutoff: int) -> np.ndarray:
-    """Coherent ket truncated at ``cutoff``, renormalized, trailing zeros dropped.
+    """Coherent amplitudes alpha^n / sqrt(n!) for n <= ``cutoff``, renormalized, trailing zeros dropped.
 
-    The ket is column 0 of the truncated displacement exp(G), with the real
-    antisymmetric tridiagonal generator G = alpha (a+ - a).  Its spectrum lies
-    in i[-rho, rho], rho = 2 |alpha| sqrt(cutoff) (Gershgorin), so the
-    Chebyshev series exp(G)|0> = J_0(rho) u_0 + 2 sum_k J_k(rho) u_k holds
-    with u_0 = |0>, u_1 = (G / rho) u_0 and u_{k+1} = 2 (G / rho) u_k + u_{k-1}.
-    G / rho has the sub-diagonal sign(alpha) sqrt(n / cutoff) / 2 whatever
-    |alpha| is, so each u_k is real, costs two shifted multiply-adds, and
-    stays bounded by 1.  Only numpy's elementwise loops run: no LAPACK.
+    They are multiplied out from the Poisson mode floor(alpha^2), set to 1,
+    by factors no larger than 1: |alpha| / sqrt(n) upward, sqrt(n) / |alpha|
+    downward, so none overflows however bright the field.  The odd ones take
+    the sign of alpha, and exp(-alpha^2 / 2) cancels in the renormalization.
     """
-    root = math.sqrt(cutoff)
-    j = _bessel_j(2.0 * abs(alpha) * root)
-    step = math.copysign(1.0, alpha) * np.sqrt(np.arange(1.0, cutoff + 1.0)) / root  # sub-diagonal of 2 G / rho
-    u_prev, u = np.zeros(cutoff + 1), np.zeros(cutoff + 1)
-    u_prev[0] = 1.0
-    u[1:2] = 0.5 * step[:1]
-    ket = j[0] * u_prev
-    for j_k in j[1:]:
-        ket += 2.0 * j_k * u
-        u_prev[1:] += step * u[:-1]  # u_prev becomes u_{k+1} = 2 (G / rho) u_k + u_{k-1}
-        u_prev[:-1] -= step * u[1:]
-        u_prev, u = u, u_prev
-    return np.trim_zeros(ket / np.linalg.norm(ket), "b")
+    mode = min(int(alpha * alpha), cutoff)
+    roots = np.sqrt(np.arange(1.0, cutoff + 1.0))
+    amp = np.ones(cutoff + 1)
+    amp[mode + 1 :] = np.cumprod(abs(alpha) / roots[mode:])
+    amp[:mode] = np.cumprod(roots[:mode][::-1] / abs(alpha))[::-1]
+    amp[1::2] *= math.copysign(1.0, alpha)
+    return np.trim_zeros(amp / np.linalg.norm(amp), "b")
 
 
 def mix_on_beam_splitter(

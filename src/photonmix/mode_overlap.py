@@ -1,12 +1,14 @@
 """Mode overlaps per degree of freedom from sampled profiles and fringe records.
 
-The overlap of two fields factorizes over independent degrees of freedom
-(time, frequency, polarization, spatial); each factor is the squared inner
-product of the L2-normalized single-mode wavefunctions.  Temporal and
-spectral factors come from sampled intensity or amplitude profiles, the
-polarization factor from the visibility of interference fringes.  Two
-profiles are compared on the union of their grids: each is normalized there
-and is 0 outside its own samples, so profiles that never meet give 0.
+Each factor is the squared inner product of the L2-normalized single-mode
+wavefunctions: temporal and spectral ones from sampled intensity or amplitude
+profiles, the polarization one from the visibility of interference fringes.
+Their product m_t m_f m_p m_s is the paper's convention (its printed 0.76 is
+0.910 x 0.85 x 0.976), but for one mode time and frequency are two views of
+the same field: m_t alone and m_f alone are each an upper bound on the
+spectro-temporal overlap, and their product is neither a bound nor an
+estimate.  Profiles are compared on the union of their grids, normalized there
+and 0 outside their own samples, so profiles that never meet give 0.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ def total_overlap(
     m_s: float = 1.0,
     m_psi: float | None = None,
 ) -> OverlapBreakdown:
-    """Product of the per-degree-of-freedom overlaps, optionally scaled by m_psi."""
+    """Product m_t m_f m_p m_s (the paper's convention), optionally scaled by m_psi."""
     for name, value in (("m_t", m_t), ("m_f", m_f), ("m_p", m_p), ("m_s", m_s), ("m_psi", m_psi)):
         if value is not None:
             _check_unit_interval(name, value)

@@ -163,6 +163,24 @@ class TestSimulate:
         assert capsys.readouterr().err == f"config error: a sweep of {10**15} points does not fit in memory\n"
         assert list((tmp_path / "run").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            # the closed forms square the ratio, which overflows above about 1.3e154
+            ["g2_psi=0.04", "r_max=1e308", "noise_sigma_rel=0.1"],
+            # noise of 1e307 times a bunching value near 100
+            ["g2_psi=100", "noise_sigma_rel=1e307", "noise_model=auto"],
+        ],
+        ids=["r_max", "noise"],
+    )
+    def test_sweep_beyond_float64_is_config_error(self, tmp_path, capsys, settings):
+        args = ["simulate", "--out", str(tmp_path / "run"), "--set", "m=0.76", "--set", "n_points=3"]
+        assert run([*args, *[arg for s in settings for arg in ("--set", s)]]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the sweep's values exceed the float64 range (overflow encountered in multiply)\n"
+        )
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_relative_noise_on_zero_visibility_is_config_error(self, tmp_path, capsys):
         # V_HOM is zero at m = 0, so relative noise would write y_err = 0, which fit rejects
         args = ["simulate", "--set", "m=0", "--set", "g2_psi=0.02", "--set", "noise_sigma_rel=0.1"]

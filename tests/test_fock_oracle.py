@@ -154,20 +154,40 @@ def lowering_operator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1)
 
 
-def reference_displacement(alpha: float, cutoff: int) -> np.ndarray:
-    """The whole truncated displacement exp(alpha (a+ - a)), from eigh(-1j G)."""
-    a = lowering_operator(cutoff)
-    w, v = np.linalg.eigh(-1j * alpha * (a.T - a))
-    return ((v * np.exp(1j * w)) @ v.conj().T).real
+def exact_coherent_amplitudes(alpha: float, cutoff: int) -> list[Decimal]:
+    """exp(-alpha^2 / 2) alpha^n / sqrt(n!) for n <= cutoff, in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(alpha)
+        amps = [(-a * a / 2).exp()]
+        for n in range(1, cutoff + 1):
+            amps.append(amps[-1] * a / Decimal(n).sqrt())
+        return amps
+
+
+def exact_coherent_ket(alpha: float, cutoff: int) -> np.ndarray:
+    """The coherent amplitudes up to the cutoff, renormalized."""
+    amps = exact_coherent_amplitudes(alpha, cutoff)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        norm = sum(c * c for c in amps).sqrt()
+        return np.array([float(c / norm) for c in amps])
+
+
+def padded(ket: np.ndarray, cutoff: int) -> np.ndarray:
+    """The ket with the trailing zeros the oracle drops put back."""
+    out = np.zeros(cutoff + 1)
+    out[: ket.size] = ket
+    return out
 
 
 CUTOFFS = [*range(1, 41), 71, 170, 475]
-J0_J1_ZEROS = (2.404825557695773, 3.831705970207512)
-J3_ZERO = 9.76102312998167
+#: mu_alpha and the CLI's cutoff for it, required_cutoff(mu_alpha, 1e-10)
+CLI_REACH = [(0.2, 7), (2.0, 16), (6.0, 27), (10.0, 36), (30.0, 71), (100.0, 170), (350.0, 475)]
 
 
 class TestDisplacement:
-    """The oracle's coherent input, column 0 of the displacement, and the tail its truncation drops."""
+    """The oracle's coherent input, the displaced vacuum, and the tail its truncation drops."""
 
     def test_zero_displacement_is_identity(self):
         assert _coherent_input_ket(0.0, 8).tolist() == [1.0]
@@ -177,46 +197,46 @@ class TestDisplacement:
         column = _coherent_input_ket(alpha, n)
         ns = np.arange(n + 1)
         expected = np.exp(-abs(alpha) ** 2 / 2) * alpha**ns / np.sqrt(factorial(ns))
-        # truncation of the generator is felt most at the top Fock level; the
-        # deviation there tracks the 1e-8 unitarity defect at this cutoff
-        assert np.allclose(column, expected, atol=1e-8)
-        assert np.allclose(column[:6], expected[:6], atol=1e-13)
+        expected /= np.linalg.norm(expected)
+        assert np.allclose(column, expected, rtol=0.0, atol=1e-15)
 
-    # 475 is the CLI's largest cutoff, 71 that of its sweep end, 170 between.  A
-    # field at mu_alpha = 350 is checked at its own cutoff only: truncated far
-    # below its mean, scipy's expm is the one off (1.4e-13 at cutoff 2).  The
-    # rest stress the Bessel values J_k(rho), rho = 2 |alpha| sqrt(cutoff):
-    # a field of 1.9e-16, which every orthogonal run prepares, or of 1e-150
-    # (mu_alpha = 1e-300) overflows an unscaled backward recurrence; at a zero
-    # of J_0 or J_1 a ratio J_k / J_{k-1} is huge; at the first zero of J_3
-    # the ratio recurrence divides by exactly 0 (cutoffs 1, 4 and 16 keep rho
-    # exact)
+    # A weak and a negative field at every cutoff; the orthogonal run's field
+    # of 1.9e-16 and a field of 1e-150, whose amplitudes underflow after a few
+    # levels; the CLI's cutoffs from mu_alpha 0.2 to 350; and mu_alpha = 1500,
+    # beyond the CLI's reach, where amplitudes multiplied up from n = 0 would
+    # overflow, at its own cutoff and truncated far below its mean.
     @pytest.mark.parametrize(
         "alpha, cutoffs",
         [
-            (0.3, CUTOFFS), (-2.0, CUTOFFS), (math.sqrt(30.0), CUTOFFS), (math.sqrt(350.0), [475]),
+            (0.3, CUTOFFS), (-2.0, CUTOFFS),
             (math.sqrt(10.0) * math.cos(math.pi / 2.0), CUTOFFS), (1e-150, CUTOFFS),
-            *[(rho / (2.0 * math.sqrt(c)), [c]) for rho in J0_J1_ZEROS for c in (1, 2, 36)],
-            *[(J3_ZERO / (2.0 * math.sqrt(c)), [c]) for c in (1, 4, 16)],
+            *[(math.sqrt(mu), [cutoff]) for mu, cutoff in CLI_REACH],
+            (math.sqrt(1500.0), [500, 1760]),
         ],
-        ids=[
-            "0.3", "-2", "sqrt30", "sqrt350", "orthogonal", "1e-150",
-            *[f"j{order}-zero-cutoff{c}" for order in (0, 1) for c in (1, 2, 36)],
-            *[f"j3-zero-cutoff{c}" for c in (1, 4, 16)],
-        ],
+        ids=["0.3", "-2", "orthogonal", "1e-150", *[f"sqrt{mu:g}" for mu, _ in CLI_REACH], "sqrt1500"],
     )
-    def test_matches_scipy_expm_column(self, alpha, cutoffs):
+    def test_matches_exact_amplitudes(self, alpha, cutoffs):
         for cutoff in cutoffs:
-            a = lowering_operator(cutoff)
-            column = expm(alpha * (a.T - a))[:, 0]
             ket = _coherent_input_ket(alpha, cutoff)
-            # only trailing zeros may be dropped
-            padded = np.zeros(cutoff + 1)
-            padded[: ket.size] = ket
-            assert np.abs(padded - column / np.linalg.norm(column)).max() <= 1e-13, cutoff
+            assert np.isfinite(ket).all() and ket[0] >= 0.0
+            assert np.abs(padded(ket, cutoff) - exact_coherent_ket(alpha, cutoff)).max() <= 1e-15, cutoff
+
+    def test_ket_keeps_what_the_tail_mass_drops(self):
+        # exp(-mu) sum_{n <= c} mu^n / n! is 1 - coherent_tail_mass(mu, c), and
+        # the ket is exactly the amplitudes divided by the square root of it
+        assert coherent_tail_mass(1500.0, 1760) < 1e-10
+        assert [required_cutoff(mu, 1e-10) for mu, _ in CLI_REACH] == [c for _, c in CLI_REACH]
+        for mu, cutoff in [*CLI_REACH, (1500.0, 1760)]:
+            amps = exact_coherent_amplitudes(math.sqrt(mu), cutoff)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                kept = float(sum(c * c for c in amps))
+            assert kept == pytest.approx(1.0 - coherent_tail_mass(mu, cutoff), rel=1e-15, abs=0.0), mu
+            ket = padded(_coherent_input_ket(math.sqrt(mu), cutoff), cutoff)
+            assert np.abs(ket * math.sqrt(kept) - np.array(amps, dtype=float)).max() <= 1e-15, mu
 
     def test_real_alpha_gives_real_matrix(self):
-        # the ket, column 0 of the displacement matrix, is real for real alpha
+        # the coherent ket is real for real alpha
         assert _coherent_input_ket(0.5, 10).dtype == np.float64
 
     def test_tail_mass_helpers(self):
@@ -477,14 +497,11 @@ def reference_mix_on_beam_splitter(source, lo, bs, cutoff) -> np.ndarray:
             amp[total - j, j] = c * reference_sector_unitary(bs.transmission, total)[:, n_x]
         return np.abs(amp) ** 2
 
-    def ket(alpha):
-        column = reference_displacement(alpha, cutoff)[:, 0]
-        return column / np.linalg.norm(column)
-
     out = np.zeros((2 * size - 1, 2 * size - 1))
     for run_weight, theta in [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]:
         if run_weight > 0.0:
-            ket_par, ket_perp = ket(lo.alpha * math.cos(theta)), ket(lo.alpha * math.sin(theta))
+            ket_par = exact_coherent_ket(lo.alpha * math.cos(theta), cutoff)
+            ket_perp = exact_coherent_ket(lo.alpha * math.sin(theta), cutoff)
             parallel = sum(run_weight * populations[n] * pair(n, ket_par) for n in range(3))
             out += reference_convolve(parallel, pair(0, ket_perp))
     return out
@@ -619,7 +636,7 @@ class TestIndependence:
         assert names_in(tree) & self.closed_forms == {"loss_degraded_probs", "hom_visibility"}
 
     def test_oracle_calls_no_lapack(self):
-        # the coherent input is summed from elementwise steps; only the
+        # the coherent amplitudes are multiplied out elementwise; only the
         # renormalization takes a norm
         tree = ast.parse(Path(fock_oracle.__file__).read_text())
         assert linalg_names_in(tree) <= {"norm"}
