@@ -46,7 +46,6 @@ from .fock_oracle import (
     visibility_from_states,
 )
 from .mode_overlap import (
-    amplitude_from_intensity,
     fringe_visibility_overlap,
     overlap_integral,
     read_profile,
@@ -400,17 +399,15 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> list[str]:
 
 
 def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
-    a, b = (read_profile(path, kind=cfg["profile_kind"]) for path in paths)
-    for path, p in zip(paths, (a, b)):
-        if p.domain != domain:
-            raise DataFormatError(f"profile declares domain {p.domain!r}, expected {domain!r}", path=path)
+    a, b = (read_profile(path, cfg["profile_kind"], domain) for path in paths)
     if domain == "frequency" and "spectral_filter" in cfg:
-        filt = cfg["spectral_filter"]
-        a = spectral_filter(a, filt["center"], filt["half_width"])
-        b = spectral_filter(b, filt["center"], filt["half_width"])
-    if cfg["profile_kind"] == "intensity":
-        a = amplitude_from_intensity(a)
-        b = amplitude_from_intensity(b)
+        center, half_width = cfg["spectral_filter"]["center"], cfg["spectral_filter"]["half_width"]
+        a, b = (spectral_filter(p, center, half_width) for p in (a, b))
+        for path, p in zip(paths, (a, b)):
+            if not p.values.any():
+                raise ConfigError(
+                    f"spectral_filter (center {center!r}, half_width {half_width!r} GHz) zeroes every value of {path}"
+                )
     return overlap_integral(a, b)
 
 
@@ -419,8 +416,6 @@ def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
     for key, measured_by in (("m_t", "time_profiles"), ("m_f", "frequency_profiles"), ("m_p", "fringe_file")):
         if key in cfg and measured_by in cfg:
             raise ConfigError(f"{key} and {measured_by} both give {key}: set one of them")
-    if "spectral_filter" in cfg and cfg["profile_kind"] != "intensity":
-        raise ConfigError("spectral_filter applies to intensity profiles only")
     factors: dict[str, float] = {}
     sources: dict[str, str] = {}
     inputs: list[str] = []
@@ -463,13 +458,17 @@ def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
 
 def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> list[str]:
     r, y, y_err = read_sweep(sweepfile)
-    result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
+    try:
+        # a sweep whose arithmetic leaves float64 (a ratio above about 1.3e154 squares to inf) is refused
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
+            y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, 1.0, cfg["g2_psi"], result.m_hat)
+            residual = (y - y_model) / y_err
+    except FloatingPointError as exc:
+        raise DataFormatError(f"the fit's arithmetic leaves the float64 range ({exc})", path=sweepfile) from None
     _write_json(outdir / "fit.json", result.to_dict())
-    y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, 1.0, cfg["g2_psi"], result.m_hat)
     write_table(
-        outdir / "residuals.csv",
-        ("ratio", "y", "y_err", "model", "residual_sigma"),
-        [r, y, y_err, y_model, (y - y_model) / y_err],
+        outdir / "residuals.csv", ("ratio", "y", "y_err", "model", "residual_sigma"), [r, y, y_err, y_model, residual]
     )
     return [sweepfile]
 

@@ -1,8 +1,9 @@
 """Mode overlaps per degree of freedom from sampled profiles and fringe records.
 
 Each factor is the squared inner product of the L2-normalized single-mode
-wavefunctions: temporal and spectral ones from sampled intensity or amplitude
-profiles, the polarization one from the visibility of interference fringes.
+wavefunctions: temporal and spectral ones from sampled profiles, each an
+amplitude from the moment it is read (an intensity file as its square root),
+the polarization one from the visibility of interference fringes.
 Their product m_t m_f m_p m_s is the paper's convention (its printed 0.76 is
 0.910 x 0.85 x 0.976), but for one mode time and frequency are two views of
 the same field: m_t alone and m_f alone are each an upper bound on the
@@ -19,35 +20,25 @@ import numpy as np
 
 from .analytic_model import _check_unit_interval
 from .errors import DataFormatError, InvalidParameterError, UndefinedCorrelationError
-from .tables import read_table
+from .tables import read_table, row_line
 
-_DOMAINS = ("time", "frequency")
-_KINDS = ("intensity", "amplitude")
 _DOMAIN_HEADERS = {("t_ps", "value"): "time", ("f_GHz", "value"): "frequency"}
 
 
 @dataclass(frozen=True)
 class SampledProfile:
-    """Discretely sampled wavefunction or intensity over time (ps) or frequency (GHz)."""
+    """Sampled amplitude over time (ps) or frequency (GHz), on a strictly increasing grid."""
 
-    domain: str
     xs: np.ndarray
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.domain not in _DOMAINS:
-            raise InvalidParameterError(f"domain must be one of {_DOMAINS}")
-        if self.kind not in _KINDS:
-            raise InvalidParameterError(f"kind must be one of {_KINDS}")
         xs = np.asarray(self.xs, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
             raise InvalidParameterError("xs and values must be equal-length 1-D arrays (>= 2 samples)")
         if np.any(np.diff(xs) <= 0):
             raise InvalidParameterError("sample positions must be strictly increasing")
-        if self.kind == "intensity" and np.any(values < 0):
-            raise InvalidParameterError("intensity values must be non-negative")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
 
@@ -76,17 +67,6 @@ class OverlapBreakdown:
     m_tilde: float | None = None
 
 
-def amplitude_from_intensity(profile: SampledProfile) -> SampledProfile:
-    """Convert an intensity profile to the L2-normalized amplitude sqrt(I)."""
-    if profile.kind != "intensity":
-        raise InvalidParameterError("profile is already an amplitude")
-    if not np.any(profile.values > 0):
-        raise InvalidParameterError("cannot normalize an all-zero intensity profile")
-    amp = np.sqrt(profile.values)
-    norm = np.sqrt(np.trapezoid(amp**2, profile.xs))
-    return replace(profile, values=amp / norm, kind="amplitude")
-
-
 def _normalized_on_grid(profile: SampledProfile, grid: np.ndarray) -> np.ndarray:
     values = np.interp(grid, profile.xs, profile.values, left=0.0, right=0.0)
     norm_sq = np.trapezoid(values**2, grid)
@@ -96,18 +76,12 @@ def _normalized_on_grid(profile: SampledProfile, grid: np.ndarray) -> np.ndarray
 
 
 def overlap_integral(psi1: SampledProfile, psi2: SampledProfile) -> float:
-    """Squared inner product |∫ psi1 psi2 dx|^2 of two normalized amplitudes.
+    """Squared inner product |∫ psi1 psi2 dx|^2 of two amplitudes, each L2-normalized.
 
     Profiles are linearly resampled onto the union of their grids, each 0
     outside its own samples, and L2-normalized there (trapezoidal rule), so
     profiles that never meet give 0.
     """
-    if psi1.kind != "amplitude" or psi2.kind != "amplitude":
-        raise InvalidParameterError("overlap_integral expects amplitude profiles")
-    if psi1.domain != psi2.domain:
-        raise InvalidParameterError(
-            f"profiles live in different domains: {psi1.domain} vs {psi2.domain}"
-        )
     grid = np.union1d(psi1.xs, psi2.xs)
     f1 = _normalized_on_grid(psi1, grid)
     f2 = _normalized_on_grid(psi2, grid)
@@ -170,27 +144,38 @@ def total_overlap(
 
 
 def spectral_filter(profile: SampledProfile, center: float, half_width: float) -> SampledProfile:
-    """Hard spectral window: zero the intensity outside [center - w, center + w]."""
-    if profile.kind != "intensity":
-        raise InvalidParameterError("spectral_filter applies to intensity profiles")
+    """Hard spectral window: zero the profile, I or sqrt(I) alike, outside [center - w, center + w]."""
     if half_width <= 0:
         raise InvalidParameterError("half_width must be positive")
     mask = np.abs(profile.xs - center) <= half_width
     return replace(profile, values=np.where(mask, profile.values, 0.0))
 
 
-def read_profile(path, kind: str) -> SampledProfile:
-    """Read a two-column profile CSV; the x header declares the domain units.
+def read_profile(path, kind: str, domain: str) -> SampledProfile:
+    """Read a profile CSV of ``kind`` ``"intensity"`` or ``"amplitude"`` in ``domain`` as its amplitude.
 
-    Format: header ``t_ps,value`` or ``f_GHz,value``, then one ``x,value``
-    row per sample, UTF-8, decimal point.  A profile of zeros has no mode: a format error.
+    Format: header ``t_ps,value`` (time) or ``f_GHz,value`` (frequency), then one ``x,value`` row per
+    sample, UTF-8, decimal point.  An intensity I reads as sqrt(I).  A header of another domain, a
+    profile of zeros (it has no mode) and, at its line, a position not above the one before or a
+    negative intensity are format errors.
     """
     header, rows = read_table(path, list(_DOMAIN_HEADERS))
-    if not rows[:, 1].any():
+    declared = _DOMAIN_HEADERS[header]
+    if declared != domain:
+        raise DataFormatError(f"profile declares domain {declared!r}, expected {domain!r}", path=path)
+    xs, values = rows.T
+    if not values.any():
         raise DataFormatError("every profile value is 0", path=path)
+    for message, bad in (
+        ("sample positions must be strictly increasing", np.diff(xs, prepend=-np.inf) <= 0),
+        ("intensity values must be non-negative", (values < 0) & (kind == "intensity")),
+    ):
+        if bad.any():
+            at = row_line(path, list(_DOMAIN_HEADERS), np.argmax(bad))
+            raise DataFormatError(message, line=at, path=path)
+    if kind == "intensity":
+        values = np.sqrt(values)
     try:
-        return SampledProfile(
-            domain=_DOMAIN_HEADERS[header], xs=rows[:, 0], values=rows[:, 1], kind=kind
-        )
+        return SampledProfile(xs, values)
     except InvalidParameterError as exc:
         raise DataFormatError(str(exc), path=path) from exc

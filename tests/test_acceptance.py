@@ -205,7 +205,7 @@ def test_overlap_quadrature():
     def exp_amp(tau):
         amp = np.exp(-t / (2.0 * tau))
         amp /= np.sqrt(np.trapezoid(amp**2, t))
-        return SampledProfile("time", t, amp, "amplitude")
+        return SampledProfile(t, amp)
 
     m_t = overlap_integral(exp_amp(tau1), exp_amp(tau2))
     closed_t = 4.0 * tau1 * tau2 / (tau1 + tau2) ** 2
@@ -217,7 +217,7 @@ def test_overlap_quadrature():
     def gauss_amp(center):
         amp = np.exp(-((x - center) ** 2) / 4.0)  # unit-variance intensity
         amp /= np.sqrt(np.trapezoid(amp**2, x))
-        return SampledProfile("frequency", x, amp, "amplitude")
+        return SampledProfile(x, amp)
 
     m_f = overlap_integral(gauss_amp(0.0), gauss_amp(delta))
     assert abs(m_f - math.exp(-(delta**2) / 4.0)) <= 1e-4

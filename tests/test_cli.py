@@ -887,14 +887,62 @@ class TestOverlapCommand:
         assert capsys.readouterr().err == f"config error: {key} and {measured_by} both give {key}: set one of them\n"
         assert list(out.iterdir()) == []
 
-    def test_filter_on_amplitudes_is_config_error_before_any_read(self, tmp_path, capsys, monkeypatch):
-        # a config error wins over the data, as in analyze
-        self.forbid_reads(monkeypatch)
+    @staticmethod
+    def write_profiles(tmp_path, transform, name):
+        # two exponential decays, and a Gaussian line with a leakage peak at 10 GHz beside the same line 1.5 GHz away
+        t, f = np.arange(0.0, 3000.0), np.linspace(-20.0, 20.0, 801)
+        intensities = {
+            "t_ps": [np.exp(-t / tau) for tau in (170.0, 100.0)],
+            "f_GHz": [np.exp(-((f - c) ** 2) / 2.0) + 0.2 * np.exp(-((f - 10.0) ** 2) / 2.0) for c in (0.0, 1.5)],
+        }
+        paths = {}
+        for (header, pair), xs in zip(intensities.items(), (t, f)):
+            paths[header] = [str(tmp_path / f"{name}_{header}_{i}.csv") for i in range(2)]
+            for path, intensity in zip(paths[header], pair):
+                rows = "".join(f"{x!r},{v!r}\n" for x, v in zip(xs.tolist(), transform(intensity).tolist()))
+                Path(path).write_text(f"{header},value\n{rows}")
+        return paths["t_ps"], paths["f_GHz"]
+
+    @pytest.mark.parametrize("window", [None, {"center": 0, "half_width": 5}], ids=["unfiltered", "filtered"])
+    def test_intensity_and_its_root_give_the_same_bits(self, tmp_path, window):
+        # an intensity file I and an amplitude file of repr(sqrt(I)) hold one profile
+        filt = [] if window is None else ["--set", f"spectral_filter={json.dumps(window)}"]
+        breakdowns = []
+        for kind, transform in (("intensity", np.asarray), ("amplitude", np.sqrt)):
+            time_paths, frequency_paths = self.write_profiles(tmp_path, transform, kind)
+            out = tmp_path / kind
+            args = ["--set", f"time_profiles={json.dumps(time_paths)}",
+                    "--set", f"frequency_profiles={json.dumps(frequency_paths)}", "--set", f"profile_kind={kind}"]
+            assert run(["overlap", "--out", str(out), *args, *filt]) == 0
+            breakdowns.append(read_json(out / "overlap.json")["breakdown"])
+        assert breakdowns[0] == breakdowns[1]
+
+    def test_filter_that_leaves_a_profile_dark_is_config_error(self, tmp_path, capsys):
+        paths = self.write_profiles(tmp_path, np.asarray, "spec")[1]
         out = tmp_path / "run"
-        args = ["overlap", "--out", str(out), "--set", 'frequency_profiles=["bad.csv","bad.csv"]',
-                "--set", "profile_kind=amplitude", "--set", 'spectral_filter={"center":0,"half_width":1}']
-        assert run(args) == 2
-        assert capsys.readouterr().err == "config error: spectral_filter applies to intensity profiles only\n"
+        args = ["--set", f"frequency_profiles={json.dumps(paths)}",
+                "--set", 'spectral_filter={"center":1000,"half_width":1}']
+        assert run(["overlap", "--out", str(out), *args]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: spectral_filter (center 1000, half_width 1 GHz) zeroes every value of {paths[0]}\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,1.0\n2.0,1.0\n1.0,1.0\n", "line 4: sample positions must be strictly increasing"),
+            ("0.0,1.0\n1.0,-1.0\n2.0,1.0\n", "line 3: intensity values must be non-negative"),
+        ],
+        ids=["decreasing", "negative"],
+    )
+    def test_bad_profile_sample_names_its_line(self, tmp_path, capsys, rows, message):
+        good = self.make_time_profiles(tmp_path)[0]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t_ps,value\n" + rows)
+        out = tmp_path / "run"
+        assert run(["overlap", "--out", str(out), "--set", f"time_profiles={json.dumps([good, str(bad)])}"]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
         assert list(out.iterdir()) == []
 
 
@@ -990,6 +1038,27 @@ class TestFitCommand:
         )
         assert code == 3
         assert "line 4: ratio and y_err must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, model, fit_scale, fault",
+        [
+            ("1e200,0.001,0.01", "vhom", False, "overflow"),  # the ratio squares beyond float64
+            ("1e200,0.001,0.01", "auto", False, "overflow"),
+            ("1e153,0.001,0.01", "vhom", True, "overflow"),  # only at the scale grid's top, 1e2
+            ("2.0,0.2,1e-200", "vhom", False, "divide by zero"),  # the weight 1 / y_err^2
+            ("2.0,1e300,1e-10", "vhom", False, "overflow"),  # the residual
+        ],
+    )
+    def test_sweep_beyond_float64_is_data_error(self, tmp_path, capsys, row, model, fit_scale, fault):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(f"ratio,y,y_err\n0.1,0.5,0.01\n1,0.3,0.01\n{row}\n")
+        out = tmp_path / "run"
+        args = ["--set", f"model={model}", "--set", "g2_psi=0.04", "--set", f"fit_scale={json.dumps(fit_scale)}"]
+        assert run(["fit", str(sweep), "--out", str(out), *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {sweep}: the fit's arithmetic leaves the float64 range ({fault} encountered")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_unknown_model_is_config_error(self, tmp_path):
         sweep = tmp_path / "sweep.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,13 +13,14 @@ from photonmix.errors import (
 )
 from photonmix.mode_overlap import (
     SampledProfile,
-    amplitude_from_intensity,
     fringe_visibility_overlap,
     overlap_integral,
     read_profile,
     spectral_filter,
     total_overlap,
 )
+
+from photonmix.tables import write_table
 
 from helpers import write_time_profile
 
@@ -27,7 +29,7 @@ def exponential_amplitude(tau_ps: float, t_max: float = 3000.0, dt: float = 1.0)
     t = np.arange(0.0, t_max + dt / 2, dt)
     amp = np.exp(-t / (2.0 * tau_ps))
     amp /= np.sqrt(np.trapezoid(amp**2, t))
-    return SampledProfile(domain="time", xs=t, values=amp, kind="amplitude")
+    return SampledProfile(xs=t, values=amp)
 
 
 def gaussian_amplitude(center: float, span: float = 8.0, dx: float = 0.01) -> SampledProfile:
@@ -35,51 +37,58 @@ def gaussian_amplitude(center: float, span: float = 8.0, dx: float = 0.01) -> Sa
     x = np.arange(-span, span + dx / 2, dx)
     amp = np.exp(-((x - center) ** 2) / 4.0)
     amp /= np.sqrt(np.trapezoid(amp**2, x))
-    return SampledProfile(domain="frequency", xs=x, values=amp, kind="amplitude")
+    return SampledProfile(xs=x, values=amp)
+
+
+def read_written(path, header, xs, values, kind, domain):
+    """``read_profile`` of a profile CSV holding ``xs`` and ``values`` under ``header``."""
+    write_table(path, header, [xs, values])
+    return read_profile(path, kind, domain)
 
 
 class TestSampledProfile:
     def test_rejects_decreasing_grid(self):
         with pytest.raises(InvalidParameterError):
-            SampledProfile("time", np.array([0.0, 1.0, 1.0]), np.ones(3), "intensity")
+            SampledProfile(np.array([0.0, 1.0, 1.0]), np.ones(3))
 
-    def test_rejects_negative_intensity(self):
-        with pytest.raises(InvalidParameterError):
-            SampledProfile("time", np.array([0.0, 1.0]), np.array([1.0, -0.1]), "intensity")
-
-    def test_rejects_unknown_domain(self):
-        with pytest.raises(InvalidParameterError):
-            SampledProfile("space", np.array([0.0, 1.0]), np.ones(2), "intensity")
+    def test_has_only_a_grid_and_amplitudes(self):
+        assert [f.name for f in dataclasses.fields(SampledProfile)] == ["xs", "values"]
 
 
 class TestAmplitudeFromIntensity:
-    def test_constant_intensity_normalizes_to_unit_norm(self):
-        xs = np.linspace(0.0, 1.0, 101)
-        profile = SampledProfile("time", xs, np.full(101, 7.3), "intensity")
-        amp = amplitude_from_intensity(profile)
-        assert amp.kind == "amplitude"
-        assert np.allclose(amp.values, 1.0, atol=1e-12)
-        assert np.trapezoid(amp.values**2, xs) == pytest.approx(1.0, abs=1e-12)
+    """``read_profile`` turns an intensity file I into the amplitude sqrt(I)."""
 
-    def test_exponential_intensity_halves_decay_rate(self):
+    def test_constant_intensity_reads_as_its_root(self, tmp_path):
+        xs = np.linspace(0.0, 1.0, 101)
+        amp = read_written(tmp_path / "i.csv", ("t_ps", "value"), xs, np.full(101, 7.3), "intensity", "time")
+        assert np.all(amp.values == math.sqrt(7.3))
+        assert overlap_integral(amp, amp) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exponential_intensity_halves_decay_rate(self, tmp_path):
         xs = np.arange(0.0, 2000.0, 1.0)
         tau = 170.0
-        profile = SampledProfile("time", xs, np.exp(-xs / tau), "intensity")
-        amp = amplitude_from_intensity(profile)
+        amp = read_written(tmp_path / "i.csv", ("t_ps", "value"), xs, np.exp(-xs / tau), "intensity", "time")
         ratio = amp.values / np.exp(-xs / (2 * tau))
         assert np.allclose(ratio, ratio[0], rtol=1e-12)
 
-    def test_single_bin_spike(self):
+    def test_single_bin_spike(self, tmp_path):
         xs = np.linspace(0.0, 1.0, 11)
         values = np.zeros(11)
         values[4] = 2.0
-        amp = amplitude_from_intensity(SampledProfile("time", xs, values, "intensity"))
+        amp = read_written(tmp_path / "i.csv", ("t_ps", "value"), xs, values, "intensity", "time")
         assert np.count_nonzero(amp.values) == 1
 
-    def test_all_zero_profile_rejected(self):
-        profile = SampledProfile("time", np.linspace(0, 1, 5), np.zeros(5), "intensity")
-        with pytest.raises(InvalidParameterError):
-            amplitude_from_intensity(profile)
+    def test_all_zero_profile_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match="every profile value is 0"):
+            read_written(tmp_path / "i.csv", ("t_ps", "value"), np.linspace(0, 1, 5), np.zeros(5), "intensity", "time")
+
+    def test_intensity_and_its_root_read_to_the_same_bits(self, tmp_path):
+        xs = np.linspace(-5.0, 5.0, 201)
+        intensity = np.exp(-(xs**2) / 3.0) + 0.1
+        header = ("f_GHz", "value")
+        from_intensity = read_written(tmp_path / "i.csv", header, xs, intensity, "intensity", "frequency")
+        from_amplitude = read_written(tmp_path / "a.csv", header, xs, np.sqrt(intensity), "amplitude", "frequency")
+        assert from_intensity.values.tobytes() == from_amplitude.values.tobytes()
 
 
 class TestOverlapIntegral:
@@ -102,15 +111,15 @@ class TestOverlapIntegral:
         assert m == pytest.approx(closed, abs=1e-4)
 
     def test_disjoint_ranges_warn_and_return_zero(self):
-        a = SampledProfile("time", np.array([0.0, 1.0]), np.array([1.0, 1.0]), "amplitude")
-        b = SampledProfile("time", np.array([5.0, 6.0]), np.array([1.0, 1.0]), "amplitude")
+        a = SampledProfile(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        b = SampledProfile(np.array([5.0, 6.0]), np.array([1.0, 1.0]))
         assert overlap_integral(a, b) == 0.0
 
     def test_offset_flat_pulses(self):
         # two 100 ps pulses 50 ps apart share half their light: M = (1/2)^2
         t = np.arange(0.0, 100.05, 0.1)
-        a = SampledProfile("time", t, np.ones(t.size), "amplitude")
-        b = SampledProfile("time", t + 50.0, np.ones(t.size), "amplitude")
+        a = SampledProfile(t, np.ones(t.size))
+        b = SampledProfile(t + 50.0, np.ones(t.size))
         assert overlap_integral(a, b) == pytest.approx(0.25, rel=0.01)
 
     def test_gaussians_on_different_supports(self):
@@ -122,18 +131,12 @@ class TestOverlapIntegral:
         profiles, truth = [], []
         for center, lo, hi in [(-10.0, -100.0, 30.0), (10.0, -30.0, 100.0)]:
             t = np.arange(lo, hi + 0.25, 0.5)
-            profiles.append(SampledProfile("time", t, amplitude(t, center), "amplitude"))
+            profiles.append(SampledProfile(t, amplitude(t, center)))
             truth.append(np.where((fine >= lo) & (fine <= hi), amplitude(fine, center), 0.0))
         inner = np.trapezoid(truth[0] * truth[1], fine)
         expected = inner**2 / (np.trapezoid(truth[0] ** 2, fine) * np.trapezoid(truth[1] ** 2, fine))
         assert expected == pytest.approx(0.612, abs=1e-3)
         assert overlap_integral(*profiles) == pytest.approx(expected, abs=1e-2)
-
-    def test_mismatched_domains_rejected(self):
-        a = exponential_amplitude(100.0)
-        b = gaussian_amplitude(0.0)
-        with pytest.raises(InvalidParameterError):
-            overlap_integral(a, b)
 
     def test_symmetry(self):
         a = exponential_amplitude(170.0)
@@ -147,7 +150,7 @@ class TestOverlapIntegral:
 
         def profile():  # each on its own grid
             xs = np.unique(rng.uniform(0.0, 10.0, size=40))
-            return SampledProfile("time", xs, rng.uniform(0.0, 1.0, xs.size) + 1e-6, "amplitude")
+            return SampledProfile(xs, rng.uniform(0.0, 1.0, xs.size) + 1e-6)
 
         a, b = profile(), profile()
         m = overlap_integral(a, b)
@@ -235,7 +238,7 @@ class TestTotalOverlap:
 class TestSpectralFilter:
     def test_hard_window_zeroes_outside(self):
         xs = np.linspace(-10.0, 10.0, 201)
-        profile = SampledProfile("frequency", xs, np.ones(201), "intensity")
+        profile = SampledProfile(xs, np.ones(201))
         cut = spectral_filter(profile, center=1.0, half_width=2.0)
         inside = np.abs(xs - 1.0) <= 2.0
         assert np.all(cut.values[inside] == 1.0)
@@ -245,21 +248,19 @@ class TestSpectralFilter:
         xs = np.linspace(-30.0, 30.0, 2001)
         main = np.exp(-(xs**2) / 2.0)
         leak = 0.3 * np.exp(-((xs - 15.0) ** 2) / 2.0)
-        clean = SampledProfile("frequency", xs, main, "intensity")
-        contaminated = SampledProfile("frequency", xs, main + leak, "intensity")
-        raw = overlap_integral(
-            amplitude_from_intensity(clean), amplitude_from_intensity(contaminated)
-        )
-        filtered = overlap_integral(
-            amplitude_from_intensity(clean),
-            amplitude_from_intensity(spectral_filter(contaminated, 0.0, 5.0)),
-        )
+        clean = SampledProfile(xs, np.sqrt(main))
+        contaminated = SampledProfile(xs, np.sqrt(main + leak))
+        raw = overlap_integral(clean, contaminated)
+        filtered = overlap_integral(clean, spectral_filter(contaminated, 0.0, 5.0))
         assert filtered > raw
 
-    def test_rejects_amplitude_kind(self):
-        profile = gaussian_amplitude(0.0)
-        with pytest.raises(InvalidParameterError):
-            spectral_filter(profile, 0.0, 1.0)
+    def test_window_commutes_with_the_root(self):
+        # a hard window zeroes the same samples of sqrt(I) as of I
+        xs = np.linspace(-10.0, 10.0, 201)
+        intensity = np.exp(-((xs - 1.0) ** 2) / 8.0)
+        filtered_root = spectral_filter(SampledProfile(xs, np.sqrt(intensity)), 0.5, 3.0).values
+        root_of_filtered = np.sqrt(spectral_filter(SampledProfile(xs, intensity), 0.5, 3.0).values)
+        assert filtered_root.tobytes() == root_of_filtered.tobytes()
 
 
 class TestProfileCsv:
@@ -267,26 +268,60 @@ class TestProfileCsv:
         profile = exponential_amplitude(120.0, t_max=50.0)
         path = tmp_path / "profile.csv"
         write_time_profile(path, profile.xs, profile.values)
-        back = read_profile(path, kind="amplitude")
-        assert back.domain == "time"
+        back = read_profile(path, "amplitude", "time")
         assert np.allclose(back.xs, profile.xs)
         assert np.allclose(back.values, profile.values)
 
     def test_frequency_header(self, tmp_path):
         path = tmp_path / "spec.csv"
-        path.write_text("f_GHz,value\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n")
-        profile = read_profile(path, kind="intensity")
-        assert profile.domain == "frequency"
+        path.write_text("f_GHz,value\n-1.0,0.25\n0.0,1.0\n1.0,0.25\n")
+        profile = read_profile(path, "intensity", "frequency")
+        assert profile.values.tolist() == [0.5, 1.0, 0.5]
+
+    @pytest.mark.parametrize("header, declared, expected", [("t_ps", "time", "frequency"), ("f_GHz", "frequency", "time")])
+    def test_domain_mismatch_rejected(self, tmp_path, header, declared, expected):
+        path = tmp_path / "p.csv"
+        path.write_text(f"{header},value\n0.0,1.0\n1.0,1.0\n")
+        with pytest.raises(DataFormatError) as err:
+            read_profile(path, "intensity", expected)
+        assert str(err.value) == f"{path}: profile declares domain {declared!r}, expected {expected!r}"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
         with pytest.raises(DataFormatError):
-            read_profile(path, kind="intensity")
+            read_profile(path, "intensity", "time")
 
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_ps,value\n1.0,2.0\noops\n")
         with pytest.raises(DataFormatError) as err:
-            read_profile(path, kind="intensity")
+            read_profile(path, "intensity", "time")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,1.0\n1.0,1.0\n\n1.0,1.0\n0.5,1.0\n", "sample positions must be strictly increasing"),
+            ("0.0,1.0\n\n1.0,2.0\n2.0,-0.5\n3.0,-1.0\n", "intensity values must be non-negative"),
+        ],
+        ids=["repeated-position", "negative-intensity"],
+    )
+    def test_bad_sample_reports_line(self, tmp_path, rows, message):
+        # the first bad row, blank lines counted
+        path = tmp_path / "bad.csv"
+        path.write_text("t_ps,value\n" + rows)
+        with pytest.raises(DataFormatError) as err:
+            read_profile(path, "intensity", "time")
+        assert str(err.value) == f"{path}: line 5: {message}"
+
+    def test_negative_amplitude_is_read(self, tmp_path):
+        path = tmp_path / "amp.csv"
+        path.write_text("t_ps,value\n0.0,1.0\n1.0,-0.5\n")
+        assert read_profile(path, "amplitude", "time").values.tolist() == [1.0, -0.5]
+
+    def test_one_sample_is_format_error(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("t_ps,value\n0.0,1.0\n")
+        with pytest.raises(DataFormatError, match=">= 2 samples"):
+            read_profile(path, "amplitude", "time")
