@@ -21,6 +21,7 @@ import math
 import operator
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .estimator import SWEEP_MODELS, fit_sweep, read_sweep, write_sweep
 from .fock_oracle import (
     BeamSplitterSpec,
     auto_correlation,
+    coherent_tail_mass,
     mix_on_beam_splitter,
     required_cutoff,
     visibility_from_states,
@@ -329,7 +331,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
                 "ratio": ratio,
                 "mu_alpha": mu_alpha,
                 "cutoff": cutoff,
-                "tail_mass": state.report.tail_mass,
+                "tail_mass": coherent_tail_mass(mu_alpha, cutoff),
                 "v_hom_analytic": v_formula,
                 "v_hom_oracle": v_oracle,
                 "g2_auto_analytic": g2_formula,
@@ -342,6 +344,20 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
     if "noise_sigma_rel" in cfg:
         write_sweep(outdir / f"points_{model_name}.csv", grid, noisy, sigma)
     return []
+
+
+@contextmanager
+def _within_float64(what: str, path):
+    """Refuse arithmetic that leaves the float64 range (an overflow, inf - inf, x / 0) as a fault of ``path``.
+
+    numpy reports it through ``np.errstate``; a Python float's ``**`` raises ``OverflowError`` itself.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        # the reason is the last argument: an OverflowError's args are (errno, reason)
+        raise DataFormatError(f"{what} arithmetic leaves the float64 range ({exc.args[-1]})", path=path) from None
 
 
 def _cpus() -> int:
@@ -408,7 +424,9 @@ def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
                 raise ConfigError(
                     f"spectral_filter (center {center!r}, half_width {half_width!r} GHz) zeroes every value of {path}"
                 )
-    return overlap_integral(a, b)
+    # the two profiles meet on the union of their grids, so a fault there is the pair's
+    with _within_float64("the overlap's", ", ".join(paths)):
+        return overlap_integral(a, b)
 
 
 def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
@@ -435,7 +453,8 @@ def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
         if negative.size:  # a reading is an intensity or a visibility, never below 0
             at = row_line(path, [("value",)], negative[0])
             raise DataFormatError(f"negative reading {samples[negative[0]].item()!r}", line=at, path=path)
-        fringe = fringe_visibility_overlap(samples, k_tail=cfg["k_tail"])
+        with _within_float64("the fringe's", path):
+            fringe = fringe_visibility_overlap(samples, k_tail=cfg["k_tail"])
         factors["m_p"] = fringe.m_p
         sources["m_p"] = "fringe"
         inputs.append(path)
@@ -458,14 +477,11 @@ def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
 
 def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> list[str]:
     r, y, y_err = read_sweep(sweepfile)
-    try:
-        # a sweep whose arithmetic leaves float64 (a ratio above about 1.3e154 squares to inf) is refused
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
-            y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, 1.0, cfg["g2_psi"], result.m_hat)
-            residual = (y - y_model) / y_err
-    except FloatingPointError as exc:
-        raise DataFormatError(f"the fit's arithmetic leaves the float64 range ({exc})", path=sweepfile) from None
+    # a ratio above about 1.3e154 squares to inf
+    with _within_float64("the fit's", sweepfile):
+        result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
+        y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, 1.0, cfg["g2_psi"], result.m_hat)
+        residual = (y - y_model) / y_err
     _write_json(outdir / "fit.json", result.to_dict())
     write_table(
         outdir / "residuals.csv", ("ratio", "y", "y_err", "model", "residual_sigma"), [r, y, y_err, y_model, residual]

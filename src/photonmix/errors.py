@@ -14,10 +14,6 @@ class InvalidParameterError(PhotonmixError, ValueError):
 class TruncationError(PhotonmixError):
     """Fock-space cutoff is too small for the requested coherent amplitude."""
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class UndefinedCorrelationError(PhotonmixError, ZeroDivisionError):
     """A correlation ratio has a vanishing normalization."""

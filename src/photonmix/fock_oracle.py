@@ -18,9 +18,11 @@ operators applied to the output vacuum, one photon at a time, each step two
 shifted adds.  This is exact, and it forms only the amplitudes that are
 used.  The coherent input is the coherent state itself, its amplitudes
 alpha^n / sqrt(n!) up to the cutoff, renormalized.  The kets live only
-inside :func:`mix_on_beam_splitter`: the state it returns is the
-(2 cutoff + 5)^2 distribution P[n2, n3] itself, instead of a (cutoff+3)^4
-four-mode ket, and every moment is read from it.  The only approximation in
+inside :func:`mix_on_beam_splitter`, which returns the output as one
+(2 cutoff + 5)^2 float64 array, the distribution P[n2, n3], instead of a
+(cutoff+3)^4 four-mode ket; every moment is read from that array.  The
+cutoff's tail mass is not carried with it: :func:`coherent_tail_mass` gives
+it again from the same arguments.  The only approximation in
 the whole pipeline is the truncation of the incoming coherent state, whose
 discarded tail mass is summed exactly in decimal arithmetic and enforced
 against a hard bound.
@@ -42,7 +44,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 
-#: Output labels, in the axis order of :attr:`OutputState.distribution`.
+#: Output labels, in the axis order of the distribution P[n2, n3].
 OUTPUTS = ("out_2", "out_3")
 
 #: Coherent tail mass above which the mixing operation refuses to run.
@@ -64,36 +66,11 @@ class BeamSplitterSpec:
     def __post_init__(self):
         _check_unit_interval("transmission", self.transmission)
 
-    @property
-    def reflection(self) -> float:
-        return 1.0 - self.transmission
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Cutoff used for a coherent input and the probability mass beyond it."""
-
-    cutoff: int
-    tail_mass: float
-
 
 class CrossMoments(NamedTuple):
     coincidence: float
     mean_2: float
     mean_3: float
-
-
-@dataclass(frozen=True)
-class OutputState:
-    """Beam-splitter output as its polarization-summed photon-number distribution.
-
-    ``distribution[n2, n3]`` is the probability of n2 photons at out_2 and
-    n3 at out_3, summed over both polarizations; it is sized
-    (2 cutoff + 5) x (2 cutoff + 5).
-    """
-
-    distribution: np.ndarray
-    report: TruncationReport
 
 
 def coherent_tail_mass(mu: float, cutoff: int) -> float:
@@ -208,7 +185,7 @@ def mix_on_beam_splitter(
     lo: LocalOscillator,
     bs: BeamSplitterSpec,
     cutoff: int,
-) -> OutputState:
+) -> np.ndarray:
     """Mix the lossy source state with the polarized coherent state.
 
     The source light occupies the parallel polarization of input a; the
@@ -218,8 +195,9 @@ def mix_on_beam_splitter(
     and a+ to sqrt(T) a3+ - sqrt(R) a2+.  The source reaches input a through
     a channel of transmission ``source.eta``; what arrives is a mixture of
     number states, each one branch.  The coherent inputs are truncated at
-    ``cutoff`` and renormalized.  The returned state is the branches'
-    polarization-summed distribution P[n2, n3].
+    ``cutoff`` and renormalized.  Returns the branches' polarization-summed
+    distribution: ``P[n2, n3]`` is the probability of n2 photons at out_2 and
+    n3 at out_3, a (2 cutoff + 5) x (2 cutoff + 5) float64 array.
 
     Partial source indistinguishability (``source.m_psi < 1``) is realized by
     adding the branches of an orthogonal-polarization run at weight
@@ -229,18 +207,17 @@ def mix_on_beam_splitter(
     Raises :class:`TruncationError` when the coherent tail mass at ``cutoff``
     is not below ``TAIL_REFUSAL``.
     """
-    report = TruncationReport(cutoff, coherent_tail_mass(lo.mu_alpha, cutoff))
-    if report.tail_mass >= TAIL_REFUSAL:
+    tail_mass = coherent_tail_mass(lo.mu_alpha, cutoff)
+    if tail_mass >= TAIL_REFUSAL:
         raise TruncationError(
-            f"cutoff {cutoff} keeps only {1 - report.tail_mass:.9f} of the "
-            f"coherent state (tail {report.tail_mass:.3e} >= {TAIL_REFUSAL:.0e})",
-            report=report,
+            f"cutoff {cutoff} keeps only {1 - tail_mass:.9f} of the "
+            f"coherent state (tail {tail_mass:.3e} >= {TAIL_REFUSAL:.0e})"
         )
     # each emitted photon reaches the beam splitter (first axis) with probability eta
     weights = (1.0 - source.p1 - source.p2, source.p1, source.p2)
     populations = _split(weights, np.ones((1, 1)), source.eta, 1.0 - source.eta).sum(axis=1)
     runs = [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]
-    t, r = bs.transmission, bs.reflection
+    t, r = bs.transmission, 1.0 - bs.transmission
 
     def run_distribution(run_weight: float, theta: float) -> np.ndarray:
         # parallel light interferes: build the amplitudes of
@@ -262,12 +239,11 @@ def mix_on_beam_splitter(
         out[: dist.shape[0], : dist.shape[1]] = dist
         return out
 
-    return OutputState(sum(run_distribution(w, theta) for w, theta in runs if w > 0.0), report)
+    return sum(run_distribution(w, theta) for w, theta in runs if w > 0.0)
 
 
-def cross_correlations(state: OutputState) -> CrossMoments:
-    """Polarization-summed moments (<n2 n3>, <n2>, <n3>) of the output state."""
-    dist = state.distribution
+def cross_correlations(dist: np.ndarray) -> CrossMoments:
+    """Polarization-summed moments (<n2 n3>, <n2>, <n3>) of the output distribution P[n2, n3]."""
     n2 = np.arange(dist.shape[0])
     n3 = np.arange(dist.shape[1])
     return CrossMoments(
@@ -277,11 +253,11 @@ def cross_correlations(state: OutputState) -> CrossMoments:
     )
 
 
-def auto_correlation(state: OutputState, output: str = "out_2") -> float:
-    """Polarization-summed g2(0) = <n(n-1)> / <n>^2 at one output."""
+def auto_correlation(dist: np.ndarray, output: str = "out_2") -> float:
+    """Polarization-summed g2(0) = <n(n-1)> / <n>^2 at one output of P[n2, n3]."""
     if output not in OUTPUTS:
         raise InvalidParameterError(f"unknown output {output!r}; expected one of {OUTPUTS}")
-    marginal = state.distribution.sum(axis=1 - OUTPUTS.index(output))
+    marginal = dist.sum(axis=1 - OUTPUTS.index(output))
     n = np.arange(marginal.size)
     mean = float(marginal @ n)
     if mean <= 0.0:
@@ -289,8 +265,8 @@ def auto_correlation(state: OutputState, output: str = "out_2") -> float:
     return float(marginal @ (n * (n - 1))) / mean**2
 
 
-def visibility_from_states(configured: OutputState, orthogonal: OutputState) -> float:
-    """Cross-output visibility (G0 - Gm) / G0 of a configured and an orthogonal run."""
+def visibility_from_states(configured: np.ndarray, orthogonal: np.ndarray) -> float:
+    """Cross-output visibility (G0 - Gm) / G0 of the distributions of a configured and an orthogonal run."""
     g_m = cross_correlations(configured).coincidence
     g_0 = cross_correlations(orthogonal).coincidence
     if g_0 <= 0.0:

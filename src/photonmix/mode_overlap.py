@@ -69,6 +69,8 @@ class OverlapBreakdown:
 
 def _normalized_on_grid(profile: SampledProfile, grid: np.ndarray) -> np.ndarray:
     values = np.interp(grid, profile.xs, profile.values, left=0.0, right=0.0)
+    # scaled by a power of two, which is exact, so that the squares neither overflow nor underflow
+    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
     norm_sq = np.trapezoid(values**2, grid)
     if norm_sq <= 0.0:
         raise InvalidParameterError("profile is 0 at every sample")

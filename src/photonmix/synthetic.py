@@ -109,18 +109,18 @@ def displaced_fock_tags(
     cross-output coincidence ratio <n2 n3> / (<n2><n3>).
     """
     sample = _pulse_train(n_pulses, rep_period_ps, seed, lifetime_ps)
-    state = mix_on_beam_splitter(source, lo, bs, cutoff)
-    moments = cross_correlations(state)
+    dist = mix_on_beam_splitter(source, lo, bs, cutoff)
+    moments = cross_correlations(dist)
     truth = {
         "mean_2": moments.mean_2,
         "mean_3": moments.mean_3,
-        "g2_auto_2": auto_correlation(state, "out_2"),
-        "g2_auto_3": auto_correlation(state, "out_3"),
+        "g2_auto_2": auto_correlation(dist, "out_2"),
+        "g2_auto_3": auto_correlation(dist, "out_3"),
         "g2_cross": moments.coincidence / (moments.mean_2 * moments.mean_3),
     }
-    flat = state.distribution.ravel()
+    flat = dist.ravel()
     flat = flat / flat.sum()
-    n3_levels = state.distribution.shape[1]
+    n3_levels = dist.shape[1]
 
     def draw(rng, count):
         cells = rng.choice(flat.size, size=count, p=flat)

@@ -24,7 +24,7 @@ from photonmix import cli, tagstream
 from photonmix.cli import _SCHEMAS, _load_config, _violations, cmd_analyze, main
 from photonmix.errors import ConfigError, DataFormatError, PhotonmixError
 from photonmix.estimator import write_sweep
-from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
+from photonmix.fock_oracle import BeamSplitterSpec, coherent_tail_mass, required_cutoff
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
 from photonmix.tagstream import parse_tags
 
@@ -101,6 +101,7 @@ class TestSimulate:
         assert len(report["oracle_checks"]) == 2
         for check in report["oracle_checks"]:
             assert check["max_abs_diff"] < 1e-6
+            assert check["tail_mass"] == coherent_tail_mass(check["mu_alpha"], check["cutoff"])
             assert check["tail_mass"] < 1e-10  # the default tail_target
 
     def test_oracle_reaches_sweep_end(self, tmp_path):
@@ -117,6 +118,7 @@ class TestSimulate:
         assert [c["ratio"] for c in checks] == [0.01, 30]
         for check in checks:
             assert check["max_abs_diff"] <= 1e-6
+            assert check["tail_mass"] == coherent_tail_mass(check["mu_alpha"], check["cutoff"])
             assert check["tail_mass"] < 1e-10
 
     def test_missing_required_key_is_config_error(self, tmp_path):
@@ -859,6 +861,44 @@ class TestOverlapCommand:
         assert run(["overlap", "--out", str(out), "--set", f"fringe_file={json.dumps(str(fringe))}"]) == 3
         assert capsys.readouterr().err == f"data error: {fringe}: line 3: negative reading {readings[0]!r}\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "key, body, k_tail, fault",
+        [
+            # Python's float ** in the visibility's error raises OverflowError
+            ("fringe_file", "value\n" + "1e200\n" * 500 + "2e200\n" * 500, 10,
+             "the fringe's arithmetic leaves the float64 range (Numerical result out of range)"),
+            ("fringe_file", "value\n" + "1e308\n" * 1000, 500,
+             "the fringe's arithmetic leaves the float64 range (overflow encountered in reduce)"),
+            # trapezoids 1e308 ps wide under a level that still squares near 1 once scaled
+            ("time_profiles", "t_ps,value\n-1e308,1.9\n0,1.9\n1e308,1.9\n", 500,
+             "the overlap's arithmetic leaves the float64 range (overflow encountered in multiply)"),
+        ],
+        ids=["fringe-square", "fringe-sum", "profile-span"],
+    )
+    def test_overlap_beyond_float64_is_data_error(self, tmp_path, capsys, key, body, k_tail, fault):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        files = str(bad) if key == "fringe_file" else [str(bad), self.make_time_profiles(tmp_path)[0]]
+        out = tmp_path / "run"
+        args = ["--set", f"{key}={json.dumps(files)}", "--set", f"k_tail={k_tail}", "--set", "profile_kind=amplitude"]
+        assert run(["overlap", "--out", str(out), *args]) == 3
+        blamed = files if key == "fringe_file" else ", ".join(files)
+        assert capsys.readouterr().err == f"data error: {blamed}: {fault}\n"
+        assert list(out.iterdir()) == []
+
+    def test_profile_scale_leaves_the_overlap(self, tmp_path, capsys):
+        # squared as read, 1e200 overflows float64 and 1e-170 underflows it
+        paths = []
+        for scale in (1e200, 1e-170):
+            path = tmp_path / f"{scale!r}.csv"
+            write_time_profile(path, np.arange(3.0), scale * np.array([1.0, 2.0, 1.0]))
+            paths.append(str(path))
+        out = tmp_path / "run"
+        args = ["--set", f"time_profiles={json.dumps(paths)}", "--set", "profile_kind=amplitude"]
+        assert run(["overlap", "--out", str(out), *args]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(out / "overlap.json")["breakdown"]["m_t"] == pytest.approx(1.0, rel=1e-15)
 
     @staticmethod
     def forbid_reads(monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import time
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -30,8 +31,6 @@ from photonmix.errors import (
 from photonmix.fock_oracle import (
     TAIL_REFUSAL,
     BeamSplitterSpec,
-    OutputState,
-    TruncationReport,
     _coherent_input_ket,
     _create,
     _split,
@@ -70,7 +69,7 @@ def complement_tails(mu: float, kmax: int, digits: int) -> list[Decimal]:
 
 def source_photon_totals(source: SourceParams) -> np.ndarray:
     """Distribution of n2 + n3 with no coherent light: the source photons that arrive."""
-    dist = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.0), BALANCED, 2).distribution
+    dist = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.0), BALANCED, 2)
     n2, n3 = np.indices(dist.shape)
     return np.bincount((n2 + n3).ravel(), weights=dist.ravel())
 
@@ -318,11 +317,13 @@ class TestMixOnBeamSplitter:
         assert auto_correlation(state) == pytest.approx(4.0 / 3.0, abs=1e-6)
 
     def test_refuses_inadequate_cutoff(self):
-        with pytest.raises(TruncationError) as err:
+        tail = coherent_tail_mass(2.0, 3)
+        assert tail >= TAIL_REFUSAL
+        message = f"cutoff 3 keeps only {1 - tail:.9f} of the coherent state (tail {tail:.3e} >= 1e-06)"
+        with pytest.raises(TruncationError, match=re.escape(message)):
             mix_on_beam_splitter(
                 SourceParams(p1=1.0), LocalOscillator(mu_alpha=2.0), BALANCED, cutoff=3
             )
-        assert err.value.report.tail_mass >= 1e-6
 
     def test_single_photon_only_antibunched(self):
         state = mix_on_beam_splitter(
@@ -381,40 +382,38 @@ class TestMixOnBeamSplitter:
     def test_output_state_is_physical(self):
         source = SourceParams.from_moments(0.3, 0.0412)
         lo = LocalOscillator(mu_alpha=0.2, theta=0.5)
-        state = mix_on_beam_splitter(source, lo, BALANCED, 8)
-        probs = state.distribution
+        probs = mix_on_beam_splitter(source, lo, BALANCED, 8)
         assert probs.min() >= 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_distribution_normalized(self):
         source = SourceParams.from_moments(0.3, 0.0412)
         lo = LocalOscillator(mu_alpha=0.2, theta=0.5)
-        state = mix_on_beam_splitter(source, lo, BALANCED, 8)
-        joint = state.distribution
+        joint = mix_on_beam_splitter(source, lo, BALANCED, 8)
         assert joint.sum() == pytest.approx(1.0, abs=1e-12)
-        moments = cross_correlations(state)
+        moments = cross_correlations(joint)
         n2 = np.arange(joint.shape[0])
         assert (joint.sum(axis=1) * n2).sum() == pytest.approx(moments.mean_2, abs=1e-12)
 
 
 class TestCrossCorrelationsDirect:
-    def make_output_state(self, n2: int, n3: int, cutoff: int = 2):
+    def point_distribution(self, n2: int, n3: int, cutoff: int = 2):
         d = 2 * cutoff + 5
         distribution = np.zeros((d, d))
         distribution[n2, n3] = 1.0
-        return OutputState(distribution, TruncationReport(cutoff, 0.0))
+        return distribution
 
     def test_vacuum_state(self):
-        moments = cross_correlations(self.make_output_state(0, 0))
+        moments = cross_correlations(self.point_distribution(0, 0))
         assert moments == (0.0, 0.0, 0.0)
 
     def test_one_photon_in_each_output(self):
-        moments = cross_correlations(self.make_output_state(1, 1))
+        moments = cross_correlations(self.point_distribution(1, 1))
         assert moments == (1.0, 1.0, 1.0)
 
     def test_missing_output_modes_rejected(self):
         with pytest.raises(InvalidParameterError):
-            auto_correlation(self.make_output_state(1, 1), "out_4")
+            auto_correlation(self.point_distribution(1, 1), "out_4")
 
 
 def exact_sector_unitary(transmission: float, total: int) -> np.ndarray:
@@ -587,10 +586,10 @@ class TestAgainstSectorReference:
         source = SourceParams(p1=p1, p2=p2, eta=eta, m_psi=m_psi)
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         bs = BeamSplitterSpec(transmission)
-        state = mix_on_beam_splitter(source, lo, bs, cutoff)
+        dist = mix_on_beam_splitter(source, lo, bs, cutoff)
         reference = reference_mix_on_beam_splitter(source, lo, bs, cutoff)
-        assert state.distribution.shape == reference.shape
-        assert np.abs(state.distribution - reference).max() <= 1e-14
+        assert dist.shape == reference.shape
+        assert np.abs(dist - reference).max() <= 1e-14
 
 
 def names_in(tree: ast.AST) -> set[str]:
@@ -649,17 +648,17 @@ class TestIndependence:
 class TestStateSize:
     def test_arrays_stay_two_mode(self):
         cutoff = required_cutoff(2.0, 1e-10)
-        state = mix_on_beam_splitter(
+        dist = mix_on_beam_splitter(
             SourceParams(p1=1.0), LocalOscillator(mu_alpha=2.0), BALANCED, cutoff
         )
-        assert state.distribution.shape == (2 * cutoff + 5, 2 * cutoff + 5)
+        assert isinstance(dist, np.ndarray) and dist.dtype == np.float64
+        assert dist.shape == (2 * cutoff + 5, 2 * cutoff + 5)
 
     def test_branches_reproduce_lossy_source_populations(self):
         # with no coherent light, n2 + n3 counts the source photons that survived the loss
         source = SourceParams(p1=0.9, p2=0.05, eta=0.7)
-        state = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.0), BALANCED, 12)
+        dist = mix_on_beam_splitter(source, LocalOscillator(mu_alpha=0.0), BALANCED, 12)
         q0, q1, q2 = loss_degraded_probs(0.9, 0.05, 0.7)
-        dist = state.distribution
         n2, n3 = np.indices(dist.shape)
         totals = np.bincount((n2 + n3).ravel(), weights=dist.ravel())
         assert np.allclose(totals[:3], [1.0 - 0.9 - 0.05 + q0, q1, q2], atol=1e-15)
@@ -671,8 +670,8 @@ class TestStateSize:
         mixed = mix_on_beam_splitter(replace(source, m_psi=m_psi), lo, BALANCED, 12)
         configured = mix_on_beam_splitter(source, lo, BALANCED, 12)
         orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), BALANCED, 12)
-        expected = m_psi * configured.distribution + (1.0 - m_psi) * orthogonal.distribution
-        assert np.allclose(mixed.distribution, expected, rtol=0.0, atol=1e-15)
+        expected = m_psi * configured + (1.0 - m_psi) * orthogonal
+        assert np.allclose(mixed, expected, rtol=0.0, atol=1e-15)
 
 
 class TestOracleInvariants:
@@ -690,8 +689,7 @@ class TestOracleInvariants:
         source = SourceParams.from_moments(mu_psi, g2, m_psi=m_psi)
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         cutoff = required_cutoff(mu_alpha, 1e-10)
-        state = mix_on_beam_splitter(source, lo, BeamSplitterSpec(transmission), cutoff)
-        return state.distribution
+        return mix_on_beam_splitter(source, lo, BeamSplitterSpec(transmission), cutoff)
 
     @given(**params)
     @settings(max_examples=40, deadline=None)

@@ -138,6 +138,14 @@ class TestOverlapIntegral:
         assert expected == pytest.approx(0.612, abs=1e-3)
         assert overlap_integral(*profiles) == pytest.approx(expected, abs=1e-2)
 
+    @pytest.mark.parametrize("exponent", [-600, -1, 1, 700])
+    def test_power_of_two_scale_keeps_the_bits(self, exponent):
+        # the overlap ignores a profile's scale; 2**-600 squares below float64's range and 2**700 above it
+        a, b = exponential_amplitude(170.0), exponential_amplitude(100.0, dt=0.7)
+        scaled = SampledProfile(b.xs, np.ldexp(b.values, exponent))
+        assert overlap_integral(a, scaled) == overlap_integral(a, b)
+        assert overlap_integral(scaled, a) == overlap_integral(b, a)
+
     def test_symmetry(self):
         a = exponential_amplitude(170.0)
         b = exponential_amplitude(100.0)
