@@ -47,13 +47,7 @@ from .fock_oracle import (
     required_cutoff,
     visibility_from_states,
 )
-from .mode_overlap import (
-    fringe_visibility_overlap,
-    overlap_integral,
-    read_profile,
-    spectral_filter,
-    total_overlap,
-)
+from .mode_overlap import fringe_visibility_overlap, overlap_integral, read_fringe, read_profile, spectral_filter
 from .tagstream import (
     DEFAULT_CHANNELS,
     build_histogram,
@@ -64,7 +58,7 @@ from .tagstream import (
     visibility_from_histograms,
     write_histogram_csv,
 )
-from .tables import read_table, row_line, write_table
+from .tables import write_table
 from .workers import in_child
 
 EXIT_OK = 0
@@ -416,61 +410,51 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> list[str]:
 
 def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
     a, b = (read_profile(path, cfg["profile_kind"], domain) for path in paths)
-    if domain == "frequency" and "spectral_filter" in cfg:
-        center, half_width = cfg["spectral_filter"]["center"], cfg["spectral_filter"]["half_width"]
-        a, b = (spectral_filter(p, center, half_width) for p in (a, b))
-        for path, p in zip(paths, (a, b)):
-            if not p.values.any():
-                raise ConfigError(
-                    f"spectral_filter (center {center!r}, half_width {half_width!r} GHz) zeroes every value of {path}"
-                )
     # the two profiles meet on the union of their grids, so a fault there is the pair's
     with _within_float64("the overlap's", ", ".join(paths)):
+        if domain == "frequency" and "spectral_filter" in cfg:
+            center, half_width = cfg["spectral_filter"]["center"], cfg["spectral_filter"]["half_width"]
+            a, b = (spectral_filter(p, center, half_width) for p in (a, b))
+            for path, p in zip(paths, (a, b)):
+                if not p.values.any():
+                    raise ConfigError(
+                        f"spectral_filter (center {center!r}, half_width {half_width!r} GHz) zeroes every value of {path}"
+                    )
         return overlap_integral(a, b)
+
+
+# overlap factor -> the config key of the files that measure it
+_MEASURED_BY = {"m_t": "time_profiles", "m_f": "frequency_profiles", "m_p": "fringe_file"}
 
 
 def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
     # a config fault is reported before any file is read
-    for key, measured_by in (("m_t", "time_profiles"), ("m_f", "frequency_profiles"), ("m_p", "fringe_file")):
+    for key, measured_by in _MEASURED_BY.items():
         if key in cfg and measured_by in cfg:
             raise ConfigError(f"{key} and {measured_by} both give {key}: set one of them")
-    factors: dict[str, float] = {}
+    breakdown: dict[str, float | None] = {}
     sources: dict[str, str] = {}
+    payload = {"breakdown": breakdown, "sources": sources}
     inputs: list[str] = []
-    if "time_profiles" in cfg:
-        factors["m_t"] = _profile_factor(cfg["time_profiles"], cfg, "time")
-        sources["m_t"] = "profiles"
-        inputs += cfg["time_profiles"]
-    if "frequency_profiles" in cfg:
-        factors["m_f"] = _profile_factor(cfg["frequency_profiles"], cfg, "frequency")
-        sources["m_f"] = "profiles"
-        inputs += cfg["frequency_profiles"]
-    fringe = None
-    if "fringe_file" in cfg:
-        path = cfg["fringe_file"]
-        samples = read_table(path, [("value",)])[1][:, 0]
-        negative = np.flatnonzero(samples < 0)
-        if negative.size:  # a reading is an intensity or a visibility, never below 0
-            at = row_line(path, [("value",)], negative[0])
-            raise DataFormatError(f"negative reading {samples[negative[0]].item()!r}", line=at, path=path)
-        with _within_float64("the fringe's", path):
-            fringe = fringe_visibility_overlap(samples, k_tail=cfg["k_tail"])
-        factors["m_p"] = fringe.m_p
-        sources["m_p"] = "fringe"
-        inputs.append(path)
-    for key in ("m_t", "m_f", "m_p"):
-        if key in cfg:
-            factors[key] = cfg[key]
-            sources[key] = "config"
-        elif key not in factors:
-            factors[key] = 1.0
-            sources[key] = "default"
-    breakdown = total_overlap(
-        factors["m_t"], factors["m_f"], factors["m_p"], m_s=cfg["m_s"], m_psi=cfg.get("m_psi")
-    )
-    payload = {"breakdown": asdict(breakdown), "sources": sources}
-    if fringe is not None:
-        payload["fringe"] = asdict(fringe)
+    for key, measured_by in _MEASURED_BY.items():
+        if measured_by not in cfg:
+            breakdown[key] = cfg.get(key, 1.0)
+            sources[key] = "config" if key in cfg else "default"
+        elif key == "m_p":
+            path = cfg[measured_by]
+            samples = read_fringe(path)
+            with _within_float64("the fringe's", path):
+                payload["fringe"] = asdict(fringe_visibility_overlap(samples, k_tail=cfg["k_tail"]))
+            breakdown[key] = payload["fringe"]["m_p"]
+            sources[key] = "fringe"
+            inputs.append(path)
+        else:
+            breakdown[key] = _profile_factor(cfg[measured_by], cfg, measured_by.removesuffix("_profiles"))
+            sources[key] = "profiles"
+            inputs += cfg[measured_by]
+    breakdown["m_s"] = cfg["m_s"]
+    breakdown["m_total"] = breakdown["m_t"] * breakdown["m_f"] * breakdown["m_p"] * breakdown["m_s"]
+    breakdown["m_tilde"] = breakdown["m_total"] * cfg["m_psi"] if "m_psi" in cfg else None
     _write_json(outdir / "overlap.json", payload)
     return inputs
 

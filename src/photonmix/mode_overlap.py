@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic_model import _check_unit_interval
 from .errors import DataFormatError, InvalidParameterError, UndefinedCorrelationError
 from .tables import read_table, row_line
 
@@ -55,25 +54,15 @@ class FringeVisibility:
     k_tail: int
 
 
-@dataclass(frozen=True)
-class OverlapBreakdown:
-    """Per-degree-of-freedom overlaps and their product."""
-
-    m_t: float
-    m_f: float
-    m_p: float
-    m_s: float
-    m_total: float
-    m_tilde: float | None = None
-
-
 def _normalized_on_grid(profile: SampledProfile, grid: np.ndarray) -> np.ndarray:
     values = np.interp(grid, profile.xs, profile.values, left=0.0, right=0.0)
+    if not values.any():
+        raise InvalidParameterError("profile is 0 at every sample")
     # scaled by a power of two, which is exact, so that the squares neither overflow nor underflow
     values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
     norm_sq = np.trapezoid(values**2, grid)
-    if norm_sq <= 0.0:
-        raise InvalidParameterError("profile is 0 at every sample")
+    if norm_sq == 0.0:  # samples so close together that every trapezoid is below the smallest float
+        raise FloatingPointError("the profile's norm underflows to 0")
     return values / np.sqrt(norm_sq)
 
 
@@ -82,13 +71,14 @@ def overlap_integral(psi1: SampledProfile, psi2: SampledProfile) -> float:
 
     Profiles are linearly resampled onto the union of their grids, each 0
     outside its own samples, and L2-normalized there (trapezoidal rule), so
-    profiles that never meet give 0.
+    profiles that never meet give 0.  The result is at most 1 (Cauchy-Schwarz); only rounding
+    exceeds it, so it is clipped there.  A norm that underflows to 0 raises ``FloatingPointError``.
     """
     grid = np.union1d(psi1.xs, psi2.xs)
     f1 = _normalized_on_grid(psi1, grid)
     f2 = _normalized_on_grid(psi2, grid)
     inner = np.trapezoid(f1 * f2, grid)
-    return float(abs(inner) ** 2)
+    return min(float(abs(inner) ** 2), 1.0)
 
 
 def fringe_visibility_overlap(samples, k_tail: int = 500) -> FringeVisibility:
@@ -129,22 +119,6 @@ def fringe_visibility_overlap(samples, k_tail: int = 500) -> FringeVisibility:
     )
 
 
-def total_overlap(
-    m_t: float,
-    m_f: float,
-    m_p: float,
-    m_s: float = 1.0,
-    m_psi: float | None = None,
-) -> OverlapBreakdown:
-    """Product m_t m_f m_p m_s (the paper's convention), optionally scaled by m_psi."""
-    for name, value in (("m_t", m_t), ("m_f", m_f), ("m_p", m_p), ("m_s", m_s), ("m_psi", m_psi)):
-        if value is not None:
-            _check_unit_interval(name, value)
-    total = m_t * m_f * m_p * m_s
-    tilde = None if m_psi is None else total * m_psi
-    return OverlapBreakdown(m_t=m_t, m_f=m_f, m_p=m_p, m_s=m_s, m_total=total, m_tilde=tilde)
-
-
 def spectral_filter(profile: SampledProfile, center: float, half_width: float) -> SampledProfile:
     """Hard spectral window: zero the profile, I or sqrt(I) alike, outside [center - w, center + w]."""
     if half_width <= 0:
@@ -181,3 +155,16 @@ def read_profile(path, kind: str, domain: str) -> SampledProfile:
         return SampledProfile(xs, values)
     except InvalidParameterError as exc:
         raise DataFormatError(str(exc), path=path) from exc
+
+
+def read_fringe(path) -> np.ndarray:
+    """Read a fringe CSV as its readings: header ``value``, then one reading per line.
+
+    A reading is an intensity or a visibility, so a negative one is a format error at its line.
+    """
+    samples = read_table(path, [("value",)])[1][:, 0]
+    negative = np.flatnonzero(samples < 0)
+    if negative.size:
+        at = row_line(path, [("value",)], negative[0])
+        raise DataFormatError(f"negative reading {samples[negative[0]].item()!r}", line=at, path=path)
+    return samples

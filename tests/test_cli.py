@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import math
 import multiprocessing
@@ -8,13 +9,14 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
@@ -887,6 +889,77 @@ class TestOverlapCommand:
         assert capsys.readouterr().err == f"data error: {blamed}: {fault}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "key, body, extra, fault",
+        [
+            # one trapezoid 5e-324 ps wide: the norm's area rounds to 0
+            ("time_profiles", "t_ps,value\n0,1\n5e-324,1\n", [], "the profile's norm underflows to 0"),
+            # the window's distance from its center, -1e308 - 1e308
+            ("frequency_profiles", "f_GHz,value\n-1e308,1\n0,1\n1,1\n",
+             ['spectral_filter={"center":1e308,"half_width":1e308}'], "overflow encountered in subtract"),
+        ],
+        ids=["norm-underflow", "filter-overflow"],
+    )
+    def test_pair_beyond_float64_is_data_error(self, tmp_path, capsys, key, body, extra, fault):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        out = tmp_path / "run"
+        args = ["--set", f"{key}={json.dumps([str(bad)] * 2)}", *(a for s in extra for a in ("--set", s))]
+        assert run(["overlap", "--out", str(out), *args]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}, {bad}: the overlap's arithmetic leaves the float64 range ({fault})\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "key, body, kind",
+        [
+            ("time_profiles", "t_ps,value\n0,1\n1,3\n2,1\n", "intensity"),
+            ("frequency_profiles", "f_GHz,value\n0,1\n1,1\n2,1\n3,1\n", "amplitude"),
+        ],
+        ids=["time", "frequency"],
+    )
+    def test_a_file_against_itself_overlaps_exactly_one(self, tmp_path, key, body, kind):
+        # rounding alone would give 1.0000000000000004
+        profile = tmp_path / "p.csv"
+        profile.write_text(body)
+        out = tmp_path / "run"
+        args = ["--set", f"{key}={json.dumps([str(profile)] * 2)}", "--set", f"profile_kind={kind}"]
+        assert run(["overlap", "--out", str(out), *args]) == 0
+        assert read_json(out / "overlap.json")["breakdown"]["m_" + key[0]] == 1.0
+
+    @pytest.mark.parametrize(
+        "factors, m_total",
+        [
+            ({"m_t": 0.910, "m_f": 0.85, "m_p": 0.976}, pytest.approx(0.755, abs=1e-3)),  # the paper's parallel column
+            ({"m_t": 0.910, "m_f": 0.85, "m_p": 0.34}, pytest.approx(0.263, abs=1e-3)),  # and its rotated one
+            ({"m_t": 1.0, "m_f": 1.0, "m_p": 1.0, "m_s": 1.0}, 1.0),
+            ({"m_t": 0.91, "m_f": 0.85, "m_p": 0.34, "m_s": 0.99, "m_psi": 0.905}, 0.91 * 0.85 * 0.34 * 0.99),
+            ({"m_t": 1, "m_p": 0.5}, 0.5),  # an int factor stays an int
+            ({"m_t": 1.2}, None),  # beyond [0, 1]
+        ],
+        ids=["parallel", "rotated", "unit", "m_psi", "int", "out-of-range"],
+    )
+    def test_config_factors_and_their_product(self, tmp_path, capsys, factors, m_total):
+        out = tmp_path / "run"
+        args = [a for key, value in factors.items() for a in ("--set", f"{key}={json.dumps(value)}")]
+        code = run(["overlap", "--out", str(out), *args])
+        if m_total is None:
+            assert code == 2
+            assert capsys.readouterr().err == "config error: config key m_t: 1.2 is greater than the maximum of 1\n"
+            assert not out.exists()
+            return
+        assert code == 0
+        payload = read_json(out / "overlap.json")
+        b = payload["breakdown"]
+        assert b["m_total"] == m_total
+        assert b["m_total"] == b["m_t"] * b["m_f"] * b["m_p"] * b["m_s"]
+        assert b["m_tilde"] == (b["m_total"] * factors["m_psi"] if "m_psi" in factors else None)
+        for key in ("m_t", "m_f", "m_p", "m_s"):
+            value = factors.get(key, 1.0)
+            assert (b[key], type(b[key])) == (value, type(value))
+        assert payload["sources"] == {key: "config" if key in factors else "default" for key in ("m_t", "m_f", "m_p")}
+
     def test_profile_scale_leaves_the_overlap(self, tmp_path, capsys):
         # squared as read, 1e200 overflows float64 and 1e-170 underflows it
         paths = []
@@ -906,7 +979,7 @@ class TestOverlapCommand:
             raise AssertionError("a file was read after a config fault")
 
         monkeypatch.setattr(cli, "read_profile", unreachable)
-        monkeypatch.setattr(cli, "read_table", unreachable)
+        monkeypatch.setattr(cli, "read_fringe", unreachable)
 
     @pytest.mark.parametrize(
         "key, measured_by, files",
@@ -984,6 +1057,130 @@ class TestOverlapCommand:
         assert run(["overlap", "--out", str(out), "--set", f"time_profiles={json.dumps([good, str(bad)])}"]) == 3
         assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
         assert list(out.iterdir()) == []
+
+
+# the files a fuzzed overlap run starts from: two time and two frequency profiles, and a fringe record
+_OVERLAP_FILES = {
+    "t1.csv": ("t_ps,value", [[0.0, 1.0], [1.0, 3.0], [2.0, 1.0]]),
+    "t2.csv": ("t_ps,value", [[0.0, 1.0], [1.0, 0.5], [2.0, 0.25], [3.0, 0.125]]),
+    "f1.csv": ("f_GHz,value", [[-1.0, 0.5], [0.0, 1.0], [1.0, 0.5]]),
+    "f2.csv": ("f_GHz,value", [[-1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]),
+    "fringe.csv": ("value", [[2.0 + math.cos(k * math.pi / 8)] for k in range(16)]),
+}
+
+# signed zeros, the smallest subnormal, the smallest normal, +-1e308; in a file also inf and nan
+_EDGE_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+@st.composite
+def overlap_runs(draw):
+    """``(files, cfg)``: the files of ``_OVERLAP_FILES``, each edited up to 3 times, and an overlap config over them.
+
+    An edit sets one number, duplicates, swaps or deletes rows, or gives the file another file's header.
+    The config names files by their keys.
+    """
+    in_files = st.sampled_from([*_EDGE_NUMBERS, math.inf, -math.inf, math.nan]) | st.floats()
+    files = {}
+    for name, (header, rows) in _OVERLAP_FILES.items():
+        rows = [list(row) for row in rows]
+        for _ in range(draw(st.integers(0, 3))):
+            if not rows:
+                break
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            edit = draw(st.sampled_from(["number", "duplicate", "swap", "delete", "header"]))
+            if edit == "number":
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(in_files)
+            elif edit == "duplicate":
+                rows.insert(j, list(rows[i]))
+            elif edit == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            elif edit == "delete":
+                del rows[i]
+            else:
+                header = draw(st.sampled_from(sorted({h for h, _ in _OVERLAP_FILES.values()})))
+        files[name] = header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    cfg = {"profile_kind": draw(st.sampled_from(["intensity", "amplitude"]))}
+    for key, domain in (("time_profiles", "t"), ("frequency_profiles", "f")):
+        if draw(st.booleans()):
+            cfg[key] = [f"{domain}{draw(st.sampled_from('12'))}.csv" for _ in range(2)]
+    if "frequency_profiles" in cfg and draw(st.booleans()):
+        in_config = st.sampled_from(_EDGE_NUMBERS) | st.floats(-3.0, 3.0)
+        cfg["spectral_filter"] = {"center": draw(in_config), "half_width": draw(in_config)}
+    if draw(st.booleans()):
+        cfg["fringe_file"] = "fringe.csv"
+        cfg["k_tail"] = draw(st.integers(1, 9))
+    for key in ("m_t", "m_f", "m_p", "m_s", "m_psi"):
+        if draw(st.integers(0, 3)) == 0:
+            cfg[key] = draw(st.sampled_from([0, 1, 0.0, 0.5, 1.0]))
+    return files, cfg
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"{token} in the JSON output")
+
+
+class TestOverlapContract:
+    """Any overlap run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds.
+
+    A config error (exit 2) names a key the config sets: a fault found only in the files is exit 3.
+    """
+
+    @given(case=overlap_runs())
+    @example(case=({"t.csv": "t_ps,value\n0,1\n1,3\n2,1\n"}, {"time_profiles": ["t.csv", "t.csv"]})).via(
+        "an identical time pair rounds to 1.0000000000000004"
+    )
+    @example(
+        case=({"f.csv": "f_GHz,value\n0,1\n1,1\n2,1\n3,1\n"},
+              {"frequency_profiles": ["f.csv", "f.csv"], "profile_kind": "amplitude"})
+    ).via("an identical flat spectrum rounds to 1.0000000000000004")
+    @example(case=({"t.csv": "t_ps,value\n0,1\n5e-324,1\n"}, {"time_profiles": ["t.csv", "t.csv"]})).via(
+        "a norm that underflows to 0"
+    )
+    @example(
+        case=({"f.csv": "f_GHz,value\n-1e308,1\n0,1\n1,1\n"},
+              {"frequency_profiles": ["f.csv", "f.csv"], "spectral_filter": {"center": 1e308, "half_width": 1e308}})
+    ).via("a filter window whose distance overflows")
+    @example(case=({"fringe.csv": "value\n" + "1e308\n" * 20}, {"fringe_file": "fringe.csv", "k_tail": 10})).via(
+        "fringe tails whose sum overflows"
+    )
+    @example(
+        case=({"a.csv": "t_ps,value\n0,1e200\n1,2e200\n2,1e200\n",
+               "b.csv": "t_ps,value\n0,1e-170\n1,2e-170\n2,1e-170\n"},
+              {"time_profiles": ["a.csv", "b.csv"], "profile_kind": "amplitude"})
+    ).via("amplitudes whose squares overflow and underflow")
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_exit_code_contract(self, case):
+        files, cfg = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, text in files.items():
+                (tmp / name).write_text(text)
+
+            def placed(key, value):
+                if key == "fringe_file":
+                    return str(tmp / value)
+                return [str(tmp / name) for name in value] if key.endswith("_profiles") else value
+
+            config = tmp / "cfg.json"
+            config.write_text(json.dumps({key: placed(key, value) for key, value in cfg.items()}))
+            out = tmp / "run"
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["overlap", "--config", str(config), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert [str(w.message) for w in caught] == []
+            message = err.getvalue()
+            if code != 0:
+                assert message.startswith(("config error: ", "data error: ", "numerical failure: ", "error: "))
+                assert message.count("\n") == 1 and "Warning" not in message
+                assert code != 2 or any(key in message for key in cfg)
+                assert not out.exists() or list(out.iterdir()) == []
+                return
+            assert message == ""
+            json.loads((out / "overlap.meta.json").read_text(), parse_constant=_refuse_constant)
+            breakdown = json.loads((out / "overlap.json").read_text(), parse_constant=_refuse_constant)["breakdown"]
+            assert all(0.0 <= value <= 1.0 for value in breakdown.values() if value is not None)
 
 
 class TestFitCommand:

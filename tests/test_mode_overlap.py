@@ -13,11 +13,12 @@ from photonmix.errors import (
 )
 from photonmix.mode_overlap import (
     SampledProfile,
+    _normalized_on_grid,
     fringe_visibility_overlap,
     overlap_integral,
+    read_fringe,
     read_profile,
     spectral_filter,
-    total_overlap,
 )
 
 from photonmix.tables import write_table
@@ -162,8 +163,31 @@ class TestOverlapIntegral:
 
         a, b = profile(), profile()
         m = overlap_integral(a, b)
-        assert 0.0 <= m <= 1.0 + 1e-12
+        assert 0.0 <= m <= 1.0
         assert overlap_integral(b, a) == pytest.approx(m, abs=1e-12)
+
+    @pytest.mark.parametrize("values", [[1.0, 3.0, 1.0], [1.0, 1.0, 1.0, 1.0]], ids=["peaked", "flat"])
+    def test_identical_profiles_give_exactly_one(self, values):
+        # unclipped, rounding puts both at 1.0000000000000004
+        profile = SampledProfile(np.arange(float(len(values))), np.sqrt(values))
+        assert overlap_integral(profile, profile) == 1.0
+
+    def test_the_clip_keeps_the_bits_below_one(self):
+        a, b = exponential_amplitude(170.0), exponential_amplitude(100.0, dt=0.7)
+        grid = np.union1d(a.xs, b.xs)
+        inner = np.trapezoid(_normalized_on_grid(a, grid) * _normalized_on_grid(b, grid), grid)
+        assert overlap_integral(a, b) == float(inner**2) < 1.0
+
+    def test_norm_that_underflows_is_a_float_error(self):
+        # one trapezoid 5e-324 wide: its area rounds to 0
+        profile = SampledProfile(np.array([0.0, 5e-324]), np.ones(2))
+        with pytest.raises(FloatingPointError, match="norm underflows to 0"):
+            overlap_integral(profile, profile)
+
+    def test_all_zero_profile_is_refused(self):
+        zero = SampledProfile(np.arange(3.0), np.zeros(3))
+        with pytest.raises(InvalidParameterError, match="profile is 0 at every sample"):
+            overlap_integral(zero, exponential_amplitude(100.0))
 
     def test_grid_refinement_convergence(self):
         tau1, tau2 = 170.0, 100.0
@@ -219,28 +243,6 @@ class TestFringeVisibility:
         samples = np.concatenate([np.full(600, -1.0), np.full(600, 1.0)])
         with pytest.raises(UndefinedCorrelationError):
             fringe_visibility_overlap(samples, k_tail=500)
-
-
-class TestTotalOverlap:
-    def test_reference_parallel_column(self):
-        breakdown = total_overlap(0.910, 0.85, 0.976, 1.0)
-        assert breakdown.m_total == pytest.approx(0.755, abs=1e-3)
-
-    def test_reference_rotated_column(self):
-        breakdown = total_overlap(0.910, 0.85, 0.34, 1.0)
-        assert breakdown.m_total == pytest.approx(0.263, abs=1e-3)
-
-    def test_unit_factors(self):
-        assert total_overlap(1.0, 1.0, 1.0, 1.0).m_total == 1.0
-
-    def test_product_identity(self):
-        b = total_overlap(0.91, 0.85, 0.34, 0.99, m_psi=0.905)
-        assert b.m_total == pytest.approx(b.m_t * b.m_f * b.m_p * b.m_s, abs=1e-12)
-        assert b.m_tilde == pytest.approx(b.m_total * 0.905, abs=1e-12)
-
-    def test_rejects_out_of_range_factor(self):
-        with pytest.raises(InvalidParameterError):
-            total_overlap(1.2, 1.0, 1.0)
 
 
 class TestSpectralFilter:
@@ -327,6 +329,11 @@ class TestProfileCsv:
         path = tmp_path / "amp.csv"
         path.write_text("t_ps,value\n0.0,1.0\n1.0,-0.5\n")
         assert read_profile(path, "amplitude", "time").values.tolist() == [1.0, -0.5]
+
+    def test_fringe_reads_its_readings(self, tmp_path):
+        path = tmp_path / "fringe.csv"
+        path.write_text("value\n1.5\n0.0\n3.0\n")
+        assert read_fringe(path).tolist() == [1.5, 0.0, 3.0]
 
     def test_one_sample_is_format_error(self, tmp_path):
         path = tmp_path / "one.csv"
