@@ -397,10 +397,10 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> list[str]:
     with in_child(f"analyzing {perp}", _analyze_one, perp, cfg) as perp_result:
         hist, result = _analyze_one(tagfile, cfg, max(1, _cpus() // 2))
         hist_perp, result_perp = perp_result()
-    # written only now that both files succeeded, so a failed run leaves no output
+    v, err = visibility_from_histograms(result, result_perp)
+    # written only now that both files and their visibility succeeded, so a failed run leaves no output
     _write_analysis(outdir, "", hist, result)
     _write_analysis(outdir, "_perp", hist_perp, result_perp)
-    v, err = visibility_from_histograms(result, result_perp)
     _write_json(
         outdir / "visibility.json",
         {"v_hom": v, "err": err, "g2_par": result.value, "g2_perp": result_perp.value},

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .analytic_model import auto_g2_zero, hom_visibility
-from .errors import DataFormatError, IllConditionedFitError, InvalidParameterError
-from .tables import read_table, row_line, write_table
+from .errors import IllConditionedFitError, InvalidParameterError
+from .tables import read_table, refuse_rows, write_table
 
 _SWEEP_HEADER = ("ratio", "y", "y_err")
 
@@ -188,14 +188,11 @@ def read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Ratios and y_err must be positive.
     """
     rows = read_table(path, [_SWEEP_HEADER])[1]
-    bad = np.flatnonzero((rows[:, 0] <= 0) | (rows[:, 2] <= 0))
-    if bad.size:
-        ratio, _, y_err = rows[bad[0]].tolist()
-        raise DataFormatError(
-            f"ratio and y_err must be positive, got ratio {ratio!r}, y_err {y_err!r}",
-            line=row_line(path, [_SWEEP_HEADER], bad[0]),
-            path=path,
-        )
+    ratio, _, y_err = rows.T
+    refuse_rows(
+        path, [_SWEEP_HEADER], (ratio <= 0) | (y_err <= 0),
+        lambda k: f"ratio and y_err must be positive, got ratio {ratio[k].item()!r}, y_err {y_err[k].item()!r}",
+    )
     return tuple(rows.T)
 
 

@@ -8,8 +8,9 @@ Their product m_t m_f m_p m_s is the paper's convention (its printed 0.76 is
 0.910 x 0.85 x 0.976), but for one mode time and frequency are two views of
 the same field: m_t alone and m_f alone are each an upper bound on the
 spectro-temporal overlap, and their product is neither a bound nor an
-estimate.  Profiles are compared on the union of their grids, normalized there
-and 0 outside their own samples, so profiles that never meet give 0.
+estimate.  Profiles are compared on the union of their grids: each is
+normalized over its own sample range and 0 outside it, so profiles that never
+meet give 0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataFormatError, InvalidParameterError, UndefinedCorrelationError
-from .tables import read_table, row_line
+from .tables import read_table, refuse_rows
 
 _DOMAIN_HEADERS = {("t_ps", "value"): "time", ("f_GHz", "value"): "frequency"}
 
@@ -54,30 +55,36 @@ class FringeVisibility:
     k_tail: int
 
 
-def _normalized_on_grid(profile: SampledProfile, grid: np.ndarray) -> np.ndarray:
-    values = np.interp(grid, profile.xs, profile.values, left=0.0, right=0.0)
+def _normalized_on_grid(profile: SampledProfile, grid: np.ndarray) -> tuple[int, np.ndarray]:
+    """The index of ``grid``'s first point within the profile's samples, and its values there, L2-normalized."""
+    start, stop = np.searchsorted(grid, profile.xs[[0, -1]]) + [0, 1]
+    span = grid[start:stop]
+    values = np.interp(span, profile.xs, profile.values)
     if not values.any():
         raise InvalidParameterError("profile is 0 at every sample")
     # scaled by a power of two, which is exact, so that the squares neither overflow nor underflow
     values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
-    norm_sq = np.trapezoid(values**2, grid)
+    norm_sq = np.trapezoid(values**2, span)
     if norm_sq == 0.0:  # samples so close together that every trapezoid is below the smallest float
         raise FloatingPointError("the profile's norm underflows to 0")
-    return values / np.sqrt(norm_sq)
+    return start, values / np.sqrt(norm_sq)
 
 
 def overlap_integral(psi1: SampledProfile, psi2: SampledProfile) -> float:
     """Squared inner product |∫ psi1 psi2 dx|^2 of two amplitudes, each L2-normalized.
 
-    Profiles are linearly resampled onto the union of their grids, each 0
-    outside its own samples, and L2-normalized there (trapezoidal rule), so
-    profiles that never meet give 0.  The result is at most 1 (Cauchy-Schwarz); only rounding
-    exceeds it, so it is clipped there.  A norm that underflows to 0 raises ``FloatingPointError``.
+    Profiles are linearly resampled onto the union of their grids.  Each is
+    L2-normalized over the intervals within its own samples and the inner
+    product runs over the intervals both cover (trapezoidal rule), so a
+    profile is 0 outside its samples and profiles that never meet give 0.
+    The result is at most 1 (Cauchy-Schwarz); only rounding exceeds it, so
+    it is clipped there.  A norm that underflows to 0 raises ``FloatingPointError``.
     """
     grid = np.union1d(psi1.xs, psi2.xs)
-    f1 = _normalized_on_grid(psi1, grid)
-    f2 = _normalized_on_grid(psi2, grid)
-    inner = np.trapezoid(f1 * f2, grid)
+    (s1, f1), (s2, f2) = _normalized_on_grid(psi1, grid), _normalized_on_grid(psi2, grid)
+    start = max(s1, s2)
+    stop = max(start, min(s1 + f1.size, s2 + f2.size))
+    inner = np.trapezoid(f1[start - s1 : stop - s1] * f2[start - s2 : stop - s2], grid[start:stop])
     return min(float(abs(inner) ** 2), 1.0)
 
 
@@ -132,29 +139,26 @@ def read_profile(path, kind: str, domain: str) -> SampledProfile:
 
     Format: header ``t_ps,value`` (time) or ``f_GHz,value`` (frequency), then one ``x,value`` row per
     sample, UTF-8, decimal point.  An intensity I reads as sqrt(I).  A header of another domain, a
-    profile of zeros (it has no mode) and, at its line, a position not above the one before or a
-    negative intensity are format errors.
+    profile of zeros (it has no mode), fewer than 2 samples and, at its line, a position not above the
+    one before or a negative intensity are format errors.
     """
-    header, rows = read_table(path, list(_DOMAIN_HEADERS))
+    headers = list(_DOMAIN_HEADERS)
+    header, rows = read_table(path, headers)
     declared = _DOMAIN_HEADERS[header]
     if declared != domain:
         raise DataFormatError(f"profile declares domain {declared!r}, expected {domain!r}", path=path)
     xs, values = rows.T
     if not values.any():
         raise DataFormatError("every profile value is 0", path=path)
-    for message, bad in (
-        ("sample positions must be strictly increasing", np.diff(xs, prepend=-np.inf) <= 0),
-        ("intensity values must be non-negative", (values < 0) & (kind == "intensity")),
-    ):
-        if bad.any():
-            at = row_line(path, list(_DOMAIN_HEADERS), np.argmax(bad))
-            raise DataFormatError(message, line=at, path=path)
+    refuse_rows(
+        path, headers, np.diff(xs, prepend=-np.inf) <= 0, lambda _: "sample positions must be strictly increasing"
+    )
     if kind == "intensity":
+        refuse_rows(path, headers, values < 0, lambda _: "intensity values must be non-negative")
         values = np.sqrt(values)
-    try:
-        return SampledProfile(xs, values)
-    except InvalidParameterError as exc:
-        raise DataFormatError(str(exc), path=path) from exc
+    if xs.size < 2:
+        raise DataFormatError(f"a profile needs >= 2 samples, got {xs.size}", path=path)
+    return SampledProfile(xs, values)
 
 
 def read_fringe(path) -> np.ndarray:
@@ -163,8 +167,5 @@ def read_fringe(path) -> np.ndarray:
     A reading is an intensity or a visibility, so a negative one is a format error at its line.
     """
     samples = read_table(path, [("value",)])[1][:, 0]
-    negative = np.flatnonzero(samples < 0)
-    if negative.size:
-        at = row_line(path, [("value",)], negative[0])
-        raise DataFormatError(f"negative reading {samples[negative[0]].item()!r}", line=at, path=path)
+    refuse_rows(path, [("value",)], samples < 0, lambda k: f"negative reading {samples[k].item()!r}")
     return samples

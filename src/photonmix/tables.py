@@ -5,7 +5,8 @@ comma-separated numbers per line, UTF-8.  Detector tag files are tables
 without a header.  A written table holds one numeric type and prints each
 value as Python's ``repr``, so floats read back exactly and integers print
 without a decimal point.  Readers check the header, skip blank lines and
-report a malformed row with its 1-based line number.
+report a malformed row with its 1-based line number; ``refuse_rows`` does so
+for a row that parses but breaks a reader's own rule.
 
 ``read_table`` parses rows with ``np.loadtxt``, which fills the array in C
 without a Python object per field.  It hands ``loadtxt`` the file's path:
@@ -126,7 +127,7 @@ def _read_table_loop(path, headers, kind):
                 except ValueError as exc:  # a blank line is skipped
                     if line.strip():
                         problem = exc if len(cols) != width else f"expected {kind.__name__} fields"
-                        at = row_line(path, headers, len(vals) // width)
+                        at = _row_line(path, headers, len(vals) // width)
                         raise DataFormatError(f"{problem} in row {line.strip()!r}", line=at, path=path) from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"is not UTF-8 text: {exc}", path=path) from None
@@ -135,25 +136,33 @@ def _read_table_loop(path, headers, kind):
     except OverflowError:  # an int field beyond the 64-bit range
         limits = np.iinfo(np.int64)
         big = next(i for i, v in enumerate(vals) if not limits.min <= v <= limits.max)
-        at = row_line(path, headers, big // width)
+        at = _row_line(path, headers, big // width)
         raise DataFormatError("integer outside the 64-bit range", line=at, path=path) from None
     _check_finite(path, headers, rows)
     return header, rows
 
 
 def _check_finite(path, headers, rows) -> None:
-    """Raise at the line of the first row holding a ``nan`` or an infinity.
+    """Refuse the first row holding a ``nan`` or an infinity.
 
     An int64 table cannot hold either, so only a float table is scanned.
     """
-    if rows.dtype.kind != "f":
-        return
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise DataFormatError("non-finite value", line=row_line(path, headers, bad[0]), path=path)
+    if rows.dtype.kind == "f":
+        refuse_rows(path, headers, ~np.isfinite(rows).all(axis=1), lambda _: "non-finite value")
 
 
-def row_line(path, headers, row: int) -> int | None:
+def refuse_rows(path, headers, bad, describe) -> None:
+    """Raise ``DataFormatError`` at the file line of the first data row where ``bad`` holds.
+
+    ``bad`` holds one truth value per data row of the table at ``path``, read with ``headers``;
+    the message is ``describe(row)`` of that row's 0-based index.  Every reader refuses a row this way.
+    """
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise DataFormatError(describe(row), line=_row_line(path, headers, row), path=path)
+
+
+def _row_line(path, headers, row: int) -> int | None:
     """1-based file line of data row ``row`` (0-based) of a table; rescans the file, for error paths.
 
     ``None`` when the rescan does not reach the row: a pipe reads empty the second time.

@@ -30,12 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataFormatError,
-    InvalidParameterError,
-    UndefinedCorrelationError,
-)
-from .tables import read_table, row_line, write_table
+from .errors import InvalidParameterError, UndefinedCorrelationError
+from .tables import read_table, refuse_rows, write_table
 from .workers import in_child
 
 DEFAULT_CHANNELS = frozenset({1, 2, 3})
@@ -146,10 +142,8 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
     if reorder_window > _INT64_MAX:
         raise InvalidParameterError(f"reorder_window must be <= 2**63 - 1 ps, got {reorder_window}")
     _, rows = read_table(path, None, int)
-    if rows.size and rows.shape[1] != 2:
-        raise DataFormatError(
-            f"expected 'channel,t_ps', got {rows.shape[1]} columns", line=row_line(path, None, 0), path=path
-        )
+    width = rows.shape[1]
+    refuse_rows(path, None, [rows.size > 0 and width != 2], lambda _: f"expected 'channel,t_ps', got {width} columns")
     channels, times = rows.reshape(-1, 2).T
     # views of the parsed table: np.isin would copy the strided column
     unknown = np.logical_and.reduce([channels != ch for ch in DEFAULT_CHANNELS])
@@ -157,20 +151,16 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
     if times.size and int(running_max[-1]) - int(times.min()) > _INT64_MAX:
         # as uint64 the span of every prefix is exact, from 0 to 2**64 - 1
         span = running_max.astype(np.uint64) - np.minimum.accumulate(times).astype(np.uint64)
-        k = int(np.argmax(span > _INT64_MAX))
-        raise DataFormatError("timestamps span more than 2**63 - 1 ps", line=row_line(path, None, k), path=path)
+        refuse_rows(path, None, span > _INT64_MAX, lambda _: "timestamps span more than 2**63 - 1 ps")
     # exact now that the span fits; a record's lag behind its own running maximum is >= 0
     lag = np.subtract(running_max, times, out=running_max)
-    bad = np.flatnonzero(unknown | (lag > reorder_window))
-    if bad.size:
-        k = bad[0]
-        if unknown[k]:
-            raise DataFormatError(f"unknown channel {channels[k]}", line=row_line(path, None, k), path=path)
-        raise DataFormatError(
+    refuse_rows(
+        path, None, unknown | (lag > reorder_window),
+        lambda k: f"unknown channel {channels[k]}" if unknown[k] else (
             f"timestamp {times[k]} precedes the running maximum {times[k] + lag[k]} by more "
-            f"than the reorder window ({reorder_window} ps)",
-            line=row_line(path, None, k), path=path,
-        )
+            f"than the reorder window ({reorder_window} ps)"
+        ),
+    )
     if not lag.any():  # in time order: the stable sort is the identity
         return TagStream(channels, times)
     del lag, running_max

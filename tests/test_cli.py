@@ -1164,23 +1164,225 @@ class TestOverlapContract:
             config = tmp / "cfg.json"
             config.write_text(json.dumps({key: placed(key, value) for key, value in cfg.items()}))
             out = tmp / "run"
-            err = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
-                warnings.simplefilter("always")
-                code = main(["overlap", "--config", str(config), "--out", str(out)])
-            assert code in (0, 2, 3, 4)
-            assert [str(w.message) for w in caught] == []
-            message = err.getvalue()
-            if code != 0:
-                assert message.startswith(("config error: ", "data error: ", "numerical failure: ", "error: "))
-                assert message.count("\n") == 1 and "Warning" not in message
-                assert code != 2 or any(key in message for key in cfg)
-                assert not out.exists() or list(out.iterdir()) == []
-                return
-            assert message == ""
-            json.loads((out / "overlap.meta.json").read_text(), parse_constant=_refuse_constant)
-            breakdown = json.loads((out / "overlap.json").read_text(), parse_constant=_refuse_constant)["breakdown"]
-            assert all(0.0 <= value <= 1.0 for value in breakdown.values() if value is not None)
+            code, message = run_under_contract(["overlap", "--config", str(config), "--out", str(out)], out)
+            if code == 2:
+                assert any(key in message for key in cfg)
+            if code == 0:
+                breakdown = read_json(out / "overlap.json")["breakdown"]
+                assert all(0.0 <= value <= 1.0 for value in breakdown.values() if value is not None)
+
+
+def run_under_contract(argv, out: Path) -> tuple[int, str]:
+    """``main(argv)``, checked against the exit-code contract; returns its exit code and stderr.
+
+    The exit code is 0, 2, 3 or 4, with no traceback and no warning.  A failure prints one line
+    and leaves ``out`` as it was (absent or empty); a success prints nothing and writes only
+    finite numbers: JSON with no ``NaN`` or ``Infinity`` token, tables with no ``nan`` or ``inf``.
+    """
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert [str(w.message) for w in caught] == []
+    message = err.getvalue()
+    if code != 0:
+        assert message.startswith(("config error: ", "data error: ", "numerical failure: ", "error: "))
+        assert message.count("\n") == 1 and "Warning" not in message
+        assert not out.exists() or list(out.iterdir()) == []
+        return code, message
+    assert message == ""
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_refuse_constant)
+        else:
+            assert all(math.isfinite(float(field)) for row in text.splitlines()[1:] for field in row.split(","))
+    return code, message
+
+
+# the sweep a fuzzed fit run starts from: a visibility curve at m = 0.6, g2_psi = 0.03, 2 % errors
+_FIT_RATIOS = [0.05, 0.2, 0.7, 2.0, 6.0, 15.0]
+_FIT_ROWS = [
+    [r, v, 0.02 * v] for r, v in zip(_FIT_RATIOS, hom_visibility(np.array(_FIT_RATIOS), 1.0, 0.03, 0.6).tolist())
+]
+
+# bytes a file may hold by mistake: a BOM, a lone CR, a NUL, a byte that is not UTF-8
+_STRAY_BYTES = [b"\xef\xbb\xbf", b"\r", b"\x00", b"\xff"]
+
+
+def edited_rows(draw, rows, numbers):
+    """``rows``, edited up to 3 times: one field set from ``numbers``, a row duplicated, swapped or deleted."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        edit = draw(st.sampled_from(["number", "duplicate", "swap", "delete"]))
+        if edit == "number":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(numbers)
+        elif edit == "duplicate":
+            rows.insert(j, list(rows[i]))
+        elif edit == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            del rows[i]
+    return rows
+
+
+def rarely(usual, unusual):
+    """``usual`` seven times in eight, else ``unusual``."""
+    # not k == 0: hypothesis draws the bounds of a range often
+    return st.integers(0, 7).flatmap(lambda k: unusual if k == 5 else usual)
+
+
+def with_stray_bytes(draw, data: bytes) -> bytes:
+    """``data`` with up to 2 of ``_STRAY_BYTES`` inserted anywhere."""
+    for _ in range(draw(rarely(st.just(0), st.integers(1, 2)))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_STRAY_BYTES)) + data[at:]
+    return data
+
+
+@st.composite
+def fit_runs(draw):
+    """``(sweep, cfg)``: the bytes of ``_FIT_ROWS`` edited as a sweep CSV, and a fit config."""
+    numbers = (
+        st.sampled_from([*_EDGE_NUMBERS, math.inf, -math.inf, math.nan, 10**400, 2**63, -(2**63) - 1])
+        | st.floats()
+    )
+    other_headers = st.sampled_from(["ratio,y", "ratio,y,y_err,model", "y_err,y,ratio", ""])
+    header = draw(rarely(st.just("ratio,y,y_err"), other_headers))
+    rows = edited_rows(draw, _FIT_ROWS, numbers)
+    sweep = header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    # g2_psi at its bound of 0, past it, and beyond float64
+    edges = st.sampled_from([0, 0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e308, math.inf, math.nan])
+    cfg = {
+        "model": draw(rarely(st.sampled_from(["vhom", "auto"]), st.sampled_from(["VHOM", 1]))),
+        "g2_psi": draw(rarely(st.floats(0.0, 2.0), edges | st.floats())),
+        "fit_scale": draw(rarely(st.booleans(), st.sampled_from([0, "true"]))),
+    }
+    return with_stray_bytes(draw, sweep.encode()), cfg
+
+
+class TestFitContract:
+    """Any fit run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds."""
+
+    @given(case=fit_runs())
+    @example(
+        case=(b"ratio,y,y_err\n0.1,0.3,0.01\n1.0,0.4,0.01\n5.0,0.2,0.01\n", {"model": "vhom", "g2_psi": -5e-324})
+    ).via("g2_psi just past its bound of 0")
+    @example(
+        case=(b"ratio,y,y_err\n0.1,0.3,5e-324\n1.0,0.4,0.01\n5.0,0.2,0.01\n", {"model": "auto", "g2_psi": 0})
+    ).via("a y_err whose weight overflows")
+    @example(
+        case=(b"ratio,y,y_err\n0.1,0.3,1e-150\n1.0,0.4,1e-150\n5.0,0.2,1e-150\n20.0,0.1,1e-150\n",
+              {"model": "vhom", "g2_psi": 0.03, "fit_scale": True})
+    ).via("a scale fit whose normal matrix nears the float64 bound")
+    @example(case=(b"\xef\xbb\xbfratio,y,y_err\n0.1,0.3,0.01\n", {"model": "vhom", "g2_psi": 0.03})).via(
+        "a byte-order mark before the header"
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_exit_code_contract(self, case):
+        sweep, cfg = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "sweep.csv").write_bytes(sweep)
+            (tmp / "cfg.json").write_text(json.dumps(cfg))
+            out = tmp / "run"
+            argv = ["fit", str(tmp / "sweep.csv"), "--config", str(tmp / "cfg.json"), "--out", str(out)]
+            run_under_contract(argv, out)
+
+
+# the tag files a fuzzed analyze run starts from: about 1e3 records each, on channels 2 and 3
+_ANALYZE_TAGS = {
+    name: [[int(c), int(t)] for c, t in zip(stream.channels, stream.times)]
+    for name, stream in (
+        ("par.csv", pulsed_coherent_tags({2: 0.5, 3: 0.5}, 1_000, REP, seed=1)),
+        ("perp.csv", pulsed_coherent_tags({2: 0.5, 3: 0.5}, 1_000, REP, seed=2)),
+    )
+}
+
+_INT64 = (-(2**63), 2**63 - 1)
+
+
+@st.composite
+def analyze_runs(draw):
+    """``(files, cfg)``: the tag files of ``_ANALYZE_TAGS``, edited, and an analyze config over them.
+
+    Beyond the row edits of ``edited_rows`` a record may move back in time or lose or gain a field.
+    Every binning keeps ``tau_max / bin_width`` at or below 1e5, so no histogram is large.
+    """
+    numbers = st.sampled_from([0, 1, 4, 9, -1, *_INT64, 2**63, 2**64, 1.5, math.nan]) | st.integers(*_INT64)
+    files = {}
+    for name, rows in _ANALYZE_TAGS.items():
+        if draw(st.booleans()):
+            files[name] = "".join(f"{c},{t}\n" for c, t in rows).encode()
+            continue
+        rows = edited_rows(draw, rows, numbers)
+        for _ in range(draw(st.integers(0, 2)) if rows else 0):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            edit = draw(st.sampled_from(["back", "back", "short", "long"]))
+            if edit == "back":  # out of order by up to a few periods, or by far more
+                row[-1] -= draw(st.integers(1, 5 * REP) | st.integers(1, 2**62))
+            elif edit == "short":
+                row.pop()
+            else:
+                row.append(draw(numbers))
+        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        files[name] = with_stray_bytes(draw, text.encode())
+    channels = rarely(st.sampled_from([2, 3]), st.just(1))  # no record is on channel 1
+    n_side_peaks = draw(rarely(st.sampled_from([2, 4, 10]), st.sampled_from([0, 1, 3, 2**63])))
+    if draw(rarely(st.just(True), st.just(False))):  # about the files' period, in a range that holds the side peaks
+        bin_width = draw(st.integers(1, 2_000))
+        rep_period = draw(rarely(st.just(REP), st.integers(1, 4 * REP)))
+        needed = -(-(n_side_peaks // 2 * rep_period + rep_period // 4) // bin_width)
+        tau_max = bin_width * min(100_000, needed + draw(st.integers(-1, 2_000)))
+    else:  # anything, up to the int64 bounds and past them
+        bin_width = draw(st.integers(1, 2**63 - 1))
+        tau_max = bin_width * draw(st.integers(1, 100_000))
+        rep_period = draw(st.integers(1, 2**64))
+    if draw(st.integers(0, 7)) == 5:  # a width that does not divide the range
+        tau_max += draw(st.integers(1, bin_width))
+    bad_pairs = st.sampled_from([[0, 2], [2], [2, 3, 3]])
+    reorder_windows = st.sampled_from([2**63 - 1, 2**63]) | st.integers(0, 2**63 - 1)
+    cfg = {
+        "pair": draw(rarely(st.lists(channels, min_size=2, max_size=2), bad_pairs)),
+        "bin_width": bin_width,
+        "tau_max": tau_max,
+        "rep_period": rep_period,
+        "n_side_peaks": n_side_peaks,
+        "reorder_window": draw(rarely(st.sampled_from([0, REP]), reorder_windows)),
+    }
+    if draw(st.booleans()):
+        cfg["window"] = draw(rarely(st.integers(1, max(1, rep_period // 2)), st.integers(-1, 2**64)))
+    if draw(st.integers(0, 7)) == 5:
+        cfg["perp_tagfile"] = "perp.csv"
+    return files, cfg
+
+
+class TestAnalyzeContract:
+    """Any analyze run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds."""
+
+    @given(case=analyze_runs())
+    @example(
+        case=({"par.csv": b"2,0\n2,0\n2,12195\n2,12195\n", "perp.csv": b"2,0\n2,12195\n"},
+              {"pair": [2, 2], "bin_width": 5, "tau_max": 24390, "rep_period": REP, "n_side_peaks": 2,
+               "reorder_window": 0, "perp_tagfile": "perp.csv"})
+    ).via("an orthogonal run with no zero-delay pair, refused after both histograms were written")
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_exit_code_contract(self, case):
+        files, cfg = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, data in files.items():
+                (tmp / name).write_bytes(data)
+            if "perp_tagfile" in cfg:
+                cfg = {**cfg, "perp_tagfile": str(tmp / cfg["perp_tagfile"])}
+            (tmp / "cfg.json").write_text(json.dumps(cfg))
+            out = tmp / "run"
+            argv = ["analyze", str(tmp / "par.csv"), "--config", str(tmp / "cfg.json"), "--out", str(out)]
+            run_under_contract(argv, out)
 
 
 class TestFitCommand:

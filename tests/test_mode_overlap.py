@@ -175,8 +175,23 @@ class TestOverlapIntegral:
     def test_the_clip_keeps_the_bits_below_one(self):
         a, b = exponential_amplitude(170.0), exponential_amplitude(100.0, dt=0.7)
         grid = np.union1d(a.xs, b.xs)
-        inner = np.trapezoid(_normalized_on_grid(a, grid) * _normalized_on_grid(b, grid), grid)
+        (start_a, f_a), (start_b, f_b) = _normalized_on_grid(a, grid), _normalized_on_grid(b, grid)
+        assert start_a == start_b == 0
+        stop = min(f_a.size, f_b.size)  # the shorter range ends where both do
+        inner = np.trapezoid(f_a[:stop] * f_b[:stop], grid[:stop])
         assert overlap_integral(a, b) == float(inner**2) < 1.0
+
+    def test_each_profile_counts_only_over_its_own_samples(self):
+        # flat 100 ps pulses 50 ps apart on 1 ps grids: each has half its light where the other is
+        t = np.arange(0.0, 101.0)
+        a, b = SampledProfile(t, np.ones(t.size)), SampledProfile(t + 50.0, np.ones(t.size))
+        assert overlap_integral(a, b) == pytest.approx(0.25, rel=1e-12)
+
+    def test_far_samples_do_not_stretch_a_partner(self):
+        # a partner sampled at +-1e308 leaves the exponential's own 2 ns: they share almost no light
+        t = np.arange(0.0, 2000.0)
+        wide = SampledProfile(np.array([-1e308, 0.0, 1e308]), np.array([1.0, 2.0, 1.0]))
+        assert overlap_integral(wide, SampledProfile(t, np.exp(-t / 200.0))) < 1e-300
 
     def test_norm_that_underflows_is_a_float_error(self):
         # one trapezoid 5e-324 wide: its area rounds to 0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import photonmix
 from photonmix import tables
 from photonmix.errors import DataFormatError
-from photonmix.tables import read_table, write_table
+from photonmix.tables import read_table, refuse_rows, write_table
 
 
 class TestWriteTable:
@@ -383,4 +383,39 @@ def test_only_tables_and_cli_open_files():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name in FILE_FUNCTIONS:
                     offenders.append(f"{module.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
+class TestRefuseRows:
+    def test_first_bad_row_at_its_file_line(self, tmp_path):
+        # blank lines and the header count toward the line, not toward the row
+        path = tmp_path / "t.csv"
+        path.write_text("x\n1\n\n-2\n   \n-3\n")
+        rows = read_table(path, [("x",)])[1][:, 0]
+        with pytest.raises(DataFormatError) as err:
+            refuse_rows(path, [("x",)], rows < 0, lambda k: f"row {k} holds {rows[k].item()!r}")
+        assert str(err.value) == f"{path}: line 4: row 1 holds -2.0"
+        assert err.value.line == 4
+
+    def test_headerless_table_counts_from_line_one(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n5,1\n")
+        with pytest.raises(DataFormatError, match="^.*: line 2: bad$"):
+            refuse_rows(path, None, [True], lambda _: "bad")
+
+    def test_no_bad_row_reads_nothing(self, tmp_path):
+        # the happy path neither describes a row nor rescans the file
+        refuse_rows(tmp_path / "absent.csv", None, np.zeros(3, dtype=bool), lambda _: pytest.fail("described"))
+
+
+def test_only_tables_gives_a_fault_its_line():
+    """Every reader refuses a bad row through ``tables.refuse_rows``: no other module passes ``line=``."""
+    package = Path(photonmix.__file__).parent
+    offenders = []
+    for module in sorted(package.glob("*.py")):
+        if module.stem == "tables":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and any(kw.arg == "line" for kw in node.keywords):
+                offenders.append(f"{module.name}:{node.lineno}")
     assert offenders == []
