@@ -305,19 +305,23 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
         raise ConfigError(f"a sweep of {cfg['n_points']} points does not fit in memory") from None
     except FloatingPointError as exc:
         raise ConfigError(f"the sweep's values exceed the float64 range ({exc})") from None
-    write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, curves["vhom"], curves["auto"]])
-
-    peaks = peak_analysis(g2_psi, m)
+    peaks = asdict(peak_analysis(g2_psi, m))
+    _refuse_beyond_float64(peaks, f"m={m!r}, g2_psi={g2_psi!r}")
     checks = []
     theta = math.acos(math.sqrt(m))
     for ratio, cutoff in zip(ratios, cutoffs):
         mu_alpha = ratio * mu_psi
+        keys = f"oracle_check_ratios entry {ratio!r} and mu_psi={mu_psi!r}"
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         bs = BeamSplitterSpec(0.5)
         state = mix_on_beam_splitter(source, lo, bs, cutoff)
         orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), bs, cutoff)
-        g2_oracle = auto_correlation(state)
-        v_oracle = visibility_from_states(state, orthogonal)
+        try:
+            g2_oracle = auto_correlation(state)
+            v_oracle = visibility_from_states(state, orthogonal)
+        except UndefinedCorrelationError as exc:
+            # both normalizations are positive for positive mu_psi and ratio: a 0 is an underflow
+            raise ConfigError(f"the oracle check at {keys} leaves the float64 range: {exc}") from None
         v_formula = hom_visibility(ratio, 1.0, g2_psi, m)
         g2_formula = auto_g2_zero(ratio, 1.0, g2_psi, m)
         checks.append(
@@ -333,11 +337,20 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
                 "max_abs_diff": max(abs(v_oracle - v_formula), abs(g2_oracle - g2_formula)),
             }
         )
-    _write_json(outdir / "report.json", {"peaks": asdict(peaks), "oracle_checks": checks})
-
+        _refuse_beyond_float64(checks[-1], keys)
+    # written only now that every result is formed, so a refused run leaves no output
+    write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, curves["vhom"], curves["auto"]])
+    _write_json(outdir / "report.json", {"peaks": peaks, "oracle_checks": checks})
     if "noise_sigma_rel" in cfg:
         write_sweep(outdir / f"points_{model_name}.csv", grid, noisy, sigma)
     return []
+
+
+def _refuse_beyond_float64(results: dict, keys: str) -> None:
+    """Refuse a ``simulate`` result that is not a finite float64: it reads no file, so its config caused it."""
+    for name, value in results.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"the {name} at {keys} leaves the float64 range ({value!r})")
 
 
 @contextmanager

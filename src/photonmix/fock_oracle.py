@@ -260,8 +260,8 @@ def auto_correlation(dist: np.ndarray, output: str = "out_2") -> float:
     marginal = dist.sum(axis=1 - OUTPUTS.index(output))
     n = np.arange(marginal.size)
     mean = float(marginal @ n)
-    if mean <= 0.0:
-        raise UndefinedCorrelationError(f"no photons at output {output!r}")
+    if mean**2 == 0.0:  # no photons, or a mean whose square underflows
+        raise UndefinedCorrelationError(f"the mean photon number at output {output!r}, {mean!r}, squares to 0")
     return float(marginal @ (n * (n - 1))) / mean**2
 
 

@@ -17,10 +17,10 @@ into the numerator, and one ``np.add.at`` counts them into the one
 histogram; an auto-correlation sweeps ``+d`` only and mirrors it.  The
 blocks are independent, so a contiguous range of them is the unit of work:
 ``build_histogram`` can sweep ranges in child processes and sum their raw
-counts.  Zero-delay peak areas normalized by the mean uncorrelated peak
-area at multiples of the pulse period give g2(0).  Tag files are read and
-written by path only, as headerless ``channel,t_ps`` integer tables through
-:mod:`photonmix.tables`.
+counts.  g2(0) is the zero-delay peak area over the mean uncorrelated peak
+area at multiples of the pulse period, all from one prefix sum of the counts.
+Tag files are read and written by path only, as headerless ``channel,t_ps``
+integer tables through :mod:`photonmix.tables`.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def check_binning(bin_width: int, tau_max: int) -> int:
     divides ``tau_max`` and ``4 tau_max + 5 bin_width`` stays inside int64,
     so that a caller can reject a binning before it reads any tag.  The
     sweep of ``build_histogram`` bins values up to about half that bound,
-    and the window test of ``g2_zero`` reaches ``4 tau_max``.
+    and the peak edges of ``g2_zero``'s ``peak_areas`` stay within ``2 tau_max + 1``.
     """
     if bin_width < 1 or tau_max < 1:
         raise InvalidParameterError("bin_width and tau_max must be positive integers")
@@ -357,6 +357,20 @@ def check_g2_params(
     return window
 
 
+def peak_areas(hist: CorrelationHistogram, rep_period: int, window: int, ks) -> list[int]:
+    """The counts of the bins whose centers ``c`` satisfy ``2 |c - k rep_period| <= window``, for each k of ``ks``.
+
+    Each is the difference of two entries of one prefix sum of the counts, taken at the exact integer
+    edges ``2 k rep_period -+ window`` (which must fit in int64), so only bins inside the histogram count.
+    """
+    prefix = np.cumsum(np.concatenate(([0], hist.counts)))
+    doubled = 2 * hist.centers
+    edges = 2 * rep_period * np.asarray(ks, dtype=np.int64)
+    lo = np.searchsorted(doubled, edges - window, "left")
+    hi = np.searchsorted(doubled, edges + window, "right")
+    return (prefix[hi] - prefix[lo]).tolist()
+
+
 def g2_zero(
     hist: CorrelationHistogram,
     rep_period: int,
@@ -373,16 +387,9 @@ def g2_zero(
     """
     window = check_g2_params(rep_period, hist.bin_width, hist.tau_max, window, n_side_peaks)
     half = n_side_peaks // 2
-    centers = hist.centers
-
-    def area(center: int) -> int:
-        sel = 2 * np.abs(centers - center) <= window
-        return int(hist.counts[sel].sum())
-
-    peak0 = area(0)
-    side_areas = [area(m * rep_period) for m in range(1, half + 1)]
-    side_areas += [area(-m * rep_period) for m in range(1, half + 1)]
-    side_total = sum(side_areas)
+    areas = peak_areas(hist, rep_period, window, range(-half, half + 1))
+    peak0 = areas[half]
+    side_total = sum(areas) - peak0
     if side_total == 0:
         raise UndefinedCorrelationError("all side peaks are empty: cannot normalize")
     side_mean = side_total / n_side_peaks

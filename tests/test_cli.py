@@ -89,6 +89,15 @@ class TestSimulate:
         assert peaks["r_auto_star"] is None
         assert peaks["g2_auto_max"] is None
 
+    def test_peak_beyond_float64_is_config_error(self, tmp_path, capsys):
+        # r_auto_star = (1 + m - g2_psi) / m overflows for a subnormal m
+        out = tmp_path / "run"
+        assert run(["simulate", "--out", str(out), "--set", "m=1e-320", "--set", "g2_psi=0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the r_auto_star at m=1e-320, g2_psi=0 leaves the float64 range (inf)\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_oracle_spot_checks(self, tmp_path):
         out = tmp_path / "run"
         code = run(
@@ -148,8 +157,24 @@ class TestSimulate:
                 ["g2_psi=0.04", "oracle_check_ratios=[1,1e6]"],
                 "no cutoff <= 500 reaches tail mass 1e-10 for mu = 1000000.0",
             ),
+            # both normalizations are positive at positive mu_psi and ratio: a 0 is an underflow
+            (
+                ["g2_psi=0", "oracle_check_ratios=[5e-324]"],
+                "the oracle check at oracle_check_ratios entry 5e-324 and mu_psi=1.0 leaves the float64 range: "
+                "no coincidences in the orthogonal reference run",
+            ),
+            (
+                ["g2_psi=0.04", "mu_psi=5e-324", "oracle_check_ratios=[1]"],
+                "the oracle check at oracle_check_ratios entry 1 and mu_psi=5e-324 leaves the float64 range: "
+                "the mean photon number at output 'out_2', 5e-324, squares to 0",
+            ),
+            (
+                ["g2_psi=0.04", "mu_psi=1e-200", "oracle_check_ratios=[1e200]"],
+                "the g2_auto_analytic at oracle_check_ratios entry 1e+200 and mu_psi=1e-200 leaves the "
+                "float64 range (nan)",
+            ),
         ],
-        ids=["source", "cutoff"],
+        ids=["source", "cutoff", "coincidences", "mean", "closed_form"],
     )
     def test_oracle_check_config_error_writes_no_file(self, tmp_path, capsys, settings, message):
         args = ["simulate", "--out", str(tmp_path / "run"), "--set", "m=0.5"]
@@ -1383,6 +1408,80 @@ class TestAnalyzeContract:
             out = tmp / "run"
             argv = ["analyze", str(tmp / "par.csv"), "--config", str(tmp / "cfg.json"), "--out", str(out)]
             run_under_contract(argv, out)
+
+
+# an oracle check takes about 0.1 s at mu_alpha = ratio * mu_psi = 100 and 2.5 s at 350, so the
+# drawn checks keep mu_alpha at or below this cap, or at 1e4 and above, where required_cutoff refuses
+_MU_ALPHA_CAP = 30.0
+
+
+@st.composite
+def simulate_runs(draw):
+    """A simulate config: each key inside its schema bounds, at them or past them, or left out.
+
+    ``m`` and ``g2_psi`` are rarely left out; the other keys are set half the time.  Up to 3 oracle
+    checks are drawn, each at or below ``_MU_ALPHA_CAP`` in ``mu_alpha`` or at 1e4 and above.
+    """
+    beyond = st.sampled_from([*_EDGE_NUMBERS, math.inf, math.nan])
+
+    def values(usual, edges):
+        return rarely(usual, st.sampled_from(edges) | beyond)
+
+    cfg = {
+        "m": draw(values(st.floats(0.0, 1.0), [0, 1, 1e-320, 1e-160, 1.0000000000000002])),
+        "g2_psi": draw(values(st.floats(0.0, 1.0), [0, 1, 2, 1e154, 1e308])),
+    }
+    if draw(st.integers(0, 15)) == 5:
+        del cfg[draw(st.sampled_from(["m", "g2_psi"]))]
+    optional = [
+        ("mu_psi", st.floats(0.0, 1.0, exclude_min=True), [1, 1e-300, 1e-200, 1e-5, 1.0000000000000002]),
+        # r_min below 1 and r_max above it, so that a run usually has r_min < r_max
+        ("r_min", st.floats(1e-3, 1.0), [1e-300, 1e154, 1e155]),
+        ("r_max", st.floats(1.0, 1e3), [1e-300, 1e154, 1e155]),
+        ("n_points", st.integers(2, 6), [0, 1, 2.0, 2.5, 10**15]),
+        ("tail_target", st.floats(1e-14, 1e-6), [1e-6, 1.0000000000000002e-06, 1e-300]),
+        ("noise_sigma_rel", st.floats(1e-3, 0.1), [1, 1e307]),
+        ("seed", st.integers(0, 2**32), [2**64, 10**30, -1, 1.5, True]),
+    ]
+    for key, usual, edges in optional:
+        if draw(st.booleans()):
+            cfg[key] = draw(values(usual, edges))
+    # noise_model needs noise_sigma_rel
+    if draw(st.booleans() if "noise_sigma_rel" in cfg else rarely(st.just(False), st.just(True))):
+        cfg["noise_model"] = draw(values(st.sampled_from(["vhom", "auto"]), ["VHOM", 1]))
+    if draw(st.integers(0, 3)) > 0:
+        mu_psi = cfg.get("mu_psi", 1.0)
+        ratio = values(st.floats(1e-3, _MU_ALPHA_CAP), [1e-300, 30, 1e6, 1e200, -1]).filter(
+            lambda r: not _MU_ALPHA_CAP < r * mu_psi < 1e4
+        )
+        cfg["oracle_check_ratios"] = draw(st.lists(ratio, min_size=1, max_size=3))
+    return cfg
+
+
+class TestSimulateContract:
+    """Any simulate run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds."""
+
+    @given(cfg=simulate_runs())
+    @example(cfg={"m": 0.76, "g2_psi": 0, "oracle_check_ratios": [5e-324]}).via(
+        "an orthogonal run whose coincidences underflow, refused after sweep.csv was written"
+    )
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "mu_psi": 5e-324, "oracle_check_ratios": [1]}).via(
+        "a mean photon number whose square underflows"
+    )
+    @example(cfg={"m": 1e-320, "g2_psi": 0}).via("a bunching peak beyond float64 for a subnormal m")
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "mu_psi": 1e-200, "oracle_check_ratios": [1e200]}).via(
+        "a closed form whose squared ratio overflows"
+    )
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "oracle_check_ratios": [100]}).via(
+        "an oracle check above the drawn cap on mu_alpha"
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_exit_code_contract(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "cfg.json").write_text(json.dumps(cfg))
+            out = tmp / "run"
+            run_under_contract(["simulate", "--config", str(tmp / "cfg.json"), "--out", str(out)], out)
 
 
 class TestFitCommand:

@@ -415,6 +415,12 @@ class TestCrossCorrelationsDirect:
         with pytest.raises(InvalidParameterError):
             auto_correlation(self.point_distribution(1, 1), "out_4")
 
+    def test_mean_whose_square_underflows_is_undefined(self):
+        distribution = self.point_distribution(0, 0)
+        distribution[1, 0] = 1e-300  # a mean of 1e-300, whose square is 0 in float64
+        with pytest.raises(UndefinedCorrelationError, match="squares to 0"):
+            auto_correlation(distribution)
+
 
 def exact_sector_unitary(transmission: float, total: int) -> np.ndarray:
     """Sector unitary from U x+ U+ = c x+ - s y+ and U y+ U+ = s x+ + c y+.

@@ -26,6 +26,7 @@ from photonmix.tagstream import (
     default_window,
     g2_zero,
     parse_tags,
+    peak_areas,
     visibility_from_histograms,
 )
 from photonmix.tables import write_table
@@ -466,6 +467,41 @@ class TestG2Zero:
         assert default_window(12195, 25) == 6075
         assert default_window(1000, 10) == 490  # exact half rounded down one bin
         assert 2 * default_window(1000, 10) < 1000
+
+
+def mask_areas(hist, rep_period, window, ks):
+    """The reference for ``peak_areas``: one boolean mask over every bin per peak."""
+    return [int(hist.counts[2 * np.abs(hist.centers - k * rep_period) <= window].sum()) for k in ks]
+
+
+@st.composite
+def peak_tables(draw):
+    """``(hist, rep_period, window, ks)``: a random histogram and peaks in, across and beyond its range."""
+    width = draw(st.integers(1, 19))
+    k_max = draw(st.integers(1, 60))
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=2 * k_max + 1, max_size=2 * k_max + 1))
+    hist = CorrelationHistogram(width, width * k_max, np.array(counts, dtype=np.int64))
+    # a period of whole bins, one that puts the peaks on half-bin edges, or any
+    rep_period = draw(
+        st.integers(1, 2 * k_max).map(lambda j: j * width)
+        | st.integers(0, k_max).map(lambda j: j * width + width // 2).filter(lambda r: r > 0)
+        | st.integers(1, 3 * width * k_max)
+    )
+    # up to 3 periods wide, on a center's edge or anywhere between
+    window = draw(st.integers(0, 3 * rep_period) | st.integers(0, 6 * k_max).map(lambda j: j * width))
+    reach = width * k_max // rep_period + 3
+    ks = draw(st.lists(st.integers(-reach, reach), max_size=12))
+    return hist, rep_period, window, ks
+
+
+class TestPeakAreas:
+    @given(table=peak_tables())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_a_mask_per_peak(self, table):
+        hist, rep_period, window, ks = table
+        areas = peak_areas(hist, rep_period, window, ks)
+        assert areas == mask_areas(hist, rep_period, window, ks)
+        assert all(type(area) is int for area in areas)  # exact, and JSON-serializable
 
 
 class TestVisibility:
