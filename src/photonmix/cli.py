@@ -8,6 +8,9 @@ configuration, the input files and the package version, so a run is
 reproducible byte for byte from its sidecar.  Only ``simulate`` draws random
 numbers: its seed is the config key ``seed``, which ``--seed`` overrides.
 
+A command writes nothing: it returns its outputs, and ``main`` writes them and
+then the sidecar only once it has returned, so a refused run writes no file.
+
 Exit codes: 0 success, 2 configuration error, 3 input data error,
 4 numerical failure.
 """
@@ -23,6 +26,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,7 @@ from .fock_oracle import (
     BeamSplitterSpec,
     auto_correlation,
     coherent_tail_mass,
+    cross_correlations,
     mix_on_beam_splitter,
     required_cutoff,
     visibility_from_states,
@@ -267,17 +272,7 @@ def _resolved(schema: dict, value, path: tuple = ()):
     return value
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_meta(outdir: Path, name: str, command: str, cfg: dict, inputs: list[str]) -> None:
-    _write_json(outdir / name, {"command": command, "config": cfg, "inputs": inputs, "version": __version__})
-
-
-def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
+def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
     m = cfg["m"]
     g2_psi = cfg["g2_psi"]
     if cfg["r_min"] >= cfg["r_max"]:
@@ -290,11 +285,20 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
         )
     mu_psi = cfg["mu_psi"]
     ratios = cfg["oracle_check_ratios"]
-    # every config fault of the oracle checks is raised before the first write
+    # every config fault of the oracle checks is raised before any check runs
     source = SourceParams.from_moments(mu_psi, g2_psi) if ratios else None
-    cutoffs = [required_cutoff(ratio * mu_psi, cfg["tail_target"]) for ratio in ratios]
+    planned = []  # (ratio, the keys its refusals name, cutoff)
+    for ratio in ratios:
+        keys = f"oracle_check_ratios entry {ratio!r} and mu_psi={mu_psi!r}"
+        try:
+            planned.append((ratio, keys, required_cutoff(ratio * mu_psi, cfg["tail_target"])))
+        except InvalidParameterError as exc:
+            raise ConfigError(f"the oracle check at {keys}: {exc}") from None
     try:
-        # a value beyond float64 (r_max above about 1.3e154 squares to inf) is refused before any write
+        # numpy refuses an array beyond its index range with a ValueError or an IndexError
+        if cfg["n_points"] * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise MemoryError
+        # a value beyond float64 (r_max above about 1.3e154 squares to inf) is refused
         with np.errstate(over="raise", invalid="raise"):
             grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
             curves = {name: curve(grid, 1.0, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
@@ -302,16 +306,16 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
                 sigma = cfg["noise_sigma_rel"] * curves[model_name]
                 noisy = curves[model_name] + np.random.default_rng(cfg["seed"]).normal(size=grid.size) * sigma
     except MemoryError:
-        raise ConfigError(f"a sweep of {cfg['n_points']} points does not fit in memory") from None
+        raise ConfigError(f"a sweep of n_points={cfg['n_points']!r} does not fit in memory") from None
     except FloatingPointError as exc:
-        raise ConfigError(f"the sweep's values exceed the float64 range ({exc})") from None
+        named = ", ".join(f"{key}={cfg[key]!r}" for key in ("r_min", "r_max", "noise_sigma_rel") if key in cfg)
+        raise ConfigError(f"the sweep at {named} leaves the float64 range ({exc})") from None
     peaks = asdict(peak_analysis(g2_psi, m))
     _refuse_beyond_float64(peaks, f"m={m!r}, g2_psi={g2_psi!r}")
     checks = []
     theta = math.acos(math.sqrt(m))
-    for ratio, cutoff in zip(ratios, cutoffs):
+    for ratio, keys, cutoff in planned:
         mu_alpha = ratio * mu_psi
-        keys = f"oracle_check_ratios entry {ratio!r} and mu_psi={mu_psi!r}"
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         bs = BeamSplitterSpec(0.5)
         state = mix_on_beam_splitter(source, lo, bs, cutoff)
@@ -322,6 +326,14 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
         except UndefinedCorrelationError as exc:
             # both normalizations are positive for positive mu_psi and ratio: a 0 is an underflow
             raise ConfigError(f"the oracle check at {keys} leaves the float64 range: {exc}") from None
+        # the two-photon terms, about mu**2, lose digits once they are subnormal
+        squared_mean = cross_correlations(state).mean_2 ** 2
+        coincidences = cross_correlations(orthogonal).coincidence
+        if min(squared_mean, coincidences) < np.finfo(float).tiny:
+            raise ConfigError(
+                f"the oracle check at {keys} loses precision: its <n2>^2 ({squared_mean!r}) or orthogonal "
+                f"<n2 n3> ({coincidences!r}) is below the smallest normal float64"
+            )
         v_formula = hom_visibility(ratio, 1.0, g2_psi, m)
         g2_formula = auto_g2_zero(ratio, 1.0, g2_psi, m)
         checks.append(
@@ -338,12 +350,15 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[str]:
             }
         )
         _refuse_beyond_float64(checks[-1], keys)
-    # written only now that every result is formed, so a refused run leaves no output
-    write_table(outdir / "sweep.csv", ("ratio", "v_hom", "g2_auto"), [grid, curves["vhom"], curves["auto"]])
-    _write_json(outdir / "report.json", {"peaks": peaks, "oracle_checks": checks})
+    outputs = {
+        "sweep.csv": partial(
+            write_table, header=("ratio", "v_hom", "g2_auto"), columns=[grid, curves["vhom"], curves["auto"]]
+        ),
+        "report.json": {"peaks": peaks, "oracle_checks": checks},
+    }
     if "noise_sigma_rel" in cfg:
-        write_sweep(outdir / f"points_{model_name}.csv", grid, noisy, sigma)
-    return []
+        outputs[f"points_{model_name}.csv"] = partial(write_sweep, ratio=grid, y=noisy, y_err=sigma)
+    return outputs, []
 
 
 def _refuse_beyond_float64(results: dict, keys: str) -> None:
@@ -388,20 +403,18 @@ def _analyze_one(tagfile: str, cfg: dict, processes: int = 1):
     return hist, result
 
 
-def _write_analysis(outdir: Path, suffix: str, hist, result) -> None:
-    write_histogram_csv(hist, outdir / f"histogram{suffix}.csv")
-    _write_json(outdir / f"g2{suffix}.json", asdict(result))
+def _analysis(suffix: str, hist, result) -> dict:
+    return {f"histogram{suffix}.csv": partial(write_histogram_csv, hist), f"g2{suffix}.json": asdict(result)}
 
 
-def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> list[str]:
+def cmd_analyze(tagfile: str, cfg: dict) -> tuple[dict, list[str]]:
     # a config fault is reported before any tag is read or any worker starts
     check_binning(cfg["bin_width"], cfg["tau_max"])
     check_g2_params(
         cfg["rep_period"], cfg["bin_width"], cfg["tau_max"], cfg.get("window"), cfg["n_side_peaks"]
     )
     if "perp_tagfile" not in cfg:
-        _write_analysis(outdir, "", *_analyze_one(tagfile, cfg, _cpus()))
-        return [tagfile]
+        return _analysis("", *_analyze_one(tagfile, cfg, _cpus())), [tagfile]
     # the two runs are independent: the orthogonal one is analyzed meanwhile in a child
     # process.  That child sweeps alone: a child of its own would outlive it when it is
     # killed, and would hold its pipe open when it dies.  This process, with a CPU share
@@ -411,14 +424,9 @@ def cmd_analyze(tagfile: str, cfg: dict, outdir: Path) -> list[str]:
         hist, result = _analyze_one(tagfile, cfg, max(1, _cpus() // 2))
         hist_perp, result_perp = perp_result()
     v, err = visibility_from_histograms(result, result_perp)
-    # written only now that both files and their visibility succeeded, so a failed run leaves no output
-    _write_analysis(outdir, "", hist, result)
-    _write_analysis(outdir, "_perp", hist_perp, result_perp)
-    _write_json(
-        outdir / "visibility.json",
-        {"v_hom": v, "err": err, "g2_par": result.value, "g2_perp": result_perp.value},
-    )
-    return [tagfile, perp]
+    outputs = {**_analysis("", hist, result), **_analysis("_perp", hist_perp, result_perp)}
+    outputs["visibility.json"] = {"v_hom": v, "err": err, "g2_par": result.value, "g2_perp": result_perp.value}
+    return outputs, [tagfile, perp]
 
 
 def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
@@ -440,7 +448,7 @@ def _profile_factor(paths: list[str], cfg: dict, domain: str) -> float:
 _MEASURED_BY = {"m_t": "time_profiles", "m_f": "frequency_profiles", "m_p": "fringe_file"}
 
 
-def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
+def cmd_overlap(cfg: dict) -> tuple[dict, list[str]]:
     # a config fault is reported before any file is read
     for key, measured_by in _MEASURED_BY.items():
         if key in cfg and measured_by in cfg:
@@ -468,27 +476,26 @@ def cmd_overlap(cfg: dict, outdir: Path) -> list[str]:
     breakdown["m_s"] = cfg["m_s"]
     breakdown["m_total"] = breakdown["m_t"] * breakdown["m_f"] * breakdown["m_p"] * breakdown["m_s"]
     breakdown["m_tilde"] = breakdown["m_total"] * cfg["m_psi"] if "m_psi" in cfg else None
-    _write_json(outdir / "overlap.json", payload)
-    return inputs
+    return {"overlap.json": payload}, inputs
 
 
-def cmd_fit(sweepfile: str, cfg: dict, outdir: Path) -> list[str]:
+def cmd_fit(sweepfile: str, cfg: dict) -> tuple[dict, list[str]]:
     r, y, y_err = read_sweep(sweepfile)
     # a ratio above about 1.3e154 squares to inf
     with _within_float64("the fit's", sweepfile):
         result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
         y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, 1.0, cfg["g2_psi"], result.m_hat)
         residual = (y - y_model) / y_err
-    _write_json(outdir / "fit.json", result.to_dict())
-    write_table(
-        outdir / "residuals.csv", ("ratio", "y", "y_err", "model", "residual_sigma"), [r, y, y_err, y_model, residual]
+    residuals = partial(
+        write_table, header=("ratio", "y", "y_err", "model", "residual_sigma"), columns=[r, y, y_err, y_model, residual]
     )
-    return [sweepfile]
+    return {"fit.json": result.to_dict(), "residuals.csv": residuals}, [sweepfile]
 
 
 # command -> (function, help, input-file arguments, metadata sidecar).  The function
-# takes the input files, the config and the output directory, and returns the input
-# files it read, which the sidecar records.
+# takes the input files and the config, writes nothing, and returns its outputs (file
+# name -> JSON document, or writer of that path) and the input files it read, which
+# the sidecar records.
 _COMMANDS = {
     "simulate": (cmd_simulate, "emit correlation sweep curves and oracle spot checks", (), "sweep.meta.json"),
     "analyze": (
@@ -537,8 +544,15 @@ def main(argv=None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out}: {exc.strerror or exc}") from exc
-        inputs = run(*(getattr(args, file_arg) for file_arg in files), cfg, outdir)
-        _write_meta(outdir, sidecar, args.command, cfg, inputs)
+        outputs, inputs = run(*(getattr(args, file_arg) for file_arg in files), cfg)
+        outputs[sidecar] = {"command": args.command, "config": cfg, "inputs": inputs, "version": __version__}
+        for name, output in outputs.items():
+            if isinstance(output, dict):
+                with open(outdir / name, "w", encoding="utf-8") as fh:
+                    json.dump(output, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            else:
+                output(outdir / name)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

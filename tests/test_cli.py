@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -132,6 +133,24 @@ class TestSimulate:
             assert check["tail_mass"] == coherent_tail_mass(check["mu_alpha"], check["cutoff"])
             assert check["tail_mass"] < 1e-10
 
+    def test_smallest_accepted_scale_agrees(self):
+        # bisect mu_psi, on a log scale, down to the edge of the refusal of subnormal normalizations
+        def report(mu_psi):
+            cfg = _load_config("simulate", None, ["m=0.76", "g2_psi=0.0412", "oracle_check_ratios=[1]"], None)
+            return cli.cmd_simulate({**cfg, "mu_psi": mu_psi})[0]["report.json"]
+
+        refused, accepted = 1e-160, 1e-150
+        while accepted / refused > 1 + 1e-12:
+            mid = math.sqrt(refused * accepted)
+            try:
+                report(mid)
+                accepted = mid
+            except ConfigError as exc:
+                assert "loses precision" in str(exc) and f"mu_psi={mid!r}" in str(exc)
+                refused = mid
+        assert 1e-154 < accepted < 1e-153
+        assert report(accepted)["oracle_checks"][0]["max_abs_diff"] <= 1e-6
+
     def test_missing_required_key_is_config_error(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path), "--set", "m=0.5"]) == 2
 
@@ -155,6 +174,7 @@ class TestSimulate:
             (["g2_psi=3", "oracle_check_ratios=[1]"], "g2_psi=3 too large for emitted mean 1.0"),
             (
                 ["g2_psi=0.04", "oracle_check_ratios=[1,1e6]"],
+                "the oracle check at oracle_check_ratios entry 1000000.0 and mu_psi=1.0: "
                 "no cutoff <= 500 reaches tail mass 1e-10 for mu = 1000000.0",
             ),
             # both normalizations are positive at positive mu_psi and ratio: a 0 is an underflow
@@ -189,24 +209,30 @@ class TestSimulate:
         args = ["simulate", "--out", str(tmp_path / "run"), "--set", "m=0.5", "--set", "g2_psi=0.04",
                 "--set", f"n_points={10**15}"]
         assert run(args) == 2
-        assert capsys.readouterr().err == f"config error: a sweep of {10**15} points does not fit in memory\n"
+        assert capsys.readouterr().err == f"config error: a sweep of n_points={10**15} does not fit in memory\n"
         assert list((tmp_path / "run").iterdir()) == []
 
     @pytest.mark.parametrize(
-        "settings",
+        "settings, keys",
         [
             # the closed forms square the ratio, which overflows above about 1.3e154
-            ["g2_psi=0.04", "r_max=1e308", "noise_sigma_rel=0.1"],
+            (
+                ["g2_psi=0.04", "r_max=1e308", "noise_sigma_rel=0.1"],
+                "r_min=0.01, r_max=1e+308, noise_sigma_rel=0.1",
+            ),
             # noise of 1e307 times a bunching value near 100
-            ["g2_psi=100", "noise_sigma_rel=1e307", "noise_model=auto"],
+            (
+                ["g2_psi=100", "noise_sigma_rel=1e307", "noise_model=auto"],
+                "r_min=0.01, r_max=30.0, noise_sigma_rel=1e+307",
+            ),
         ],
         ids=["r_max", "noise"],
     )
-    def test_sweep_beyond_float64_is_config_error(self, tmp_path, capsys, settings):
+    def test_sweep_beyond_float64_is_config_error(self, tmp_path, capsys, settings, keys):
         args = ["simulate", "--out", str(tmp_path / "run"), "--set", "m=0.76", "--set", "n_points=3"]
         assert run([*args, *[arg for s in settings for arg in ("--set", s)]]) == 2
         assert capsys.readouterr().err == (
-            "config error: the sweep's values exceed the float64 range (overflow encountered in multiply)\n"
+            f"config error: the sweep at {keys} leaves the float64 range (overflow encountered in multiply)\n"
         )
         assert list((tmp_path / "run").iterdir()) == []
 
@@ -499,7 +525,7 @@ class TestAnalyzePair:
         bad = self.bad_file(tmp_path, _MALFORMED_TAGS)
         cfg = _load_config("analyze", None, self.args(coherent_tagfile, bad, tmp_path)[5::2], None)
         with pytest.raises(DataFormatError) as err:
-            cmd_analyze(str(coherent_tagfile), cfg, tmp_path)
+            cmd_analyze(str(coherent_tagfile), cfg)
         assert err.value.line == 2
         assert str(err.value) == f"{bad}: line 2: unknown channel 9"
 
@@ -1458,8 +1484,18 @@ def simulate_runs(draw):
     return cfg
 
 
+def names_a_key(message: str, cfg: dict) -> bool:
+    """Whether ``message`` names, as a whole word, a key ``cfg`` sets or a required ``simulate`` key it leaves out."""
+    keys = [*cfg, *(key for key in _SCHEMAS["simulate"]["required"] if key not in cfg)]
+    return any(re.search(rf"(?<!\w){re.escape(key)}(?!\w)", message) for key in keys)
+
+
 class TestSimulateContract:
-    """Any simulate run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds."""
+    """Any simulate run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds.
+
+    A config error (exit 2) names a key behind it.  A success's oracle checks agree with the closed forms within
+    1e-6, beside the error of the truncated coherent tail.
+    """
 
     @given(cfg=simulate_runs())
     @example(cfg={"m": 0.76, "g2_psi": 0, "oracle_check_ratios": [5e-324]}).via(
@@ -1475,13 +1511,34 @@ class TestSimulateContract:
     @example(cfg={"m": 0.76, "g2_psi": 0.0412, "oracle_check_ratios": [100]}).via(
         "an oracle check above the drawn cap on mu_alpha"
     )
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "r_max": 1e308, "noise_sigma_rel": 0.1, "n_points": 3}).via(
+        "a sweep beyond float64, refused without naming a key"
+    )
+    @example(cfg={"m": 0.5, "g2_psi": 0.04, "n_points": 10**15}).via(
+        "a sweep too large for memory, refused without naming a key"
+    )
+    @example(cfg={"m": 0, "g2_psi": 0, "n_points": 1e308}).via("a sweep beyond numpy's index range, a ValueError")
+    @example(cfg={"m": 0, "g2_psi": 0, "n_points": 2**63 - 1}).via("a sweep at numpy's index range, an IndexError")
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "oracle_check_ratios": [1e4]}).via(
+        "an oracle check with no cutoff, refused without naming a key"
+    )
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "mu_psi": 1e-160, "oracle_check_ratios": [1]}).via(
+        "subnormal two-photon terms, once accepted with max_abs_diff 5.2e-4"
+    )
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_exit_code_contract(self, cfg):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             (tmp / "cfg.json").write_text(json.dumps(cfg))
             out = tmp / "run"
-            run_under_contract(["simulate", "--config", str(tmp / "cfg.json"), "--out", str(out)], out)
+            code, message = run_under_contract(["simulate", "--config", str(tmp / "cfg.json"), "--out", str(out)], out)
+            if code == 2:
+                assert names_a_key(message, cfg)
+            for check in read_json(out / "report.json")["oracle_checks"] if code == 0 else []:
+                # the coherent terms beyond the cutoff, of mass tail_mass, add up to about
+                # cutoff**2 tail_mass to moments normalized by about mu_alpha**2
+                tail = check["tail_mass"] and (check["cutoff"] + 1) ** 2 * check["tail_mass"] / check["mu_alpha"] ** 2
+                assert check["max_abs_diff"] <= 1e-6 + tail
 
 
 class TestFitCommand:
@@ -1729,6 +1786,59 @@ class TestCommandSurface:
         assert meta["command"] == command
         assert meta["inputs"] == {"analyze": [str(coherent_tagfile)], "fit": [str(sweep)]}.get(command, [])
         assert ("seed" in meta["config"]) is (command == "simulate")
+
+    @pytest.mark.parametrize(
+        "command, written",
+        [
+            ("simulate", ["sweep.csv", "report.json", "points_vhom.csv", "sweep.meta.json"]),
+            (
+                "analyze",
+                [
+                    "histogram.csv", "g2.json", "histogram_perp.csv", "g2_perp.json", "visibility.json",
+                    "analyze.meta.json",
+                ],
+            ),
+            ("overlap", ["overlap.json", "overlap.meta.json"]),
+            ("fit", ["fit.json", "residuals.csv", "fit.meta.json"]),
+        ],
+        ids=["simulate", "analyze", "overlap", "fit"],
+    )
+    def test_command_writes_nothing_and_main_writes_its_outputs(
+        self, tmp_path, monkeypatch, coherent_tagfile, perp_tagfile, sweep, command, written
+    ):
+        pulse = tmp_path / "pulse.csv"
+        write_time_profile(pulse, np.arange(3.0), np.array([1.0, 3.0, 1.0]))
+        # a setting that adds each command's optional outputs or inputs
+        extra = {
+            "simulate": ["noise_sigma_rel=0.02"],
+            "analyze": [f'perp_tagfile="{perp_tagfile}"'],
+            "overlap": [f'time_profiles=["{pulse}","{pulse}"]'],
+            "fit": [],
+        }[command]
+        function, _, _, sidecar = cli._COMMANDS[command]
+        files = {"analyze": [str(coherent_tagfile)], "fit": [str(sweep)]}.get(command, [])
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        outputs, _ = function(*files, _load_config(command, None, [*self.settings[command], *extra], None))
+        assert list(cwd.iterdir()) == []
+        assert [*outputs, sidecar] == written
+
+        opened, real_open = [], open
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                opened.append(Path(path).name)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", recording_open)
+        out = tmp_path / "run"
+        args = self.command_args(command, out, coherent_tagfile, sweep)
+        code = run([*args, *(arg for setting in extra for arg in ("--set", setting))])
+        monkeypatch.setattr("builtins.open", real_open)
+        assert code == 0
+        assert opened == written
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
     def test_simulate_records_its_seed_in_config(self, tmp_path):
         out = tmp_path / "run"
