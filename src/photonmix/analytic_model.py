@@ -9,12 +9,13 @@ Every function here is a pure closed form; the brute-force Fock-space
 counterpart lives in :mod:`photonmix.fock_oracle`.
 
 The sweep closed forms (:func:`cross_coincidence`, :func:`hom_visibility`,
-:func:`auto_g2_zero`, :func:`overlap_from_visibility`) take floats or numpy
-arrays that broadcast; each element of an array call has the bits of the
-float call on that element.  The estimator's fit and the CLI call them, and
-no other copy of these formulas exists.  They square by multiplying, never
-by Python's ``float ** 2``, which for some ``x`` differs from ``x * x``
-(numpy's square) in the last digit.
+:func:`auto_g2_zero`, :func:`overlap_from_visibility`) are functions of the
+power ratio ``r = mu_alpha / mu_psi``, that is of ``mu_alpha`` in units of
+``mu_psi``.  They take floats or numpy arrays that broadcast; each element
+of an array call has the bits of the float call on that element.  The
+estimator's fit and the CLI call them, and no other copy of these formulas
+exists.  They square by multiplying, never by Python's ``float ** 2``, which
+for some ``x`` differs from ``x * x`` (numpy's square) in the last digit.
 """
 
 from __future__ import annotations
@@ -147,60 +148,53 @@ def loss_degraded_probs(p1: float, p2: float, eta: float) -> tuple[float, float,
     return q0, q1, q2
 
 
-def cross_coincidence(mu_alpha, mu_psi, g2_psi, m):
+def cross_coincidence(r, g2_psi, m):
     """Unnormalized coincidence moment between the two beam splitter outputs.
 
-    mu_alpha^2 + mu_psi^2 g2_psi + 2 mu_alpha mu_psi (1 - m), in units where
-    the balanced-splitter prefactor is dropped.  Interference (m > 0)
-    suppresses cross-output coincidences.
+    r^2 + g2_psi + 2 r (1 - m), in units of mu_psi^2 with the
+    balanced-splitter prefactor dropped.  Interference (m > 0) suppresses
+    cross-output coincidences.
     """
-    _check_non_negative("mu_alpha", mu_alpha)
-    _check_non_negative("mu_psi", mu_psi)
+    _check_non_negative("r", r)
     _check_non_negative("g2_psi", g2_psi)
     _check_unit_interval("m", m)
-    return mu_alpha * mu_alpha + mu_psi * mu_psi * g2_psi + 2.0 * mu_alpha * mu_psi * (1.0 - m)
+    return r * r + g2_psi + 2.0 * r * (1.0 - m)
 
 
-def hom_visibility(mu_alpha, mu_psi, g2_psi, m):
+def hom_visibility(r, g2_psi, m):
     """Coincidence suppression (G_0 - G_m) / G_0 between interfering and orthogonal fields."""
-    g0 = cross_coincidence(mu_alpha, mu_psi, g2_psi, 0.0)
+    g0 = cross_coincidence(r, g2_psi, 0.0)
     _check_unit_interval("m", m)
     if np.any(g0 <= 0.0):
         raise UndefinedCorrelationError("visibility undefined: no coincidences at m = 0")
-    return 2.0 * mu_alpha * mu_psi * m / g0
+    return 2.0 * r * m / g0
 
 
-def overlap_from_visibility(visibility, mu_alpha, mu_psi, g2_psi):
+def overlap_from_visibility(visibility, r, g2_psi):
     """Invert the visibility into the mean wavepacket overlap.
 
-    m = V (1 + mu_alpha / (2 mu_psi) + mu_psi g2_psi / (2 mu_alpha)), the exact
-    inverse of :func:`hom_visibility`.  Being linear in V, it maps a
-    visibility's error to the overlap's error as well.
+    m = V (1 + r / 2 + g2_psi / (2 r)), the exact inverse of
+    :func:`hom_visibility`.  Being linear in V, it maps a visibility's error
+    to the overlap's error as well.
     """
-    if np.any(~(np.asarray(mu_alpha) > 0.0)) or np.any(~(np.asarray(mu_psi) > 0.0)):
-        raise InvalidParameterError(
-            "mu_alpha and mu_psi must be positive: the multi-photon correction "
-            "factor diverges otherwise"
-        )
+    if np.any(~(np.asarray(r) > 0.0)):
+        raise InvalidParameterError("r must be positive: the multi-photon correction factor diverges otherwise")
     _check_non_negative("g2_psi", g2_psi)
-    correction = 1.0 + mu_alpha / (2.0 * mu_psi) + (mu_psi / (2.0 * mu_alpha)) * g2_psi
+    correction = 1.0 + r / 2.0 + (1.0 / (2.0 * r)) * g2_psi
     return visibility * correction
 
 
-def auto_g2_zero(mu_alpha, mu_psi, g2_psi, m):
+def auto_g2_zero(r, g2_psi, m):
     """Normalized second-order correlation at one beam splitter output.
 
-    (mu_alpha^2 + mu_psi^2 g2_psi + 2 mu_alpha mu_psi (1 + m)) / (mu_alpha + mu_psi)^2.
-    Interference (m > 0) enhances same-output bunching.
+    (r^2 + g2_psi + 2 r (1 + m)) / (r + 1)^2.  Interference (m > 0) enhances
+    same-output bunching.
     """
-    _check_non_negative("mu_alpha", mu_alpha)
-    _check_non_negative("mu_psi", mu_psi)
+    _check_non_negative("r", r)
     _check_non_negative("g2_psi", g2_psi)
     _check_unit_interval("m", m)
-    total = mu_alpha + mu_psi
-    if np.any(total <= 0.0):
-        raise UndefinedCorrelationError("g2_auto undefined for two vacuum inputs")
-    num = mu_alpha * mu_alpha + mu_psi * mu_psi * g2_psi + 2.0 * mu_alpha * mu_psi * (1.0 + m)
+    total = r + 1.0
+    num = r * r + g2_psi + 2.0 * r * (1.0 + m)
     return num / (total * total)
 
 
@@ -218,7 +212,7 @@ def peak_analysis(g2_psi: float, m: float) -> PeakReport:
     v_max = m / (r_vhom + 1.0)
     if m > 0.0 and g2_psi < 1.0 + m:
         r_auto = (1.0 + m - g2_psi) / m
-        g2_max = auto_g2_zero(r_auto, 1.0, g2_psi, m)
+        g2_max = auto_g2_zero(r_auto, g2_psi, m)
     else:
         r_auto = None
         g2_max = None

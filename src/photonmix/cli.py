@@ -287,11 +287,15 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
     ratios = cfg["oracle_check_ratios"]
     # every config fault of the oracle checks is raised before any check runs
     source = SourceParams.from_moments(mu_psi, g2_psi) if ratios else None
-    planned = []  # (ratio, the keys its refusals name, cutoff)
+    planned = []  # (ratio, mu_alpha, the keys its refusals name, cutoff)
     for ratio in ratios:
+        mu_alpha = ratio * mu_psi
         keys = f"oracle_check_ratios entry {ratio!r} and mu_psi={mu_psi!r}"
+        # g2 and V_HOM divide moments of about mu_alpha**2, so below mu_alpha = 1 the tail shrinks with them;
+        # a target that underflows is floored at the smallest subnormal, which a long enough tail still falls below
+        target = max(cfg["tail_target"] * min(1.0, mu_alpha) ** 2, np.finfo(float).smallest_subnormal)
         try:
-            planned.append((ratio, keys, required_cutoff(ratio * mu_psi, cfg["tail_target"])))
+            planned.append((ratio, mu_alpha, keys, required_cutoff(mu_alpha, target)))
         except InvalidParameterError as exc:
             raise ConfigError(f"the oracle check at {keys}: {exc}") from None
     try:
@@ -301,7 +305,7 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
         # a value beyond float64 (r_max above about 1.3e154 squares to inf) is refused
         with np.errstate(over="raise", invalid="raise"):
             grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
-            curves = {name: curve(grid, 1.0, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
+            curves = {name: curve(grid, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
             if "noise_sigma_rel" in cfg:
                 sigma = cfg["noise_sigma_rel"] * curves[model_name]
                 noisy = curves[model_name] + np.random.default_rng(cfg["seed"]).normal(size=grid.size) * sigma
@@ -314,19 +318,13 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
     _refuse_beyond_float64(peaks, f"m={m!r}, g2_psi={g2_psi!r}")
     checks = []
     theta = math.acos(math.sqrt(m))
-    for ratio, keys, cutoff in planned:
-        mu_alpha = ratio * mu_psi
+    for ratio, mu_alpha, keys, cutoff in planned:
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         bs = BeamSplitterSpec(0.5)
         state = mix_on_beam_splitter(source, lo, bs, cutoff)
         orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), bs, cutoff)
-        try:
-            g2_oracle = auto_correlation(state)
-            v_oracle = visibility_from_states(state, orthogonal)
-        except UndefinedCorrelationError as exc:
-            # both normalizations are positive for positive mu_psi and ratio: a 0 is an underflow
-            raise ConfigError(f"the oracle check at {keys} leaves the float64 range: {exc}") from None
-        # the two-photon terms, about mu**2, lose digits once they are subnormal
+        # the two-photon terms, about mu**2, lose digits once they are subnormal; both normalizations
+        # are positive for positive mu_psi and ratio, so a 0 is an underflow below this floor too
         squared_mean = cross_correlations(state).mean_2 ** 2
         coincidences = cross_correlations(orthogonal).coincidence
         if min(squared_mean, coincidences) < np.finfo(float).tiny:
@@ -334,8 +332,10 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
                 f"the oracle check at {keys} loses precision: its <n2>^2 ({squared_mean!r}) or orthogonal "
                 f"<n2 n3> ({coincidences!r}) is below the smallest normal float64"
             )
-        v_formula = hom_visibility(ratio, 1.0, g2_psi, m)
-        g2_formula = auto_g2_zero(ratio, 1.0, g2_psi, m)
+        g2_oracle = auto_correlation(state)
+        v_oracle = visibility_from_states(state, orthogonal)
+        v_formula = hom_visibility(ratio, g2_psi, m)
+        g2_formula = auto_g2_zero(ratio, g2_psi, m)
         checks.append(
             {
                 "ratio": ratio,
@@ -484,7 +484,7 @@ def cmd_fit(sweepfile: str, cfg: dict) -> tuple[dict, list[str]]:
     # a ratio above about 1.3e154 squares to inf
     with _within_float64("the fit's", sweepfile):
         result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
-        y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, 1.0, cfg["g2_psi"], result.m_hat)
+        y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, cfg["g2_psi"], result.m_hat)
         residual = (y - y_model) / y_err
     residuals = partial(
         write_table, header=("ratio", "y", "y_err", "model", "residual_sigma"), columns=[r, y, y_err, y_model, residual]

@@ -6,11 +6,11 @@ wavepacket overlap.
 
 A sweep is three equal-length arrays: the power ratio ``ratio``
 (mu_alpha / mu_psi), the measured ``y`` and its error ``y_err``.  Its model
-curves are the closed forms of :mod:`photonmix.analytic_model` at
-mu_psi = 1, named in ``SWEEP_MODELS``.  The per-point overlap needs no
-function of its own: :func:`~photonmix.analytic_model.overlap_from_visibility`
-is linear in the visibility, so applied to ``y`` and to ``y_err`` it gives
-each point's overlap and its error.
+curves are the closed forms of :mod:`photonmix.analytic_model`, named in
+``SWEEP_MODELS``.  The per-point overlap needs no function of its own:
+:func:`~photonmix.analytic_model.overlap_from_visibility` is linear in the
+visibility, so applied to ``y`` and to ``y_err`` it gives each point's
+overlap and its error.
 
 Both sweep models are affine in the overlap m, so at a given ratio scale
 the closed-form weighted least-squares estimate, clipped to [0, 1], is the
@@ -84,7 +84,7 @@ def calibrate_mu_alpha(cal: PowerCalibration) -> float:
 
 
 #: Sweep model names, as the fit and the CLI take them, and their closed forms,
-#: called as ``curve(ratio, 1.0, g2_psi, m)``.
+#: called as ``curve(ratio, g2_psi, m)``.
 SWEEP_MODELS = {"vhom": hom_visibility, "auto": auto_g2_zero}
 
 
@@ -108,15 +108,15 @@ def _point_arrays(ratio, y, y_err) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _fit_single_parameter(r, y, s, g2_psi: float, model: str) -> FitResult:
     """Closed-form weighted least squares: both models are y = a(r) + m b(r)."""
     curve = SWEEP_MODELS[model]
-    a = curve(r, 1.0, g2_psi, 0.0)
-    b = curve(r, 1.0, g2_psi, 1.0) - a
+    a = curve(r, g2_psi, 0.0)
+    b = curve(r, g2_psi, 1.0) - a
     w = 1.0 / s**2
     info = float(w @ b**2)  # Fisher information of m: half the curvature of chi2
     if not np.isfinite(info) or info <= 0:
         raise IllConditionedFitError("objective curvature vanished at the optimum")
     m_free = float(w @ (b * (y - a))) / info
     m_hat = min(max(m_free, 0.0), 1.0)
-    res = (y - curve(r, 1.0, g2_psi, m_hat)) / s
+    res = (y - curve(r, g2_psi, m_hat)) / s
     return FitResult(
         m_hat=m_hat,
         m_err=info**-0.5,
@@ -145,8 +145,8 @@ def _fit_with_scale(r, y, s, g2_psi: float, model: str) -> FitResult:
     # Gauss-Newton curvature: the m column exact, the scale column a central difference
     curve, h = SWEEP_MODELS[model], 1e-5 * scale
     jac = np.column_stack([
-        curve(scale * r, 1.0, g2_psi, 1.0) - curve(scale * r, 1.0, g2_psi, 0.0),
-        (curve((scale + h) * r, 1.0, g2_psi, fit.m_hat) - curve((scale - h) * r, 1.0, g2_psi, fit.m_hat)) / (2 * h),
+        curve(scale * r, g2_psi, 1.0) - curve(scale * r, g2_psi, 0.0),
+        (curve((scale + h) * r, g2_psi, fit.m_hat) - curve((scale - h) * r, g2_psi, fit.m_hat)) / (2 * h),
     ]) / s[:, None]
     try:
         cov = np.linalg.inv(jac.T @ jac)

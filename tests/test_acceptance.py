@@ -76,11 +76,11 @@ def test_oracle_formula_equivalence():
                         mix_on_beam_splitter(source, lo, BALANCED, cutoff) if m > 0 else perp
                     )
                     diff_auto = abs(
-                        auto_correlation(state) - auto_g2_zero(mu_alpha, mu_psi, g2_psi, m)
+                        auto_correlation(state) - auto_g2_zero(mu_alpha / mu_psi, g2_psi, m)
                     )
                     g_m = cross_correlations(state).coincidence
                     v_oracle = (g_perp - g_m) / g_perp
-                    diff_vis = abs(v_oracle - hom_visibility(mu_alpha, mu_psi, g2_psi, m))
+                    diff_vis = abs(v_oracle - hom_visibility(mu_alpha / mu_psi, g2_psi, m))
                     worst_auto = max(worst_auto, diff_auto)
                     worst_vis = max(worst_vis, diff_vis)
                     if m > 0:
@@ -88,7 +88,7 @@ def test_oracle_formula_equivalence():
                         # drop below the orthogonal reference, matching the
                         # suppressing (1 - m) cross-output form
                         assert v_oracle > 0
-                        suppressing = cross_coincidence(mu_alpha, mu_psi, g2_psi, m)
+                        suppressing = mu_psi**2 * cross_coincidence(mu_alpha / mu_psi, g2_psi, m)
                         enhancing = suppressing + 4.0 * mu_alpha * mu_psi * m
                         separation = enhancing - suppressing
                         assert abs(4.0 * g_m - suppressing) <= 1e-6 * max(1.0, suppressing)
@@ -120,8 +120,8 @@ def test_oracle_formula_equivalence_bright_field():
                     v_oracle = (g_perp - cross_correlations(state).coincidence) / g_perp
                     worst = max(
                         worst,
-                        abs(auto_correlation(state) - auto_g2_zero(mu_alpha, mu_psi, g2_psi, m)),
-                        abs(v_oracle - hom_visibility(mu_alpha, mu_psi, g2_psi, m)),
+                        abs(auto_correlation(state) - auto_g2_zero(mu_alpha / mu_psi, g2_psi, m)),
+                        abs(v_oracle - hom_visibility(mu_alpha / mu_psi, g2_psi, m)),
                     )
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6, f"oracle mismatch {worst}"
@@ -147,8 +147,8 @@ def test_oracle_formula_equivalence_at_cli_reach():
                 v_oracle = (g_perp - cross_correlations(state).coincidence) / g_perp
                 worst = max(
                     worst,
-                    abs(auto_correlation(state) - auto_g2_zero(mu_alpha, 1.0, g2_psi, m)),
-                    abs(v_oracle - hom_visibility(mu_alpha, 1.0, g2_psi, m)),
+                    abs(auto_correlation(state) - auto_g2_zero(mu_alpha, g2_psi, m)),
+                    abs(v_oracle - hom_visibility(mu_alpha, g2_psi, m)),
                 )
     elapsed = time.perf_counter() - start
     assert worst <= 1e-6, f"oracle mismatch {worst}"
@@ -162,7 +162,7 @@ def test_visibility_peak_identities():
     assert abs(report.v_max - 0.6318) <= 1e-4
     # independent check: dense numeric argmax of the closed-form curve
     found = minimize_scalar(
-        lambda r: -hom_visibility(r, 1.0, G2_REF, M_REF),
+        lambda r: -hom_visibility(r, G2_REF, M_REF),
         bounds=(1e-4, 10.0),
         method="bounded",
         options={"xatol": 1e-12},
@@ -179,7 +179,7 @@ def test_bunching_ceiling():
     assert abs(report.g2_auto_max - 4.0 / 3.0) <= 1e-9
     # reference parameters at r = 2; measured maxima in real setups sit a few
     # percent above this model value (detection systematics, r calibration)
-    assert abs(auto_g2_zero(2.0, 1.0, G2_REF, M_REF) - 1.2312) <= 1e-4
+    assert abs(auto_g2_zero(2.0, G2_REF, M_REF) - 1.2312) <= 1e-4
 
 
 @criterion("polarization series: factor products reproduce the reference table")
@@ -227,7 +227,7 @@ def test_overlap_quadrature():
 def test_fit_coverage():
     r = np.geomspace(0.01, 30.0, 20)
     for model, curve in (("vhom", hom_visibility), ("auto", auto_g2_zero)):
-        y_true = curve(r, 1.0, G2_REF, M_REF)
+        y_true = curve(r, G2_REF, M_REF)
         noiseless = fit_sweep(r, y_true, np.full(r.size, 0.01), model, G2_REF)
         assert abs(noiseless.m_hat - M_REF) <= 1e-9
         rng = np.random.default_rng(0)
@@ -245,7 +245,7 @@ def test_fit_coverage():
 def test_scale_fit_recovery():
     r = np.geomspace(0.01, 30.0, 20)
     for model, curve in (("vhom", hom_visibility), ("auto", auto_g2_zero)):
-        y_true = curve(1.3 * r, 1.0, G2_REF, M_REF)
+        y_true = curve(1.3 * r, G2_REF, M_REF)
         sigma = 0.02 * y_true
         pulls = []
         for seed in range(20):
@@ -261,7 +261,7 @@ def test_scale_fit_recovery():
 
 @criterion("tag pipeline closure at 1e7 pulses, Poissonian control, chunk merge")
 def test_tag_pipeline_closure():
-    expected = auto_g2_zero(0.06, 0.03, G2_REF, M_REF)
+    expected = auto_g2_zero(0.06 / 0.03, G2_REF, M_REF)
     assert abs(expected - 1.2312) <= 1e-4
     source = SourceParams.from_moments(0.03, G2_REF)
     lo = LocalOscillator(mu_alpha=0.06, theta=math.acos(math.sqrt(M_REF)))

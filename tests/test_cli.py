@@ -151,6 +151,13 @@ class TestSimulate:
         assert 1e-154 < accepted < 1e-153
         assert report(accepted)["oracle_checks"][0]["max_abs_diff"] <= 1e-6
 
+    def test_tail_target_that_underflows_is_floored(self):
+        # tail_target * mu_alpha**2 underflows to 0 here; the source is bright, so the check is precise
+        cfg = _load_config("simulate", None, ["m=0.76", "g2_psi=0.04", "oracle_check_ratios=[1e-160]"], None)
+        (check,) = cli.cmd_simulate(cfg)[0]["report.json"]["oracle_checks"]
+        assert check["cutoff"] == 2
+        assert check["max_abs_diff"] <= 1e-6
+
     def test_missing_required_key_is_config_error(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path), "--set", "m=0.5"]) == 2
 
@@ -180,13 +187,13 @@ class TestSimulate:
             # both normalizations are positive at positive mu_psi and ratio: a 0 is an underflow
             (
                 ["g2_psi=0", "oracle_check_ratios=[5e-324]"],
-                "the oracle check at oracle_check_ratios entry 5e-324 and mu_psi=1.0 leaves the float64 range: "
-                "no coincidences in the orthogonal reference run",
+                "the oracle check at oracle_check_ratios entry 5e-324 and mu_psi=1.0 loses precision: "
+                "its <n2>^2 (0.2500000000000001) or orthogonal <n2 n3> (0.0) is below the smallest normal float64",
             ),
             (
                 ["g2_psi=0.04", "mu_psi=5e-324", "oracle_check_ratios=[1]"],
-                "the oracle check at oracle_check_ratios entry 1 and mu_psi=5e-324 leaves the float64 range: "
-                "the mean photon number at output 'out_2', 5e-324, squares to 0",
+                "the oracle check at oracle_check_ratios entry 1 and mu_psi=5e-324 loses precision: "
+                "its <n2>^2 (0.0) or orthogonal <n2 n3> (0.0) is below the smallest normal float64",
             ),
             (
                 ["g2_psi=0.04", "mu_psi=1e-200", "oracle_check_ratios=[1e200]"],
@@ -1255,7 +1262,7 @@ def run_under_contract(argv, out: Path) -> tuple[int, str]:
 # the sweep a fuzzed fit run starts from: a visibility curve at m = 0.6, g2_psi = 0.03, 2 % errors
 _FIT_RATIOS = [0.05, 0.2, 0.7, 2.0, 6.0, 15.0]
 _FIT_ROWS = [
-    [r, v, 0.02 * v] for r, v in zip(_FIT_RATIOS, hom_visibility(np.array(_FIT_RATIOS), 1.0, 0.03, 0.6).tolist())
+    [r, v, 0.02 * v] for r, v in zip(_FIT_RATIOS, hom_visibility(np.array(_FIT_RATIOS), 0.03, 0.6).tolist())
 ]
 
 # bytes a file may hold by mistake: a BOM, a lone CR, a NUL, a byte that is not UTF-8
@@ -1494,7 +1501,7 @@ class TestSimulateContract:
     """Any simulate run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds.
 
     A config error (exit 2) names a key behind it.  A success's oracle checks agree with the closed forms within
-    1e-6, beside the error of the truncated coherent tail.
+    1e-6, beside the error of the truncated coherent tail where a tail_target above 1e-9 is configured.
     """
 
     @given(cfg=simulate_runs())
@@ -1525,6 +1532,18 @@ class TestSimulateContract:
     @example(cfg={"m": 0.76, "g2_psi": 0.0412, "mu_psi": 1e-160, "oracle_check_ratios": [1]}).via(
         "subnormal two-photon terms, once accepted with max_abs_diff 5.2e-4"
     )
+    @example(cfg={"m": 0, "g2_psi": 0, "mu_psi": 1e-5, "oracle_check_ratios": [30]}).via(
+        "a small mu_alpha at cutoff 2, once accepted with max_abs_diff 2.8e-4"
+    )
+    @example(cfg={"m": 0, "g2_psi": 0, "mu_psi": 0.00390625, "oracle_check_ratios": [1]}).via(
+        "a small mu_alpha at cutoff 3, once accepted with max_abs_diff 1.9e-6"
+    )
+    @example(cfg={"m": 0, "g2_psi": 0, "tail_target": 4.065331962950943e-07, "oracle_check_ratios": [1]}).via(
+        "a coarse tail_target, with max_abs_diff 2.3e-6"
+    )
+    @example(cfg={"m": 0.76, "g2_psi": 0.04, "oracle_check_ratios": [1e-160]}).via(
+        "a mu_alpha whose scaled tail target underflows, at a bright source"
+    )
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_exit_code_contract(self, cfg):
         with tempfile.TemporaryDirectory() as tmp:
@@ -1535,9 +1554,11 @@ class TestSimulateContract:
             if code == 2:
                 assert names_a_key(message, cfg)
             for check in read_json(out / "report.json")["oracle_checks"] if code == 0 else []:
-                # the coherent terms beyond the cutoff, of mass tail_mass, add up to about
-                # cutoff**2 tail_mass to moments normalized by about mu_alpha**2
-                tail = check["tail_mass"] and (check["cutoff"] + 1) ** 2 * check["tail_mass"] / check["mu_alpha"] ** 2
+                # up to tail_target = 1e-9 the truncated coherent tail stays inside 1e-6; above it, the terms
+                # beyond the cutoff, of mass tail_mass, add about cutoff**2 tail_mass to moments normalized by
+                # about mu_alpha**2
+                coarse = cfg.get("tail_target", 1e-10) > 1e-9 and check["tail_mass"]
+                tail = coarse and (check["cutoff"] + 1) ** 2 * check["tail_mass"] / check["mu_alpha"] ** 2
                 assert check["max_abs_diff"] <= 1e-6 + tail
 
 
@@ -1545,7 +1566,7 @@ class TestFitCommand:
     def test_noiseless_sweep(self, tmp_path):
         r = np.geomspace(0.02, 20.0, 15)
         sweep = tmp_path / "sweep.csv"
-        write_sweep(sweep, r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
+        write_sweep(sweep, r, hom_visibility(r, 0.03, 0.5), np.full(r.size, 0.01))
         out = tmp_path / "run"
         code = run(
             ["fit", str(sweep), "--out", str(out), "--set", "model=vhom", "--set", "g2_psi=0.03"]
@@ -1564,7 +1585,7 @@ class TestFitCommand:
         r = np.geomspace(0.02, 20.0, 15)
         fn = hom_visibility if model == "vhom" else auto_g2_zero
         sweep = tmp_path / "sweep.csv"
-        write_sweep(sweep, r, 1.1 * fn(r, 1.0, 0.03, 1.0), np.full(r.size, 0.01))
+        write_sweep(sweep, r, 1.1 * fn(r, 0.03, 1.0), np.full(r.size, 0.01))
         out = tmp_path / "run"
         code = run(
             ["fit", str(sweep), "--out", str(out), "--set", f"model={model}", "--set", "g2_psi=0.03"]
@@ -1579,7 +1600,7 @@ class TestFitCommand:
     def test_residuals_hold_the_fitted_curve(self, tmp_path, model, curve, fit_scale):
         # a sweep taken with the ratio read 10 % low: only the scale fit meets every point
         r = np.geomspace(0.05, 10.0, 25)
-        y = curve(1.1 * r, 1.0, 0.03, 0.6)
+        y = curve(1.1 * r, 0.03, 0.6)
         sweep = tmp_path / "sweep.csv"
         write_sweep(sweep, r, y, np.full(r.size, 0.005))
         out = tmp_path / "run"
@@ -1591,7 +1612,7 @@ class TestFitCommand:
         header, *rows = (out / "residuals.csv").read_text().splitlines()
         assert header == "ratio,y,y_err,model,residual_sigma"
         table = np.array([[float(c) for c in row.split(",")] for row in rows])
-        assert table[:, 3].tolist() == curve(scale * r, 1.0, 0.03, result["M_hat"]).tolist()
+        assert table[:, 3].tolist() == curve(scale * r, 0.03, result["M_hat"]).tolist()
         assert bool(np.abs(table[:, 4]).max() < 1e-3) is fit_scale
 
     def test_degenerate_sweep_is_numerical_error(self, tmp_path):
@@ -1671,7 +1692,7 @@ class TestOutDirectory:
     def fit_args(self, tmp_path, out):
         r = np.geomspace(0.02, 20.0, 15)
         sweep = tmp_path / "sweep.csv"
-        write_sweep(sweep, r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
+        write_sweep(sweep, r, hom_visibility(r, 0.03, 0.5), np.full(r.size, 0.01))
         return ["fit", str(sweep), "--out", str(out), "--set", "model=vhom", "--set", "g2_psi=0.03"]
 
     @pytest.mark.parametrize("out, reason", [("some_file", "File exists"), ("some_file/sub", "Not a directory")])
@@ -1742,7 +1763,7 @@ class TestCommandSurface:
     def sweep(self, tmp_path):
         r = np.geomspace(0.02, 20.0, 15)
         path = tmp_path / "sweep.csv"
-        write_sweep(path, r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
+        write_sweep(path, r, hom_visibility(r, 0.03, 0.5), np.full(r.size, 0.01))
         return path
 
     # a valid config of each command
@@ -1994,7 +2015,7 @@ class TestConfigValidator:
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, args, message):
         sweep = tmp_path / "sweep.csv"
         r = np.geomspace(0.02, 20.0, 15)
-        write_sweep(sweep, r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
+        write_sweep(sweep, r, hom_visibility(r, 0.03, 0.5), np.full(r.size, 0.01))
         out = tmp_path / "run"
         assert run([*(a.format(sweep=sweep) for a in args), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: config key {message} is not a finite number\n"
@@ -2059,7 +2080,7 @@ class TestScipyOffCommandPath:
         write_tags_csv(pulsed_coherent_tags({2: 0.3}, 5_000, REP, seed=2), base / "tags.csv")
         write_tags_csv(pulsed_coherent_tags({2: 0.3}, 5_000, REP, seed=3), base / "perp.csv")
         r = np.geomspace(0.02, 20.0, 15)
-        write_sweep(base / "sweep.csv", r, hom_visibility(r, 1.0, 0.03, 0.5), np.full(r.size, 0.01))
+        write_sweep(base / "sweep.csv", r, hom_visibility(r, 0.03, 0.5), np.full(r.size, 0.01))
         return base
 
     def probe(self, args):

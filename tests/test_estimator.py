@@ -24,7 +24,7 @@ M_REF = 0.76
 
 
 def curve(model, r, m, g2=G2_REF):
-    return SWEEP_MODELS[model](r, 1.0, g2, m)
+    return SWEEP_MODELS[model](r, g2, m)
 
 
 def make_sweep(model, m, g2, r=None, sigma=0.01):
@@ -184,30 +184,30 @@ class TestPointwiseOverlap:
     """overlap_from_visibility on a sweep's columns: each point's overlap, and its error from y_err."""
 
     def test_reference_plateau_point(self):
-        m = overlap_from_visibility(np.array([0.6318]), np.array([0.203]), 1.0, G2_REF)
+        m = overlap_from_visibility(np.array([0.6318]), np.array([0.203]), G2_REF)
         assert m[0] == pytest.approx(0.760, abs=1e-3)
 
     def test_zero_visibility(self):
         r = np.array([1.0])
-        assert overlap_from_visibility(np.array([0.0]), r, 1.0, G2_REF)[0] == 0.0
-        assert overlap_from_visibility(np.array([0.01]), r, 1.0, G2_REF)[0] > 0.0
+        assert overlap_from_visibility(np.array([0.0]), r, G2_REF)[0] == 0.0
+        assert overlap_from_visibility(np.array([0.01]), r, G2_REF)[0] > 0.0
 
     def test_correction_factor_arithmetic(self):
-        m = overlap_from_visibility(np.array([0.1]), np.array([10.0]), 1.0, 0.04)
+        m = overlap_from_visibility(np.array([0.1]), np.array([10.0]), 0.04)
         assert m[0] == pytest.approx(0.6002, abs=1e-12)
 
     def test_error_grows_at_extreme_ratios(self):
-        m_err = overlap_from_visibility(np.array([0.01, 0.01]), np.array([0.2, 50.0]), 1.0, G2_REF)
+        m_err = overlap_from_visibility(np.array([0.01, 0.01]), np.array([0.2, 50.0]), G2_REF)
         assert m_err[1] > 10.0 * m_err[0]
 
     def test_inverts_a_sweep(self):
         r = np.geomspace(0.01, 30.0, 20)
-        m = overlap_from_visibility(curve("vhom", r, M_REF), r, 1.0, G2_REF)
+        m = overlap_from_visibility(curve("vhom", r, M_REF), r, G2_REF)
         assert m == pytest.approx(np.full(r.size, M_REF), abs=1e-12)
 
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(InvalidParameterError):
-            overlap_from_visibility(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1.0, G2_REF)
+            overlap_from_visibility(np.array([0.5, 0.5]), np.array([1.0, 0.0]), G2_REF)
 
 
 class TestFitSweep:

@@ -360,7 +360,7 @@ class TestMixOnBeamSplitter:
         lo = LocalOscillator(mu_alpha=1.0, theta=math.pi / 2)
         state = mix_on_beam_splitter(source, lo, BALANCED, required_cutoff(1.0, 1e-10))
         moments = cross_correlations(state)
-        expected = 0.25 * cross_coincidence(1.0, 0.3, 0.04, 0.0)
+        expected = 0.25 * 0.3**2 * cross_coincidence(1.0 / 0.3, 0.04, 0.0)
         assert moments.coincidence == pytest.approx(expected, abs=1e-8)
 
     def test_partial_indistinguishability_rescales_overlap(self):
@@ -369,7 +369,7 @@ class TestMixOnBeamSplitter:
         lo = LocalOscillator(mu_alpha=0.6, theta=theta_for_overlap(m))
         cutoff = required_cutoff(0.6, 1e-10)
         state = mix_on_beam_splitter(source, lo, BALANCED, cutoff)
-        expected = auto_g2_zero(0.6, 0.3, 0.0412, m * m_psi)
+        expected = auto_g2_zero(0.6 / 0.3, 0.0412, m * m_psi)
         assert auto_correlation(state) == pytest.approx(expected, abs=1e-8)
 
     def test_vacuum_output_correlation_undefined(self):
@@ -736,11 +736,11 @@ class TestOracleAgainstClosedForms:
         cutoff = required_cutoff(mu_alpha, 1e-10)
         state = mix_on_beam_splitter(source, lo, BALANCED, cutoff)
         assert auto_correlation(state) == pytest.approx(
-            auto_g2_zero(mu_alpha, mu_psi, g2, m), abs=1e-6
+            auto_g2_zero(mu_alpha / mu_psi, g2, m), abs=1e-6
         )
         orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2), BALANCED, cutoff)
         assert visibility_from_states(state, orthogonal) == pytest.approx(
-            hom_visibility(mu_alpha, mu_psi, g2, m), abs=1e-6
+            hom_visibility(mu_alpha / mu_psi, g2, m), abs=1e-6
         )
 
     def test_cross_moment_matches_reduced_interference_form(self):
@@ -751,7 +751,7 @@ class TestOracleAgainstClosedForms:
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta_for_overlap(m))
         state = mix_on_beam_splitter(source, lo, BALANCED, required_cutoff(mu_alpha, 1e-10))
         raw = 4.0 * cross_correlations(state).coincidence
-        suppressing = cross_coincidence(mu_alpha, mu_psi, g2, m)
+        suppressing = mu_psi**2 * cross_coincidence(mu_alpha / mu_psi, g2, m)
         enhancing = mu_alpha**2 + mu_psi**2 * g2 + 2 * mu_alpha * mu_psi * (1 + m)
         assert raw == pytest.approx(suppressing, abs=1e-6)
         assert abs(raw - enhancing) > 0.1

@@ -537,7 +537,7 @@ class TestDisplacedFockGenerator:
         stream, truth = displaced_fock_tags(
             source, lo, BeamSplitterSpec(0.5), cutoff, 1_000_000, REP, seed=5, lifetime_ps=170.0
         )
-        expected = auto_g2_zero(0.1, 0.05, 0.0412, 0.76)
+        expected = auto_g2_zero(0.1 / 0.05, 0.0412, 0.76)
         assert truth["g2_auto_2"] == pytest.approx(expected, abs=1e-8)
         hist = build_histogram(stream, (2, 2), 25, 122_000 - 122_000 % 25)
         result = g2_zero(hist, REP)
