@@ -47,7 +47,6 @@ from .fock_oracle import (
     BeamSplitterSpec,
     auto_correlation,
     coherent_tail_mass,
-    cross_correlations,
     mix_on_beam_splitter,
     required_cutoff,
     visibility_from_states,
@@ -291,11 +290,9 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
     for ratio in ratios:
         mu_alpha = ratio * mu_psi
         keys = f"oracle_check_ratios entry {ratio!r} and mu_psi={mu_psi!r}"
-        # g2 and V_HOM divide moments of about mu_alpha**2, so below mu_alpha = 1 the tail shrinks with them;
-        # a target that underflows is floored at the smallest subnormal, which a long enough tail still falls below
-        target = max(cfg["tail_target"] * min(1.0, mu_alpha) ** 2, np.finfo(float).smallest_subnormal)
         try:
-            planned.append((ratio, mu_alpha, keys, required_cutoff(mu_alpha, target)))
+            # g2 and V_HOM divide <n(n-1)>, whose share beyond cutoff c is P(N >= c - 1), the tail mass at c - 2
+            planned.append((ratio, mu_alpha, keys, required_cutoff(mu_alpha, cfg["tail_target"]) + 2))
         except InvalidParameterError as exc:
             raise ConfigError(f"the oracle check at {keys}: {exc}") from None
     try:
@@ -323,17 +320,11 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
         bs = BeamSplitterSpec(0.5)
         state = mix_on_beam_splitter(source, lo, bs, cutoff)
         orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), bs, cutoff)
-        # the two-photon terms, about mu**2, lose digits once they are subnormal; both normalizations
-        # are positive for positive mu_psi and ratio, so a 0 is an underflow below this floor too
-        squared_mean = cross_correlations(state).mean_2 ** 2
-        coincidences = cross_correlations(orthogonal).coincidence
-        if min(squared_mean, coincidences) < np.finfo(float).tiny:
-            raise ConfigError(
-                f"the oracle check at {keys} loses precision: its <n2>^2 ({squared_mean!r}) or orthogonal "
-                f"<n2 n3> ({coincidences!r}) is below the smallest normal float64"
-            )
-        g2_oracle = auto_correlation(state)
-        v_oracle = visibility_from_states(state, orthogonal)
+        try:
+            g2_oracle = auto_correlation(state)
+            v_oracle = visibility_from_states(state, orthogonal)
+        except UndefinedCorrelationError as exc:
+            raise ConfigError(f"the oracle check at {keys} loses precision: {exc}") from exc
         v_formula = hom_visibility(ratio, g2_psi, m)
         g2_formula = auto_g2_zero(ratio, g2_psi, m)
         checks.append(

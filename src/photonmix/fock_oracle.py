@@ -254,22 +254,28 @@ def cross_correlations(dist: np.ndarray) -> CrossMoments:
 
 
 def auto_correlation(dist: np.ndarray, output: str = "out_2") -> float:
-    """Polarization-summed g2(0) = <n(n-1)> / <n>^2 at one output of P[n2, n3]."""
+    """Polarization-summed g2(0) = <n(n-1)> / <n>^2 at one output of P[n2, n3].
+
+    <n>^2 must be a normal float64: the two-photon terms, about <n>^2, lose digits once they are subnormal.
+    """
     if output not in OUTPUTS:
         raise InvalidParameterError(f"unknown output {output!r}; expected one of {OUTPUTS}")
     marginal = dist.sum(axis=1 - OUTPUTS.index(output))
     n = np.arange(marginal.size)
     mean = float(marginal @ n)
-    if mean**2 == 0.0:  # no photons, or a mean whose square underflows
-        raise UndefinedCorrelationError(f"the mean photon number at output {output!r}, {mean!r}, squares to 0")
+    if mean**2 < np.finfo(float).tiny:
+        raise UndefinedCorrelationError(f"the mean at {output!r}, {mean!r}, squares below the smallest normal float64")
     return float(marginal @ (n * (n - 1))) / mean**2
 
 
 def visibility_from_states(configured: np.ndarray, orthogonal: np.ndarray) -> float:
-    """Cross-output visibility (G0 - Gm) / G0 of the distributions of a configured and an orthogonal run."""
+    """Cross-output visibility (G0 - Gm) / G0 of the distributions of a configured and an orthogonal run.
+
+    G0 must be a normal float64: it is a sum of two-photon terms, which lose digits once they are subnormal.
+    """
     g_m = cross_correlations(configured).coincidence
     g_0 = cross_correlations(orthogonal).coincidence
-    if g_0 <= 0.0:
-        raise UndefinedCorrelationError("no coincidences in the orthogonal reference run")
+    if g_0 < np.finfo(float).tiny:
+        raise UndefinedCorrelationError(f"the orthogonal run's <n2 n3>, {g_0!r}, is below the smallest normal float64")
     return (g_0 - g_m) / g_0
 

@@ -115,6 +115,9 @@ class TestSimulate:
             assert check["max_abs_diff"] < 1e-6
             assert check["tail_mass"] == coherent_tail_mass(check["mu_alpha"], check["cutoff"])
             assert check["tail_mass"] < 1e-10  # the default tail_target
+            # the cutoff is the smallest whose tail at cutoff - 2, the share of <n(n-1)> it drops, is below the target
+            assert coherent_tail_mass(check["mu_alpha"], check["cutoff"] - 2) < 1e-10
+            assert check["cutoff"] == 4 or coherent_tail_mass(check["mu_alpha"], check["cutoff"] - 3) >= 1e-10
 
     def test_oracle_reaches_sweep_end(self, tmp_path):
         out = tmp_path / "run"
@@ -132,6 +135,8 @@ class TestSimulate:
             assert check["max_abs_diff"] <= 1e-6
             assert check["tail_mass"] == coherent_tail_mass(check["mu_alpha"], check["cutoff"])
             assert check["tail_mass"] < 1e-10
+            assert coherent_tail_mass(check["mu_alpha"], check["cutoff"] - 2) < 1e-10
+            assert check["cutoff"] == 4 or coherent_tail_mass(check["mu_alpha"], check["cutoff"] - 3) >= 1e-10
 
     def test_smallest_accepted_scale_agrees(self):
         # bisect mu_psi, on a log scale, down to the edge of the refusal of subnormal normalizations
@@ -151,11 +156,11 @@ class TestSimulate:
         assert 1e-154 < accepted < 1e-153
         assert report(accepted)["oracle_checks"][0]["max_abs_diff"] <= 1e-6
 
-    def test_tail_target_that_underflows_is_floored(self):
-        # tail_target * mu_alpha**2 underflows to 0 here; the source is bright, so the check is precise
+    def test_faint_coherent_field_takes_the_smallest_cutoff(self):
+        # mu_alpha = 1e-160 leaves no tail at the smallest cutoff; the source is bright, so the check is precise
         cfg = _load_config("simulate", None, ["m=0.76", "g2_psi=0.04", "oracle_check_ratios=[1e-160]"], None)
         (check,) = cli.cmd_simulate(cfg)[0]["report.json"]["oracle_checks"]
-        assert check["cutoff"] == 2
+        assert check["cutoff"] == 4
         assert check["max_abs_diff"] <= 1e-6
 
     def test_missing_required_key_is_config_error(self, tmp_path):
@@ -188,12 +193,12 @@ class TestSimulate:
             (
                 ["g2_psi=0", "oracle_check_ratios=[5e-324]"],
                 "the oracle check at oracle_check_ratios entry 5e-324 and mu_psi=1.0 loses precision: "
-                "its <n2>^2 (0.2500000000000001) or orthogonal <n2 n3> (0.0) is below the smallest normal float64",
+                "the orthogonal run's <n2 n3>, 0.0, is below the smallest normal float64",
             ),
             (
                 ["g2_psi=0.04", "mu_psi=5e-324", "oracle_check_ratios=[1]"],
                 "the oracle check at oracle_check_ratios entry 1 and mu_psi=5e-324 loses precision: "
-                "its <n2>^2 (0.0) or orthogonal <n2 n3> (0.0) is below the smallest normal float64",
+                "the mean at 'out_2', 5e-324, squares below the smallest normal float64",
             ),
             (
                 ["g2_psi=0.04", "mu_psi=1e-200", "oracle_check_ratios=[1e200]"],
@@ -1501,7 +1506,7 @@ class TestSimulateContract:
     """Any simulate run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds.
 
     A config error (exit 2) names a key behind it.  A success's oracle checks agree with the closed forms within
-    1e-6, beside the error of the truncated coherent tail where a tail_target above 1e-9 is configured.
+    1e-6 at every tail_target the schema accepts.
     """
 
     @given(cfg=simulate_runs())
@@ -1539,10 +1544,13 @@ class TestSimulateContract:
         "a small mu_alpha at cutoff 3, once accepted with max_abs_diff 1.9e-6"
     )
     @example(cfg={"m": 0, "g2_psi": 0, "tail_target": 4.065331962950943e-07, "oracle_check_ratios": [1]}).via(
-        "a coarse tail_target, with max_abs_diff 2.3e-6"
+        "a coarse tail_target, once accepted with max_abs_diff 2.3e-6"
+    )
+    @example(cfg={"m": 0, "g2_psi": 0, "mu_psi": 0.3, "tail_target": 1e-6, "oracle_check_ratios": [2]}).via(
+        "the coarsest tail_target, once accepted with max_abs_diff 1.5e-5"
     )
     @example(cfg={"m": 0.76, "g2_psi": 0.04, "oracle_check_ratios": [1e-160]}).via(
-        "a mu_alpha whose scaled tail target underflows, at a bright source"
+        "a mu_alpha of 1e-160 at the smallest cutoff, at a bright source"
     )
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_exit_code_contract(self, cfg):
@@ -1554,12 +1562,7 @@ class TestSimulateContract:
             if code == 2:
                 assert names_a_key(message, cfg)
             for check in read_json(out / "report.json")["oracle_checks"] if code == 0 else []:
-                # up to tail_target = 1e-9 the truncated coherent tail stays inside 1e-6; above it, the terms
-                # beyond the cutoff, of mass tail_mass, add about cutoff**2 tail_mass to moments normalized by
-                # about mu_alpha**2
-                coarse = cfg.get("tail_target", 1e-10) > 1e-9 and check["tail_mass"]
-                tail = coarse and (check["cutoff"] + 1) ** 2 * check["tail_mass"] / check["mu_alpha"] ** 2
-                assert check["max_abs_diff"] <= 1e-6 + tail
+                assert check["max_abs_diff"] <= 1e-6
 
 
 class TestFitCommand:

@@ -418,7 +418,7 @@ class TestCrossCorrelationsDirect:
     def test_mean_whose_square_underflows_is_undefined(self):
         distribution = self.point_distribution(0, 0)
         distribution[1, 0] = 1e-300  # a mean of 1e-300, whose square is 0 in float64
-        with pytest.raises(UndefinedCorrelationError, match="squares to 0"):
+        with pytest.raises(UndefinedCorrelationError, match="squares below the smallest normal float64"):
             auto_correlation(distribution)
 
 
