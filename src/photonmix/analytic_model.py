@@ -53,24 +53,18 @@ def _check_probs(p1, p2) -> None:
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Pulsed single-photon source: emission probabilities and channel loss.
-
-    ``m_psi`` is the indistinguishability of successively emitted photons; it
-    rescales any mode overlap with an external field to ``m * m_psi``.
-    """
+    """Pulsed single-photon source: emission probabilities and channel loss."""
 
     p1: float
     p2: float = 0.0
     eta: float = 1.0
-    m_psi: float = 1.0
 
     def __post_init__(self):
         _check_probs(self.p1, self.p2)
         _check_unit_interval("eta", self.eta)
-        _check_unit_interval("m_psi", self.m_psi)
 
     @classmethod
-    def from_moments(cls, mu_psi: float, g2_psi: float, **kwargs) -> "SourceParams":
+    def from_moments(cls, mu_psi: float, g2_psi: float) -> "SourceParams":
         """Build emission probabilities realizing target (mu_psi, g2_psi).
 
         The decomposition is not unique: the emitted photon number per pulse
@@ -82,7 +76,7 @@ class SourceParams:
         p1 = 1.0 - 2.0 * p2
         if p1 < 0.0:
             raise InvalidParameterError(f"g2_psi={g2_psi} too large for emitted mean 1.0")
-        return cls(p1=p1, p2=p2, eta=mu_psi, **kwargs)
+        return cls(p1=p1, p2=p2, eta=mu_psi)
 
 
 @dataclass(frozen=True)

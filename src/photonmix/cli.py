@@ -39,7 +39,6 @@ from .errors import (
     IllConditionedFitError,
     InvalidParameterError,
     PhotonmixError,
-    TruncationError,
     UndefinedCorrelationError,
 )
 from .estimator import SWEEP_MODELS, fit_sweep, read_sweep, write_sweep
@@ -550,7 +549,7 @@ def main(argv=None) -> int:
     except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TruncationError, UndefinedCorrelationError, IllConditionedFitError) as exc:
+    except (UndefinedCorrelationError, IllConditionedFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PhotonmixError as exc:

@@ -44,9 +44,6 @@ from .errors import (
     UndefinedCorrelationError,
 )
 
-#: Output labels, in the axis order of the distribution P[n2, n3].
-OUTPUTS = ("out_2", "out_3")
-
 #: Coherent tail mass above which the mixing operation refuses to run.
 TAIL_REFUSAL = 1e-6
 
@@ -199,11 +196,6 @@ def mix_on_beam_splitter(
     distribution: ``P[n2, n3]`` is the probability of n2 photons at out_2 and
     n3 at out_3, a (2 cutoff + 5) x (2 cutoff + 5) float64 array.
 
-    Partial source indistinguishability (``source.m_psi < 1``) is realized by
-    adding the branches of an orthogonal-polarization run at weight
-    ``1 - m_psi``, which reproduces the effective overlap ``m * m_psi`` in
-    all photon-number moments.
-
     Raises :class:`TruncationError` when the coherent tail mass at ``cutoff``
     is not below ``TAIL_REFUSAL``.
     """
@@ -216,30 +208,25 @@ def mix_on_beam_splitter(
     # each emitted photon reaches the beam splitter (first axis) with probability eta
     weights = (1.0 - source.p1 - source.p2, source.p1, source.p2)
     populations = _split(weights, np.ones((1, 1)), source.eta, 1.0 - source.eta).sum(axis=1)
-    runs = [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]
     t, r = bs.transmission, 1.0 - bs.transmission
-
-    def run_distribution(run_weight: float, theta: float) -> np.ndarray:
-        # parallel light interferes: build the amplitudes of
-        # sum_k ket[k] (b+)^k / sqrt(k!) |0> by Horner's scheme, then add the
-        # source photons one at a time, each branch weighted by its population
-        ket_par = _coherent_input_ket(lo.alpha * math.cos(theta), cutoff)
-        amp = ket_par[-1:, None]
-        for k in range(ket_par.size - 2, -1, -1):
-            amp = _create(amp, math.sqrt(t / (k + 1)), math.sqrt(r / (k + 1)))
-            amp[0, 0] += ket_par[k]
-        parallel = np.zeros((ket_par.size + 2, ket_par.size + 2))
-        for n, population in enumerate(populations):
-            parallel[: amp.shape[0], : amp.shape[1]] += run_weight * population * np.abs(amp) ** 2
-            amp = _create(amp, -math.sqrt(r / (n + 1)), math.sqrt(t / (n + 1)))
-        # perpendicular light meets no other field
-        ket_perp = _coherent_input_ket(lo.alpha * math.sin(theta), cutoff)
-        dist = _split(np.abs(ket_perp) ** 2, parallel, t, r)
-        out = np.zeros((2 * cutoff + 5, 2 * cutoff + 5))
-        out[: dist.shape[0], : dist.shape[1]] = dist
-        return out
-
-    return sum(run_distribution(w, theta) for w, theta in runs if w > 0.0)
+    # parallel light interferes: build the amplitudes of
+    # sum_k ket[k] (b+)^k / sqrt(k!) |0> by Horner's scheme, then add the
+    # source photons one at a time, each branch weighted by its population
+    ket_par = _coherent_input_ket(lo.alpha * math.cos(lo.theta), cutoff)
+    amp = ket_par[-1:, None]
+    for k in range(ket_par.size - 2, -1, -1):
+        amp = _create(amp, math.sqrt(t / (k + 1)), math.sqrt(r / (k + 1)))
+        amp[0, 0] += ket_par[k]
+    parallel = np.zeros((ket_par.size + 2, ket_par.size + 2))
+    for n, population in enumerate(populations):
+        parallel[: amp.shape[0], : amp.shape[1]] += population * np.abs(amp) ** 2
+        amp = _create(amp, -math.sqrt(r / (n + 1)), math.sqrt(t / (n + 1)))
+    # perpendicular light meets no other field
+    ket_perp = _coherent_input_ket(lo.alpha * math.sin(lo.theta), cutoff)
+    dist = _split(np.abs(ket_perp) ** 2, parallel, t, r)
+    out = np.zeros((2 * cutoff + 5, 2 * cutoff + 5))
+    out[: dist.shape[0], : dist.shape[1]] = dist
+    return out
 
 
 def cross_correlations(dist: np.ndarray) -> CrossMoments:
@@ -253,18 +240,16 @@ def cross_correlations(dist: np.ndarray) -> CrossMoments:
     )
 
 
-def auto_correlation(dist: np.ndarray, output: str = "out_2") -> float:
-    """Polarization-summed g2(0) = <n(n-1)> / <n>^2 at one output of P[n2, n3].
+def auto_correlation(dist: np.ndarray) -> float:
+    """Polarization-summed g2(0) = <n(n-1)> / <n>^2 at out_2 of P[n2, n3]; ``auto_correlation(dist.T)`` reads out_3.
 
     <n>^2 must be a normal float64: the two-photon terms, about <n>^2, lose digits once they are subnormal.
     """
-    if output not in OUTPUTS:
-        raise InvalidParameterError(f"unknown output {output!r}; expected one of {OUTPUTS}")
-    marginal = dist.sum(axis=1 - OUTPUTS.index(output))
+    marginal = dist.sum(axis=1)
     n = np.arange(marginal.size)
     mean = float(marginal @ n)
     if mean**2 < np.finfo(float).tiny:
-        raise UndefinedCorrelationError(f"the mean at {output!r}, {mean!r}, squares below the smallest normal float64")
+        raise UndefinedCorrelationError(f"the mean at 'out_2', {mean!r}, squares below the smallest normal float64")
     return float(marginal @ (n * (n - 1))) / mean**2
 
 

@@ -1721,6 +1721,41 @@ class TestOutDirectory:
         assert not (tmp_path / "run").exists()
 
 
+class TestRefusalsWriteNoFile:
+    """A config fault exits 2 before ``--out`` is made; a fit that cannot constrain M exits 4 and writes no file."""
+
+    @pytest.mark.parametrize(
+        "config, overrides, message",
+        [
+            (None, [], "cannot read config"),
+            ("{", [], "is not valid JSON"),
+            ("[1, 2]", [], "config document must be a JSON object"),
+            ("{}", ["--set", "model"], "--set expects key=value"),
+        ],
+        ids=["missing-config", "invalid-json", "json-array", "set-without-equals"],
+    )
+    def test_config_fault_is_refused_before_out(self, tmp_path, capsys, config, overrides, message):
+        # the sweep file does not exist either: the config is refused before any input is read
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            cfg.write_text(config)
+        out = tmp_path / "run"
+        assert run(["fit", str(tmp_path / "sweep.csv"), "--config", str(cfg), *overrides, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    def test_vanishing_curvature_is_a_numerical_failure(self, tmp_path, capsys):
+        # the visibility's slope in m, about 50 r, squares below the smallest subnormal at r ~ 1e-170
+        r = np.array([1e-170, 2e-170, 3e-170])
+        sweep = tmp_path / "sweep.csv"
+        write_sweep(sweep, r, np.zeros(3), np.full(3, 0.01))
+        out = tmp_path / "run"
+        assert run(["fit", str(sweep), "--set", "model=vhom", "--set", "g2_psi=0.04", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "numerical failure: objective curvature vanished at the optimum\n"
+        assert list(out.iterdir()) == []
+
+
 class TestConfigDefaults:
     @pytest.mark.parametrize(
         "command, overrides, expected",
@@ -2057,6 +2092,23 @@ class TestConfigValidator:
 # Runs photonmix.cli.main in a fresh interpreter, then reports the exit code,
 # whether numpy and multiprocessing loaded, and every scipy and jsonschema
 # module the run loaded.
+class TestEntryPoint:
+    def test_module_runs_the_console_entry_point(self, tmp_path):
+        # the __main__ guard hands main's code to SystemExit, as the installed console script does
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        module = [sys.executable, "-m", "photonmix.cli"]
+        version = subprocess.run([*module, "--version"], env=env, capture_output=True, text=True)
+        assert (version.returncode, version.stdout) == (0, f"{cli.__version__}\n")
+        out = tmp_path / "run"
+        refused = subprocess.run(
+            [*module, "fit", str(tmp_path / "sweep.csv"), "--set", "model", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (refused.returncode, refused.stderr) == (2, "config error: --set expects key=value, got 'model'\n")
+        assert not out.exists()
+
+
 _IMPORT_PROBE = """
 import json, sys
 from photonmix.cli import main

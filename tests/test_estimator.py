@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares, minimize_scalar
 
@@ -271,8 +271,14 @@ class TestScaleFitAgainstLeastSquares:
 
     @staticmethod
     def reference(r, y, s, model, g2_psi):
+        # scipy's default tolerances can stop short of the minimum by more than the compared rel=1e-3
         ls = least_squares(
-            lambda p: (y - curve(model, p[1] * r, p[0], g2_psi)) / s, x0=[0.5, 1.0], bounds=([0.0, 1e-2], [1.0, 1e2])
+            lambda p: (y - curve(model, p[1] * r, p[0], g2_psi)) / s,
+            x0=[0.5, 1.0],
+            bounds=([0.0, 1e-2], [1.0, 1e2]),
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
         )
         m_err, scale_err = np.sqrt(np.diag(np.linalg.inv(ls.jac.T @ ls.jac)))
         return {
@@ -292,6 +298,11 @@ class TestScaleFitAgainstLeastSquares:
         noise=st.floats(0.005, 0.05),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the reference at default tolerances stopped at m_hat 6.66737e-4 here, 1.8e-3 above the minimum
+    @example(
+        model="auto", m=0.1, g2_psi=0.0625, scale=1.21875, n=5, r_min=0.5, r_max=37.0,
+        noise=0.04556526115018486, seed=19263,
+    )
     def test_matches_least_squares(self, model, m, g2_psi, scale, n, r_min, r_max, noise, seed):
         r = np.geomspace(r_min, r_max, n)
         y_true = curve(model, scale * r, m, g2_psi)
@@ -303,6 +314,24 @@ class TestScaleFitAgainstLeastSquares:
         if not (fit.at_bound or ref["at_bound"]):
             for name in ("m_hat", "scale_hat", "m_err", "scale_err"):
                 assert getattr(fit, name) == pytest.approx(ref[name], rel=1e-3), name
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: fit_sweep([0.0, 1.0, 10.0], [0.1] * 3, [0.01] * 3, "vhom", 0.03), "sweep ratios must be positive"),
+            (lambda: fit_sweep([0.1, 1.0, 10.0], [0.1] * 3, [0.01, 0.0, 0.01], "vhom", 0.03), "sweep uncertainties"),
+            (lambda: fit_sweep([0.1, 1.0, 10.0], [0.1] * 3, [0.01] * 3, "vhom", -0.01), "g2_psi must be >= 0"),
+            (lambda: PowerCalibration(-1e-9, 50.0, 925e-9, 1.0 / 82e6), "monitor power must be >= 0"),
+            (lambda: PowerCalibration(1e-9, 50.0, 0.0, 1.0 / 82e6), "wavelength and repetition period must be positive"),
+            (lambda: PowerCalibration(1e-9, 50.0, 925e-9, 0.0), "wavelength and repetition period must be positive"),
+        ],
+        ids=["ratio", "y_err", "g2_psi", "power", "wavelength", "period"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
 
 
 class TestSweepCsv:

@@ -364,11 +364,14 @@ class TestMixOnBeamSplitter:
         assert moments.coincidence == pytest.approx(expected, abs=1e-8)
 
     def test_partial_indistinguishability_rescales_overlap(self):
+        # a source of indistinguishability m_psi mixes in an orthogonal run at weight 1 - m_psi
         m, m_psi = 0.8, 0.905
-        source = SourceParams.from_moments(0.3, 0.0412, m_psi=m_psi)
+        source = SourceParams.from_moments(0.3, 0.0412)
         lo = LocalOscillator(mu_alpha=0.6, theta=theta_for_overlap(m))
         cutoff = required_cutoff(0.6, 1e-10)
-        state = mix_on_beam_splitter(source, lo, BALANCED, cutoff)
+        configured = mix_on_beam_splitter(source, lo, BALANCED, cutoff)
+        orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), BALANCED, cutoff)
+        state = m_psi * configured + (1.0 - m_psi) * orthogonal
         expected = auto_g2_zero(0.6 / 0.3, 0.0412, m * m_psi)
         assert auto_correlation(state) == pytest.approx(expected, abs=1e-8)
 
@@ -410,10 +413,6 @@ class TestCrossCorrelationsDirect:
     def test_one_photon_in_each_output(self):
         moments = cross_correlations(self.point_distribution(1, 1))
         assert moments == (1.0, 1.0, 1.0)
-
-    def test_missing_output_modes_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            auto_correlation(self.point_distribution(1, 1), "out_4")
 
     def test_mean_whose_square_underflows_is_undefined(self):
         distribution = self.point_distribution(0, 0)
@@ -502,14 +501,10 @@ def reference_mix_on_beam_splitter(source, lo, bs, cutoff) -> np.ndarray:
             amp[total - j, j] = c * reference_sector_unitary(bs.transmission, total)[:, n_x]
         return np.abs(amp) ** 2
 
-    out = np.zeros((2 * size - 1, 2 * size - 1))
-    for run_weight, theta in [(source.m_psi, lo.theta), (1.0 - source.m_psi, math.pi / 2.0)]:
-        if run_weight > 0.0:
-            ket_par = exact_coherent_ket(lo.alpha * math.cos(theta), cutoff)
-            ket_perp = exact_coherent_ket(lo.alpha * math.sin(theta), cutoff)
-            parallel = sum(run_weight * populations[n] * pair(n, ket_par) for n in range(3))
-            out += reference_convolve(parallel, pair(0, ket_perp))
-    return out
+    ket_par = exact_coherent_ket(lo.alpha * math.cos(lo.theta), cutoff)
+    ket_perp = exact_coherent_ket(lo.alpha * math.sin(lo.theta), cutoff)
+    parallel = sum(populations[n] * pair(n, ket_par) for n in range(3))
+    return reference_convolve(parallel, pair(0, ket_perp))
 
 
 def creation_column(transmission: float, total: int, a: int) -> np.ndarray:
@@ -578,18 +573,15 @@ class TestAgainstSectorReference:
         p1=st.floats(0.0, 1.0),
         p2=st.floats(0.0, 1.0),
         eta=st.floats(0.0, 1.0),
-        m_psi=st.floats(0.0, 1.0),
         theta=st.floats(0.0, math.pi),
         transmission=st.floats(0.0, 1.0),
         mu_alpha=st.floats(0.0, 5.0),
         cutoff=st.integers(2, 20),
     )
     @settings(max_examples=100, deadline=None)
-    def test_distribution_matches_reference(
-        self, p1, p2, eta, m_psi, theta, transmission, mu_alpha, cutoff
-    ):
+    def test_distribution_matches_reference(self, p1, p2, eta, theta, transmission, mu_alpha, cutoff):
         assume(p1 + p2 <= 1.0 and coherent_tail_mass(mu_alpha, cutoff) < TAIL_REFUSAL)
-        source = SourceParams(p1=p1, p2=p2, eta=eta, m_psi=m_psi)
+        source = SourceParams(p1=p1, p2=p2, eta=eta)
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         bs = BeamSplitterSpec(transmission)
         dist = mix_on_beam_splitter(source, lo, bs, cutoff)
@@ -670,15 +662,6 @@ class TestStateSize:
         assert np.allclose(totals[:3], [1.0 - 0.9 - 0.05 + q0, q1, q2], atol=1e-15)
         assert np.allclose(totals[3:], 0.0, atol=1e-15)
 
-    def test_orthogonal_run_adds_branches(self):
-        m_psi, lo = 0.9, LocalOscillator(mu_alpha=0.5, theta=0.4)
-        source = SourceParams.from_moments(0.3, 0.04)
-        mixed = mix_on_beam_splitter(replace(source, m_psi=m_psi), lo, BALANCED, 12)
-        configured = mix_on_beam_splitter(source, lo, BALANCED, 12)
-        orthogonal = mix_on_beam_splitter(source, replace(lo, theta=math.pi / 2.0), BALANCED, 12)
-        expected = m_psi * configured + (1.0 - m_psi) * orthogonal
-        assert np.allclose(mixed, expected, rtol=0.0, atol=1e-15)
-
 
 class TestOracleInvariants:
     params = dict(
@@ -687,20 +670,19 @@ class TestOracleInvariants:
         g2=st.floats(0.0, 0.2),
         theta=st.floats(0.0, math.pi),
         transmission=st.floats(0.0, 1.0),
-        m_psi=st.floats(0.0, 1.0),
     )
 
     @staticmethod
-    def distribution(mu_alpha, mu_psi, g2, theta, transmission, m_psi):
-        source = SourceParams.from_moments(mu_psi, g2, m_psi=m_psi)
+    def distribution(mu_alpha, mu_psi, g2, theta, transmission):
+        source = SourceParams.from_moments(mu_psi, g2)
         lo = LocalOscillator(mu_alpha=mu_alpha, theta=theta)
         cutoff = required_cutoff(mu_alpha, 1e-10)
         return mix_on_beam_splitter(source, lo, BeamSplitterSpec(transmission), cutoff)
 
     @given(**params)
     @settings(max_examples=40, deadline=None)
-    def test_photon_number_conserved(self, mu_alpha, mu_psi, g2, theta, transmission, m_psi):
-        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission, m_psi)
+    def test_photon_number_conserved(self, mu_alpha, mu_psi, g2, theta, transmission):
+        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission)
         n2 = np.arange(dist.shape[0])
         n3 = np.arange(dist.shape[1])
         total = n2 @ dist.sum(axis=1) + dist.sum(axis=0) @ n3
@@ -708,17 +690,15 @@ class TestOracleInvariants:
 
     @given(**params)
     @settings(max_examples=40, deadline=None)
-    def test_output_swap_under_transmission_swap(
-        self, mu_alpha, mu_psi, g2, theta, transmission, m_psi
-    ):
-        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission, m_psi)
-        swapped = self.distribution(mu_alpha, mu_psi, g2, theta, 1.0 - transmission, m_psi)
+    def test_output_swap_under_transmission_swap(self, mu_alpha, mu_psi, g2, theta, transmission):
+        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission)
+        swapped = self.distribution(mu_alpha, mu_psi, g2, theta, 1.0 - transmission)
         assert np.abs(dist - swapped.T).max() <= 1e-12
 
     @given(**params)
     @settings(max_examples=40, deadline=None)
-    def test_distribution_is_normalized(self, mu_alpha, mu_psi, g2, theta, transmission, m_psi):
-        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission, m_psi)
+    def test_distribution_is_normalized(self, mu_alpha, mu_psi, g2, theta, transmission):
+        dist = self.distribution(mu_alpha, mu_psi, g2, theta, transmission)
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
         assert dist.min() >= -1e-15
 

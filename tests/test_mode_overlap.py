@@ -288,6 +288,24 @@ class TestSpectralFilter:
         assert filtered_root.tobytes() == root_of_filtered.tobytes()
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SampledProfile(np.arange(3.0), np.ones(4)), "xs and values must be equal-length 1-D arrays"),
+            (lambda: fringe_visibility_overlap(np.linspace(0.0, 1.0, 10), k_tail=0), "k_tail must be >= 1"),
+            (
+                lambda: spectral_filter(SampledProfile(np.arange(3.0), np.ones(3)), 1.0, 0.0),
+                "half_width must be positive",
+            ),
+        ],
+        ids=["shape", "k_tail", "half_width"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
+
+
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
         profile = exponential_amplitude(120.0, t_max=50.0)

@@ -591,21 +591,21 @@ class TestGeneratedStreamsPinned:
         )
 
     @pytest.mark.parametrize(
-        "m_psi, transmission, lifetime_ps, digests",
+        "transmission, lifetime_ps, digests",
         [
-            (0.9, 0.5, 170.0, (
-                "cd63b4eed452bee5a6dceb763cfb32e919c800915be6b4d7ec721a46d6ce3128",
-                "f4a3acd1449f2357c113748389fce5cef5b27e8059f3fdb789011c731f118da4",
+            (0.5, 170.0, (
+                "5693f02c4c28fbaf5ed79dd5d72ce9e4a94a34d4615ad991e1c5ccd7274b27e0",
+                "1d3eccc8aedc2d5d43aa4d58cd96909d82920ff9295acde7485c1c08ed41d944",
             )),
-            (0.8, 0.2, 55.0, (
-                "96adc0a38a9d868378db0da1ce0d68c5fb3b139f237d4067332691415b59df20",
-                "e915303c7b1b1a1061091f49be025ab9fe6fe9960209a5b276d3e0c8b21d1aca",
+            (0.2, 55.0, (
+                "8823605484a153fa4dcb93cdebefece8407583b6d515ec91fa726cfdd89d5e35",
+                "95da62039d247fca9e31a020be4cd286b66cb595332fb6a7cd1a7edd12687545",
             )),
         ],
     )
-    def test_displaced_fock(self, monkeypatch, m_psi, transmission, lifetime_ps, digests):
+    def test_displaced_fock(self, monkeypatch, transmission, lifetime_ps, digests):
         monkeypatch.setattr(synthetic, "_PULSE_CHUNK", 1000)
-        source = SourceParams.from_moments(0.3, 0.04, m_psi=m_psi)
+        source = SourceParams.from_moments(0.3, 0.04)
         lo = LocalOscillator(mu_alpha=0.5, theta=0.4)
         stream, _ = displaced_fock_tags(
             source, lo, BeamSplitterSpec(transmission), 9, 3500, REP, seed=5, lifetime_ps=lifetime_ps
@@ -624,6 +624,21 @@ class TestGeneratedStreamsPinned:
         source = SourceParams.from_moments(0.3, 0.04)
         with pytest.raises(InvalidParameterError, match="n_pulses"):
             displaced_fock_tags(source, LocalOscillator(mu_alpha=0.5), BeamSplitterSpec(0.5), -1, 0, REP, 1)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CorrelationHistogram(10, 100, np.zeros(20)), "counts length does not match tau_max / bin_width"),
+            (lambda: tagstream.check_binning(0, 10), "bin_width and tau_max must be positive integers"),
+            (lambda: pulsed_coherent_tags({2: -0.1}, 10, REP, seed=1), "mean photon number for channel 2 must be >= 0"),
+        ],
+        ids=["counts", "binning", "mean"],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
 
 
 class TestTagsCsvRoundTrip:
