@@ -98,20 +98,6 @@ class LocalOscillator:
         return math.sqrt(self.mu_alpha)
 
 
-@dataclass(frozen=True)
-class PeakReport:
-    """Locations and values of the extrema of the two correlation curves.
-
-    The auto-correlation curve is monotone on r > 0 for ``m = 0`` and for
-    ``g2_psi >= 1 + m``; its peak fields are then ``None``.
-    """
-
-    r_vhom_star: float
-    v_max: float
-    r_auto_star: float | None
-    g2_auto_max: float | None
-
-
 def g2_from_probs(p1: float, p2: float) -> float:
     """g2(0) = 2 p2 / (p1 + 2 p2)^2 for the zero/one/two-photon mixture.
 
@@ -192,13 +178,14 @@ def auto_g2_zero(r, g2_psi, m):
     return num / (total * total)
 
 
-def peak_analysis(g2_psi: float, m: float) -> PeakReport:
+def peak_analysis(g2_psi: float, m: float) -> dict:
     """Extrema of visibility and auto-correlation over the power ratio r = mu_alpha/mu_psi.
 
     The visibility peaks at r = sqrt(g2_psi) with value m / (sqrt(g2_psi) + 1).
     The auto-correlation peaks at r = (1 + m - g2_psi) / m.  For m = 0 or
     g2_psi >= 1 + m that point is not at r > 0: the curve is monotone on
-    r > 0 and the peak is reported as absent.
+    r > 0, and ``r_auto_star`` and ``g2_auto_max`` are ``None``.  The dict is
+    ``report.json``'s ``peaks``.
     """
     _check_non_negative("g2_psi", g2_psi)
     _check_unit_interval("m", m)
@@ -210,4 +197,4 @@ def peak_analysis(g2_psi: float, m: float) -> PeakReport:
     else:
         r_auto = None
         g2_max = None
-    return PeakReport(r_vhom_star=r_vhom, v_max=v_max, r_auto_star=r_auto, g2_auto_max=g2_max)
+    return {"r_vhom_star": r_vhom, "v_max": v_max, "r_auto_star": r_auto, "g2_auto_max": g2_max}

@@ -25,7 +25,7 @@ import operator
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -276,11 +276,6 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
     if cfg["r_min"] >= cfg["r_max"]:
         raise ConfigError("r_min must be smaller than r_max")
     model_name = cfg.get("noise_model", "vhom")
-    if "noise_sigma_rel" in cfg and model_name == "vhom" and m == 0:
-        raise ConfigError(
-            "noise_sigma_rel scales the visibility curve, which is zero for m = 0: "
-            "every y_err would be 0"
-        )
     mu_psi = cfg["mu_psi"]
     ratios = cfg["oracle_check_ratios"]
     # every config fault of the oracle checks is raised before any check runs
@@ -304,13 +299,20 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
             curves = {name: curve(grid, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
             if "noise_sigma_rel" in cfg:
                 sigma = cfg["noise_sigma_rel"] * curves[model_name]
+                # fit refuses a point with y_err <= 0: the visibility at m = 0, or a curve or product that underflows
+                if (sigma <= 0).any():
+                    k = int(np.argmax(sigma <= 0))
+                    raise ConfigError(
+                        f"noise_sigma_rel={cfg['noise_sigma_rel']!r} times the {model_name} curve gives "
+                        f"y_err {sigma[k].item()!r} at ratio {grid[k].item()!r}: every y_err must be positive"
+                    )
                 noisy = curves[model_name] + np.random.default_rng(cfg["seed"]).normal(size=grid.size) * sigma
     except MemoryError:
         raise ConfigError(f"a sweep of n_points={cfg['n_points']!r} does not fit in memory") from None
     except FloatingPointError as exc:
         named = ", ".join(f"{key}={cfg[key]!r}" for key in ("r_min", "r_max", "noise_sigma_rel") if key in cfg)
         raise ConfigError(f"the sweep at {named} leaves the float64 range ({exc})") from None
-    peaks = asdict(peak_analysis(g2_psi, m))
+    peaks = peak_analysis(g2_psi, m)
     _refuse_beyond_float64(peaks, f"m={m!r}, g2_psi={g2_psi!r}")
     checks = []
     theta = math.acos(math.sqrt(m))
@@ -394,7 +396,7 @@ def _analyze_one(tagfile: str, cfg: dict, processes: int = 1):
 
 
 def _analysis(suffix: str, hist, result) -> dict:
-    return {f"histogram{suffix}.csv": partial(write_histogram_csv, hist), f"g2{suffix}.json": asdict(result)}
+    return {f"histogram{suffix}.csv": partial(write_histogram_csv, hist), f"g2{suffix}.json": result}
 
 
 def cmd_analyze(tagfile: str, cfg: dict) -> tuple[dict, list[str]]:
@@ -415,7 +417,7 @@ def cmd_analyze(tagfile: str, cfg: dict) -> tuple[dict, list[str]]:
         hist_perp, result_perp = perp_result()
     v, err = visibility_from_histograms(result, result_perp)
     outputs = {**_analysis("", hist, result), **_analysis("_perp", hist_perp, result_perp)}
-    outputs["visibility.json"] = {"v_hom": v, "err": err, "g2_par": result.value, "g2_perp": result_perp.value}
+    outputs["visibility.json"] = {"v_hom": v, "err": err, "g2_par": result["value"], "g2_perp": result_perp["value"]}
     return outputs, [tagfile, perp]
 
 
@@ -455,7 +457,7 @@ def cmd_overlap(cfg: dict) -> tuple[dict, list[str]]:
             path = cfg[measured_by]
             samples = read_fringe(path)
             with _within_float64("the fringe's", path):
-                payload["fringe"] = asdict(fringe_visibility_overlap(samples, k_tail=cfg["k_tail"]))
+                payload["fringe"] = fringe_visibility_overlap(samples, k_tail=cfg["k_tail"])
             breakdown[key] = payload["fringe"]["m_p"]
             sources[key] = "fringe"
             inputs.append(path)
@@ -474,12 +476,12 @@ def cmd_fit(sweepfile: str, cfg: dict) -> tuple[dict, list[str]]:
     # a ratio above about 1.3e154 squares to inf
     with _within_float64("the fit's", sweepfile):
         result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
-        y_model = SWEEP_MODELS[cfg["model"]]((result.scale_hat or 1.0) * r, cfg["g2_psi"], result.m_hat)
+        y_model = SWEEP_MODELS[cfg["model"]](result.get("scale_hat", 1.0) * r, cfg["g2_psi"], result["M_hat"])
         residual = (y - y_model) / y_err
     residuals = partial(
         write_table, header=("ratio", "y", "y_err", "model", "residual_sigma"), columns=[r, y, y_err, y_model, residual]
     )
-    return {"fit.json": result.to_dict(), "residuals.csv": residuals}, [sweepfile]
+    return {"fit.json": result, "residuals.csv": residuals}, [sweepfile]
 
 
 # command -> (function, help, input-file arguments, metadata sidecar).  The function

@@ -23,7 +23,7 @@ splitter, on ratios taken at a nominal mu_psi it returns
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,30 +54,6 @@ class PowerCalibration:
             raise InvalidParameterError("wavelength and repetition period must be positive")
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted overlap, and ratio scale if it was fitted too, with curvature errors.
-
-    ``at_bound`` is true when a parameter was held at the edge of its range:
-    the unclipped overlap lies outside [0, 1], or the fitted scale is 1e-2 or
-    1e2.  The errors are then the curvature of an unconstrained quadratic,
-    not a confidence interval.
-    """
-
-    m_hat: float
-    m_err: float
-    chi2_red: float
-    n_points: int
-    model: str
-    at_bound: bool
-    scale_hat: float | None = None
-    scale_err: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {name: value for name, value in asdict(self).items() if value is not None}
-        return {"M_hat": out.pop("m_hat"), "M_err": out.pop("m_err"), **out}
-
-
 def calibrate_mu_alpha(cal: PowerCalibration) -> float:
     """Mean photon number per pulse from attenuated power: P 10^(-C/10) lambda tau / (h c)."""
     return 10.0 ** (-cal.attenuation_db / 10.0) * cal.p0_watts * cal.wavelength_m * cal.tau_rep_s / (_H * _C)
@@ -105,7 +81,7 @@ def _point_arrays(ratio, y, y_err) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, y, s
 
 
-def _fit_single_parameter(r, y, s, g2_psi: float, model: str) -> FitResult:
+def _fit_single_parameter(r, y, s, g2_psi: float, model: str) -> dict:
     """Closed-form weighted least squares: both models are y = a(r) + m b(r)."""
     curve = SWEEP_MODELS[model]
     a = curve(r, g2_psi, 0.0)
@@ -117,17 +93,17 @@ def _fit_single_parameter(r, y, s, g2_psi: float, model: str) -> FitResult:
     m_free = float(w @ (b * (y - a))) / info
     m_hat = min(max(m_free, 0.0), 1.0)
     res = (y - curve(r, g2_psi, m_hat)) / s
-    return FitResult(
-        m_hat=m_hat,
-        m_err=info**-0.5,
-        chi2_red=float(res @ res) / (r.size - 1),
-        n_points=r.size,
-        model=model,
-        at_bound=not 0.0 <= m_free <= 1.0,
-    )
+    return {
+        "M_hat": m_hat,
+        "M_err": info**-0.5,
+        "chi2_red": float(res @ res) / (r.size - 1),
+        "n_points": r.size,
+        "model": model,
+        "at_bound": not 0.0 <= m_free <= 1.0,
+    }
 
 
-def _fit_with_scale(r, y, s, g2_psi: float, model: str) -> FitResult:
+def _fit_with_scale(r, y, s, g2_psi: float, model: str) -> dict:
     """The closed-form fit at ``scale * r``, profiled over the scale in [1e-2, 1e2].
 
     chi2 is quadratic in m, so at each scale the clipped closed form is its
@@ -139,38 +115,44 @@ def _fit_with_scale(r, y, s, g2_psi: float, model: str) -> FitResult:
     while hi / lo > 1.0 + 1e-9:
         grid = np.geomspace(lo, hi, n)
         fits = [_fit_single_parameter(scale * r, y, s, g2_psi, model) for scale in grid]
-        i = int(np.argmin([fit.chi2_red for fit in fits]))
+        i = int(np.argmin([fit["chi2_red"] for fit in fits]))
         lo, hi, n = grid[max(i - 1, 0)], grid[min(i + 1, n - 1)], 5
     scale, fit = grid[i], fits[i]
     # Gauss-Newton curvature: the m column exact, the scale column a central difference
     curve, h = SWEEP_MODELS[model], 1e-5 * scale
     jac = np.column_stack([
         curve(scale * r, g2_psi, 1.0) - curve(scale * r, g2_psi, 0.0),
-        (curve((scale + h) * r, g2_psi, fit.m_hat) - curve((scale - h) * r, g2_psi, fit.m_hat)) / (2 * h),
+        (curve((scale + h) * r, g2_psi, fit["M_hat"]) - curve((scale - h) * r, g2_psi, fit["M_hat"])) / (2 * h),
     ]) / s[:, None]
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         raise IllConditionedFitError("singular normal matrix in two-parameter fit") from None
     m_err, scale_err = np.sqrt(np.diag(cov)).tolist()
-    return replace(
-        fit,
-        m_err=m_err,
-        chi2_red=fit.chi2_red * (r.size - 1) / (r.size - 2),
-        at_bound=fit.at_bound or scale in (1e-2, 1e2),
-        scale_hat=float(scale),
-        scale_err=scale_err,
-    )
+    return {
+        **fit,
+        "M_err": m_err,
+        "chi2_red": fit["chi2_red"] * (r.size - 1) / (r.size - 2),
+        "at_bound": fit["at_bound"] or scale in (1e-2, 1e2),
+        "scale_hat": float(scale),
+        "scale_err": scale_err,
+    }
 
 
-def fit_sweep(ratio, y, y_err, model: str, g2_psi: float, fit_scale: bool = False) -> FitResult:
-    """Weighted least-squares fit of a sweep for the overlap m.
+def fit_sweep(ratio, y, y_err, model: str, g2_psi: float, fit_scale: bool = False) -> dict:
+    """Weighted least-squares fit of a sweep for the overlap m: the ``fit.json`` document.
 
     ``model`` names the sweep curve in ``SWEEP_MODELS``: ``"vhom"`` for the
     visibility, ``"auto"`` for the single-output bunching.  Single parameter
     m, the closed-form estimate clipped to [0, 1]; g2_psi is fixed from an
     independent measurement.  ``fit_scale`` additionally floats a
     multiplicative ratio calibration in [1e-2, 1e2] (off by default).
+
+    Only a fit with ``fit_scale`` holds ``scale_hat`` and ``scale_err``.
+    ``at_bound`` is true when a parameter
+    was held at the edge of its range: the unclipped overlap lies outside
+    [0, 1], or the fitted scale is 1e-2 or 1e2.  The errors are then the
+    curvature of an unconstrained quadratic, not a confidence interval.
     """
     if model not in SWEEP_MODELS:
         raise InvalidParameterError(f"unknown sweep model {model!r}, expected one of {list(SWEEP_MODELS)}")

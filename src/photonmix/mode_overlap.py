@@ -43,18 +43,6 @@ class SampledProfile:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class FringeVisibility:
-    """Fringe visibility and the polarization overlap M_p = V^2 derived from it."""
-
-    visibility: float
-    visibility_err: float
-    m_p: float
-    m_p_err: float
-    n_samples: int
-    k_tail: int
-
-
 def _normalized_on_grid(profile: SampledProfile, grid: np.ndarray) -> tuple[int, np.ndarray]:
     """The index of ``grid``'s first point within the profile's samples, and its values there, L2-normalized."""
     start, stop = np.searchsorted(grid, profile.xs[[0, -1]]) + [0, 1]
@@ -88,8 +76,8 @@ def overlap_integral(psi1: SampledProfile, psi2: SampledProfile) -> float:
     return min(float(abs(inner) ** 2), 1.0)
 
 
-def fringe_visibility_overlap(samples, k_tail: int = 500) -> FringeVisibility:
-    """Polarization overlap from the extreme-tail averages of fringe readings.
+def fringe_visibility_overlap(samples, k_tail: int = 500) -> dict:
+    """Polarization overlap from the extreme-tail averages of fringe readings: ``overlap.json``'s ``fringe``.
 
     The bright and dark fringe levels are estimated as the means of the
     ``k_tail`` largest and smallest readings; V = (I_max - I_min) /
@@ -116,14 +104,14 @@ def fringe_visibility_overlap(samples, k_tail: int = 500) -> FringeVisibility:
     sem_max = float(top.std(ddof=ddof)) / np.sqrt(k_tail)
     sem_min = float(bottom.std(ddof=ddof)) / np.sqrt(k_tail)
     v_err = 2.0 * np.hypot(i_min * sem_max, i_max * sem_min) / total**2
-    return FringeVisibility(
-        visibility=v,
-        visibility_err=v_err,
-        m_p=v**2,
-        m_p_err=2.0 * abs(v) * v_err,
-        n_samples=values.size,
-        k_tail=k_tail,
-    )
+    return {
+        "visibility": v,
+        "visibility_err": v_err,
+        "m_p": v**2,
+        "m_p_err": 2.0 * abs(v) * v_err,
+        "n_samples": values.size,
+        "k_tail": k_tail,
+    }
 
 
 def spectral_filter(profile: SampledProfile, center: float, half_width: float) -> SampledProfile:

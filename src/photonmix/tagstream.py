@@ -113,18 +113,6 @@ class CorrelationHistogram:
         return np.arange(-k, k + 1, dtype=np.int64) * self.bin_width
 
 
-@dataclass(frozen=True)
-class G2Result:
-    """Normalized zero-delay correlation with Poisson statistics."""
-
-    value: float
-    stat_err: float
-    peak_area_0: int
-    side_mean: float
-    window_ps: int
-    n_side_peaks: int
-
-
 def parse_tags(path, reorder_window: int = 0) -> TagStream:
     """Read the headerless ``channel,t_ps`` integer table at ``path`` into a sorted TagStream.
 
@@ -376,8 +364,8 @@ def g2_zero(
     rep_period: int,
     window: int | None = None,
     n_side_peaks: int = 10,
-) -> G2Result:
-    """Zero-delay peak area over the mean uncorrelated peak area.
+) -> dict:
+    """Zero-delay peak area over the mean uncorrelated peak area: the ``g2.json`` document.
 
     The central area sums bins whose centers satisfy |tau| <= window/2; side
     areas use identical windows around ``k * rep_period`` for k = 1..n/2 on
@@ -396,22 +384,23 @@ def g2_zero(
     value = peak0 / side_mean
     n0 = max(peak0, 1)
     stat_err = n0 / side_mean * np.sqrt(1.0 / n0 + 1.0 / side_total)
-    return G2Result(
-        value=value,
-        stat_err=float(stat_err),
-        peak_area_0=peak0,
-        side_mean=side_mean,
-        window_ps=window,
-        n_side_peaks=n_side_peaks,
-    )
+    return {
+        "value": value,
+        "stat_err": float(stat_err),
+        "peak_area_0": peak0,
+        "side_mean": side_mean,
+        "window_ps": window,
+        "n_side_peaks": n_side_peaks,
+    }
 
 
-def visibility_from_histograms(par: G2Result, perp: G2Result) -> tuple[float, float]:
-    """Interference visibility (g_perp - g_par) / g_perp with propagated error."""
-    if perp.value <= 0.0:
+def visibility_from_histograms(par: dict, perp: dict) -> tuple[float, float]:
+    """Interference visibility (g_perp - g_par) / g_perp with propagated error, from two ``g2_zero`` results."""
+    g_par, g_perp = par["value"], perp["value"]
+    if g_perp <= 0.0:
         raise UndefinedCorrelationError("orthogonal-polarization g2 must be positive")
-    v = (perp.value - par.value) / perp.value
-    err = np.hypot(par.stat_err / perp.value, par.value * perp.stat_err / perp.value**2)
+    v = (g_perp - g_par) / g_perp
+    err = np.hypot(par["stat_err"] / g_perp, g_par * perp["stat_err"] / g_perp**2)
     return float(v), float(err)
 
 

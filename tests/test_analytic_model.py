@@ -182,35 +182,35 @@ class TestAutoG2Zero:
 class TestPeakAnalysis:
     def test_reference_visibility_peak(self):
         report = peak_analysis(0.0412, 0.76)
-        assert report.r_vhom_star == pytest.approx(0.2030, abs=1e-4)
-        assert report.v_max == pytest.approx(0.6318, abs=1e-4)
+        assert report["r_vhom_star"] == pytest.approx(0.2030, abs=1e-4)
+        assert report["v_max"] == pytest.approx(0.6318, abs=1e-4)
 
     def test_ideal_bunching_peak(self):
         report = peak_analysis(0.0, 1.0)
-        assert report.r_auto_star == pytest.approx(2.0, abs=1e-12)
-        assert report.g2_auto_max == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert report["r_auto_star"] == pytest.approx(2.0, abs=1e-12)
+        assert report["g2_auto_max"] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_reference_bunching_peak(self):
         report = peak_analysis(0.0412, 0.76)
-        assert report.r_auto_star == pytest.approx(2.2616, abs=1e-4)
-        assert report.g2_auto_max == pytest.approx(1.2330, abs=1e-4)
+        assert report["r_auto_star"] == pytest.approx(2.2616, abs=1e-4)
+        assert report["g2_auto_max"] == pytest.approx(1.2330, abs=1e-4)
 
     def test_monotone_curve_has_no_auto_peak(self):
         report = peak_analysis(0.05, 0.0)
-        assert report.r_auto_star is None
-        assert report.g2_auto_max is None
+        assert report["r_auto_star"] is None
+        assert report["g2_auto_max"] is None
 
     @pytest.mark.parametrize("g2, m", [(1.5, 0.5), (2.0, 0.5), (2.0, 1.0), (3.0, 0.2)])
     def test_no_auto_peak_where_the_stationary_point_is_not_positive(self, g2, m):
         # g2_psi >= 1 + m: the curve falls on all of r > 0, its stationary point (1 + m - g2_psi) / m is at r <= 0
         report = peak_analysis(g2, m)
-        assert report.r_auto_star is None
-        assert report.g2_auto_max is None
+        assert report["r_auto_star"] is None
+        assert report["g2_auto_max"] is None
 
     def test_auto_peak_just_inside_the_ratio_domain(self):
         report = peak_analysis(1.49, 0.5)
-        assert report.r_auto_star == pytest.approx(0.02, rel=1e-9)
-        assert report.g2_auto_max == auto_g2_zero(report.r_auto_star, 1.49, 0.5)
+        assert report["r_auto_star"] == pytest.approx(0.02, rel=1e-9)
+        assert report["g2_auto_max"] == auto_g2_zero(report["r_auto_star"], 1.49, 0.5)
 
     @given(g2=st.floats(1e-4, 1.0), m=st.floats(0.05, 1.0))
     @settings(max_examples=60)
@@ -219,13 +219,13 @@ class TestPeakAnalysis:
         neg_v = lambda r: -hom_visibility(r, g2, m)
         found = minimize_scalar(neg_v, bounds=(1e-6, 50.0), method="bounded",
                                 options={"xatol": 1e-10})
-        assert found.x == pytest.approx(report.r_vhom_star, abs=1e-6)
-        assert -found.fun == pytest.approx(report.v_max, abs=1e-9)
+        assert found.x == pytest.approx(report["r_vhom_star"], abs=1e-6)
+        assert -found.fun == pytest.approx(report["v_max"], abs=1e-9)
         neg_g = lambda r: -auto_g2_zero(r, g2, m)
         found = minimize_scalar(neg_g, bounds=(1e-6, 200.0), method="bounded",
                                 options={"xatol": 1e-10})
-        assert found.x == pytest.approx(report.r_auto_star, rel=1e-5)
-        assert -found.fun == pytest.approx(report.g2_auto_max, abs=1e-9)
+        assert found.x == pytest.approx(report["r_auto_star"], rel=1e-5)
+        assert -found.fun == pytest.approx(report["g2_auto_max"], abs=1e-9)
 
 
 _SWEEP_POINT = st.tuples(

@@ -26,7 +26,7 @@ from photonmix.analytic_model import LocalOscillator, SourceParams, auto_g2_zero
 from photonmix import cli, tagstream
 from photonmix.cli import _SCHEMAS, _load_config, _violations, cmd_analyze, main
 from photonmix.errors import ConfigError, DataFormatError, PhotonmixError
-from photonmix.estimator import write_sweep
+from photonmix.estimator import read_sweep, write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, coherent_tail_mass, required_cutoff
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
 from photonmix.tagstream import parse_tags
@@ -72,6 +72,11 @@ class TestSimulate:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         v = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(v == 0.0)
+        report = read_json(out / "report.json")
+        assert set(report) == {"peaks", "oracle_checks"}
+        # the bunching curve is monotone at m = 0: its peak keys are there, and null
+        assert set(report["peaks"]) == {"r_vhom_star", "v_max", "r_auto_star", "g2_auto_max"}
+        assert report["peaks"]["r_auto_star"] is None and report["peaks"]["g2_auto_max"] is None
 
     def test_ideal_bunching_peak_reported(self, tmp_path):
         out = tmp_path / "run"
@@ -112,6 +117,10 @@ class TestSimulate:
         report = read_json(out / "report.json")
         assert len(report["oracle_checks"]) == 2
         for check in report["oracle_checks"]:
+            assert set(check) == {
+                "ratio", "mu_alpha", "cutoff", "tail_mass", "v_hom_analytic", "v_hom_oracle",
+                "g2_auto_analytic", "g2_auto_oracle", "max_abs_diff",
+            }
             assert check["max_abs_diff"] < 1e-6
             assert check["tail_mass"] == coherent_tail_mass(check["mu_alpha"], check["cutoff"])
             assert check["tail_mass"] < 1e-10  # the default tail_target
@@ -252,7 +261,10 @@ class TestSimulate:
         # V_HOM is zero at m = 0, so relative noise would write y_err = 0, which fit rejects
         args = ["simulate", "--set", "m=0", "--set", "g2_psi=0.02", "--set", "noise_sigma_rel=0.1"]
         assert run([*args, "--out", str(tmp_path / "vhom")]) == 2
-        assert "zero for m = 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: noise_sigma_rel=0.1 times the vhom curve gives y_err 0.0 at ratio 0.01: "
+            "every y_err must be positive\n"
+        )
         # the auto-correlation curve is positive for every r > 0
         out = tmp_path / "auto"
         assert run([*args, "--set", "noise_model=auto", "--out", str(out)]) == 0
@@ -451,6 +463,7 @@ class TestAnalyze:
         )
         assert code == 0
         vis = read_json(out / "visibility.json")
+        assert set(vis) == {"v_hom", "err", "g2_par", "g2_perp"}
         expected = 1.0 - truth_par["g2_cross"] / truth_perp["g2_cross"]
         assert abs(vis["v_hom"] - expected) <= 3.0 * vis["err"]
 
@@ -853,6 +866,9 @@ class TestOverlapCommand:
         cfg.write_text(json.dumps({"time_profiles": paths}))
         assert run(["overlap", "--config", str(cfg), "--out", str(out)]) == 0
         payload = read_json(out / "overlap.json")
+        assert set(payload) == {"breakdown", "sources"}
+        assert set(payload["breakdown"]) == {"m_t", "m_f", "m_p", "m_s", "m_total", "m_tilde"}
+        assert set(payload["sources"]) == {"m_t", "m_f", "m_p"}
         expected = 4 * 170 * 100 / 270.0**2
         assert payload["breakdown"]["m_t"] == pytest.approx(expected, abs=1e-4)
         assert payload["sources"]["m_t"] == "profiles"
@@ -872,6 +888,8 @@ class TestOverlapCommand:
         )
         assert run(["overlap", "--config", str(cfg), "--out", str(out)]) == 0
         payload = read_json(out / "overlap.json")
+        assert set(payload) == {"breakdown", "sources", "fringe"}
+        assert set(payload["fringe"]) == {"visibility", "visibility_err", "m_p", "m_p_err", "n_samples", "k_tail"}
         assert payload["breakdown"]["m_p"] == pytest.approx(0.25, abs=1e-3)
         assert payload["breakdown"]["m_total"] == pytest.approx(
             0.910 * 0.85 * payload["breakdown"]["m_p"], abs=1e-12
@@ -1506,7 +1524,7 @@ class TestSimulateContract:
     """Any simulate run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds.
 
     A config error (exit 2) names a key behind it.  A success's oracle checks agree with the closed forms within
-    1e-6 at every tail_target the schema accepts.
+    1e-6 at every tail_target the schema accepts, and ``fit`` reads back every sweep of noisy points it writes.
     """
 
     @given(cfg=simulate_runs())
@@ -1552,6 +1570,12 @@ class TestSimulateContract:
     @example(cfg={"m": 0.76, "g2_psi": 0.04, "oracle_check_ratios": [1e-160]}).via(
         "a mu_alpha of 1e-160 at the smallest cutoff, at a bright source"
     )
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "n_points": 4, "noise_sigma_rel": 5e-324}).via(
+        "relative noise whose product with the visibility underflows, once written with y_err 0"
+    )
+    @example(cfg={"m": 0.76, "g2_psi": 1e300, "r_min": 1e-300, "noise_sigma_rel": 0.02}).via(
+        "a visibility curve that underflows to 0, once written with y_err 0"
+    )
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_exit_code_contract(self, cfg):
         with tempfile.TemporaryDirectory() as tmp:
@@ -1563,6 +1587,8 @@ class TestSimulateContract:
                 assert names_a_key(message, cfg)
             for check in read_json(out / "report.json")["oracle_checks"] if code == 0 else []:
                 assert check["max_abs_diff"] <= 1e-6
+            for points in out.glob("points_*.csv") if code == 0 else []:
+                read_sweep(points)
 
 
 class TestFitCommand:
@@ -1611,7 +1637,8 @@ class TestFitCommand:
         assert run(["fit", str(sweep), "--out", str(out), *args]) == 0
         result = read_json(out / "fit.json")
         scale = result.get("scale_hat", 1.0)
-        assert ("scale_hat" in result) is fit_scale
+        scale_keys = {"scale_hat", "scale_err"} if fit_scale else set()
+        assert set(result) == {"M_hat", "M_err", "chi2_red", "n_points", "model", "at_bound", *scale_keys}
         header, *rows = (out / "residuals.csv").read_text().splitlines()
         assert header == "ratio,y,y_err,model,residual_sigma"
         table = np.array([[float(c) for c in row.split(",")] for row in rows])

@@ -65,13 +65,13 @@ class TestCalibration:
 class TestVhomFit:
     def test_noiseless_recovery(self):
         result = fit_sweep(*make_sweep("vhom", M_REF, G2_REF), "vhom", G2_REF)
-        assert result.m_hat == pytest.approx(M_REF, abs=1e-9)
-        assert result.chi2_red == pytest.approx(0.0, abs=1e-18)
+        assert result["M_hat"] == pytest.approx(M_REF, abs=1e-9)
+        assert result["chi2_red"] == pytest.approx(0.0, abs=1e-18)
 
     def test_noiseless_recovery_across_grid(self):
         for m in np.linspace(0.0, 1.0, 11):
             result = fit_sweep(*make_sweep("vhom", m, G2_REF), "vhom", G2_REF)
-            assert result.m_hat == pytest.approx(m, abs=1e-9)
+            assert result["M_hat"] == pytest.approx(m, abs=1e-9)
 
     def test_coverage_with_relative_noise(self):
         rng = np.random.default_rng(0)
@@ -83,7 +83,7 @@ class TestVhomFit:
         for _ in range(trials):
             y = y_true + rng.normal(size=r.size) * sigma
             res = fit_sweep(r, y, sigma, "vhom", G2_REF)
-            hits += abs(res.m_hat - M_REF) <= 2.0 * res.m_err
+            hits += abs(res["M_hat"] - M_REF) <= 2.0 * res["M_err"]
         assert hits / trials >= 0.92
 
     def test_single_abscissa_rejected(self):
@@ -99,24 +99,24 @@ class TestVhomFit:
         r = np.geomspace(0.05, 10.0, 25)
         y = curve("vhom", 1.1 * r, 0.6)
         result = fit_sweep(r, y, np.full(r.size, 0.005), "vhom", G2_REF, fit_scale=True)
-        assert result.m_hat == pytest.approx(0.6, abs=1e-6)
-        assert result.scale_hat == pytest.approx(1.1, abs=1e-6)
+        assert result["M_hat"] == pytest.approx(0.6, abs=1e-6)
+        assert result["scale_hat"] == pytest.approx(1.1, abs=1e-6)
 
 
 class TestAutoFit:
     def test_noiseless_recovery(self):
         result = fit_sweep(*make_sweep("auto", M_REF, G2_REF), "auto", G2_REF)
-        assert result.m_hat == pytest.approx(M_REF, abs=1e-9)
+        assert result["M_hat"] == pytest.approx(M_REF, abs=1e-9)
 
     def test_boundary_recovery_at_zero_overlap(self):
         result = fit_sweep(*make_sweep("auto", 0.0, G2_REF), "auto", G2_REF)
-        assert abs(result.m_hat - 0.0) <= 2.0 * result.m_err
-        assert result.m_hat == pytest.approx(0.0, abs=1e-9)
+        assert abs(result["M_hat"] - 0.0) <= 2.0 * result["M_err"]
+        assert result["M_hat"] == pytest.approx(0.0, abs=1e-9)
 
     def test_sparse_reference_grid_self_consistency(self):
         r = [0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
         result = fit_sweep(*make_sweep("auto", M_REF, G2_REF, r=r), "auto", G2_REF)
-        assert result.m_hat == pytest.approx(M_REF, abs=1e-9)
+        assert result["M_hat"] == pytest.approx(M_REF, abs=1e-9)
 
     def test_methods_agree_on_shared_experiment(self):
         rng = np.random.default_rng(42)
@@ -127,8 +127,8 @@ class TestAutoFit:
         sv, sa = 0.02 * y_v, 0.02 * y_a
         res_v = fit_sweep(r, y_v + rng.normal(size=r.size) * sv, sv, "vhom", G2_REF)
         res_a = fit_sweep(r, y_a + rng.normal(size=r.size) * sa, sa, "auto", G2_REF)
-        combined = np.hypot(res_v.m_err, res_a.m_err)
-        assert abs(res_v.m_hat - res_a.m_hat) <= 2.0 * combined
+        combined = np.hypot(res_v["M_err"], res_a["M_err"])
+        assert abs(res_v["M_hat"] - res_a["M_hat"]) <= 2.0 * combined
 
 
 class TestClosedFormFit:
@@ -145,7 +145,7 @@ class TestClosedFormFit:
         y = curve(model, r, 0.0) + m_true * (curve(model, r, 1.0) - curve(model, r, 0.0))
         y += rng.normal(size=r.size) * s
         result = fit_sweep(r, y, s, model, G2_REF)
-        assert result.model == model
+        assert result["model"] == model
 
         def chi2(m):
             res = (y - curve(model, r, m)) / s
@@ -153,13 +153,13 @@ class TestClosedFormFit:
 
         found = minimize_scalar(chi2, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
         # the bounded search stops within sqrt(eps) relative of its minimum
-        assert result.m_hat == pytest.approx(found.x, abs=1e-7)
-        assert chi2(result.m_hat) <= chi2(found.x) * (1.0 + 1e-12)
-        assert result.at_bound is at_bound
+        assert result["M_hat"] == pytest.approx(found.x, abs=1e-7)
+        assert chi2(result["M_hat"]) <= chi2(found.x) * (1.0 + 1e-12)
+        assert result["at_bound"] is at_bound
         # chi2 is quadratic in m: a second difference of any step is its curvature
         curvature = (chi2(0.75) - 2.0 * chi2(0.5) + chi2(0.25)) / 0.25**2
-        assert result.m_err == pytest.approx(np.sqrt(2.0 / curvature), rel=1e-9)
-        assert result.chi2_red == pytest.approx(chi2(result.m_hat) / (r.size - 1), rel=1e-12)
+        assert result["M_err"] == pytest.approx(np.sqrt(2.0 / curvature), rel=1e-9)
+        assert result["chi2_red"] == pytest.approx(chi2(result["M_hat"]) / (r.size - 1), rel=1e-12)
 
     def test_non_finite_point_rejected(self):
         r, y, y_err = make_sweep("vhom", M_REF, G2_REF)
@@ -174,10 +174,10 @@ class TestClosedFormFit:
         # the visibility peak height does not depend on the ratio scale, so
         # a peak 10 % above the m = 1 curve can only be met by m > 1
         above = 1.1 * curve("vhom", r, 1.0)
-        assert fit_sweep(r, inside, s, "vhom", G2_REF, fit_scale=True).at_bound is False
+        assert fit_sweep(r, inside, s, "vhom", G2_REF, fit_scale=True)["at_bound"] is False
         clipped = fit_sweep(r, above, s, "vhom", G2_REF, fit_scale=True)
-        assert clipped.m_hat == pytest.approx(1.0, abs=1e-9)
-        assert clipped.at_bound is True
+        assert clipped["M_hat"] == pytest.approx(1.0, abs=1e-9)
+        assert clipped["at_bound"] is True
 
 
 class TestPointwiseOverlap:
@@ -242,8 +242,8 @@ class TestFitSweep:
         rng = np.random.default_rng(0)
         for _ in range(20):
             result = fit_sweep(r, y_true + rng.normal(size=r.size) * sigma, sigma, model, G2_REF)
-            assert result.at_bound is False
-            assert abs(result.m_hat - M_REF) <= 3.0 * result.m_err
+            assert result["at_bound"] is False
+            assert abs(result["M_hat"] - M_REF) <= 3.0 * result["M_err"]
 
     @pytest.mark.parametrize("model", ["vhom", "auto"])
     def test_scale_fit_differs_from_the_fixed_scale_fit(self, model):
@@ -258,12 +258,12 @@ class TestFitSweep:
             s = np.full(r.size, 0.005) if rel_err is None else rel_err * y
             scaled = fit_sweep(r, y, s, model, G2_REF, fit_scale=True)
             fixed = fit_sweep(r, y, s, model, G2_REF)
-            assert scaled.scale_hat == pytest.approx(scale, abs=1e-6)
-            assert scaled.m_hat == pytest.approx(m, abs=1e-6)
-            assert scaled.chi2_red < 1e-6 < fixed.chi2_red
-            assert fixed.scale_hat is None
-            assert (scaled.model, fixed.model) == (model, model)
-        assert 1.0 / scaled.scale_hat == pytest.approx(brightness, abs=1e-6)  # the last case
+            assert scaled["scale_hat"] == pytest.approx(scale, abs=1e-6)
+            assert scaled["M_hat"] == pytest.approx(m, abs=1e-6)
+            assert scaled["chi2_red"] < 1e-6 < fixed["chi2_red"]
+            assert "scale_hat" not in fixed
+            assert (scaled["model"], fixed["model"]) == (model, model)
+        assert 1.0 / scaled["scale_hat"] == pytest.approx(brightness, abs=1e-6)  # the last case
 
 
 class TestScaleFitAgainstLeastSquares:
@@ -282,7 +282,7 @@ class TestScaleFitAgainstLeastSquares:
         )
         m_err, scale_err = np.sqrt(np.diag(np.linalg.inv(ls.jac.T @ ls.jac)))
         return {
-            "m_hat": ls.x[0], "scale_hat": ls.x[1], "m_err": m_err, "scale_err": scale_err,
+            "M_hat": ls.x[0], "scale_hat": ls.x[1], "M_err": m_err, "scale_err": scale_err,
             "chi2_red": 2.0 * ls.cost / max(r.size - 2, 1), "at_bound": bool(np.any(ls.active_mask != 0)),
         }
 
@@ -298,7 +298,7 @@ class TestScaleFitAgainstLeastSquares:
         noise=st.floats(0.005, 0.05),
         seed=st.integers(0, 2**32 - 1),
     )
-    # the reference at default tolerances stopped at m_hat 6.66737e-4 here, 1.8e-3 above the minimum
+    # the reference at default tolerances stopped at M_hat 6.66737e-4 here, 1.8e-3 above the minimum
     @example(
         model="auto", m=0.1, g2_psi=0.0625, scale=1.21875, n=5, r_min=0.5, r_max=37.0,
         noise=0.04556526115018486, seed=19263,
@@ -310,10 +310,10 @@ class TestScaleFitAgainstLeastSquares:
         y = y_true + np.random.default_rng(seed).normal(size=n) * s
         fit = fit_sweep(r, y, s, model, g2_psi, fit_scale=True)
         ref = self.reference(r, y, s, model, g2_psi)
-        assert fit.chi2_red <= ref["chi2_red"] * (1.0 + 1e-9)
-        if not (fit.at_bound or ref["at_bound"]):
-            for name in ("m_hat", "scale_hat", "m_err", "scale_err"):
-                assert getattr(fit, name) == pytest.approx(ref[name], rel=1e-3), name
+        assert fit["chi2_red"] <= ref["chi2_red"] * (1.0 + 1e-9)
+        if not (fit["at_bound"] or ref["at_bound"]):
+            for name in ("M_hat", "scale_hat", "M_err", "scale_err"):
+                assert fit[name] == pytest.approx(ref[name], rel=1e-3), name
 
 
 class TestRefusals:

@@ -218,28 +218,28 @@ class TestOverlapIntegral:
 class TestFringeVisibility:
     def test_constant_signal(self):
         result = fringe_visibility_overlap(np.full(2000, 3.7), k_tail=500)
-        assert result.visibility == 0.0
-        assert result.m_p == 0.0
+        assert result["visibility"] == 0.0
+        assert result["m_p"] == 0.0
 
     def test_full_swing(self):
         samples = np.concatenate([np.zeros(1000), np.full(1000, 2.0)])
         result = fringe_visibility_overlap(samples, k_tail=500)
-        assert result.visibility == 1.0
-        assert result.m_p == 1.0
+        assert result["visibility"] == 1.0
+        assert result["m_p"] == 1.0
 
     def test_two_level_signal_exact(self):
         samples = np.concatenate([np.full(600, 1.0), np.full(600, 3.0)])
         result = fringe_visibility_overlap(samples, k_tail=500)
-        assert result.visibility == pytest.approx(0.5, abs=1e-15)
-        assert result.m_p == pytest.approx(0.25, abs=1e-15)
+        assert result["visibility"] == pytest.approx(0.5, abs=1e-15)
+        assert result["m_p"] == pytest.approx(0.25, abs=1e-15)
 
     def test_sinusoid_between_one_and_three(self):
         phi = np.linspace(0.0, 2 * np.pi, 50_000, endpoint=False)
         samples = 2.0 + np.cos(phi)
         result = fringe_visibility_overlap(samples, k_tail=500)
-        assert result.visibility == pytest.approx(0.5, abs=1e-3)
-        assert result.m_p == pytest.approx(0.25, abs=1e-3)
-        assert result.m_p_err > 0.0
+        assert result["visibility"] == pytest.approx(0.5, abs=1e-3)
+        assert result["m_p"] == pytest.approx(0.25, abs=1e-3)
+        assert result["m_p_err"] > 0.0
 
     @pytest.mark.parametrize("theta_deg", [0.0, 20.0, 45.0, 60.0, 80.0])
     def test_polarization_fringe_recovers_cos_squared(self, theta_deg):
@@ -248,7 +248,7 @@ class TestFringeVisibility:
         # two unit fields with relative polarization theta and phase phi
         intensity = 2.0 + 2.0 * math.cos(theta) * np.cos(phi)
         result = fringe_visibility_overlap(intensity, k_tail=500)
-        assert result.m_p == pytest.approx(math.cos(theta) ** 2, abs=1e-3)
+        assert result["m_p"] == pytest.approx(math.cos(theta) ** 2, abs=1e-3)
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidParameterError):

@@ -20,7 +20,6 @@ from photonmix.fock_oracle import BeamSplitterSpec, required_cutoff
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
 from photonmix.tagstream import (
     CorrelationHistogram,
-    G2Result,
     TagStream,
     build_histogram,
     default_window,
@@ -411,17 +410,17 @@ class TestG2Zero:
     def test_ratio_and_poisson_error(self):
         hist = self.make_hist(500, 1000)
         result = g2_zero(hist, 1000, window=400, n_side_peaks=2)
-        assert result.value == pytest.approx(0.5, abs=1e-12)
-        assert result.side_mean == pytest.approx(1000.0)
+        assert result["value"] == pytest.approx(0.5, abs=1e-12)
+        assert result["side_mean"] == pytest.approx(1000.0)
         # both areas Poisson: value * sqrt(1/500 + 1/2000)
-        assert result.stat_err == pytest.approx(0.5 * math.sqrt(1 / 500 + 1 / 2000), abs=1e-12)
-        assert result.stat_err == pytest.approx(0.025, abs=1e-12)
+        assert result["stat_err"] == pytest.approx(0.5 * math.sqrt(1 / 500 + 1 / 2000), abs=1e-12)
+        assert result["stat_err"] == pytest.approx(0.025, abs=1e-12)
 
     def test_pulsed_coherent_is_poissonian(self):
         stream = pulsed_coherent_tags({2: 0.3}, 200_000, REP, seed=11)
         hist = build_histogram(stream, (2, 2), 25, 122_000 - 122_000 % 25)
         result = g2_zero(hist, REP)
-        assert abs(result.value - 1.0) <= 3.0 * result.stat_err
+        assert abs(result["value"] - 1.0) <= 3.0 * result["stat_err"]
 
     def test_single_photon_stream_has_empty_central_peak(self):
         # exactly one tag per pulse on one channel: auto-correlation is
@@ -430,12 +429,12 @@ class TestG2Zero:
         stream = stream_from([2] * n, [k * REP for k in range(n)])
         hist = build_histogram(stream, (2, 2), 25, 65_000)
         result = g2_zero(hist, REP)
-        assert result.peak_area_0 == 0
-        assert result.value == 0.0
+        assert result["peak_area_0"] == 0
+        assert result["value"] == 0.0
         # the empty central window counts as one count in the error: 1/side_mean * sqrt(1 + 1/side_total)
-        assert result.side_mean == 4997.0
-        assert result.stat_err > 0
-        assert result.stat_err == pytest.approx(math.sqrt(1 + 1 / 49970) / 4997, rel=1e-12)
+        assert result["side_mean"] == 4997.0
+        assert result["stat_err"] > 0
+        assert result["stat_err"] == pytest.approx(math.sqrt(1 + 1 / 49970) / 4997, rel=1e-12)
 
     def test_side_peaks_must_fit_histogram(self):
         hist = self.make_hist(10, 10)
@@ -506,25 +505,25 @@ class TestPeakAreas:
 
 class TestVisibility:
     def test_reference_ratio(self):
-        par = G2Result(0.3684, 0.01, 0, 0.0, 0, 2)
-        perp = G2Result(1.0, 0.01, 0, 0.0, 0, 2)
+        par = {"value": 0.3684, "stat_err": 0.01}
+        perp = {"value": 1.0, "stat_err": 0.01}
         v, err = visibility_from_histograms(par, perp)
         assert v == pytest.approx(0.6316, abs=1e-12)
         assert err > 0
 
     def test_equal_correlations_give_zero(self):
-        par = G2Result(0.8, 0.01, 0, 0.0, 0, 2)
+        par = {"value": 0.8, "stat_err": 0.01}
         v, _ = visibility_from_histograms(par, par)
         assert v == 0.0
 
     def test_perfect_suppression(self):
-        par = G2Result(0.0, 0.01, 0, 0.0, 0, 2)
-        perp = G2Result(1.0, 0.01, 0, 0.0, 0, 2)
+        par = {"value": 0.0, "stat_err": 0.01}
+        perp = {"value": 1.0, "stat_err": 0.01}
         v, _ = visibility_from_histograms(par, perp)
         assert v == 1.0
 
     def test_zero_reference_undefined(self):
-        perp = G2Result(0.0, 0.01, 0, 0.0, 0, 2)
+        perp = {"value": 0.0, "stat_err": 0.01}
         with pytest.raises(UndefinedCorrelationError):
             visibility_from_histograms(perp, perp)
 
@@ -541,7 +540,7 @@ class TestDisplacedFockGenerator:
         assert truth["g2_auto_2"] == pytest.approx(expected, abs=1e-8)
         hist = build_histogram(stream, (2, 2), 25, 122_000 - 122_000 % 25)
         result = g2_zero(hist, REP)
-        assert abs(result.value - expected) <= 3.0 * result.stat_err
+        assert abs(result["value"] - expected) <= 3.0 * result["stat_err"]
 
     def test_cross_visibility_closure(self):
         m, g2 = 0.76, 0.0412
