@@ -26,7 +26,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
     PhotonmixError,
     UndefinedCorrelationError,
 )
-from .estimator import SWEEP_MODELS, fit_sweep, read_sweep, write_sweep
+from .estimator import SWEEP_HEADER, SWEEP_MODELS, fit_sweep, read_sweep
 from .fock_oracle import (
     BeamSplitterSpec,
     auto_correlation,
@@ -59,7 +58,6 @@ from .tagstream import (
     g2_zero,
     parse_tags,
     visibility_from_histograms,
-    write_histogram_csv,
 )
 from .tables import write_table
 from .workers import in_child
@@ -293,20 +291,23 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
         # numpy refuses an array beyond its index range with a ValueError or an IndexError
         if cfg["n_points"] * np.dtype(float).itemsize > np.iinfo(np.intp).max:
             raise MemoryError
-        # a value beyond float64 (r_max above about 1.3e154 squares to inf) is refused
-        with np.errstate(over="raise", invalid="raise"):
+        # a value beyond float64 (r_max above about 1.3e154 squares to inf) is refused, and so is a
+        # division by zero in the fit below, as fit refuses it
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             grid = np.geomspace(cfg["r_min"], cfg["r_max"], cfg["n_points"])
             curves = {name: curve(grid, g2_psi, m) for name, curve in SWEEP_MODELS.items()}
             if "noise_sigma_rel" in cfg:
                 sigma = cfg["noise_sigma_rel"] * curves[model_name]
-                # fit refuses a point with y_err <= 0: the visibility at m = 0, or a curve or product that underflows
-                if (sigma <= 0).any():
-                    k = int(np.argmax(sigma <= 0))
-                    raise ConfigError(
-                        f"noise_sigma_rel={cfg['noise_sigma_rel']!r} times the {model_name} curve gives "
-                        f"y_err {sigma[k].item()!r} at ratio {grid[k].item()!r}: every y_err must be positive"
-                    )
                 noisy = curves[model_name] + np.random.default_rng(cfg["seed"]).normal(size=grid.size) * sigma
+                # the points are written only if fit reads them back: not with a y_err <= 0 (the visibility
+                # at m = 0, or a curve or product that underflows), a 1 / y_err^2 that overflows, or 2 points
+                try:
+                    fit_sweep(grid, noisy, sigma, model_name, g2_psi)
+                except (FloatingPointError, InvalidParameterError, IllConditionedFitError) as exc:
+                    raise ConfigError(
+                        f"noise_sigma_rel={cfg['noise_sigma_rel']!r} on the {model_name} curve gives points "
+                        f"that fit refuses ({exc})"
+                    ) from None
     except MemoryError:
         raise ConfigError(f"a sweep of n_points={cfg['n_points']!r} does not fit in memory") from None
     except FloatingPointError as exc:
@@ -343,13 +344,11 @@ def cmd_simulate(cfg: dict) -> tuple[dict, list[str]]:
         )
         _refuse_beyond_float64(checks[-1], keys)
     outputs = {
-        "sweep.csv": partial(
-            write_table, header=("ratio", "v_hom", "g2_auto"), columns=[grid, curves["vhom"], curves["auto"]]
-        ),
+        "sweep.csv": (("ratio", "v_hom", "g2_auto"), [grid, curves["vhom"], curves["auto"]]),
         "report.json": {"peaks": peaks, "oracle_checks": checks},
     }
     if "noise_sigma_rel" in cfg:
-        outputs[f"points_{model_name}.csv"] = partial(write_sweep, ratio=grid, y=noisy, y_err=sigma)
+        outputs[f"points_{model_name}.csv"] = (SWEEP_HEADER, [grid, noisy, sigma])
     return outputs, []
 
 
@@ -391,12 +390,15 @@ def _analyze_one(tagfile: str, cfg: dict, processes: int = 1):
         tau_max=cfg["tau_max"],
         processes=processes,
     )
-    result = g2_zero(hist, cfg["rep_period"], window=cfg.get("window"), n_side_peaks=cfg["n_side_peaks"])
+    try:
+        result = g2_zero(hist, cfg["rep_period"], window=cfg.get("window"), n_side_peaks=cfg["n_side_peaks"])
+    except UndefinedCorrelationError as exc:  # of a pair, only the path says which file it is
+        raise UndefinedCorrelationError(f"{tagfile}: {exc}") from None
     return hist, result
 
 
 def _analysis(suffix: str, hist, result) -> dict:
-    return {f"histogram{suffix}.csv": partial(write_histogram_csv, hist), f"g2{suffix}.json": result}
+    return {f"histogram{suffix}.csv": (("tau_ps", "counts"), [hist.centers, hist.counts]), f"g2{suffix}.json": result}
 
 
 def cmd_analyze(tagfile: str, cfg: dict) -> tuple[dict, list[str]]:
@@ -478,16 +480,14 @@ def cmd_fit(sweepfile: str, cfg: dict) -> tuple[dict, list[str]]:
         result = fit_sweep(r, y, y_err, cfg["model"], cfg["g2_psi"], fit_scale=cfg["fit_scale"])
         y_model = SWEEP_MODELS[cfg["model"]](result.get("scale_hat", 1.0) * r, cfg["g2_psi"], result["M_hat"])
         residual = (y - y_model) / y_err
-    residuals = partial(
-        write_table, header=("ratio", "y", "y_err", "model", "residual_sigma"), columns=[r, y, y_err, y_model, residual]
-    )
+    residuals = (("ratio", "y", "y_err", "model", "residual_sigma"), [r, y, y_err, y_model, residual])
     return {"fit.json": result, "residuals.csv": residuals}, [sweepfile]
 
 
 # command -> (function, help, input-file arguments, metadata sidecar).  The function
-# takes the input files and the config, writes nothing, and returns its outputs (file
-# name -> JSON document, or writer of that path) and the input files it read, which
-# the sidecar records.
+# takes the input files and the config, writes nothing, and returns its outputs, which
+# map a file name to a JSON document (a dict) or a table (a (header, columns) pair),
+# and the input files it read, which the sidecar records.
 _COMMANDS = {
     "simulate": (cmd_simulate, "emit correlation sweep curves and oracle spot checks", (), "sweep.meta.json"),
     "analyze": (
@@ -544,7 +544,7 @@ def main(argv=None) -> int:
                     json.dump(output, fh, indent=2, sort_keys=True)
                     fh.write("\n")
             else:
-                output(outdir / name)
+                write_table(outdir / name, *output)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,9 +29,10 @@ import numpy as np
 
 from .analytic_model import auto_g2_zero, hom_visibility
 from .errors import IllConditionedFitError, InvalidParameterError
-from .tables import read_table, refuse_rows, write_table
+from .tables import read_table, refuse_rows
 
-_SWEEP_HEADER = ("ratio", "y", "y_err")
+#: The header of a sweep table: what ``fit`` reads and ``simulate`` writes as its noisy points.
+SWEEP_HEADER = ("ratio", "y", "y_err")
 
 #: Planck constant (J s) and speed of light (m/s), exact in the SI since 2019.
 _H = 6.62607015e-34
@@ -169,14 +170,10 @@ def read_sweep(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Ratios and y_err must be positive.
     """
-    rows = read_table(path, [_SWEEP_HEADER])[1]
+    rows = read_table(path, [SWEEP_HEADER])[1]
     ratio, _, y_err = rows.T
     refuse_rows(
-        path, [_SWEEP_HEADER], (ratio <= 0) | (y_err <= 0),
+        path, [SWEEP_HEADER], (ratio <= 0) | (y_err <= 0),
         lambda k: f"ratio and y_err must be positive, got ratio {ratio[k].item()!r}, y_err {y_err[k].item()!r}",
     )
     return tuple(rows.T)
-
-
-def write_sweep(path, ratio, y, y_err) -> None:
-    write_table(path, _SWEEP_HEADER, [ratio, y, y_err])

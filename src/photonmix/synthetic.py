@@ -61,7 +61,7 @@ def _pulse_train(
                     t = t + rng.exponential(lifetime_ps, size=t.size).astype(np.int64)
                 channels.append(np.full(t.size, ch, dtype=np.int64))
                 times.append(t)
-        return TagStream.from_unsorted(np.concatenate(channels), np.concatenate(times))
+        return TagStream(np.concatenate(channels), np.concatenate(times))
 
     return sample
 

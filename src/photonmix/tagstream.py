@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, UndefinedCorrelationError
-from .tables import read_table, refuse_rows, write_table
+from .tables import read_table, refuse_rows
 from .workers import in_child
 
 DEFAULT_CHANNELS = frozenset({1, 2, 3})
@@ -52,16 +52,24 @@ _SPLIT_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class TagStream:
-    """Time-ordered detector records: channel ids and integer-ps timestamps."""
+    """Time-ordered detector records: channel ids and integer-ps timestamps.
+
+    Records given out of time order are stable-sorted (equal timestamps keep
+    their order); int64 records already in order are kept as given, uncopied.
+    """
 
     channels: np.ndarray
     times: np.ndarray
 
     def __post_init__(self):
-        ch, t = _columns(self.channels, self.times)
+        ch = np.asarray(self.channels, dtype=np.int64)
+        t = np.asarray(self.times, dtype=np.int64)
+        if ch.shape != t.shape or ch.ndim != 1:  # checked before the gather, which would drop a record
+            raise InvalidParameterError("channels and times must be equal-length 1-D arrays")
         if np.any(t[1:] < t[:-1]):
-            raise InvalidParameterError("timestamps must be non-decreasing")
-        # with the order above, this keeps every delay t_j - t_i (j > i) inside int64
+            order = np.argsort(t, kind="stable")
+            ch, t = ch[order], t[order]
+        # in time order, this keeps every delay t_j - t_i (j > i) inside int64
         if t.size and int(t[-1]) - int(t[0]) > _INT64_MAX:
             raise InvalidParameterError("timestamps span more than 2**63 - 1 ps")
         object.__setattr__(self, "channels", ch)
@@ -69,22 +77,6 @@ class TagStream:
 
     def __len__(self) -> int:
         return self.times.size
-
-    @classmethod
-    def from_unsorted(cls, channels, times) -> "TagStream":
-        """Stable-sort records by timestamp (equal timestamps keep input order)."""
-        ch, t = _columns(channels, times)  # checked before the gather, which would drop a record
-        order = np.argsort(t, kind="stable")
-        return cls(ch[order], t[order])
-
-
-def _columns(channels, times) -> tuple[np.ndarray, np.ndarray]:
-    """Channels and times as int64 arrays; ``InvalidParameterError`` unless equal-length 1-D."""
-    ch = np.asarray(channels, dtype=np.int64)
-    t = np.asarray(times, dtype=np.int64)
-    if ch.shape != t.shape or ch.ndim != 1:
-        raise InvalidParameterError("channels and times must be equal-length 1-D arrays")
-    return ch, t
 
 
 @dataclass(frozen=True)
@@ -149,10 +141,8 @@ def parse_tags(path, reorder_window: int = 0) -> TagStream:
             f"than the reorder window ({reorder_window} ps)"
         ),
     )
-    if not lag.any():  # in time order: the stable sort is the identity
-        return TagStream(channels, times)
-    del lag, running_max
-    return TagStream.from_unsorted(channels, times)
+    del lag, running_max  # before the stream sorts the records, if they are out of order
+    return TagStream(channels, times)
 
 
 def check_binning(bin_width: int, tau_max: int) -> int:
@@ -402,7 +392,3 @@ def visibility_from_histograms(par: dict, perp: dict) -> tuple[float, float]:
     v = (g_perp - g_par) / g_perp
     err = np.hypot(par["stat_err"] / g_perp, g_par * perp["stat_err"] / g_perp**2)
     return float(v), float(err)
-
-
-def write_histogram_csv(hist: CorrelationHistogram, path) -> None:
-    write_table(path, ("tau_ps", "counts"), [hist.centers, hist.counts])

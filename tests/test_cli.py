@@ -26,12 +26,11 @@ from photonmix.analytic_model import LocalOscillator, SourceParams, auto_g2_zero
 from photonmix import cli, tagstream
 from photonmix.cli import _SCHEMAS, _load_config, _violations, cmd_analyze, main
 from photonmix.errors import ConfigError, DataFormatError, PhotonmixError
-from photonmix.estimator import read_sweep, write_sweep
 from photonmix.fock_oracle import BeamSplitterSpec, coherent_tail_mass, required_cutoff
 from photonmix.synthetic import displaced_fock_tags, pulsed_coherent_tags
 from photonmix.tagstream import parse_tags
 
-from helpers import write_tags_csv, write_time_profile
+from helpers import write_sweep, write_tags_csv, write_time_profile
 
 REP = 12195
 TAU_MAX = 122_000
@@ -262,8 +261,8 @@ class TestSimulate:
         args = ["simulate", "--set", "m=0", "--set", "g2_psi=0.02", "--set", "noise_sigma_rel=0.1"]
         assert run([*args, "--out", str(tmp_path / "vhom")]) == 2
         assert capsys.readouterr().err == (
-            "config error: noise_sigma_rel=0.1 times the vhom curve gives y_err 0.0 at ratio 0.01: "
-            "every y_err must be positive\n"
+            "config error: noise_sigma_rel=0.1 on the vhom curve gives points that fit refuses "
+            "(sweep uncertainties must be positive)\n"
         )
         # the auto-correlation curve is positive for every r > 0
         out = tmp_path / "auto"
@@ -561,6 +560,15 @@ class TestAnalyzePair:
         assert run(self.args(*files, tmp_path / "run")) == 3
         assert capsys.readouterr().err == f"data error: {bad}: line 2: expected int fields in row 'x,200'\n"
 
+    @pytest.mark.parametrize("bad_is_perp", [False, True], ids=["tagfile", "perp_tagfile"])
+    def test_undefined_g2_names_its_file(self, tmp_path, capsys, coherent_tagfile, bad_is_perp):
+        # no record on the pair's channel: every side peak of this file is empty
+        bad = self.bad_file(tmp_path, "1,10\n1,200\n")
+        files = (coherent_tagfile, bad) if bad_is_perp else (bad, coherent_tagfile)
+        assert run(self.args(*files, tmp_path / "run")) == 4
+        assert capsys.readouterr().err == f"numerical failure: {bad}: all side peaks are empty: cannot normalize\n"
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_parallel_file_error_wins(self, tmp_path, capsys):
         par = self.bad_file(tmp_path, _MALFORMED_TAGS, "par.csv")
         perp = self.bad_file(tmp_path, "", "perp.csv")
@@ -627,7 +635,7 @@ class TestAnalyzePair:
             def interrupt(*_):
                 raise KeyboardInterrupt
 
-            monkeypatch.setattr(cli, "write_histogram_csv", interrupt)
+            monkeypatch.setattr(cli, "write_table", interrupt)
             with pytest.raises(KeyboardInterrupt):
                 run(args)
         else:
@@ -1524,7 +1532,7 @@ class TestSimulateContract:
     """Any simulate run exits 0, 2, 3 or 4 with no traceback or warning, and writes only when it succeeds.
 
     A config error (exit 2) names a key behind it.  A success's oracle checks agree with the closed forms within
-    1e-6 at every tail_target the schema accepts, and ``fit`` reads back every sweep of noisy points it writes.
+    1e-6 at every tail_target the schema accepts, and ``fit`` exits 0 on every sweep of noisy points it writes.
     """
 
     @given(cfg=simulate_runs())
@@ -1576,6 +1584,12 @@ class TestSimulateContract:
     @example(cfg={"m": 0.76, "g2_psi": 1e300, "r_min": 1e-300, "noise_sigma_rel": 0.02}).via(
         "a visibility curve that underflows to 0, once written with y_err 0"
     )
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "noise_sigma_rel": 0.02, "r_max": 1e153}).via(
+        "points whose 1 / y_err^2 overflows, once written and refused by fit"
+    )
+    @example(cfg={"m": 0.76, "g2_psi": 0.0412, "noise_sigma_rel": 0.02, "n_points": 2}).via(
+        "two points, once written and refused by fit"
+    )
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_exit_code_contract(self, cfg):
         with tempfile.TemporaryDirectory() as tmp:
@@ -1588,7 +1602,9 @@ class TestSimulateContract:
             for check in read_json(out / "report.json")["oracle_checks"] if code == 0 else []:
                 assert check["max_abs_diff"] <= 1e-6
             for points in out.glob("points_*.csv") if code == 0 else []:
-                read_sweep(points)
+                model = points.stem.removeprefix("points_")
+                args = ["--set", f"model={model}", "--set", f"g2_psi={json.dumps(cfg['g2_psi'])}"]
+                assert run_under_contract(["fit", str(points), "--out", str(tmp / "fit"), *args], tmp / "fit")[0] == 0
 
 
 class TestFitCommand:

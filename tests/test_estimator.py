@@ -16,8 +16,9 @@ from photonmix.estimator import (
     calibrate_mu_alpha,
     fit_sweep,
     read_sweep,
-    write_sweep,
 )
+
+from helpers import write_sweep
 
 G2_REF = 0.0412
 M_REF = 0.76

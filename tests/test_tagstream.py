@@ -59,10 +59,11 @@ class TestParseTags:
         assert len(parse_tags(tags(b""))) == 0
 
     def test_reorder_within_window_is_sorted(self, tags):
-        stream = parse_tags(tags(b"2,100\n1,50\n"), reorder_window=50)
-        assert len(stream) == 2
-        assert stream.times.tolist() == [50, 100]
-        assert stream.channels.tolist() == [1, 2]
+        stream = parse_tags(tags(b"2,100\n1,50\n3,100\n"), reorder_window=50)
+        assert len(stream) == 3
+        assert stream.times.tolist() == [50, 100, 100]
+        assert stream.channels.tolist() == [1, 2, 3]
+        assert stream.channels.flags.c_contiguous and stream.times.flags.c_contiguous
 
     def test_reorder_beyond_window_rejected(self, tags):
         with pytest.raises(DataFormatError) as err:
@@ -118,6 +119,8 @@ class TestParseTags:
     def test_stable_order_for_equal_timestamps(self, tags):
         stream = parse_tags(tags(b"3,10\n1,10\n2,10\n"))
         assert stream.channels.tolist() == [3, 1, 2]
+        # in time order, so not sorted again: the columns stay views of the parsed table
+        assert stream.channels.base is stream.times.base is not None
 
     def test_blank_lines_skipped_and_errors_keep_file_lines(self, tags):
         blanks = b"\n1,10\n\n  \n2,20\n"
@@ -167,17 +170,25 @@ class TestParseTags:
 
 
 class TestTagStream:
-    def test_decreasing_timestamps_rejected(self):
-        with pytest.raises(InvalidParameterError, match="non-decreasing"):
-            TagStream(np.array([1, 1]), np.array([5, 3]))
-        # a difference that wraps around int64 must not pass for an increase
-        with pytest.raises(InvalidParameterError, match="non-decreasing"):
-            TagStream(np.array([1, 1]), np.array([INT64_MAX, -INT64_MAX - 1]))
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=20))
+    def test_records_are_stably_sorted(self, records):
+        # few timestamps, so that records tie
+        channels = np.array([ch for ch, _ in records], dtype=np.int64)
+        times = np.array([t for _, t in records], dtype=np.int64)
+        order = np.argsort(times, kind="stable")
+        stream = TagStream(channels, times)
+        assert stream.channels.tolist() == channels[order].tolist()
+        assert stream.times.tolist() == times[order].tolist()
+        if np.all(times[1:] >= times[:-1]):  # records in order are kept, not copied
+            assert stream.channels is channels and stream.times is times
 
     def test_span_beyond_int64_rejected(self):
         # each step fits in int64, but the first-to-last delay wraps to -2 ps
         with pytest.raises(InvalidParameterError, match="span"):
             TagStream(np.array([1, 1, 1]), np.array([-INT64_MAX - 1, -1, INT64_MAX - 1]))
+        # out of order: sorted, the records span 2**64 - 1 ps
+        with pytest.raises(InvalidParameterError, match="span"):
+            TagStream(np.array([1, 1]), np.array([INT64_MAX, -INT64_MAX - 1]))
         stream = TagStream(np.array([1, 1]), np.array([-(2**62), 2**62 - 1]))
         assert stream.times.tolist() == [-(2**62), 2**62 - 1]
 
@@ -186,15 +197,15 @@ class TestTagStream:
         [([1, 2], [5, 3, 4]), ([1, 2, 3, 1], [5, 3, 4]), ([[1, 2]], [[5, 3]])],
         ids=["fewer channels", "more channels", "2-D"],
     )
-    def test_from_unsorted_rejects_mismatched_columns(self, channels, times):
+    def test_mismatched_columns_rejected(self, channels, times):
         # checked before the records are gathered into time order, which would
         # raise IndexError or silently drop a record
         with pytest.raises(InvalidParameterError, match="equal-length 1-D"):
-            TagStream.from_unsorted(channels, times)
+            TagStream(channels, times)
 
 
 def stream_from(channels, times) -> TagStream:
-    return TagStream.from_unsorted(np.array(channels), np.array(times))
+    return TagStream(np.array(channels), np.array(times))
 
 
 def poisson_cw_tags(rates_hz, duration_s, seed) -> TagStream:
@@ -206,7 +217,7 @@ def poisson_cw_tags(rates_hz, duration_s, seed) -> TagStream:
         n = rng.poisson(rates_hz[ch] * duration_s)
         channels.append(np.full(n, ch, dtype=np.int64))
         times.append(rng.integers(0, duration_ps, size=n, dtype=np.int64))
-    return TagStream.from_unsorted(np.concatenate(channels), np.concatenate(times))
+    return TagStream(np.concatenate(channels), np.concatenate(times))
 
 
 class TestBuildHistogram:
